@@ -9,7 +9,6 @@
 // trajectory (and the serial-vs-parallel speedup) is tracked across PRs.
 #include <benchmark/benchmark.h>
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -324,12 +323,14 @@ enum class DataPlane { json, shm, tcp };
 /// their own mapping of the arena file, every lease report a binary
 /// frame written into the lease's own segment and decoded from the
 /// coordinator's mapping — zero copies, no per-lease files.
-/// DataPlane::tcp is the socket plane's framing (net/transport_tcp.hpp)
-/// over a socketpair — the same syscalls and copies a loopback
-/// connection pays: the plan pushed to each worker as one
-/// length-prefixed binary frame, each lease answered by a DONE control
-/// frame plus the binary report frame, reassembled through FrameBuffer
-/// on the receiving side.
+/// DataPlane::tcp is the socket plane (net/transport_tcp.hpp) over a
+/// real loopback TCP connection opened by the plane's own helpers, so it
+/// inherits their socket setup (TCP_NODELAY): the plan pushed to each
+/// worker as one length-prefixed binary frame, each lease granted by a
+/// LEASE control frame and answered by a DONE control frame plus the
+/// binary report frame, reassembled through FrameBuffer on the
+/// receiving side. One thread plays both ends; the kernel completes the
+/// handshake from the listen backlog.
 double orchestrated_scenario_seconds(const core::Scenario& scenario,
                                      int workers, int leases_per_worker,
                                      DataPlane plane,
@@ -358,7 +359,12 @@ double orchestrated_scenario_seconds(const core::Scenario& scenario,
     // The worker side maps the file itself, like a real worker process.
     worker_side.emplace(core::ShmArena::open(arena_path));
   } else if (tcp) {
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sp) != 0) return 0.0;
+    int port = 0;
+    int listen_fd = net::tcp_listen(0, &port);
+    sp[1] = net::tcp_connect("127.0.0.1", port);
+    sp[0] = net::tcp_accept(listen_fd, 5000);
+    ::close(listen_fd);
+    if (sp[0] < 0) return 0.0;
   } else {
     plan_json = plan.to_json();
   }
@@ -387,6 +393,16 @@ double orchestrated_scenario_seconds(const core::Scenario& scenario,
   for (std::size_t begin = 0; begin < n;
        begin += lease_items, ++lease_seq) {
     int w = static_cast<int>(lease_seq) % workers;
+    if (tcp) {
+      // The grant: a LEASE control frame down to the worker end. Without
+      // it the coordinator end never writes, so it never delays an ACK,
+      // and the leg could not show a Nagle stall on the DONE + report
+      // pair below.
+      net::send_frame(sp[0], core::format_lease(
+                                 begin, std::min(begin + lease_items, n), "-"));
+      std::string grant;
+      net::recv_frame(sp[1], &worker_fb, &grant, 5000);
+    }
     core::ShardReport report =
         core::run_lease(executor, worker_plans[w], begin,
                         std::min(begin + lease_items, n));
@@ -766,7 +782,7 @@ void write_sweep_json(const char* path) {
       "  shm orchestrated  : %8.1f runs/sec  (overhead %+.1f%% vs cached "
       "serial; %d leases, %zu binary report bytes in the arena)\n"
       "  tcp orchestrated  : %8.1f runs/sec  (overhead %+.1f%% vs cached "
-      "serial; %d leases, %zu framed bytes through the socketpair)\n"
+      "serial; %d leases, %zu framed bytes over loopback tcp)\n"
       "  binary codec      : %8.1f outcomes/sec through encode+decode\n"
       "  family generated  : %8.1f runs/sec over %zu spec-compiled "
       "scenarios (%d runs; %.1f%% of the 20 EAI classes fired)\n"

@@ -22,15 +22,31 @@ namespace {
 
 using core::OrchestratorError;
 
-/// Anything bigger than this is a corrupt length prefix, not a frame —
-/// the largest real payload is a plan or report, megabytes at worst.
-constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 30;
-
 [[noreturn]] void sys_fail(const std::string& what) {
   throw OrchestratorError(what + ": " + std::strerror(errno));
 }
 
+/// Without this, each write-write-read exchange (plan frame then LEASE,
+/// DONE then report frame) holds its second write until the peer's
+/// delayed ACK fires, ~40 ms per lease. A failure closes `fd` and throws:
+/// ignoring it would bring that stall back silently.
+void set_nodelay(int fd) {
+  int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) < 0) {
+    int saved = errno;
+    ::close(fd);
+    errno = saved;
+    sys_fail("setsockopt(TCP_NODELAY)");
+  }
+}
+
 }  // namespace
+
+FrameTooLarge::FrameTooLarge(std::size_t bytes, std::size_t limit)
+    : OrchestratorError("tcp: oversized frame (" + std::to_string(bytes) +
+                        " bytes, limit " + std::to_string(limit) +
+                        ") — corrupt length prefix"),
+      bytes_(bytes) {}
 
 void FrameBuffer::feed(const char* data, std::size_t n) {
   buf_.append(data, n);
@@ -43,9 +59,7 @@ bool FrameBuffer::pop(std::string* payload) {
                     (static_cast<std::size_t>(p[1]) << 8) |
                     (static_cast<std::size_t>(p[2]) << 16) |
                     (static_cast<std::size_t>(p[3]) << 24);
-  if (len > kMaxFrameBytes)
-    throw OrchestratorError("tcp: oversized frame (" + std::to_string(len) +
-                            " bytes) — corrupt length prefix");
+  if (len > max_frame_) throw FrameTooLarge(len, max_frame_);
   if (buf_.size() < 4 + len) return false;
   payload->assign(buf_, 4, len);
   buf_.erase(0, 4 + len);
@@ -165,7 +179,10 @@ int tcp_accept(int listen_fd, long timeout_ms) {
     }
     if (ready == 0) return -1;
     int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) return fd;
+    if (fd >= 0) {
+      set_nodelay(fd);
+      return fd;
+    }
     if (errno == EINTR || errno == ECONNABORTED) continue;
     sys_fail("accept");
   }
@@ -199,6 +216,7 @@ int tcp_connect(const std::string& host, int port) {
     errno = saved;
     sys_fail("connect to " + host + ":" + std::to_string(port));
   }
+  set_nodelay(fd);
   return fd;
 }
 
@@ -243,16 +261,26 @@ std::optional<std::size_t> TcpTransport::spawn() {
   Conn c;
   c.fd = fd;
   c.alive = true;
+  // Until HELLO the peer is unauthenticated: its opening frame gets the
+  // control-line cap, rejected the moment the 4-byte header lands.
+  c.frames.set_max_frame(kMaxOpeningFrameBytes);
   std::string line;
   try {
     if (!recv_frame(fd, &c.frames, &line, config_.handshake_timeout_ms)) {
       ::close(fd);
       return std::nullopt;  // dud connection: dialed in, said nothing
     }
+  } catch (const FrameTooLarge& e) {
+    ::close(fd);
+    throw OrchestratorError(
+        "tcp worker opened with a " + std::to_string(e.bytes()) +
+        "-byte frame instead of HELLO (at most " +
+        std::to_string(kMaxOpeningFrameBytes) + " bytes before the handshake)");
   } catch (const OrchestratorError&) {
     ::close(fd);
     return std::nullopt;  // timed out or died mid-handshake
   }
+  c.frames.set_max_frame(kMaxFrameBytes);
   core::ProtocolMsg msg;
   if (!core::parse_protocol_line(line, &msg) ||
       msg.type != core::ProtocolMsg::Type::hello) {

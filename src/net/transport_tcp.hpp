@@ -10,7 +10,16 @@
 // Framing is the simplest thing that works on a byte stream: a u32
 // little-endian payload length, then the payload. Control frames carry
 // protocol-line text; a DONE control frame is followed immediately by
-// one binary frame holding the lease's ShardReport (EPAB bytes).
+// one binary frame holding the lease's ShardReport (EPAB bytes). The
+// first frame a connection sends must be HELLO, and until it arrives
+// the coordinator accepts no frame above kMaxOpeningFrameBytes.
+//
+// Both ends set TCP_NODELAY (tcp_accept and tcp_connect). Two exchanges
+// write twice before they read: the coordinator sends the plan frame,
+// then LEASE; the worker sends DONE, then the report frame. Under
+// Nagle's algorithm the second write waits for the ACK of the first,
+// and the peer, which is only reading, delays that ACK by ~40 ms, so
+// every lease round trip would pay the delayed-ACK timer.
 //
 // Death has no exit status here, only silence and resets, so the
 // classification is wire-level: a worker announces its exit with
@@ -31,17 +40,42 @@ namespace ep::net {
 
 /// --- Frame plumbing, shared by coordinator, worker, and bench ---
 
+/// Anything bigger is a corrupt length prefix, not a frame: the largest
+/// real payload is a plan or report, megabytes at worst.
+inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 30;
+
+/// The cap on a connection's opening frame, before HELLO has proven the
+/// peer is a worker: the same 64 KiB a pipe worker allows one command
+/// line, so a 4-byte header cannot make the coordinator buffer 1 GiB.
+inline constexpr std::size_t kMaxOpeningFrameBytes = 65536;
+
+/// A length prefix above the FrameBuffer's cap — corruption or a hostile
+/// peer; bytes() is the announced length.
+class FrameTooLarge : public core::OrchestratorError {
+ public:
+  FrameTooLarge(std::size_t bytes, std::size_t limit);
+  std::size_t bytes() const { return bytes_; }
+
+ private:
+  std::size_t bytes_;
+};
+
 /// Incremental frame reassembly: feed() raw bytes, pop() complete
 /// payloads. mid_frame() says bytes are buffered but incomplete — how
-/// EOF-mid-frame is told apart from EOF at a boundary.
+/// EOF-mid-frame is told apart from EOF at a boundary. pop() throws
+/// FrameTooLarge as soon as a header announces more than the cap
+/// (kMaxFrameBytes unless set_max_frame() lowered it); nothing that
+/// size is waited for.
 class FrameBuffer {
  public:
+  void set_max_frame(std::size_t max_frame) { max_frame_ = max_frame; }
   void feed(const char* data, std::size_t n);
   bool pop(std::string* payload);
   bool mid_frame() const { return !buf_.empty(); }
 
  private:
   std::string buf_;
+  std::size_t max_frame_ = kMaxFrameBytes;
 };
 
 /// Write one length-prefixed frame. Returns false on any write failure
@@ -68,10 +102,11 @@ bool pump_nonblocking(int fd, FrameBuffer* fb);
 int tcp_listen(int port, int* bound_port);
 
 /// Accept one connection, waiting up to `timeout_ms` (< 0 = forever).
-/// Returns -1 on timeout.
+/// Returns -1 on timeout. The socket has TCP_NODELAY set.
 int tcp_accept(int listen_fd, long timeout_ms);
 
-/// Connect to host:port. Throws core::OrchestratorError on failure.
+/// Connect to host:port; the socket has TCP_NODELAY set. Throws
+/// core::OrchestratorError on failure.
 int tcp_connect(const std::string& host, int port);
 
 /// --- The transport ---
@@ -90,7 +125,8 @@ struct TcpTransportConfig {
   /// lets the orchestrator continue with the smaller fleet.
   int workers = 2;
   long long accept_timeout_ms = 30000;
-  /// How long a freshly accepted connection gets to say HELLO.
+  /// How long a freshly accepted connection gets to say HELLO. An
+  /// opening frame over kMaxOpeningFrameBytes is rejected at its header.
   long long handshake_timeout_ms = 10000;
 };
 

@@ -39,6 +39,7 @@ double JsonValue::as_number() const {
 
 long long JsonValue::as_int() const {
   double n = as_number();
+  if (exact_int_) return int_;
   // Range-check before the cast: double -> long long outside the
   // representable range is UB, and the number came from untrusted input.
   if (n < -9223372036854775808.0 || n >= 9223372036854775808.0)
@@ -93,6 +94,13 @@ JsonValue JsonValue::make_number(double n) {
   JsonValue v;
   v.type_ = Type::number;
   v.number_ = n;
+  return v;
+}
+
+JsonValue JsonValue::make_int(long long n) {
+  JsonValue v = make_number(static_cast<double>(n));
+  v.exact_int_ = true;
+  v.int_ = n;
   return v;
 }
 
@@ -367,17 +375,29 @@ class Parser {
         fail("digit expected in exponent");
       while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
     }
-    // Fast path: wire files are overwhelmingly small integers (ids,
-    // counts, lines); 15 digits always fit a double exactly, so no
-    // strtod round trip (which needs a heap slice for NUL termination).
-    std::size_t digits_at = start + (text_[start] == '-' ? 1 : 0);
-    if (integral && pos_ - digits_at <= 15) {
-      long long v = 0;
-      for (std::size_t i = digits_at; i < pos_; ++i)
-        v = v * 10 + (text_[i] - '0');
-      return JsonValue::make_number(
-          text_[start] == '-' ? -static_cast<double>(v)
-                              : static_cast<double>(v));
+    // Integral literals are read exactly over the whole long long range,
+    // not through a double: search-generated params reach 2^63 - 1, and
+    // a double holds integers exactly only up to 2^53. It is also the
+    // fast path (ids, counts, lines) — no strtod, no heap slice. Past
+    // the range the literal falls through to strtod, and as_int()
+    // rejects it.
+    if (integral) {
+      const bool neg = text_[start] == '-';
+      const unsigned long long cap =
+          neg ? 9223372036854775808ULL : 9223372036854775807ULL;
+      unsigned long long mag = 0;
+      std::size_t i = start + (neg ? 1 : 0);
+      for (; i < pos_; ++i) {
+        auto digit = static_cast<unsigned long long>(text_[i] - '0');
+        if (mag > (cap - digit) / 10) break;
+        mag = mag * 10 + digit;
+      }
+      if (i == pos_) {
+        // -(mag - 1) - 1 negates 2^63 without overflowing long long.
+        return JsonValue::make_int(
+            !neg || mag == 0 ? static_cast<long long>(mag)
+                             : -static_cast<long long>(mag - 1) - 1);
+      }
     }
     std::string slice(text_.substr(start, pos_ - start));
     errno = 0;

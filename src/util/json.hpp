@@ -62,9 +62,11 @@ class JsonValue {
 
   /// Typed accessors throw JsonError naming the actual type on mismatch.
   [[nodiscard]] bool as_bool() const;
+  /// The nearest double; integers past 2^53 may round (use as_int()).
   [[nodiscard]] double as_number() const;
   /// The number as an integer; throws if it has a fractional part or does
-  /// not fit (ids, counts, and indices are integral on the wire).
+  /// not fit (ids, counts, and indices are integral on the wire). An
+  /// integral literal in the long long range comes back exactly.
   [[nodiscard]] long long as_int() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<JsonValue>& items() const;  // array
@@ -79,6 +81,7 @@ class JsonValue {
   static JsonValue make_null() { return JsonValue(); }
   static JsonValue make_bool(bool b);
   static JsonValue make_number(double n);
+  static JsonValue make_int(long long n);
   static JsonValue make_string(std::string s);
   static JsonValue make_array(std::vector<JsonValue> items);
   static JsonValue make_object(Members members);
@@ -87,6 +90,8 @@ class JsonValue {
   Type type_ = Type::null;
   bool bool_ = false;
   double number_ = 0.0;
+  bool exact_int_ = false;  // int_ holds the number exactly
+  long long int_ = 0;
   std::string string_;
   std::vector<JsonValue> items_;
   Members members_;

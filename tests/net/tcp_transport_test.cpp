@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -76,6 +79,29 @@ TEST(FrameBuffer, OversizedLengthPrefixIsCorruptionNotAFrame) {
   fb.feed(wire.data(), wire.size());
   std::string payload;
   EXPECT_THROW((void)fb.pop(&payload), core::OrchestratorError);
+}
+
+TEST(FrameBuffer, CapIsCheckedAtTheHeaderAndCanBeRaised) {
+  // The coordinator caps a connection's opening frame low and raises
+  // the cap once HELLO is in: the header alone decides, and the error
+  // names the announced size.
+  std::string wire = {9, 0, 0, 0};
+  FrameBuffer fb;
+  fb.set_max_frame(8);
+  fb.feed(wire.data(), wire.size());
+  std::string payload;
+  try {
+    (void)fb.pop(&payload);
+    FAIL() << "expected FrameTooLarge";
+  } catch (const FrameTooLarge& e) {
+    EXPECT_EQ(e.bytes(), 9u);
+    EXPECT_TRUE(contains(e.what(), "9 bytes")) << e.what();
+  }
+  fb.set_max_frame(kMaxFrameBytes);
+  wire = "ninebytes";
+  fb.feed(wire.data(), wire.size());
+  ASSERT_TRUE(fb.pop(&payload));
+  EXPECT_EQ(payload, "ninebytes");
 }
 
 TEST(Frames, SendRecvRoundTripsOverASocketpair) {
@@ -277,6 +303,104 @@ TEST(TcpTransport, OpeningWithAnythingButHelloIsRejected) {
   } catch (const core::OrchestratorError& e) {
     EXPECT_TRUE(contains(e.what(), "instead of HELLO"));
   }
+}
+
+TEST(TcpTransport, OversizedOpeningFrameIsRejectedAtItsHeader) {
+  // An unauthenticated peer announces 1 MiB before saying HELLO. The
+  // coordinator must neither buffer it nor wait out the handshake
+  // timeout: the 4-byte header alone gets the connection rejected.
+  core::Scenario s;
+  core::InjectionPlan plan = planned_toy(&s);
+  TcpTransportConfig cfg = loopback_config(1);
+  cfg.handshake_timeout_ms = 10000;
+  TcpTransport transport(cfg, plan);
+  ScriptedWorker peer(transport.port());
+  const char header[4] = {0, 0, 0x10, 0};  // 1 MiB, little-endian
+  ASSERT_EQ(::write(peer.fd, header, sizeof header),
+            static_cast<ssize_t>(sizeof header));
+  auto t0 = std::chrono::steady_clock::now();
+  try {
+    (void)transport.spawn();
+    FAIL() << "expected OrchestratorError";
+  } catch (const core::OrchestratorError& e) {
+    EXPECT_TRUE(contains(e.what(), "instead of HELLO")) << e.what();
+    EXPECT_TRUE(contains(e.what(), "1048576")) << e.what();
+  }
+  auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+  EXPECT_LT(ms, 2000) << "rejected after " << ms << " ms";
+}
+
+TEST(TcpTransport, FramesAfterHelloKeepTheLargeCap) {
+  // Past the handshake a report may run to megabytes: a 1 MiB header is
+  // a frame still arriving, not an error.
+  core::Scenario s;
+  core::InjectionPlan plan = planned_toy(&s);
+  TcpTransport transport(loopback_config(1), plan);
+  ScriptedWorker worker(transport.port());
+  worker.say(core::format_hello(core::kWorkerProtocolVersion));
+  std::optional<std::size_t> w = transport.spawn();
+  ASSERT_TRUE(w.has_value());
+  (void)worker.hear();
+  transport.submit(*w, {0, 0, 2});
+  EXPECT_EQ(worker.hear(), "LEASE 0 2 -");
+  worker.say(core::format_done(0, 2));
+  const char header[4] = {0, 0, 0x10, 0};
+  ASSERT_EQ(::write(worker.fd, header, sizeof header),
+            static_cast<ssize_t>(sizeof header));
+  EXPECT_FALSE(transport.wait_any(50).has_value());
+}
+
+int nodelay_of(int fd) {
+  int v = 0;
+  socklen_t len = sizeof v;
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &v, &len), 0);
+  return v;
+}
+
+TEST(TcpTransport, BothEndsSetNoDelaySoLeasesSkipTheAckTimer) {
+  // Both helpers that open a tcp-plane socket turn Nagle off.
+  int port = 0;
+  int lfd = tcp_listen(0, &port);
+  int cfd = tcp_connect("127.0.0.1", port);
+  int afd = tcp_accept(lfd, 2000);
+  ASSERT_GE(afd, 0);
+  EXPECT_EQ(nodelay_of(cfd), 1);
+  EXPECT_EQ(nodelay_of(afd), 1);
+  ::close(afd);
+  ::close(cfd);
+  ::close(lfd);
+
+  // What it buys: the worker writes DONE and then the report before the
+  // coordinator answers, and the coordinator writes the plan and then
+  // LEASE. With Nagle on, each second write waits for the peer's delayed
+  // ACK (~40 ms): 20 round trips take over 800 ms, against under 1 ms.
+  core::Scenario s;
+  core::InjectionPlan plan = planned_toy(&s);
+  TcpTransport transport(loopback_config(1), plan);
+  ScriptedWorker worker(transport.port());
+  worker.say(core::format_hello(core::kWorkerProtocolVersion));
+  std::optional<std::size_t> w = transport.spawn();
+  ASSERT_TRUE(w.has_value());
+  (void)worker.hear();
+  core::Executor ex(s);
+  const std::string report =
+      core::shard_report_to_binary(core::run_lease(ex, plan, 0, 2, {}));
+  auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t seq = 0; seq < 20; ++seq) {
+    transport.submit(*w, {seq, 0, 2});
+    ASSERT_EQ(worker.hear(), "LEASE 0 2 -");
+    worker.say(core::format_done(0, 2));
+    worker.say(report);
+    std::optional<core::WorkerEvent> ev = transport.wait_any(2000);
+    ASSERT_TRUE(ev.has_value());
+    ASSERT_EQ(ev->kind, core::WorkerEvent::Kind::lease_done);
+  }
+  auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+  EXPECT_LT(ms, 200) << "20 lease round trips took " << ms << " ms";
 }
 
 TEST(TcpTransport, ConnectionDroppedWithoutByeIsPreemption) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "util/strings.hpp"
 
 namespace ep {
@@ -160,6 +162,26 @@ TEST(Json, AsIntRejectsValuesBeyondLongLong) {
   EXPECT_THROW((void)json_parse("1e19").as_int(), JsonError);
   EXPECT_THROW((void)json_parse("-1e19").as_int(), JsonError);
   EXPECT_EQ(json_parse("9007199254740992").as_int(), 9007199254740992LL);
+}
+
+TEST(Json, IntegersPastTwoToThe53RoundTripExactly) {
+  // A double holds integers exactly only up to 2^53; search-generated
+  // params range up to 2^63 - 1 and must come back unchanged from
+  // search-state and plan files.
+  EXPECT_EQ(json_parse("9007199254740993").as_int(), 9007199254740993LL);
+  EXPECT_EQ(json_parse("2940488688193949891").as_int(),
+            2940488688193949891LL);
+  EXPECT_EQ(json_parse("9223372036854775807").as_int(), LLONG_MAX);
+  EXPECT_EQ(json_parse("-9223372036854775808").as_int(), LLONG_MIN);
+  EXPECT_EQ(json_parse("[9223372036854775806]").items()[0].as_int(),
+            9223372036854775806LL);
+  EXPECT_EQ(json_parse("-0").as_int(), 0);
+  // 2^63 does not fit, and a fraction is still no integer.
+  EXPECT_THROW((void)json_parse("9223372036854775808").as_int(), JsonError);
+  EXPECT_THROW((void)json_parse("0.5").as_int(), JsonError);
+  // as_number() stays the nearest double.
+  EXPECT_DOUBLE_EQ(json_parse("9223372036854775807").as_number(),
+                   9223372036854775807.0);
 }
 
 }  // namespace
