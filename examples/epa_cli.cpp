@@ -41,14 +41,15 @@
 //   epa_cli search turnin --budget 40 --workers 3   # orchestrated fleet
 //   epa_cli search turnin --budget 40 --state s.json --resume
 //
-// `epa_cli worker` is the orchestrator's worker half: it parses the plan
-// and re-freezes the COW prototype once, then serves LEASE commands over
-// its control channel (stdin/stdout lines; tcp frames with --connect)
-// until EXIT/EOF — the per-process costs are paid per worker, not per
-// work slice. Every data plane speaks worker protocol v3
+// `epa_cli worker` is the orchestrator's worker half: it parses a plan
+// and re-freezes the COW prototype once per plan, then serves LEASE
+// commands over its control channel (stdin/stdout lines; tcp frames with
+// --connect) until EXIT/EOF — the per-process costs are paid per worker,
+// not per work slice, and a multi-scenario command keeps one fleet for
+// all its plans. Every data plane speaks worker protocol v4
 // (core/protocol.hpp): HELLO handshake, PING heartbeats at checkpoints,
-// STEAL/YIELD work stealing, FEEDBACK item appends for search.
-// Orchestrated output is bit-identical to `run`.
+// STEAL/YIELD work stealing, FEEDBACK item appends for search, PLAN
+// switches between plans. Orchestrated output is bit-identical to `run`.
 #include <poll.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -127,7 +128,7 @@ int usage() {
       "                [--drain-delay-ms MS] [--dir DIR]\n"
       "                [--listen PORT] [--port-file FILE]   (tcp)\n"
       "                [--json] [--no-world-cache] [--no-redzone]\n"
-      "  epa_cli orchestrate --all [same flags; pipe/shm only]\n"
+      "  epa_cli orchestrate --all [same flags]\n"
       "  epa_cli search <scenario>|--family F|--scenario-file FILE\n"
       "                --budget N [--seed S] [--batch K] [--jobs N]\n"
       "                [--workers N] [--lease auto|K]\n"
@@ -140,7 +141,7 @@ int usage() {
       "                [--jobs N] [--no-world-cache] [--no-redzone]\n"
       "                [--preempt-after N] [--scenario-file FILE]\n"
       "                [--checkpoint K] [--drain-delay-ms MS]\n"
-      "                (worker protocol v3 on stdin/stdout, or framed\n"
+      "                (worker protocol v4 on stdin/stdout, or framed\n"
       "                over tcp with --connect; spawned by orchestrate)\n"
       "  epa_cli compare <before-scenario> <after-scenario>\n"
       "  epa_cli db [indirect|direct|other|excluded]\n");
@@ -945,11 +946,76 @@ long long worker_protocol_version() {
   return v;
 }
 
-/// The persistent worker half of the orchestrator: parse the plan and
-/// re-freeze the COW prototype exactly once, then serve LEASE commands
+/// The plan a worker serves, with everything derived from it: the
+/// scenario it drains against, the COW prototype frozen into the plan,
+/// the executor over both, and on the shm plane the arena the plan came
+/// out of (lease reports land in its segments). PLAN replaces the whole
+/// bundle.
+struct ServedPlan {
+  std::optional<core::ShmArena> arena;
+  core::InjectionPlan plan;
+  core::Scenario scenario;
+  std::unique_ptr<core::Executor> executor;  // refers to `scenario`
+  std::string src;                           // for diagnostics
+};
+
+/// Read the plan `token` names on this worker's data plane — a plan file
+/// (pipe), an arena file (shm), or `-`: the next frame on the tcp
+/// channel — and re-freeze its prototype. Logs one line per plan: the
+/// ctest worker-protocol check counts these to pin "parse + re-freeze
+/// happen once per plan, not per lease".
+std::unique_ptr<ServedPlan> load_served_plan(const WorkerArgs& a,
+                                             WorkerChannel& chan,
+                                             const std::string& token) {
+  const bool use_tcp = !a.connect_host.empty();
+  if ((token == "-") != use_tcp)
+    throw std::runtime_error(
+        "worker: plan token '" + token + "' does not fit the " +
+        (use_tcp ? "tcp data plane (expected '-')"
+                 : "pipe/shm data plane (expected a file path)"));
+  auto s = std::make_unique<ServedPlan>();
+  if (use_tcp) {
+    s->src = a.connect_host + ":" + std::to_string(a.connect_port);
+    std::string frame;
+    if (!chan.recv_line(&frame))
+      throw std::runtime_error(
+          s->src + ": coordinator closed the connection before sending "
+                   "a plan (handshake rejected?)");
+    try {
+      s->plan = core::plan_from_binary(frame);
+    } catch (const core::WireError& e) {
+      throw std::runtime_error(s->src + ": " + e.what());
+    }
+  } else if (!a.arena_path.empty()) {
+    s->src = token;
+    s->arena.emplace(core::ShmArena::open(token));
+    try {
+      s->plan = core::plan_from_binary(s->arena->plan_data(),
+                                       s->arena->plan_size());
+    } catch (const core::WireError& e) {
+      throw std::runtime_error(token + ": " + e.what());
+    }
+  } else {
+    s->src = token;
+    s->plan = load_plan(token);
+  }
+  s->scenario = plan_scenario(s->plan, s->src, a.scenario_file);
+  if (a.use_world_cache) core::refreeze_snapshot(s->plan, s->scenario);
+  s->executor = std::make_unique<core::Executor>(s->scenario);
+  std::fprintf(stderr,
+               "epa worker: parsed %s (%zu items), prototype %s; serving\n",
+               s->src.c_str(), s->plan.items.size(),
+               s->plan.snapshot ? "frozen" : "uncached");
+  return s;
+}
+
+/// The persistent worker half of the orchestrator: parse a plan and
+/// re-freeze the COW prototype once per plan, then serve LEASE commands
 /// until EXIT/EOF. The first line out is always `HELLO <version>` — a
 /// coordinator speaking a different protocol rejects the worker before
-/// any lease is granted. Protocol lines only on the control channel;
+/// any lease is granted. `PLAN <token>` (protocol v4) swaps in another
+/// plan between leases and frees the old one, so one fleet serves a
+/// whole suite or family. Protocol lines only on the control channel;
 /// everything human-facing goes to stderr. SIGTERM is graceful
 /// preemption: with --checkpoint the in-flight lease stops at the next
 /// chunk boundary (partial flushed, no DONE, exit 4); without it the
@@ -969,64 +1035,30 @@ long long worker_protocol_version() {
 /// the (offset, length) handoff instead of a file path.
 ///
 /// With --connect the whole exchange rides one tcp socket: HELLO up,
-/// the binary plan down as the first frame, then the same protocol
-/// lines framed, with each DONE followed by the lease's binary report
-/// frame. The worker announces its exit with `BYE <status>` so the
-/// coordinator can tell a clean exit from a lost host.
+/// the binary plan down as the first frame (and after each `PLAN -`),
+/// then the same protocol lines framed, with each DONE followed by the
+/// lease's binary report frame. The worker announces its exit with
+/// `BYE <status>` so the coordinator can tell a clean exit from a lost
+/// host.
 int cmd_worker(const WorkerArgs& a) {
   const bool use_arena = !a.arena_path.empty();
   const bool use_tcp = !a.connect_host.empty();
-  std::optional<core::ShmArena> arena;
-  core::InjectionPlan plan;
   std::unique_ptr<WorkerChannel> chan;
-  std::string plan_src;
-  if (use_tcp) {
+  if (use_tcp)
     chan = std::make_unique<TcpChannel>(
         net::tcp_connect(a.connect_host, a.connect_port));
-    // HELLO before anything else — the coordinator checks the version
-    // before it ships the plan.
-    chan->send_line(core::format_hello(worker_protocol_version()));
-    plan_src = a.connect_host + ":" + std::to_string(a.connect_port);
-    std::string frame;
-    if (!chan->recv_line(&frame))
-      throw std::runtime_error(
-          plan_src + ": coordinator closed the connection before sending "
-                     "a plan (handshake rejected?)");
-    try {
-      plan = core::plan_from_binary(frame);
-    } catch (const core::WireError& e) {
-      throw std::runtime_error(plan_src + ": " + e.what());
-    }
-  } else if (use_arena) {
+  else
     chan = std::make_unique<PipeChannel>();
-    chan->send_line(core::format_hello(worker_protocol_version()));
-    arena.emplace(core::ShmArena::open(a.arena_path));
-    try {
-      plan = core::plan_from_binary(arena->plan_data(), arena->plan_size());
-    } catch (const core::WireError& e) {
-      throw std::runtime_error(a.arena_path + ": " + e.what());
-    }
-    plan_src = a.arena_path;
-  } else {
-    chan = std::make_unique<PipeChannel>();
-    chan->send_line(core::format_hello(worker_protocol_version()));
-    plan = load_plan(a.plan_path);
-    plan_src = a.plan_path;
-  }
-  core::Scenario scenario = plan_scenario(plan, plan_src, a.scenario_file);
-  if (a.use_world_cache) core::refreeze_snapshot(plan, scenario);
-  core::Executor executor(scenario);
+  // HELLO before anything else — a tcp coordinator checks the version
+  // before it ships the plan.
+  chan->send_line(core::format_hello(worker_protocol_version()));
+  std::unique_ptr<ServedPlan> served = load_served_plan(
+      a, *chan, use_tcp ? "-" : use_arena ? a.arena_path : a.plan_path);
   core::ExecutorOptions opts;
   opts.jobs = a.jobs;
   opts.use_world_cache = a.use_world_cache;
   opts.use_redzone = a.use_redzone;
   std::signal(SIGTERM, on_sigterm);
-  // One line per process by design: the ctest worker-protocol check
-  // counts these to pin "parse + re-freeze happen once, not per lease".
-  std::fprintf(stderr,
-               "epa worker: parsed %s (%zu items), prototype %s; serving\n",
-               plan_src.c_str(), plan.items.size(),
-               plan.snapshot ? "frozen" : "uncached");
 
   long long done = 0;
   long long flushes = 0;  // cumulative across leases, like `done`
@@ -1043,7 +1075,15 @@ int cmd_worker(const WorkerArgs& a) {
       if (msg.type == core::ProtocolMsg::Type::steal) continue;  // the
       // benign race: the lease it wanted stolen finished before the
       // STEAL arrived; there is nothing left to yield.
+      if (msg.type == core::ProtocolMsg::Type::plan) {
+        // The next plan of a fleet that outlives one (protocol v4). Free
+        // the old bundle first, so the worker never holds two plans.
+        served.reset();
+        served = load_served_plan(a, *chan, msg.target);
+        continue;
+      }
       if (msg.type == core::ProtocolMsg::Type::feedback) {
+        core::InjectionPlan& plan = served->plan;
         // The search plane's item append (protocol v3): the coordinator
         // generated items past the range this worker's plan copy carries.
         // The append must be gap-free — begin names exactly the current
@@ -1075,7 +1115,8 @@ int cmd_worker(const WorkerArgs& a) {
         // A search plan can start empty (every item arrives as
         // feedback); the prototype freeze was a no-op then, so pay it on
         // the first append instead.
-        if (a.use_world_cache) core::refreeze_snapshot(plan, scenario);
+        if (a.use_world_cache)
+          core::refreeze_snapshot(plan, served->scenario);
         continue;
       }
       if (msg.type != core::ProtocolMsg::Type::lease) {
@@ -1122,14 +1163,15 @@ int cmd_worker(const WorkerArgs& a) {
           write_file_atomic(target, r.to_json());
           return;
         }
+        core::ShmArena& arena = *served->arena;
         std::string bin = core::shard_report_to_binary(r);
-        if (bin.size() > arena->segment_bytes())
+        if (bin.size() > arena.segment_bytes())
           throw std::runtime_error(
               "worker: lease " + std::to_string(seq) + " report (" +
               std::to_string(bin.size()) +
               " bytes) exceeds the arena segment capacity (" +
-              std::to_string(arena->segment_bytes()) + " bytes)");
-        std::memcpy(arena->segment(seq), bin.data(), bin.size());
+              std::to_string(arena.segment_bytes()) + " bytes)");
+        std::memcpy(arena.segment(seq), bin.data(), bin.size());
         flushed_bytes = bin.size();
       };
 
@@ -1169,8 +1211,8 @@ int cmd_worker(const WorkerArgs& a) {
             (void)std::raise(SIGTERM);
         };
       }
-      core::ShardReport report =
-          core::run_lease(executor, plan, begin, end, opts, hooks);
+      core::ShardReport report = core::run_lease(
+          *served->executor, served->plan, begin, end, opts, hooks);
       if (!report.complete && g_preempted) {
         // Preempted mid-lease: flush the partial (for post-mortems; the
         // orchestrator re-drains the whole range) and exit *without*
@@ -1200,9 +1242,8 @@ int cmd_worker(const WorkerArgs& a) {
       // complete report, even if this worker dies right after.
       flush(report);
       if (use_arena)
-        chan->send_line(core::format_done(begin, end,
-                                          arena->segment_offset(seq),
-                                          flushed_bytes));
+        chan->send_line(core::format_done(
+            begin, end, served->arena->segment_offset(seq), flushed_bytes));
       else
         chan->send_line(core::format_done(begin, end));
       if (use_tcp) chan->send_report(core::shard_report_to_binary(report));
@@ -1273,6 +1314,86 @@ void parse_lease_flag(const std::string& flag, int argc, char** argv,
   *lease_auto = false;
 }
 
+/// The run directory of the file-based data planes: `dir` when given
+/// (created if missing), else a fresh <TMPDIR>/<stem>.XXXXXX.
+std::string make_run_dir(const std::string& dir, const char* stem) {
+  if (!dir.empty()) {
+    if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST)
+      throw std::runtime_error("cannot create '" + dir +
+                               "': " + std::strerror(errno));
+    return dir;
+  }
+  const char* tmp = std::getenv("TMPDIR");
+  std::string tmpl =
+      std::string(tmp && *tmp ? tmp : "/tmp") + "/" + stem + ".XXXXXX";
+  if (!::mkdtemp(tmpl.data()))
+    throw std::runtime_error(std::string("cannot create temp dir: ") +
+                             std::strerror(errno));
+  return tmpl;
+}
+
+/// One worker fleet for a whole command, on any data plane. The first
+/// drain builds the transport on its plan; each later drain makes its
+/// plan current in place (Transport::load_plan, worker protocol v4), so
+/// `orchestrate --all` and `search --family` spawn or accept their
+/// workers once rather than once per scenario.
+class CommandFleet {
+ public:
+  CommandFleet(DataPlane plane, core::LocalProcessConfig cfg,
+               net::TcpTransportConfig tcfg, core::OrchestratorOptions opts,
+               const char* who)
+      : plane_(plane),
+        cfg_(std::move(cfg)),
+        tcfg_(std::move(tcfg)),
+        opts_(std::move(opts)),
+        who_(who) {}
+
+  /// Drain `source` over the fleet with `grain` items per lease (0 =
+  /// auto). `leases` bounds the drain's lease seqs for the shm arena.
+  core::CampaignResult drain(core::WorkSource& source,
+                             std::size_t known_items, std::size_t grain,
+                             const std::vector<core::Lease>& leases,
+                             core::OrchestratorStats* stats) {
+    const core::InjectionPlan& plan = source.plan();
+    if (transport_) {
+      transport_->load_plan(plan, leases);
+    } else if (plane_ == DataPlane::tcp) {
+      auto t = std::make_unique<net::TcpTransport>(tcfg_, plan);
+      std::fprintf(stderr,
+                   "epa %s: listening on port %d; waiting for %d worker(s) "
+                   "(epa_cli worker --connect HOST:%d)\n",
+                   who_, t->port(), opts_.workers, t->port());
+      transport_ = std::move(t);
+    } else if (plane_ == DataPlane::shm) {
+      // The shm data plane writes no plan JSON at all: the binary plan
+      // is frozen into the arena, sized against `leases` plus the
+      // reserve for stolen-tail leases.
+      cfg_.file_prefix = plan.scenario_name;
+      transport_ =
+          std::make_unique<core::ShmLocalTransport>(cfg_, plan, leases);
+    } else {
+      transport_ = std::make_unique<core::LocalProcessTransport>(cfg_);
+      transport_->load_plan(plan, leases);
+    }
+    if (!fleet_) fleet_.emplace(*transport_, opts_);
+    return fleet_->drain(source, known_items, grain, stats);
+  }
+
+  /// Release the workers; `stats` collects any shutdown deadman kills.
+  void close(core::OrchestratorStats* stats) {
+    if (fleet_) fleet_->close(stats);
+  }
+
+ private:
+  DataPlane plane_;
+  core::LocalProcessConfig cfg_;
+  net::TcpTransportConfig tcfg_;
+  core::OrchestratorOptions opts_;
+  const char* who_;
+  std::unique_ptr<core::Transport> transport_;
+  std::optional<core::Fleet> fleet_;  // over *transport_
+};
+
 struct OrchestrateArgs {
   std::string scenario;
   std::string scenario_file;  // --scenario-file: spec instead of a name
@@ -1295,23 +1416,6 @@ struct OrchestrateArgs {
 };
 
 int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
-  const bool tcp = a.plane == DataPlane::tcp;
-  std::string dir = a.dir;
-  if (!tcp) {  // the tcp plane moves no files; nothing to create
-    if (dir.empty()) {
-      const char* tmp = std::getenv("TMPDIR");
-      std::string tmpl = std::string(tmp && *tmp ? tmp : "/tmp") +
-                         "/epa-orch.XXXXXX";
-      if (!::mkdtemp(tmpl.data()))
-        throw std::runtime_error(std::string("cannot create temp dir: ") +
-                                 std::strerror(errno));
-      dir = tmpl;
-    } else if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-      throw std::runtime_error("cannot create '" + dir +
-                               "': " + std::strerror(errno));
-    }
-  }
-
   std::vector<core::Scenario> scenarios;
   if (a.all) {
     scenarios = apps::all_scenarios();
@@ -1324,10 +1428,35 @@ int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
     scenarios.push_back(std::move(s));
   }
 
+  const bool tcp = a.plane == DataPlane::tcp;
+  // The tcp plane moves no files; nothing to create.
+  const std::string dir = tcp ? "" : make_run_dir(a.dir, "epa-orch");
+  core::LocalProcessConfig cfg;
+  cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
+  cfg.out_dir = dir;
+  // A spec file is forwarded so workers compile the same spec the
+  // coordinator planned, even when its name is not in the registry.
+  cfg.scenario_file = a.scenario_file;
+  cfg.jobs = a.jobs;
+  cfg.use_world_cache = a.use_world_cache;
+  cfg.use_redzone = a.use_redzone;
+  cfg.preempt_after = a.preempt_after;
+  cfg.checkpoint = a.checkpoint;
+  cfg.drain_delay_ms = a.drain_delay_ms;
+  net::TcpTransportConfig tcfg;
+  tcfg.listen_port = a.listen_port;
+  tcfg.port_file = a.port_file;
+  tcfg.workers = a.workers;
+  core::OrchestratorOptions oopts;
+  oopts.workers = a.workers;
+  oopts.deadman_ms = a.deadman_ms;
+  CommandFleet fleet(a.plane, cfg, tcfg, oopts, "orchestrate");
+
   core::SweepResult sweep;
-  for (const core::Scenario& scenario : scenarios) {
+  for (std::size_t m = 0; m < scenarios.size(); ++m) {
+    const core::Scenario& scenario = scenarios[m];
     // The coordinator plans in-process and keeps the plan in memory for
-    // the merge; only workers pay a plan parse (once per process).
+    // the merge; only workers pay a plan parse (once per plan).
     core::CampaignOptions popts;
     popts.use_world_cache = false;  // the plan file carries no snapshot
     popts.use_redzone = a.use_redzone;
@@ -1338,8 +1467,6 @@ int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
             std::chrono::steady_clock::now() - plan_t0)
             .count();
 
-    core::OrchestratorOptions oopts;
-    oopts.workers = a.workers;
     oopts.lease_items =
         a.lease_auto
             ? auto_lease_items(plan.items.size(), a.workers, plan_ms)
@@ -1349,52 +1476,15 @@ int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
                    "epa orchestrate: %s: auto lease grain %zu item(s) "
                    "(planning took %.0f ms)\n",
                    scenario.name.c_str(), oopts.lease_items, plan_ms);
-    oopts.deadman_ms = a.deadman_ms;
 
-    std::unique_ptr<core::Transport> transport;
-    if (tcp) {
-      net::TcpTransportConfig tcfg;
-      tcfg.listen_port = a.listen_port;
-      tcfg.port_file = a.port_file;
-      tcfg.workers = a.workers;
-      auto t = std::make_unique<net::TcpTransport>(tcfg, plan);
-      std::fprintf(stderr,
-                   "epa orchestrate: listening on port %d; waiting for "
-                   "%d worker(s) (epa_cli worker --connect HOST:%d)\n",
-                   t->port(), a.workers, t->port());
-      transport = std::move(t);
-    } else {
-      core::LocalProcessConfig cfg;
-      cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
-      cfg.out_dir = dir;
-      cfg.file_prefix = scenario.name;
-      // A spec file is forwarded so workers compile the same spec the
-      // coordinator planned, even when its name is not in the registry.
-      cfg.scenario_file = a.scenario_file;
-      cfg.jobs = a.jobs;
-      cfg.use_world_cache = a.use_world_cache;
-      cfg.use_redzone = a.use_redzone;
-      cfg.preempt_after = a.preempt_after;
-      cfg.checkpoint = a.checkpoint;
-      cfg.drain_delay_ms = a.drain_delay_ms;
-      if (a.plane == DataPlane::shm) {
-        // The shm data plane writes no plan JSON at all: the binary plan
-        // is frozen into the arena, sized against the exact lease
-        // partition orchestrate() will schedule (plus the reserve for
-        // stolen-tail leases).
-        transport = std::make_unique<core::ShmLocalTransport>(
-            cfg, plan, core::lease_partition(plan.items.size(), oopts));
-      } else {
-        std::string plan_path = dir + "/" + scenario.name + ".plan.json";
-        write_file(plan_path, plan.to_json());
-        cfg.plan_path = plan_path;
-        transport = std::make_unique<core::LocalProcessTransport>(cfg);
-      }
-    }
-
+    // The exhaustive drain: one wave over the whole fixed plan, exactly
+    // what core::orchestrate() runs, so every byte matches `run`.
+    core::PlanWorkSource source(plan);
     core::OrchestratorStats stats;
-    sweep.results.push_back(
-        core::orchestrate(plan, *transport, oopts, &stats));
+    sweep.results.push_back(fleet.drain(
+        source, plan.items.size(), oopts.lease_items,
+        core::lease_partition(plan.items.size(), oopts), &stats));
+    if (m + 1 == scenarios.size()) fleet.close(&stats);
     std::fprintf(stderr,
                  "epa orchestrate: %s: %zu leases across %zu worker(s) "
                  "(%zu re-leased, %zu preempted, %zu spawned, %zu split, "
@@ -1479,22 +1569,25 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
     scenarios.push_back(std::move(s));
   }
 
+  // An orchestrated search drains every member over one fleet.
   const bool orchestrated = a.workers > 0;
-  const bool tcp = a.plane == DataPlane::tcp;
-  std::string dir = a.dir;
-  if (orchestrated && !tcp) {
-    if (dir.empty()) {
-      const char* tmp = std::getenv("TMPDIR");
-      std::string tmpl = std::string(tmp && *tmp ? tmp : "/tmp") +
-                         "/epa-search.XXXXXX";
-      if (!::mkdtemp(tmpl.data()))
-        throw std::runtime_error(std::string("cannot create temp dir: ") +
-                                 std::strerror(errno));
-      dir = tmpl;
-    } else if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-      throw std::runtime_error("cannot create '" + dir +
-                               "': " + std::strerror(errno));
-    }
+  std::optional<CommandFleet> fleet;
+  if (orchestrated) {
+    core::LocalProcessConfig cfg;
+    cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
+    if (a.plane != DataPlane::tcp)
+      cfg.out_dir = make_run_dir(a.dir, "epa-search");
+    cfg.scenario_file = a.scenario_file;
+    cfg.jobs = a.jobs;
+    cfg.use_world_cache = a.use_world_cache;
+    cfg.use_redzone = a.use_redzone;
+    net::TcpTransportConfig tcfg;
+    tcfg.listen_port = a.listen_port;
+    tcfg.port_file = a.port_file;
+    tcfg.workers = a.workers;
+    core::OrchestratorOptions oopts;
+    oopts.workers = a.workers;
+    fleet.emplace(a.plane, cfg, tcfg, oopts, "search");
   }
 
   core::NoveltyScorer scorer;  // shared across family members
@@ -1562,65 +1655,28 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
       }
       result = std::move(run.result);
     } else {
-      core::OrchestratorOptions oopts;
-      oopts.workers = a.workers;
       // Waves are at most `batch` items, so the auto grain sizes leases
       // against the wave, not the (unbounded) generated stream.
-      oopts.lease_items =
-          a.lease_auto
-              ? auto_lease_items(sopts.batch, a.workers, plan_ms)
-              : static_cast<std::size_t>(a.lease);
-
-      const std::size_t known = source.plan().items.size();
-      std::unique_ptr<core::Transport> transport;
-      if (tcp) {
-        net::TcpTransportConfig tcfg;
-        tcfg.listen_port = a.listen_port;
-        tcfg.port_file = a.port_file;
-        tcfg.workers = a.workers;
-        auto t = std::make_unique<net::TcpTransport>(tcfg, source.plan());
-        std::fprintf(stderr,
-                     "epa search: listening on port %d; waiting for "
-                     "%d worker(s) (epa_cli worker --connect HOST:%d)\n",
-                     t->port(), a.workers, t->port());
-        transport = std::move(t);
-      } else {
-        core::LocalProcessConfig cfg;
-        cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
-        cfg.out_dir = dir;
-        cfg.file_prefix = scenario.name;
-        cfg.scenario_file = a.scenario_file;
-        cfg.jobs = a.jobs;
-        cfg.use_world_cache = a.use_world_cache;
-        cfg.use_redzone = a.use_redzone;
-        if (a.plane == DataPlane::shm) {
-          // The arena needs a segment per lease seq up front, but search
-          // leases are cut per wave as items are generated. Bound the seq
-          // space instead of enumerating it: every lease covers at least
-          // one item and the stream is capped at the budget, so budget
-          // leases (the ctor adds the stolen-tail reserve) of the grain's
-          // span each cover the worst case.
-          const std::size_t max_lease = std::max<std::size_t>(
-              1, std::min(oopts.lease_items,
-                          std::min(sopts.batch,
-                                   std::max<std::size_t>(member_budget, 1))));
-          std::vector<core::Lease> synth;
-          for (std::size_t s = 0; s < std::max<std::size_t>(member_budget, 1);
-               ++s)
-            synth.push_back({s, 0, max_lease});
-          transport = std::make_unique<core::ShmLocalTransport>(
-              cfg, source.plan(), synth);
-        } else {
-          std::string plan_path = dir + "/" + scenario.name + ".plan.json";
-          write_file(plan_path, source.plan().to_json());
-          cfg.plan_path = plan_path;
-          transport = std::make_unique<core::LocalProcessTransport>(cfg);
-        }
-      }
+      const std::size_t grain =
+          a.lease_auto ? auto_lease_items(sopts.batch, a.workers, plan_ms)
+                       : static_cast<std::size_t>(a.lease);
+      // The shm arena needs a segment per lease seq up front, but search
+      // leases are cut per wave as items are generated. Bound the seq
+      // space instead of enumerating it: every lease covers at least one
+      // item and the stream is capped at the budget, so budget leases
+      // (the arena adds the stolen-tail reserve) of the grain's span each
+      // cover the worst case.
+      const std::size_t seqs = std::max<std::size_t>(member_budget, 1);
+      const std::size_t max_lease = std::max<std::size_t>(
+          1, std::min(grain, std::min(sopts.batch, seqs)));
+      std::vector<core::Lease> leases;
+      for (std::size_t q = 0; q < seqs; ++q)
+        leases.push_back({q, 0, max_lease});
 
       core::OrchestratorStats stats;
-      result = core::orchestrate_source(source, *transport, oopts, &stats,
-                                        known);
+      result = fleet->drain(source, source.plan().items.size(), grain,
+                            leases, &stats);
+      if (m + 1 == scenarios.size()) fleet->close(&stats);
       std::fprintf(stderr,
                    "epa search: %s: %zu leases across %zu worker(s) "
                    "(%zu re-leased, %zu preempted, %zu spawned, %zu split)\n",
@@ -2006,12 +2062,6 @@ int main(int argc, char** argv) {
     if (a.plane == DataPlane::tcp) {
       // tcp workers are started by the operator, not forked by
       // orchestrate — worker-side flags have nowhere to be forwarded.
-      if (a.all) {
-        std::fprintf(stderr,
-                     "epa: --all needs the pipe or shm data plane (a tcp "
-                     "fleet parses one plan at connect time)\n");
-        return 1;
-      }
       const char* worker_flag =
           saw_jobs ? "--jobs"
           : saw_preempt ? "--preempt-after"
@@ -2151,12 +2201,6 @@ int main(int argc, char** argv) {
     if (a.plane == DataPlane::tcp) {
       if (a.workers == 0) {
         std::fprintf(stderr, "epa: --data-plane tcp needs --workers N\n");
-        return 1;
-      }
-      if (!a.family.empty()) {
-        std::fprintf(stderr,
-                     "epa: --family needs the pipe or shm data plane (a tcp "
-                     "fleet parses one plan at connect time)\n");
         return 1;
       }
     } else if (saw_listen || saw_port_file) {

@@ -426,20 +426,6 @@ std::vector<core::Scenario> family_scenarios(
   return out;
 }
 
-std::optional<core::Scenario> find_generated_scenario(
-    const std::string& name) {
-  for (const ScenarioFamily& f : families()) {
-    if (name.rfind(f.name + "-", 0) != 0) continue;
-    for (const FamilyPoint& point : core::family_grid(f)) {
-      if (core::family_member_name(f, point) != name) continue;
-      ScenarioSpec spec = f.materialize(point);
-      spec.name = name;
-      return core::compile_spec(spec, spec_environment());
-    }
-  }
-  return std::nullopt;
-}
-
 void register_family_environment(core::SpecEnvironment& env) {
   env.images["fam-spool"] = {"fam-spool", family_spool_main};
   env.images["fam-relay"] = {"fam-relay", family_relay_main};

@@ -16,7 +16,6 @@
 // generated names work on every epa_cli command and every data plane.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,12 +33,6 @@ const core::ScenarioFamily* find_family(const std::string& name);
 /// Compile every member of `family` against the standard environment.
 std::vector<core::Scenario> family_scenarios(
     const core::ScenarioFamily& family);
-
-/// Resolve one generated scenario by its stable member name (e.g.
-/// "fam-spool-d2-open-setuid-tight"); nullopt when no family generates
-/// that name.
-std::optional<core::Scenario> find_generated_scenario(
-    const std::string& name);
 
 /// The family images and service handlers (used by spec_environment()).
 void register_family_environment(core::SpecEnvironment& env);

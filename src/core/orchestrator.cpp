@@ -57,15 +57,34 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
                                   const OrchestratorOptions& opts,
                                   OrchestratorStats* stats,
                                   std::size_t known_items) {
+  Fleet fleet(transport, opts);
+  CampaignResult result =
+      fleet.drain(source, known_items, opts.lease_items, stats);
+  fleet.close(stats);
+  return result;
+}
+
+Fleet::Fleet(Transport& transport, OrchestratorOptions opts)
+    : transport_(transport), opts_(std::move(opts)) {
+  if (opts_.workers < 1)
+    throw OrchestratorError("orchestrate: workers must be >= 1");
+  if (!opts_.now_ms) opts_.now_ms = steady_now_ms;
+}
+
+CampaignResult Fleet::drain(WorkSource& source, std::size_t known_items,
+                            std::size_t lease_items,
+                            OrchestratorStats* stats) {
+  if (closed_) throw OrchestratorError("orchestrate: the fleet is closed");
   OrchestratorStats local_stats;
   OrchestratorStats& st = stats ? *stats : local_stats;
   st = {};
-  if (opts.workers < 1)
-    throw OrchestratorError("orchestrate: workers must be >= 1");
-  const auto workers = static_cast<std::size_t>(opts.workers);
+  const auto workers = static_cast<std::size_t>(opts_.workers);
+  const std::function<long long()>& now = opts_.now_ms;
 
-  std::function<long long()> now =
-      opts.now_ms ? opts.now_ms : std::function<long long()>(steady_now_ms);
+  // Workers kept from an earlier drain hold that drain's plan. The
+  // transport sends them PLAN before their next FEEDBACK or LEASE, so
+  // from here on every worker, old or new, starts from known_items.
+  for (auto& [w, slot] : slots_) slot.known = known_items;
 
   // Checkpoint-replayed reports (search --resume): waves already drained
   // in a previous run, owed to the final merge but never re-executed.
@@ -82,41 +101,31 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
 
   // Leases across all waves share one seq space: each wave's partition
   // takes the next positions in grant order and stolen tails take fresh
-  // seqs, so a seq names the same id range for the whole campaign. The
-  // split budget (kMaxLeaseSplits) is likewise campaign-global — it is
+  // seqs, so a seq names the same id range for the whole drain. The
+  // split budget (kMaxLeaseSplits) is likewise drain-global — it is
   // what transports pre-allocated for.
   std::deque<Lease> pending;
   std::size_t next_seq = 0;
   std::size_t splits_used = 0;
   std::size_t respawns_used = 0;
 
-  struct Slot {
-    bool live = false;
-    bool busy = false;
-    bool steal_pending = false;  // STEAL sent, YIELD (or DONE) awaited
-    Lease lease;                 // valid while busy
-    long long last_heard = 0;    // grant or any event; the deadman input
-    std::size_t known = 0;       // plan items this worker has been shipped
-  };
-  std::map<std::size_t, Slot> slots;
-  std::size_t live = 0;
   auto spawn_one = [&]() -> bool {
-    std::optional<std::size_t> w = transport.spawn();
+    std::optional<std::size_t> w = transport_.spawn();
     if (!w) return false;
-    // A fresh worker (re)reads the plan the transport serialized at
-    // construction — known_items items — no matter which wave it joins.
-    if (!slots.emplace(*w, Slot{true, false, false, {}, now(), known_items})
+    // A fresh worker starts on the transport's current plan — known_items
+    // items — no matter which wave it joins.
+    if (!slots_.emplace(*w, Slot{true, false, false, {}, now(), known_items})
              .second)
       throw OrchestratorError("orchestrate: transport reused worker id " +
                               std::to_string(*w));
     ++st.workers_spawned;
-    ++live;
+    ++live_;
     return true;
   };
 
   auto busy_count = [&] {
     std::size_t c = 0;
-    for (auto& [w, slot] : slots)
+    for (auto& [w, slot] : slots_)
       if (slot.live && slot.busy) ++c;
     return c;
   };
@@ -129,10 +138,11 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
   auto refill = [&] {
     const std::size_t remaining = pending.size() + busy_count();
     const std::size_t respawn_budget =
-        opts.max_respawns ? opts.max_respawns : st.leases_total + 2 * workers;
-    while (live < std::min(workers, remaining)) {
+        opts_.max_respawns ? opts_.max_respawns
+                           : st.leases_total + 2 * workers;
+    while (live_ < std::min(workers, remaining)) {
       if (respawns_used >= respawn_budget) {
-        if (live == 0)
+        if (live_ == 0)
           throw OrchestratorError(
               "orchestrate: worker respawn budget (" +
               std::to_string(respawn_budget) + ") exhausted with " +
@@ -142,7 +152,7 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
         break;
       }
       if (!spawn_one()) {
-        if (live == 0)
+        if (live_ == 0)
           throw OrchestratorError(
               "orchestrate: every worker is gone and the transport has "
               "no replacement, with " + std::to_string(remaining) +
@@ -153,21 +163,19 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
     }
   };
 
-  bool fleet_spawned = false;
-
   // A busy worker heard from too long ago is dead to us: kill it through
   // the transport (no further events), take its lease back, and let
   // refill() replace it. Returns true when anyone expired.
   auto reap_expired = [&]() -> bool {
-    if (opts.deadman_ms <= 0) return false;
+    if (opts_.deadman_ms <= 0) return false;
     bool any = false;
     const long long t = now();
-    for (auto& [w, slot] : slots) {
+    for (auto& [w, slot] : slots_) {
       if (!slot.live || !slot.busy) continue;
-      if (t - slot.last_heard < opts.deadman_ms) continue;
-      transport.kill(w);
+      if (t - slot.last_heard < opts_.deadman_ms) continue;
+      transport_.kill(w);
       slot.live = false;
-      --live;
+      --live_;
       pending.push_front(slot.lease);
       slot.busy = false;
       slot.steal_pending = false;
@@ -183,12 +191,12 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
   // expiry among busy workers (so silence is noticed on time), forever
   // when the deadman is off.
   auto poll_timeout = [&]() -> long {
-    if (opts.deadman_ms <= 0) return -1;
+    if (opts_.deadman_ms <= 0) return -1;
     long long earliest = -1;
     const long long t = now();
-    for (auto& [w, slot] : slots) {
+    for (auto& [w, slot] : slots_) {
       if (!slot.live || !slot.busy) continue;
-      long long left = slot.last_heard + opts.deadman_ms - t;
+      long long left = slot.last_heard + opts_.deadman_ms - t;
       if (left < 1) left = 1;
       if (earliest < 0 || left < earliest) earliest = left;
     }
@@ -202,28 +210,27 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
     // empty here: the previous wave's barrier collected every lease.
     {
       const std::size_t wave_items = wave.second - wave.first;
-      std::size_t lease_items = opts.lease_items;
-      if (lease_items == 0)
-        lease_items = std::max<std::size_t>(1, wave_items / (workers * 4));
-      for (std::size_t b = wave.first; b < wave.second; b += lease_items) {
-        pending.push_back(
-            {next_seq++, b, std::min(b + lease_items, wave.second)});
+      std::size_t grain = lease_items;
+      if (grain == 0)
+        grain = std::max<std::size_t>(1, wave_items / (workers * 4));
+      for (std::size_t b = wave.first; b < wave.second; b += grain) {
+        pending.push_back({next_seq++, b, std::min(b + grain, wave.second)});
         ++st.leases_total;
       }
     }
 
-    if (!fleet_spawned) {
+    if (!spawned_) {
       // Spawn against the item count, not the lease count: a one-lease
       // wave still wants idle workers around, because work stealing can
       // split that lease across them.
       const std::size_t first_wave_items = wave.second - wave.first;
       for (std::size_t i = 0; i < std::min(workers, first_wave_items); ++i)
         if (!spawn_one()) break;
-      if (live == 0)
+      if (live_ == 0)
         throw OrchestratorError(
             "orchestrate: transport produced no workers (is the fleet "
             "connected?)");
-      fleet_spawned = true;
+      spawned_ = true;
     } else {
       refill();
     }
@@ -235,7 +242,7 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
       }
 
       // Keep every idle live worker fed before blocking for events.
-      for (auto& [w, slot] : slots) {
+      for (auto& [w, slot] : slots_) {
         if (pending.empty()) break;
         if (!slot.live || slot.busy) continue;
         slot.busy = true;
@@ -247,11 +254,11 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
         // lease that reaches into them. Never fires on the exhaustive path
         // (known == the whole plan).
         if (slot.known < slot.lease.end) {
-          transport.feedback(w, source.plan(), slot.known,
-                             source.plan().items.size());
+          transport_.feedback(w, source.plan(), slot.known,
+                              source.plan().items.size());
           slot.known = source.plan().items.size();
         }
-        transport.submit(w, slot.lease);
+        transport_.submit(w, slot.lease);
       }
 
       // Work stealing: nothing left to grant but idle workers exist, so
@@ -260,27 +267,27 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
       // bounded by the split budget transports pre-allocated for.
       if (pending.empty()) {
         std::size_t idle = 0, outstanding = 0;
-        for (auto& [w, slot] : slots) {
+        for (auto& [w, slot] : slots_) {
           if (!slot.live) continue;
           if (!slot.busy) ++idle;
           else if (slot.steal_pending) ++outstanding;
         }
-        for (auto& [w, slot] : slots) {
+        for (auto& [w, slot] : slots_) {
           if (idle <= outstanding) break;
           if (splits_used + outstanding >= kMaxLeaseSplits) break;
           if (!slot.live || !slot.busy || slot.steal_pending) continue;
           if (slot.lease.end - slot.lease.begin < 2) continue;
-          transport.steal(w);
+          transport_.steal(w);
           slot.steal_pending = true;
           ++outstanding;
         }
       }
 
-      std::optional<WorkerEvent> maybe = transport.wait_any(poll_timeout());
+      std::optional<WorkerEvent> maybe = transport_.wait_any(poll_timeout());
       if (!maybe) continue;  // timed out: the top of the loop reaps
       WorkerEvent ev = std::move(*maybe);
-      auto it = slots.find(ev.worker);
-      if (it == slots.end() || !it->second.live)
+      auto it = slots_.find(ev.worker);
+      if (it == slots_.end() || !it->second.live)
         throw OrchestratorError("orchestrate: event from unknown worker " +
                                 std::to_string(ev.worker));
       Slot& slot = it->second;
@@ -343,7 +350,7 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
       // Worker gone. Its unfinished lease (if any) goes back to the front
       // of the queue — finish what was started before opening new ranges.
       slot.live = false;
-      --live;
+      --live_;
       slot.steal_pending = false;
       if (slot.busy) {
         pending.push_front(slot.lease);
@@ -371,22 +378,35 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
     wave = source.next_wave();
   }
 
-  // All leases collected: release the fleet and reap every exit. A
-  // worker may exit 4 here (preempted while idle) — harmless now. With
-  // the deadman on, a worker that neither exits nor heartbeats within
-  // the window is killed rather than waited on forever.
-  for (auto& [w, slot] : slots)
-    if (slot.live) transport.shutdown(w);
-  while (live > 0) {
-    std::optional<WorkerEvent> maybe = transport.wait_any(
-        opts.deadman_ms > 0 ? static_cast<long>(opts.deadman_ms) : -1);
+  // Reports from earlier waves (and resumed checkpoints) were written
+  // against a shorter plan; the drain grew it. Their leases and
+  // outcomes are unchanged — rebase the plan_items header on the final
+  // size so the merge's consistency checks see one plan. A no-op for
+  // the exhaustive path (every report already carries the full size).
+  const std::size_t n = source.plan().items.size();
+  for (ShardReport& r : reports) r.plan_items = n;
+  return merge_shard_reports(source.plan(), reports, labels);
+}
+
+void Fleet::close(OrchestratorStats* stats) {
+  if (closed_) return;
+  closed_ = true;
+  // Every drain collected its leases: release the fleet and reap every
+  // exit. A worker may exit 4 here (preempted while idle) — harmless
+  // now. With the deadman on, a worker that neither exits nor heartbeats
+  // within the window is killed rather than waited on forever.
+  for (auto& [w, slot] : slots_)
+    if (slot.live) transport_.shutdown(w);
+  while (live_ > 0) {
+    std::optional<WorkerEvent> maybe = transport_.wait_any(
+        opts_.deadman_ms > 0 ? static_cast<long>(opts_.deadman_ms) : -1);
     if (!maybe) {
-      for (auto& [w, slot] : slots)
+      for (auto& [w, slot] : slots_)
         if (slot.live) {
-          transport.kill(w);
+          transport_.kill(w);
           slot.live = false;
-          --live;
-          ++st.deadman_expiries;
+          --live_;
+          if (stats) ++stats->deadman_expiries;
         }
       break;
     }
@@ -397,21 +417,12 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
       throw OrchestratorError(
           "orchestrate: worker " + std::to_string(ev.worker) +
           " reported a lease after every lease was collected");
-    auto it = slots.find(ev.worker);
-    if (it != slots.end() && it->second.live) {
+    auto it = slots_.find(ev.worker);
+    if (it != slots_.end() && it->second.live) {
       it->second.live = false;
-      --live;
+      --live_;
     }
   }
-
-  // Reports from earlier waves (and resumed checkpoints) were written
-  // against a shorter plan; the drain grew it. Their leases and
-  // outcomes are unchanged — rebase the plan_items header on the final
-  // size so the merge's consistency checks see one plan. A no-op for
-  // the exhaustive path (every report already carries the full size).
-  const std::size_t n = source.plan().items.size();
-  for (ShardReport& r : reports) r.plan_items = n;
-  return merge_shard_reports(source.plan(), reports, labels);
 }
 
 }  // namespace ep::core

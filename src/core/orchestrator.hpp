@@ -6,11 +6,13 @@
 // ranges handed out from the front of the plan as workers become idle,
 // so a slow worker holds up one lease, not 1/N of the campaign, and a
 // preempted worker's unfinished lease is simply re-leased to whoever is
-// alive. Workers are *persistent*: they parse the plan and re-freeze the
-// COW prototype once per process, then drain any number of leases — the
+// alive. Workers are *persistent*: they parse a plan and re-freeze the
+// COW prototype once per plan, then drain any number of leases — the
 // per-process costs that dominate the static-shard overhead
 // (BENCH_perf_injection.json's shard_wire_overhead_pct) are paid once,
-// not once per work slice.
+// not once per work slice. A Fleet keeps its workers across plans too:
+// PLAN (worker protocol v4) swaps a live worker's plan in place, so a
+// multi-scenario command spawns its fleet once.
 //
 // Liveness is event-driven, not exit-driven: with a remote transport a
 // dead host never delivers an exit status, so workers heartbeat (PING at
@@ -42,6 +44,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -129,6 +132,22 @@ class Transport {
         "orchestrate: this transport does not support search feedback "
         "(FEEDBACK is worker protocol v3)");
   }
+  /// Make `plan` the current plan — how one Fleet drains many plans
+  /// (the PLAN line, worker protocol v4). Workers spawned from now on
+  /// start on it; each live worker is sent PLAN before its next FEEDBACK
+  /// or LEASE. `leases` is every lease the next drain may grant (seqs
+  /// and sizes), for transports that pre-allocate per-lease resources
+  /// (ShmLocalTransport's arena segments, plus kMaxLeaseSplits). Call
+  /// only between drains, never with a lease in flight. Transports that
+  /// serve a single plan inherit the throwing default.
+  virtual void load_plan(const InjectionPlan& plan,
+                         const std::vector<Lease>& leases) {
+    (void)plan;
+    (void)leases;
+    throw OrchestratorError(
+        "orchestrate: this transport serves a single plan (PLAN is worker "
+        "protocol v4)");
+  }
   /// Block until any worker produces an event, or `timeout_ms`
   /// milliseconds pass (nullopt — the deadman's polling edge).
   /// timeout_ms < 0 blocks indefinitely. Calling with no live workers is
@@ -205,22 +224,71 @@ CampaignResult orchestrate(const InjectionPlan& plan, Transport& transport,
                            const OrchestratorOptions& opts = {},
                            OrchestratorStats* stats = nullptr);
 
-/// The generalized drain behind orchestrate(): lease out a WorkSource's
-/// item stream wave by wave. Each wave is partitioned into leases with
-/// the same grain rule as lease_partition() (applied to the wave size),
-/// drained by the persistent fleet, and absorbed back into the source
-/// before the next wave is generated — the feedback loop that drives
-/// coverage-guided search. Workers that predate appended items get them
-/// via Transport::feedback before their lease is submitted;
-/// `known_items` says how many plan items the workers' serialized plan
-/// copies already carry (orchestrate() passes the full plan size, so
-/// the exhaustive path never sends FEEDBACK and stays byte-identical).
-/// The final result merges every wave's lease reports — plus any
-/// checkpoint-replayed reports the source carries — exactly like
-/// orchestrate() merges its single wave.
+/// The generalized drain behind orchestrate(): one Fleet opened over
+/// `transport`, one drain of `source` with opts.lease_items as the
+/// grain, then close — see Fleet::drain for the wave semantics. The
+/// close's deadman expiries (if any) land in `stats` too.
 CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
                                   const OrchestratorOptions& opts,
                                   OrchestratorStats* stats,
                                   std::size_t known_items);
+
+/// A worker fleet that outlives a plan. It spawns workers on its first
+/// drain and keeps their slots across drains, so a command that runs
+/// many plans — `orchestrate --all`, `search --family` — pays the fleet
+/// start-up (spawn, HELLO, plan parse, prototype freeze) once, not once
+/// per plan. Between drains the caller makes the next plan current with
+/// Transport::load_plan; the transport then sends each kept worker PLAN
+/// before its next FEEDBACK or LEASE, and starts later workers on the
+/// current plan directly. close() releases the fleet.
+///
+/// `opts` holds for the fleet's whole life (worker count, deadman,
+/// clock); the respawn budget and every OrchestratorStats counter apply
+/// per drain. opts.lease_items is not read: each drain names its own
+/// grain, because --lease auto sizes it per plan.
+class Fleet {
+ public:
+  /// Spawns nothing yet. Throws OrchestratorError when opts.workers < 1.
+  Fleet(Transport& transport, OrchestratorOptions opts);
+
+  /// Lease out a WorkSource's item stream wave by wave. Each wave is
+  /// partitioned into leases of `lease_items` items (0 = the
+  /// lease_partition() auto grain applied to the wave size), drained by
+  /// the fleet, and absorbed back into the source before the next wave
+  /// is generated — the feedback loop that drives coverage-guided
+  /// search. Workers that predate appended items get them via
+  /// Transport::feedback before their lease is submitted; `known_items`
+  /// says how many items the transport's current plan carries
+  /// (orchestrate() passes the full plan size, so the exhaustive path
+  /// never sends FEEDBACK and stays byte-identical). The result merges
+  /// every wave's lease reports — plus any checkpoint-replayed reports
+  /// the source carries — exactly like orchestrate() merges its single
+  /// wave. `stats` is reset to this drain's counts.
+  CampaignResult drain(WorkSource& source, std::size_t known_items,
+                       std::size_t lease_items,
+                       OrchestratorStats* stats = nullptr);
+
+  /// Ask every live worker to exit and reap them all; a worker that
+  /// stays silent past the deadman window is killed and counted in
+  /// stats->deadman_expiries. Idempotent; no drain may follow.
+  void close(OrchestratorStats* stats = nullptr);
+
+ private:
+  struct Slot {
+    bool live = false;
+    bool busy = false;
+    bool steal_pending = false;  // STEAL sent, YIELD (or DONE) awaited
+    Lease lease;                 // valid while busy
+    long long last_heard = 0;    // grant or any event; the deadman input
+    std::size_t known = 0;       // current-plan items this worker holds
+  };
+
+  Transport& transport_;
+  OrchestratorOptions opts_;
+  std::map<std::size_t, Slot> slots_;
+  std::size_t live_ = 0;
+  bool spawned_ = false;  // the initial fleet came up on the first wave
+  bool closed_ = false;
+};
 
 }  // namespace ep::core

@@ -54,7 +54,7 @@ class Scanner {
   }
 
   /// The rest of the line, which must be non-empty and spaceless — a
-  /// lease target is one token.
+  /// lease target or a plan token is one token.
   bool token_to_end(std::string* out) {
     if (pos_ >= s_.size()) return false;
     std::string rest = s_.substr(pos_);
@@ -115,6 +115,9 @@ bool parse_protocol_line(const std::string& line, ProtocolMsg* out) {
     if (!sc.space() || !sc.size(&msg.begin) || !sc.space() ||
         !sc.size(&msg.end) || !sc.space() || !sc.token_to_end(&msg.target))
       return false;
+  } else if (sc.literal("PLAN")) {
+    msg.type = ProtocolMsg::Type::plan;
+    if (!sc.space() || !sc.token_to_end(&msg.target)) return false;
   } else if (sc.literal("STEAL")) {
     msg.type = ProtocolMsg::Type::steal;
     if (!sc.at_end()) return false;
@@ -164,6 +167,8 @@ std::string format_feedback(std::size_t begin, std::size_t end,
          " " + spec;
 }
 
+std::string format_plan(const std::string& token) { return "PLAN " + token; }
+
 std::string format_steal() { return "STEAL"; }
 
 std::string format_exit() { return "EXIT"; }
@@ -186,6 +191,8 @@ std::string format_protocol_msg(const ProtocolMsg& msg) {
       return format_lease(msg.begin, msg.end, msg.target);
     case ProtocolMsg::Type::feedback:
       return format_feedback(msg.begin, msg.end, msg.target);
+    case ProtocolMsg::Type::plan:
+      return format_plan(msg.target);
     case ProtocolMsg::Type::steal:
       return format_steal();
     case ProtocolMsg::Type::exit_cmd:

@@ -10,8 +10,9 @@
 // terminated line; over tcp the same line rides as one length-prefixed
 // frame — the bytes between the delimiters are identical.
 //
-// Version 3 grammar (version 1 had no HELLO/PING/STEAL/YIELD/BYE;
-// version 3 adds FEEDBACK, the search-plane item append):
+// Version 4 grammar (version 1 had no HELLO/PING/STEAL/YIELD/BYE;
+// version 3 added FEEDBACK, the search-plane item append; version 4 adds
+// PLAN, which lets one worker fleet serve many plans):
 //
 //   worker -> coordinator
 //     HELLO <version>                 first message a worker ever sends
@@ -33,6 +34,11 @@
 //                                     is one space-free token of comma-
 //                                     separated point:kind:fault:param
 //                                     entries (kind is `i` or `d`)
+//     PLAN <token>                    replace the worker's plan before its
+//                                     next FEEDBACK or LEASE; <token> is
+//                                     the plan file (pipe), the arena path
+//                                     (shm), or `-` (tcp: one binary plan
+//                                     frame follows)
 //     STEAL                           yield the undrained tail of the
 //                                     current lease at the next checkpoint
 //     EXIT                            finish up and exit 0
@@ -50,7 +56,7 @@ namespace ep::core {
 /// The control-protocol version this build speaks. Bumped whenever the
 /// grammar above changes incompatibly; the HELLO handshake enforces
 /// agreement before any lease is granted.
-inline constexpr long long kWorkerProtocolVersion = 3;
+inline constexpr long long kWorkerProtocolVersion = 4;
 
 /// One parsed protocol message, either direction.
 struct ProtocolMsg {
@@ -62,6 +68,7 @@ struct ProtocolMsg {
     bye,    ///< status
     lease,  ///< begin, end, target
     feedback,  ///< begin, end, target = the item spec token
+    plan,      ///< target = the plan token
     steal,
     exit_cmd,
   };
@@ -69,7 +76,7 @@ struct ProtocolMsg {
   long long version = 0;        // hello
   std::size_t begin = 0;        // lease, done, feedback; yield's split point
   std::size_t end = 0;          // lease, done, yield, feedback
-  std::string target;           // lease; feedback's item spec
+  std::string target;           // lease; feedback's item spec; plan
   bool has_handoff = false;     // done: shm (offset, length) present
   std::size_t offset = 0;       // done, shm handoff
   std::size_t length = 0;       // done, shm handoff
@@ -95,6 +102,7 @@ std::string format_lease(std::size_t begin, std::size_t end,
                          const std::string& target);
 std::string format_feedback(std::size_t begin, std::size_t end,
                             const std::string& spec);
+std::string format_plan(const std::string& token);
 std::string format_steal();
 std::string format_exit();
 

@@ -130,6 +130,35 @@ void LocalProcessTransport::append_common_args(
   }
 }
 
+std::string LocalProcessTransport::plan_token() const {
+  return config_.plan_path;
+}
+
+void LocalProcessTransport::plan_loaded(const std::string& prefix) {
+  config_.file_prefix = prefix;
+  ++plan_gen_;
+}
+
+void LocalProcessTransport::sync_plan(Proc& p) {
+  if (p.plan_gen == plan_gen_) return;
+  p.plan_gen = plan_gen_;
+  write_line(p.in_fd, format_plan(plan_token()) + "\n");
+}
+
+void LocalProcessTransport::load_plan(const InjectionPlan& plan,
+                                      const std::vector<Lease>& leases) {
+  (void)leases;
+  const std::string path =
+      config_.out_dir + "/" + plan.scenario_name + ".plan.json";
+  const std::string json = plan.to_json();
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (!f) sys_fail("cannot write plan '" + path + "'");
+  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
+  if (std::fclose(f) != 0 || !ok) sys_fail("cannot write plan '" + path + "'");
+  config_.plan_path = path;
+  plan_loaded(plan.scenario_name);
+}
+
 std::string LocalProcessTransport::lease_token(const Lease& lease) const {
   return config_.out_dir + "/" + config_.file_prefix + ".lease" +
          std::to_string(lease.seq) + ".json";
@@ -199,6 +228,7 @@ std::optional<std::size_t> LocalProcessTransport::spawn() {
   p.in_fd = to_child[1];
   p.out_fd = from_child[0];
   p.alive = true;
+  p.plan_gen = plan_gen_;  // its argv named the current plan
   procs_.push_back(std::move(p));
   return procs_.size() - 1;
 }
@@ -212,6 +242,7 @@ void LocalProcessTransport::submit(std::size_t worker, const Lease& lease) {
   p.lease = lease;
   p.lease_token = lease_token(lease);
   if (p.in_fd < 0) return;  // already shut down; death event will follow
+  sync_plan(p);
   write_line(p.in_fd,
              format_lease(lease.begin, lease.end, p.lease_token) + "\n");
 }
@@ -224,6 +255,7 @@ void LocalProcessTransport::feedback(std::size_t worker,
                             std::to_string(worker));
   Proc& p = procs_[worker];
   if (!p.alive || p.in_fd < 0) return;  // death event will follow anyway
+  sync_plan(p);
   write_line(p.in_fd,
              format_feedback(begin, end, feedback_spec(plan, begin, end)) +
                  "\n");
@@ -436,10 +468,18 @@ std::size_t arena_segment_bytes(std::size_t lease_items) {
 
 namespace {
 
-std::size_t max_lease_items(const std::vector<Lease>& leases) {
+/// The arena for `plan` at `path`, one segment per lease in `leases`.
+/// kMaxLeaseSplits extra segments: stolen-tail leases take fresh seqs
+/// past the partition, and each needs a segment home. A stolen tail is
+/// a sub-range of some partition lease, so the per-segment size bound
+/// already covers it.
+ShmArena plan_arena(const std::string& path, const InjectionPlan& plan,
+                    const std::vector<Lease>& leases) {
   std::size_t most = 0;
   for (const Lease& l : leases) most = std::max(most, l.end - l.begin);
-  return most;
+  return ShmArena::create(path, plan_to_binary(plan),
+                          leases.size() + kMaxLeaseSplits,
+                          arena_segment_bytes(most));
 }
 
 }  // namespace
@@ -448,15 +488,20 @@ ShmLocalTransport::ShmLocalTransport(LocalProcessConfig config,
                                      const InjectionPlan& plan,
                                      const std::vector<Lease>& leases)
     : LocalProcessTransport(std::move(config)),
-      // kMaxLeaseSplits extra segments: stolen-tail leases take fresh
-      // seqs past the partition, and each needs a segment home. A stolen
-      // tail is a sub-range of some partition lease, so the per-segment
-      // size bound already covers it.
-      arena_(ShmArena::create(
-          this->config().out_dir + "/" + this->config().file_prefix +
-              ".arena",
-          plan_to_binary(plan), leases.size() + kMaxLeaseSplits,
-          arena_segment_bytes(max_lease_items(leases)))) {}
+      arena_(plan_arena(this->config().out_dir + "/" +
+                            this->config().file_prefix + ".arena",
+                        plan, leases)) {}
+
+void ShmLocalTransport::load_plan(const InjectionPlan& plan,
+                                  const std::vector<Lease>& leases) {
+  // Move-assigning unmaps the previous plan's arena; its workers map the
+  // new one when their PLAN line arrives.
+  arena_ = plan_arena(config().out_dir + "/" + plan.scenario_name + ".arena",
+                      plan, leases);
+  plan_loaded(plan.scenario_name);
+}
+
+std::string ShmLocalTransport::plan_token() const { return arena_.path(); }
 
 std::vector<std::string> ShmLocalTransport::worker_args() const {
   std::vector<std::string> args = {"worker", "--arena", arena_.path()};

@@ -9,12 +9,13 @@
 // deliberately shell-debuggable, and byte-identical to what the tcp
 // transport frames over sockets.
 //
-// The worker parses the plan and re-freezes the COW prototype once at
-// startup, then drains leases until told to stop; it writes each lease's
+// The worker parses its plan and re-freezes the COW prototype once per
+// plan — at startup, and again on each PLAN line load_plan() queues for
+// it — then drains leases until told to stop; it writes each lease's
 // ShardReport atomically to the LEASE-named target *before* printing
 // DONE, so a DONE line always names a readable, complete report. Worker
 // stderr is inherited (progress and diagnostics pass through); stdout
-// carries protocol lines only, starting with `HELLO 3`.
+// carries protocol lines only, starting with `HELLO 4`.
 //
 // Exit statuses mirror run-shard: 0 clean, 1 failure, 4 preempted
 // (SIGTERM — the worker finishes its in-flight lease, then refuses the
@@ -39,14 +40,16 @@ struct LocalProcessConfig {
   /// The worker binary — normally the running epa_cli itself
   /// (self_exe()).
   std::string epa_cli;
-  /// Serialized plan every worker parses once at startup (JSON data
-  /// plane; the shm transport ships the plan inside its arena instead).
+  /// Serialized plan a worker parses at startup (JSON data plane; the
+  /// shm transport ships the plan inside its arena instead). Empty is
+  /// fine when load_plan() names the first plan.
   std::string plan_path;
-  /// Directory lease report files (and the shm transport's arena file)
-  /// are written to.
+  /// Directory lease report files, load_plan()'s plan files and the shm
+  /// transport's arena files are written to.
   std::string out_dir;
   /// Lease files are named <file_prefix>.lease<seq>.json; the shm
-  /// transport's arena is <file_prefix>.arena.
+  /// transport's arena is <file_prefix>.arena. load_plan() sets it to
+  /// the plan's scenario name.
   std::string file_prefix = "plan";
   /// --jobs forwarded to each worker.
   int jobs = 1;
@@ -99,6 +102,11 @@ class LocalProcessTransport : public Transport {
   /// feedback_spec()).
   void feedback(std::size_t worker, const InjectionPlan& plan,
                 std::size_t begin, std::size_t end) override;
+  /// Writes <out_dir>/<scenario>.plan.json and makes it current: later
+  /// spawns parse it, live workers get `PLAN <path>`. `leases` is unused
+  /// on this plane.
+  void load_plan(const InjectionPlan& plan,
+                 const std::vector<Lease>& leases) override;
   std::optional<WorkerEvent> wait_any(long timeout_ms) override;
   void shutdown(std::size_t worker) override;
   /// SIGKILL + reap, immediately — the deadman's path for a worker that
@@ -122,6 +130,7 @@ class LocalProcessTransport : public Transport {
     bool has_lease = false;
     Lease lease;  // shrinks in place when the worker YIELDs a tail
     std::string lease_token;  // what LEASE named as the report target
+    std::size_t plan_gen = 0;  // the load_plan() generation it holds
   };
 
   /// Worker argv after the binary path. Base: worker <plan> --jobs N
@@ -130,6 +139,9 @@ class LocalProcessTransport : public Transport {
   /// The report-target token of a LEASE line: a report file path (base)
   /// or the shm transport's @<seq> segment reference.
   virtual std::string lease_token(const Lease& lease) const;
+  /// The token of a PLAN line for the current plan: the plan file (base)
+  /// or the shm transport's arena path.
+  virtual std::string plan_token() const;
   /// Turn a parsed DONE message into ev.report + ev.label. Base: no
   /// handoff allowed, the report is read from the lease file. Shm: the
   /// (offset, length) handoff is decoded from the coordinator's own
@@ -143,18 +155,26 @@ class LocalProcessTransport : public Transport {
 
   const LocalProcessConfig& config() const { return config_; }
 
+  /// Finish a load_plan(): name later files after `prefix` and mark
+  /// every live worker as owing a PLAN line.
+  void plan_loaded(const std::string& prefix);
+
  private:
   WorkerEvent handle_line(std::size_t worker, const std::string& line);
   WorkerEvent reap(std::size_t worker);
+  /// Write `PLAN <token>` to a worker still on an older plan, so it
+  /// switches before the FEEDBACK or LEASE about to follow.
+  void sync_plan(Proc& p);
 
   LocalProcessConfig config_;
   std::vector<Proc> procs_;
+  std::size_t plan_gen_ = 0;  // bumped by every load_plan()
 };
 
 /// The same-host shared-memory data plane (core/arena.hpp): the binary
-/// plan is frozen into an mmap'd arena once, each lease owns a fixed
-/// arena segment indexed by its seq, workers write binary reports into
-/// their lease's segment directly, and DONE carries only an
+/// plan is frozen into an mmap'd arena once per plan, each lease owns a
+/// fixed arena segment indexed by its seq, workers write binary reports
+/// into their lease's segment directly, and DONE carries only an
 /// (offset, length) handoff — zero parse and zero copy on the
 /// coordinator's hot path, and no JSON anywhere between the processes.
 class ShmLocalTransport : public LocalProcessTransport {
@@ -169,9 +189,16 @@ class ShmLocalTransport : public LocalProcessTransport {
 
   const std::string& arena_path() const { return arena_.path(); }
 
+  /// Creates <out_dir>/<scenario>.arena for `plan`, sized for `leases`
+  /// like the constructor, and unmaps the previous arena; live workers
+  /// get `PLAN <arena path>`.
+  void load_plan(const InjectionPlan& plan,
+                 const std::vector<Lease>& leases) override;
+
  protected:
   std::vector<std::string> worker_args() const override;
   std::string lease_token(const Lease& lease) const override;
+  std::string plan_token() const override;
   void load_report(const Proc& p, const ProtocolMsg& done,
                    WorkerEvent& ev) override;
 

@@ -300,6 +300,7 @@ std::optional<std::size_t> TcpTransport::spawn() {
     ::close(fd);
     return std::nullopt;  // died before taking the plan
   }
+  c.plan_gen = plan_gen_;
   conns_.push_back(std::move(c));
   return conns_.size() - 1;
 }
@@ -311,9 +312,25 @@ void TcpTransport::submit(std::size_t worker, const core::Lease& lease) {
   Conn& c = conns_[worker];
   c.has_lease = true;
   c.lease = lease;
+  sync_plan(c);
   // `-` as the target: the report has no name here — it comes back as
   // the frame after DONE.
   send_frame(c.fd, core::format_lease(lease.begin, lease.end, "-"));
+}
+
+void TcpTransport::load_plan(const core::InjectionPlan& plan,
+                             const std::vector<core::Lease>& leases) {
+  (void)leases;
+  plan_wire_ = core::plan_to_binary(plan);
+  ++plan_gen_;
+}
+
+void TcpTransport::sync_plan(Conn& c) {
+  if (c.plan_gen == plan_gen_) return;
+  c.plan_gen = plan_gen_;
+  // `-`: the plan has no name here either — it is the very next frame.
+  send_frame(c.fd, core::format_plan("-"));
+  send_frame(c.fd, plan_wire_);
 }
 
 void TcpTransport::feedback(std::size_t worker,
@@ -324,6 +341,7 @@ void TcpTransport::feedback(std::size_t worker,
                             std::to_string(worker));
   Conn& c = conns_[worker];
   if (!c.alive) return;  // death event will follow anyway
+  sync_plan(c);
   send_frame(c.fd, core::format_feedback(
                        begin, end, core::feedback_spec(plan, begin, end)));
 }

@@ -2,10 +2,12 @@
 // no fork. The coordinator listens; workers are started on any host
 // (`epa_cli worker --connect host:port`) and dial in. spawn() adopts a
 // connection from the accept queue, checks the HELLO handshake, and
-// ships the plan down the socket as one binary EPAB frame; lease reports
-// ride back as binary frames. The control protocol is the same
-// versioned line grammar every transport speaks (core/protocol.hpp) —
-// one line per frame instead of one line per '\n'.
+// ships the current plan down the socket as one binary EPAB frame; lease
+// reports ride back as binary frames. load_plan() switches a connected
+// fleet to another plan: each worker gets `PLAN -` and the new plan
+// frame before its next FEEDBACK or LEASE. The control protocol is the
+// same versioned line grammar every transport speaks (core/protocol.hpp)
+// — one line per frame instead of one line per '\n'.
 //
 // Framing is the simplest thing that works on a byte stream: a u32
 // little-endian payload length, then the payload. Control frames carry
@@ -14,9 +16,10 @@
 // first frame a connection sends must be HELLO, and until it arrives
 // the coordinator accepts no frame above kMaxOpeningFrameBytes.
 //
-// Both ends set TCP_NODELAY (tcp_accept and tcp_connect). Two exchanges
-// write twice before they read: the coordinator sends the plan frame,
-// then LEASE; the worker sends DONE, then the report frame. Under
+// Both ends set TCP_NODELAY (tcp_accept and tcp_connect). Three exchanges
+// write more than once before they read: the coordinator sends the plan
+// frame, then LEASE; on a plan switch it sends `PLAN -`, the plan frame,
+// then FEEDBACK or LEASE; the worker sends DONE, then the report frame. Under
 // Nagle's algorithm the second write waits for the ACK of the first,
 // and the peer, which is only reading, delays that ACK by ~40 ms, so
 // every lease round trip would pay the delayed-ACK timer.
@@ -133,7 +136,8 @@ struct TcpTransportConfig {
 class TcpTransport : public core::Transport {
  public:
   /// Binds and listens immediately; `plan` is encoded once and shipped
-  /// to every worker that completes the handshake.
+  /// to every worker that completes the handshake until load_plan()
+  /// replaces it.
   TcpTransport(TcpTransportConfig config, const core::InjectionPlan& plan);
   /// Closes every socket — workers see EOF and exit; none are left
   /// holding a dead coordinator's connection.
@@ -149,6 +153,11 @@ class TcpTransport : public core::Transport {
   /// writes, framed like every other control message.
   void feedback(std::size_t worker, const core::InjectionPlan& plan,
                 std::size_t begin, std::size_t end) override;
+  /// Re-encodes the plan frame. Workers accepted later get it at the
+  /// handshake; connected ones get `PLAN -` plus the frame, once, before
+  /// their next FEEDBACK or LEASE. `leases` is unused on this plane.
+  void load_plan(const core::InjectionPlan& plan,
+                 const std::vector<core::Lease>& leases) override;
   std::optional<core::WorkerEvent> wait_any(long timeout_ms) override;
   void shutdown(std::size_t worker) override;
   void kill(std::size_t worker) override;
@@ -167,14 +176,19 @@ class TcpTransport : public core::Transport {
     core::Lease lease;
     core::WorkerEvent done_ev;  // built from DONE, completed by the frame
     FrameBuffer frames;
+    std::size_t plan_gen = 0;  // the load_plan() generation it holds
   };
 
   std::optional<core::WorkerEvent> handle_frame(std::size_t worker,
                                                 const std::string& frame);
   core::WorkerEvent reap(std::size_t worker);
+  /// Send `PLAN -` and the current plan frame to a worker still on an
+  /// older plan, ahead of the FEEDBACK or LEASE about to follow.
+  void sync_plan(Conn& c);
 
   TcpTransportConfig config_;
   std::string plan_wire_;  // binary EPAB plan, shipped per worker
+  std::size_t plan_gen_ = 0;  // bumped by every load_plan()
   int listen_fd_ = -1;
   int port_ = 0;
   std::size_t accepted_ = 0;

@@ -42,9 +42,9 @@ TEST(Protocol, FormattersRoundTripThroughTheParser) {
 
 TEST(Protocol, ParsesEveryFieldOfEveryProduction) {
   ProtocolMsg m;
-  ASSERT_TRUE(parse_protocol_line("HELLO 3", &m));
+  ASSERT_TRUE(parse_protocol_line("HELLO 4", &m));
   EXPECT_EQ(m.type, Type::hello);
-  EXPECT_EQ(m.version, 3);
+  EXPECT_EQ(m.version, 4);
 
   ASSERT_TRUE(parse_protocol_line("PING", &m));
   EXPECT_EQ(m.type, Type::ping);
@@ -133,11 +133,44 @@ TEST(Protocol, RejectsMalformedLines) {
   }
 }
 
-TEST(Protocol, VersionConstantIsThree) {
+TEST(Protocol, PlanRoundTripsEveryPlaneToken) {
+  // PLAN (v4) names the next plan the way each data plane ships it: a
+  // plan file, an arena file, or `-` for the tcp frame that follows.
+  for (const std::string token :
+       {"/tmp/epa-orch.x/turnin.plan.json", "/tmp/epa-orch.x/turnin.arena",
+        "-"}) {
+    SCOPED_TRACE(token);
+    const std::string line = format_plan(token);
+    EXPECT_EQ(line, "PLAN " + token);
+    ProtocolMsg m;
+    ASSERT_TRUE(parse_protocol_line(line, &m));
+    EXPECT_EQ(m.type, Type::plan);
+    EXPECT_EQ(m.target, token);
+    EXPECT_EQ(format_protocol_msg(m), line);
+  }
+}
+
+TEST(Protocol, PlanNeedsExactlyOneToken) {
+  const std::vector<std::string> bad = {
+      "PLAN",                      // no token
+      "PLAN ",                     // an empty token
+      "PLAN /tmp/a dir/x.json",    // a token with a space
+      "PLAN  -",                   // double space
+      "plan -",                    // keywords are case-sensitive
+  };
+  for (const std::string& line : bad) {
+    SCOPED_TRACE("'" + line + "'");
+    ProtocolMsg m;
+    EXPECT_FALSE(parse_protocol_line(line, &m));
+  }
+}
+
+TEST(Protocol, VersionConstantIsFour) {
   // Bumping the protocol version must be a conscious act: this pins the
   // constant the HELLO handshake (and docs/WIRE_FORMAT.md) advertise.
-  // v3 added FEEDBACK (the search plane's item append).
-  EXPECT_EQ(kWorkerProtocolVersion, 3);
+  // v3 added FEEDBACK (the search plane's item append); v4 added PLAN
+  // (one fleet serving many plans).
+  EXPECT_EQ(kWorkerProtocolVersion, 4);
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 #include <set>
 
 #include "apps/families.hpp"
+#include "apps/redzone_demo.hpp"
 #include "apps/scenarios.hpp"
+#include "core/planner.hpp"
 #include "core/wire.hpp"
 
 namespace ep::core {
@@ -101,6 +103,13 @@ TEST(ScenarioFamilyTest, PackagedFamiliesExpandToAtLeastOneHundred) {
   EXPECT_EQ(names.size(), total);
 }
 
+/// The plan bytes a scenario produces: resolving a name must yield the
+/// same world, catalog and hints as the listing it came from, and the
+/// serialized plan covers all three.
+std::string plan_bytes(const Scenario& scenario) {
+  return Planner(scenario).plan().to_json();
+}
+
 TEST(ScenarioFamilyTest, EveryGeneratedNameResolvesAndCompiles) {
   for (const auto& f : apps::scenario_families()) {
     for (const auto& scenario : apps::family_scenarios(f)) {
@@ -108,7 +117,17 @@ TEST(ScenarioFamilyTest, EveryGeneratedNameResolvesAndCompiles) {
       auto by_name = apps::resolve_scenario(scenario.name);
       ASSERT_TRUE(by_name.has_value()) << scenario.name;
       EXPECT_EQ(by_name->name, scenario.name);
+      EXPECT_EQ(plan_bytes(*by_name), plan_bytes(scenario)) << scenario.name;
     }
+  }
+  // The packaged suite and the unlisted demo resolve through the same
+  // spec path; their plans must match the listed scenarios' too.
+  std::vector<Scenario> packaged = apps::all_scenarios();
+  packaged.push_back(apps::redzone_demo_scenario());
+  for (const auto& scenario : packaged) {
+    auto by_name = apps::resolve_scenario(scenario.name);
+    ASSERT_TRUE(by_name.has_value()) << scenario.name;
+    EXPECT_EQ(plan_bytes(*by_name), plan_bytes(scenario)) << scenario.name;
   }
 }
 
@@ -122,7 +141,6 @@ TEST(ScenarioFamilyTest, GeneratedNamesDoNotShadowPackagedOnes) {
 }
 
 TEST(ScenarioFamilyTest, UnknownGeneratedNameResolvesToNothing) {
-  EXPECT_FALSE(apps::find_generated_scenario("fam-spool-d9-nope").has_value());
   EXPECT_FALSE(apps::resolve_scenario("fam-spool-d9-nope").has_value());
   EXPECT_FALSE(apps::resolve_spec("fam-spool-d9-nope").has_value());
 }

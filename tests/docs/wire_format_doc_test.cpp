@@ -220,6 +220,17 @@ TEST(WireFormatDoc, WorkerProtocolTranscriptIsCanonical) {
   EXPECT_GE(lines, 10u) << "the transcript lost productions";
 }
 
+TEST(WireFormatDoc, WorkerProtocolTranscriptSwitchesPlans) {
+  // The documented conversation must show a fleet outliving a plan: a
+  // PLAN line from the coordinator, then a LEASE of the new plan.
+  std::string block = example_block(read_doc(), "worker-protocol", "text");
+  const std::size_t plan = block.find("\nC: PLAN ");
+  ASSERT_NE(plan, std::string::npos)
+      << "the worker-protocol transcript has no plan switch";
+  EXPECT_NE(block.find("\nC: LEASE ", plan), std::string::npos)
+      << "no lease follows the documented plan switch";
+}
+
 TEST(WireFormatDoc, DocumentsTheCurrentSchemaVersions) {
   std::string doc = read_doc();
   // The prose must pin the versions the code actually writes: plans and

@@ -477,5 +477,89 @@ TEST(TcpTransport, RespawnOnlyPollsAndAdoptsAPreStartedSpare) {
   EXPECT_EQ(shipped.items.size(), plan.items.size());
 }
 
+/// True when the scripted worker has nothing more to read right now —
+/// how "exactly once" is told apart from "at least once".
+bool nothing_pending(ScriptedWorker& w) {
+  (void)pump_nonblocking(w.fd, &w.fb);
+  std::string extra;
+  return !w.fb.pop(&extra);
+}
+
+/// The scripted worker drains `lease` of `plan` for real and answers
+/// with DONE plus the report frame; the coordinator must accept it.
+void answer_lease(TcpTransport& transport, ScriptedWorker& worker,
+                  const core::Scenario& scenario,
+                  const core::InjectionPlan& plan, const core::Lease& lease) {
+  core::Executor ex(scenario);
+  core::ShardReport report =
+      core::run_lease(ex, plan, lease.begin, lease.end, {});
+  worker.say(core::format_done(lease.begin, lease.end));
+  worker.say(core::shard_report_to_binary(report));
+  std::optional<core::WorkerEvent> ev = transport.wait_any(2000);
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->kind, core::WorkerEvent::Kind::lease_done);
+  EXPECT_EQ(ev->report.to_json(), report.to_json());
+}
+
+TEST(TcpTransport, PlanSwitchSendsPlanAndFrameOncePerPlan) {
+  core::Scenario open = core::toy_scenario("toy");
+  core::Scenario locked = core::toy_scenario("toy-locked", true);
+  core::InjectionPlan open_plan = core::Planner(open).plan();
+  core::InjectionPlan locked_plan = core::Planner(locked).plan();
+  TcpTransport transport(loopback_config(1), open_plan);
+
+  ScriptedWorker worker(transport.port());
+  worker.say(core::format_hello(core::kWorkerProtocolVersion));
+  std::optional<std::size_t> w = transport.spawn();
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(core::plan_from_binary(worker.hear()).scenario_name, "toy");
+
+  // On the plan it connected to, a worker never sees PLAN.
+  transport.submit(*w, {0, 0, 1});
+  EXPECT_EQ(worker.hear(), "LEASE 0 1 -");
+  EXPECT_TRUE(nothing_pending(worker));
+  answer_lease(transport, worker, open, open_plan, {0, 0, 1});
+
+  // After a switch, `PLAN -` and the new plan frame arrive once, right
+  // before the worker's next LEASE...
+  transport.load_plan(locked_plan, {});
+  transport.submit(*w, {0, 0, 2});
+  EXPECT_EQ(worker.hear(), "PLAN -");
+  core::InjectionPlan shipped = core::plan_from_binary(worker.hear());
+  EXPECT_EQ(shipped.scenario_name, "toy-locked");
+  EXPECT_EQ(shipped.items.size(), locked_plan.items.size());
+  EXPECT_EQ(worker.hear(), "LEASE 0 2 -");
+  EXPECT_TRUE(nothing_pending(worker));
+  answer_lease(transport, worker, locked, locked_plan, {0, 0, 2});
+
+  // ...and never again for the same plan.
+  transport.submit(*w, {1, 2, 3});
+  EXPECT_EQ(worker.hear(), "LEASE 2 3 -");
+  EXPECT_TRUE(nothing_pending(worker));
+  answer_lease(transport, worker, locked, locked_plan, {1, 2, 3});
+
+  // The next switch reaches the worker ahead of a FEEDBACK the same way.
+  transport.load_plan(open_plan, {});
+  const std::size_t n = open_plan.items.size();
+  transport.feedback(*w, open_plan, n - 1, n);
+  EXPECT_EQ(worker.hear(), "PLAN -");
+  EXPECT_EQ(core::plan_from_binary(worker.hear()).scenario_name, "toy");
+  EXPECT_TRUE(starts_with(worker.hear(), "FEEDBACK "));
+  transport.submit(*w, {0, 0, 1});
+  EXPECT_EQ(worker.hear(), "LEASE 0 1 -");
+  EXPECT_TRUE(nothing_pending(worker));
+
+  // A worker accepted after a switch gets the current plan at the
+  // handshake, and so no PLAN before its first LEASE.
+  ScriptedWorker late(transport.port());
+  late.say(core::format_hello(core::kWorkerProtocolVersion));
+  std::optional<std::size_t> l = transport.spawn();
+  ASSERT_TRUE(l.has_value());
+  EXPECT_EQ(core::plan_from_binary(late.hear()).scenario_name, "toy");
+  transport.submit(*l, {1, 1, 2});
+  EXPECT_EQ(late.hear(), "LEASE 1 2 -");
+  EXPECT_TRUE(nothing_pending(late));
+}
+
 }  // namespace
 }  // namespace ep::net
