@@ -3,42 +3,23 @@
 // full per-fault rebuild-and-rerun cycle is cheap enough to sweep entire
 // catalogs.
 //
-// Besides the google-benchmark micro benches, main() times the full
-// scenario suite through the MultiCampaign scheduler serially and in
-// parallel and writes BENCH_perf_injection.json, so the runs/sec
-// trajectory (and the serial-vs-parallel speedup) is tracked across PRs.
+// Developer tools: CI checks that they build and run, and gates no
+// figure they print. End-to-end figures (real epa_cli processes on every
+// data plane, medians over repeated runs) come from the repository
+// benchmark, perfbench/.
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string_view>
-#include <thread>
-#include <vector>
+#include <memory>
+#include <string>
 
-#include "apps/families.hpp"
 #include "apps/lpr.hpp"
-#include "apps/scenarios.hpp"
 #include "apps/turnin.hpp"
-#include "core/arena.hpp"
 #include "core/executor.hpp"
 #include "core/injector.hpp"
 #include "core/planner.hpp"
-#include "core/protocol.hpp"
-#include "core/report.hpp"
-#include "core/scheduler.hpp"
-#include "core/search.hpp"
 #include "core/snapshot.hpp"
-#include "core/transport.hpp"
-#include "core/wire.hpp"
-#include "net/transport_tcp.hpp"
 #include "os/world.hpp"
-#include "vulndb/coverage.hpp"
 
 namespace {
 
@@ -214,622 +195,6 @@ BENCHMARK(BM_ExecutorDrainTurnin)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// --- serial vs parallel, cached vs uncached: the tracked perf numbers -------
-
-double sweep_seconds(const core::MultiCampaign& suite, int jobs,
-                     bool use_world_cache, int* out_runs) {
-  core::SweepOptions opts;
-  opts.jobs = jobs;
-  opts.campaign.use_world_cache = use_world_cache;
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    auto t0 = std::chrono::steady_clock::now();
-    auto r = suite.run(opts);
-    auto t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(r);
-    *out_runs = r.total_injections();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
-/// Executor-drain rate for one scenario (plan prepared once): isolates
-/// the per-run world cost, which is what the snapshot layer amortizes.
-double drain_rps(const core::Scenario& scenario, bool use_world_cache,
-                 bool pool_worlds = true) {
-  core::CampaignOptions popts;
-  popts.use_world_cache = use_world_cache;
-  auto plan = core::Planner(scenario).plan(popts);
-  core::Executor executor(scenario);
-  core::ExecutorOptions opts;
-  opts.use_world_cache = use_world_cache;
-  opts.pool_worlds = pool_worlds;
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    auto t0 = std::chrono::steady_clock::now();
-    auto r = executor.execute(plan, opts);
-    auto t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(r);
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return static_cast<double>(plan.items.size()) / best;
-}
-
-/// The sharded dimension: the whole suite drained as `shard_count`
-/// sequential shard pipelines. Each simulated shard process pays what a
-/// real one pays — plan parsed from JSON, prototype re-frozen (a full
-/// scenario.build()), its item subset drained, report serialized — and
-/// the merge coordinator pays its own plan parse, report parses, and
-/// merge. Serial, so the delta against the cached serial sweep is the
-/// full distribution tax of an N-process campaign on one machine.
-double sharded_sweep_seconds(int shard_count, int* out_runs,
-                             std::size_t* out_wire_bytes) {
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    auto scenarios = apps::all_scenarios();
-    int runs = 0;
-    std::size_t wire_bytes = 0;
-    auto t0 = std::chrono::steady_clock::now();
-    for (auto& scenario : scenarios) {
-      core::CampaignOptions popts;
-      popts.use_world_cache = false;  // the plan file carries no snapshot
-      std::string plan_json = core::Planner(scenario).plan(popts).to_json();
-      core::Executor executor(scenario);
-      std::vector<std::string> shard_jsons;
-      for (int k = 0; k < shard_count; ++k) {
-        core::InjectionPlan plan = core::plan_from_json(plan_json);
-        core::refreeze_snapshot(plan, scenario);
-        shard_jsons.push_back(
-            core::run_shard(executor, plan, static_cast<std::size_t>(k),
-                            static_cast<std::size_t>(shard_count))
-                .to_json());
-        wire_bytes += shard_jsons.back().size();
-      }
-      core::InjectionPlan merge_plan = core::plan_from_json(plan_json);
-      std::vector<core::ShardReport> shards;
-      for (const auto& json : shard_jsons)
-        shards.push_back(core::shard_report_from_json(json));
-      auto merged = core::merge_shard_reports(merge_plan, shards);
-      runs += merged.n();
-      benchmark::DoNotOptimize(merged);
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    *out_runs = runs;
-    *out_wire_bytes = wire_bytes;
-    best = std::min(best,
-                    std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
-struct OrchestratedStats {
-  int runs = 0;
-  std::size_t wire_bytes = 0;
-  int leases = 0;
-};
-
-enum class DataPlane { json, shm, tcp };
-
-/// One scenario's campaign through the orchestrated shape: `workers`
-/// simulated *persistent* worker processes serving fine-grained dynamic
-/// leases (core/orchestrator.hpp). Each worker pays the per-process tax
-/// exactly once — plan decoded, prototype re-frozen — then drains many
-/// leases, every lease report crossing the wire; the coordinator merges
-/// against the plan it already holds in memory (it planned it), so
-/// there is no merge-side plan re-parse. Three data planes:
-/// DataPlane::json is the pipe transport's payload — plan and lease
-/// reports as JSON strings. DataPlane::shm is the arena
-/// (core/arena.hpp): the plan one binary frame workers decode from
-/// their own mapping of the arena file, every lease report a binary
-/// frame written into the lease's own segment and decoded from the
-/// coordinator's mapping — zero copies, no per-lease files.
-/// DataPlane::tcp is the socket plane (net/transport_tcp.hpp) over a
-/// real loopback TCP connection opened by the plane's own helpers, so it
-/// inherits their socket setup (TCP_NODELAY): the plan pushed to each
-/// worker as one length-prefixed binary frame, each lease granted by a
-/// LEASE control frame and answered by a DONE control frame plus the
-/// binary report frame, reassembled through FrameBuffer on the
-/// receiving side. One thread plays both ends; the kernel completes the
-/// handshake from the listen backlog.
-double orchestrated_scenario_seconds(const core::Scenario& scenario,
-                                     int workers, int leases_per_worker,
-                                     DataPlane plane,
-                                     const std::string& arena_path,
-                                     OrchestratedStats* acc) {
-  const bool shm = plane == DataPlane::shm;
-  const bool tcp = plane == DataPlane::tcp;
-  auto t0 = std::chrono::steady_clock::now();
-  core::CampaignOptions popts;
-  popts.use_world_cache = false;  // the wire plan carries no snapshot
-  core::InjectionPlan plan = core::Planner(scenario).plan(popts);
-  core::Executor executor(scenario);
-  const std::size_t n = plan.items.size();
-  const std::size_t lease_items = std::max<std::size_t>(
-      1, n / static_cast<std::size_t>(workers * leases_per_worker));
-  const std::size_t lease_count = (n + lease_items - 1) / lease_items;
-
-  std::string plan_json;
-  std::optional<core::ShmArena> coord, worker_side;
-  int sp[2] = {-1, -1};  // [0] coordinator end, [1] worker end
-  net::FrameBuffer coord_fb, worker_fb;
-  if (shm) {
-    coord.emplace(core::ShmArena::create(
-        arena_path, core::plan_to_binary(plan), lease_count,
-        core::arena_segment_bytes(lease_items)));
-    // The worker side maps the file itself, like a real worker process.
-    worker_side.emplace(core::ShmArena::open(arena_path));
-  } else if (tcp) {
-    int port = 0;
-    int listen_fd = net::tcp_listen(0, &port);
-    sp[1] = net::tcp_connect("127.0.0.1", port);
-    sp[0] = net::tcp_accept(listen_fd, 5000);
-    ::close(listen_fd);
-    if (sp[0] < 0) return 0.0;
-  } else {
-    plan_json = plan.to_json();
-  }
-  // One plan decode + one re-freeze per persistent worker, not per
-  // lease.
-  std::string plan_wire = tcp ? core::plan_to_binary(plan) : std::string();
-  std::vector<core::InjectionPlan> worker_plans;
-  for (int w = 0; w < workers; ++w) {
-    if (shm) {
-      worker_plans.push_back(core::plan_from_binary(
-          worker_side->plan_data(), worker_side->plan_size()));
-    } else if (tcp) {
-      // The per-worker plan push: one frame down the socket, reassembled
-      // and decoded on the worker end.
-      net::send_frame(sp[0], plan_wire);
-      std::string payload;
-      net::recv_frame(sp[1], &worker_fb, &payload, 5000);
-      worker_plans.push_back(core::plan_from_binary(payload));
-    } else {
-      worker_plans.push_back(core::plan_from_json(plan_json));
-    }
-    core::refreeze_snapshot(worker_plans.back(), scenario);
-  }
-  std::vector<core::ShardReport> leases;
-  std::size_t lease_seq = 0;
-  for (std::size_t begin = 0; begin < n;
-       begin += lease_items, ++lease_seq) {
-    int w = static_cast<int>(lease_seq) % workers;
-    if (tcp) {
-      // The grant: a LEASE control frame down to the worker end. Without
-      // it the coordinator end never writes, so it never delays an ACK,
-      // and the leg could not show a Nagle stall on the DONE + report
-      // pair below.
-      net::send_frame(sp[0], core::format_lease(
-                                 begin, std::min(begin + lease_items, n), "-"));
-      std::string grant;
-      net::recv_frame(sp[1], &worker_fb, &grant, 5000);
-    }
-    core::ShardReport report =
-        core::run_lease(executor, worker_plans[w], begin,
-                        std::min(begin + lease_items, n));
-    if (shm) {
-      std::string frame = core::shard_report_to_binary(report);
-      std::memcpy(worker_side->segment(lease_seq), frame.data(),
-                  frame.size());
-      acc->wire_bytes += frame.size();
-      // Coordinator side: decode from its own mapping — zero copies.
-      leases.push_back(core::shard_report_from_binary(
-          coord->segment(lease_seq), frame.size()));
-    } else if (tcp) {
-      // Worker end: DONE control frame, then the binary report frame —
-      // the tcp plane's per-lease handoff, end to end.
-      std::string frame = core::shard_report_to_binary(report);
-      net::send_frame(
-          sp[1], core::format_done(begin, std::min(begin + lease_items, n)));
-      net::send_frame(sp[1], frame);
-      std::string line, body;
-      net::recv_frame(sp[0], &coord_fb, &line, 5000);
-      core::ProtocolMsg msg;
-      if (!core::parse_protocol_line(line, &msg)) std::abort();
-      net::recv_frame(sp[0], &coord_fb, &body, 5000);
-      acc->wire_bytes += line.size() + body.size();
-      leases.push_back(core::shard_report_from_binary(body));
-    } else {
-      std::string json = report.to_json();
-      acc->wire_bytes += json.size();
-      leases.push_back(core::shard_report_from_json(json));
-    }
-  }
-  acc->leases += static_cast<int>(lease_seq);
-  auto merged = core::merge_shard_reports(plan, leases);
-  acc->runs += merged.n();
-  benchmark::DoNotOptimize(merged);
-  if (tcp) {
-    ::close(sp[0]);
-    ::close(sp[1]);
-  }
-  auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Both orchestrated data planes plus their in-process baseline (one
-/// plain cached campaign per scenario), interleaved at *scenario*
-/// granularity — baseline, json, shm for one scenario, then the next —
-/// with best-of-reps kept per (scenario, leg) and each leg summed at
-/// the end. The overhead ratios are the tracked numbers; millisecond
-/// legs interleaved this tightly see the same machine conditions, so a
-/// cgroup throttle window or a noisy neighbour hits all three legs
-/// alike instead of landing on whichever ran last (best-of then drops
-/// the stall entirely).
-void measure_orchestrated(int workers, int leases_per_worker,
-                          double* baseline_s, double* json_s,
-                          OrchestratedStats* json_stats, double* shm_s,
-                          OrchestratedStats* shm_stats, double* tcp_s,
-                          OrchestratedStats* tcp_stats) {
-  // The arena lives on tmpfs when the host has one — a disk-backed
-  // arena measures writeback, not the data plane (real deployments put
-  // the orchestrator's --dir on tmpfs for the same reason).
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = ::access("/dev/shm", W_OK) == 0
-                        ? "/dev/shm"
-                        : std::string(tmp && *tmp ? tmp : "/tmp");
-  std::string arena_path =
-      dir + "/epa_bench_" + std::to_string(::getpid()) + ".arena";
-  auto scenarios = apps::all_scenarios();
-  const std::size_t k = scenarios.size();
-  std::vector<double> base_best(k, 1e300);
-  std::vector<double> json_best(k, 1e300);
-  std::vector<double> shm_best(k, 1e300);
-  std::vector<double> tcp_best(k, 1e300);
-  core::CampaignOptions base_opts;
-  base_opts.use_world_cache = true;
-  for (int rep = 0; rep < 3; ++rep) {
-    // Stats are deterministic per pass; re-count each rep rather than
-    // triple-accumulate.
-    *json_stats = OrchestratedStats{};
-    *shm_stats = OrchestratedStats{};
-    *tcp_stats = OrchestratedStats{};
-    for (std::size_t i = 0; i < k; ++i) {
-      core::Campaign campaign(scenarios[i]);  // copy outside the clock
-      auto t0 = std::chrono::steady_clock::now();
-      auto r = campaign.execute(base_opts);
-      auto t1 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(r);
-      base_best[i] = std::min(
-          base_best[i], std::chrono::duration<double>(t1 - t0).count());
-      json_best[i] = std::min(
-          json_best[i], orchestrated_scenario_seconds(
-                            scenarios[i], workers, leases_per_worker,
-                            DataPlane::json, "", json_stats));
-      shm_best[i] = std::min(
-          shm_best[i], orchestrated_scenario_seconds(
-                           scenarios[i], workers, leases_per_worker,
-                           DataPlane::shm, arena_path, shm_stats));
-      tcp_best[i] = std::min(
-          tcp_best[i], orchestrated_scenario_seconds(
-                           scenarios[i], workers, leases_per_worker,
-                           DataPlane::tcp, "", tcp_stats));
-    }
-  }
-  *baseline_s = 0;
-  *json_s = 0;
-  *shm_s = 0;
-  *tcp_s = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    *baseline_s += base_best[i];
-    *json_s += json_best[i];
-    *shm_s += shm_best[i];
-    *tcp_s += tcp_best[i];
-  }
-  std::remove(arena_path.c_str());
-}
-
-/// Pure codec throughput, no execution: every scenario's full report
-/// encoded to the binary frame and decoded back. The rate is outcomes
-/// per second through one encode+decode round trip.
-double codec_encode_decode_rps() {
-  std::vector<core::ShardReport> reports;
-  std::size_t outcomes = 0;
-  for (auto& scenario : apps::all_scenarios()) {
-    core::CampaignOptions popts;
-    popts.use_world_cache = false;
-    core::InjectionPlan plan = core::Planner(scenario).plan(popts);
-    core::refreeze_snapshot(plan, scenario);
-    core::Executor executor(scenario);
-    reports.push_back(
-        core::run_lease(executor, plan, 0, plan.items.size()));
-    outcomes += plan.items.size();
-  }
-  constexpr int kIters = 50;
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kIters; ++i) {
-      for (const core::ShardReport& r : reports) {
-        std::string frame = core::shard_report_to_binary(r);
-        core::ShardReport back = core::shard_report_from_binary(frame);
-        benchmark::DoNotOptimize(back);
-      }
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best,
-                    std::chrono::duration<double>(t1 - t0).count());
-  }
-  return static_cast<double>(outcomes) * kIters / best;
-}
-
-void write_sweep_json(const char* path) {
-  core::MultiCampaign suite;
-  for (auto& s : apps::all_scenarios()) suite.add(std::move(s));
-
-  constexpr int kJobs = 4;
-  int runs = 0;
-  // "serial"/"parallel" keep their historical meaning — the uncached
-  // rebuild-per-run engine — so the runs/sec trajectory stays comparable
-  // across PRs; the cached_* fields are the world-cache dimension.
-  double serial_s = sweep_seconds(suite, 1, false, &runs);
-  double parallel_s = sweep_seconds(suite, kJobs, false, &runs);
-  double cached_serial_s = sweep_seconds(suite, 1, true, &runs);
-  double cached_parallel_s = sweep_seconds(suite, kJobs, true, &runs);
-  double serial_rps = runs / serial_s;
-  double parallel_rps = runs / parallel_s;
-  double cached_serial_rps = runs / cached_serial_s;
-  double cached_parallel_rps = runs / cached_parallel_s;
-
-  // The build-heaviest scenario in the suite (the NT registry world:
-  // dozens of keys, programs, and profile files per build) — where the
-  // clone-vs-build gap is widest. Measured serially so the number means
-  // the same thing on any runner.
-  core::Scenario heavy = apps::nt_module_scenarios().front();
-  double heavy_uncached_rps = drain_rps(heavy, false);
-  double heavy_cached_rps = drain_rps(heavy, true);
-  // Same cached drain with the per-worker TargetWorld arena disabled —
-  // the pre-pool engine, so the pair isolates the allocation-reuse win.
-  double heavy_pool_off_rps = drain_rps(heavy, true, false);
-
-  // The distribution tax: same suite, drained as 3 serial shard
-  // pipelines with every byte passing through the wire format.
-  constexpr int kShards = 3;
-  int sharded_runs = 0;
-  std::size_t shard_wire_bytes = 0;
-  double sharded_s =
-      sharded_sweep_seconds(kShards, &sharded_runs, &shard_wire_bytes);
-  double sharded_rps = sharded_runs / sharded_s;
-  double shard_overhead_pct =
-      (cached_serial_s > 0 ? sharded_s / cached_serial_s - 1.0 : 0.0) * 100.0;
-
-  // The orchestrated dimension: same process count as the sharded
-  // number, but persistent workers amortize the plan parse + re-freeze
-  // across ~4 leases each, and the coordinator never re-parses the plan.
-  // Measured over both data planes, interleaved: JSON strings (the pipe
-  // transport's payload) and the zero-copy shm arena — binary frames in
-  // a mmap'd file instead of JSON report files. binary_wire_bytes /
-  // orchestrated_wire_bytes is the codec's size win; the overhead delta
-  // is the whole data plane's win.
-  constexpr int kOrchLeasesPerWorker = 4;
-  OrchestratedStats orch, shm, tcp;
-  double orch_base_s = 0, orch_s = 0, shm_s = 0, tcp_s = 0;
-  measure_orchestrated(kShards, kOrchLeasesPerWorker, &orch_base_s,
-                       &orch_s, &orch, &shm_s, &shm, &tcp_s, &tcp);
-  double orch_rps = orch.runs / orch_s;
-  double orch_overhead_pct =
-      (orch_base_s > 0 ? orch_s / orch_base_s - 1.0 : 0.0) * 100.0;
-  double shm_rps = shm.runs / shm_s;
-  double shm_overhead_pct =
-      (orch_base_s > 0 ? shm_s / orch_base_s - 1.0 : 0.0) * 100.0;
-  double tcp_rps = tcp.runs / tcp_s;
-  double tcp_overhead_pct =
-      (orch_base_s > 0 ? tcp_s / orch_base_s - 1.0 : 0.0) * 100.0;
-  double codec_rps = codec_encode_decode_rps();
-
-  // The declarative layer at scale: every packaged family expanded
-  // (spec compiled per member, cached worlds) and drained serially, plus
-  // the adequacy of what the generated suite actually fired — the
-  // fraction of the 20 EAI cause/attribute classes with >= 1 violation.
-  core::MultiCampaign family_suite;
-  for (const auto& fam : apps::scenario_families())
-    for (auto& s : apps::family_scenarios(fam)) family_suite.add(std::move(s));
-  std::size_t family_count = family_suite.size();
-  core::SweepOptions family_opts;
-  family_opts.campaign.use_world_cache = true;
-  double family_best = 1e300;
-  int family_runs = 0;
-  vulndb::VulnCoverage family_cov;
-  for (int rep = 0; rep < 3; ++rep) {
-    auto t0 = std::chrono::steady_clock::now();
-    core::SweepResult r = family_suite.run(family_opts);
-    auto t1 = std::chrono::steady_clock::now();
-    family_runs = r.total_injections();
-    family_cov = vulndb::vulnerability_coverage(r.results);
-    family_best =
-        std::min(family_best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  double family_rps = family_runs / family_best;
-  double vuln_coverage_pct = 100.0 * family_cov.fraction();
-
-  // Search adequacy on one family (fam-relay): the coverage-guided
-  // scheduler gets a quarter of the exhaustive run count and must still
-  // fire >= 90% of the EAI classes the exhaustive drain fires. One
-  // scorer is shared across the members (the CLI's --family path), so
-  // later members spend their slices on what the family has not shown.
-  const core::ScenarioFamily* relay = apps::find_family("fam-relay");
-  std::vector<core::Scenario> relay_members = apps::family_scenarios(*relay);
-  std::size_t exhaustive_items = 0;
-  std::vector<core::CampaignResult> exhaustive_results;
-  for (const auto& member : relay_members) {
-    core::CampaignOptions popts;
-    popts.use_world_cache = true;
-    core::InjectionPlan plan = core::Planner(member).plan(popts);
-    exhaustive_items += plan.items.size();
-    core::Executor executor(member);
-    exhaustive_results.push_back(executor.execute(plan, {}));
-  }
-  vulndb::VulnCoverage exhaustive_cov =
-      vulndb::vulnerability_coverage(exhaustive_results);
-  std::size_t search_budget = exhaustive_items / 4;
-  core::NoveltyScorer search_scorer;
-  std::size_t member_budget = search_budget / relay_members.size();
-  std::size_t budget_rem = search_budget % relay_members.size();
-  for (std::size_t i = 0; i < relay_members.size(); ++i) {
-    core::CampaignOptions popts;
-    popts.use_world_cache = true;
-    core::InjectionPlan plan = core::Planner(relay_members[i]).plan(popts);
-    core::SearchOptions sopts;
-    sopts.seed = 7;
-    sopts.budget = member_budget + (i == 0 ? budget_rem : 0);
-    sopts.batch = 16;
-    sopts.classify = [](core::FaultKind kind, const std::string& name) {
-      return vulndb::coverage_class(kind, name);
-    };
-    core::SearchWorkSource source(std::move(plan), sopts, &search_scorer);
-    core::Executor executor(relay_members[i]);
-    auto rr = core::run_search(executor, source);
-    benchmark::DoNotOptimize(rr);
-  }
-  std::size_t refired = 0;
-  for (const std::string& c : exhaustive_cov.fired)
-    if (search_scorer.fired_classes().count(c)) ++refired;
-  double search_budget_pct =
-      exhaustive_items == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(search_budget) / exhaustive_items;
-  double search_coverage_ratio =
-      exhaustive_cov.fired.empty()
-          ? 1.0
-          : static_cast<double>(refired) / exhaustive_cov.fired.size();
-
-  // On a machine with fewer cores than kJobs the parallel sweep is pure
-  // thread overhead; flag the artifact so a sub-kJobs speedup reads as a
-  // hardware limit, not an engine regression.
-  unsigned hw = std::thread::hardware_concurrency();
-  bool core_starved = hw < static_cast<unsigned>(kJobs);
-
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "perf_injection: cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"scenarios\": %zu,\n"
-               "  \"injection_runs\": %d,\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"core_starved\": %s,\n"
-               "  \"jobs\": %d,\n"
-               "  \"serial_seconds\": %.6f,\n"
-               "  \"parallel_seconds\": %.6f,\n"
-               "  \"serial_runs_per_sec\": %.1f,\n"
-               "  \"parallel_runs_per_sec\": %.1f,\n"
-               "  \"speedup\": %.2f,\n"
-               "  \"cached_serial_runs_per_sec\": %.1f,\n"
-               "  \"cached_parallel_runs_per_sec\": %.1f,\n"
-               "  \"cache_speedup_serial\": %.2f,\n"
-               "  \"cache_speedup_parallel\": %.2f,\n"
-               "  \"build_heavy_scenario\": \"%s\",\n"
-               "  \"build_heavy_uncached_runs_per_sec\": %.1f,\n"
-               "  \"build_heavy_cached_runs_per_sec\": %.1f,\n"
-               "  \"build_heavy_cache_speedup\": %.2f,\n"
-               "  \"build_heavy_pool_off_runs_per_sec\": %.1f,\n"
-               "  \"build_heavy_pool_speedup\": %.2f,\n"
-               "  \"shards\": %d,\n"
-               "  \"sharded_serial_runs_per_sec\": %.1f,\n"
-               "  \"shard_wire_overhead_pct\": %.1f,\n"
-               "  \"shard_wire_bytes\": %zu,\n"
-               "  \"orchestrated_workers\": %d,\n"
-               "  \"orchestrated_leases\": %d,\n"
-               "  \"orchestrated_serial_runs_per_sec\": %.1f,\n"
-               "  \"orchestrated_overhead_pct\": %.1f,\n"
-               "  \"orchestrated_wire_bytes\": %zu,\n"
-               "  \"shm_orchestrated_serial_runs_per_sec\": %.1f,\n"
-               "  \"shm_orchestrated_overhead_pct\": %.1f,\n"
-               "  \"binary_wire_bytes\": %zu,\n"
-               "  \"tcp_orchestrated_serial_runs_per_sec\": %.1f,\n"
-               "  \"tcp_orchestrated_overhead_pct\": %.1f,\n"
-               "  \"tcp_wire_bytes\": %zu,\n"
-               "  \"codec_encode_decode_runs_per_sec\": %.1f,\n"
-               "  \"family_generated_count\": %zu,\n"
-               "  \"family_generated_serial_runs_per_sec\": %.1f,\n"
-               "  \"vuln_coverage_pct\": %.1f,\n"
-               "  \"search_family\": \"%s\",\n"
-               "  \"search_exhaustive_items\": %zu,\n"
-               "  \"search_budget\": %zu,\n"
-               "  \"search_budget_pct\": %.1f,\n"
-               "  \"search_coverage_ratio\": %.3f\n"
-               "}\n",
-               suite.size(), runs, hw, core_starved ? "true" : "false",
-               kJobs, serial_s, parallel_s, serial_rps, parallel_rps,
-               parallel_rps / serial_rps, cached_serial_rps,
-               cached_parallel_rps, cached_serial_rps / serial_rps,
-               cached_parallel_rps / parallel_rps, heavy.name.c_str(),
-               heavy_uncached_rps, heavy_cached_rps,
-               heavy_cached_rps / heavy_uncached_rps, heavy_pool_off_rps,
-               heavy_cached_rps / heavy_pool_off_rps, kShards, sharded_rps,
-               shard_overhead_pct, shard_wire_bytes, kShards, orch.leases,
-               orch_rps, orch_overhead_pct, orch.wire_bytes, shm_rps,
-               shm_overhead_pct, shm.wire_bytes, tcp_rps, tcp_overhead_pct,
-               tcp.wire_bytes, codec_rps, family_count, family_rps,
-               vuln_coverage_pct, relay->name.c_str(), exhaustive_items,
-               search_budget, search_budget_pct, search_coverage_ratio);
-  std::fclose(f);
-  std::printf(
-      "\nsweep: %d injection runs across %zu scenarios\n"
-      "  serial            : %8.1f runs/sec\n"
-      "  jobs=%d            : %8.1f runs/sec  (%.2fx)\n"
-      "  cached serial     : %8.1f runs/sec  (%.2fx vs serial)\n"
-      "  cached jobs=%d     : %8.1f runs/sec  (%.2fx vs jobs=%d)\n"
-      "  build-heavy %-6s: %8.1f -> %8.1f runs/sec  (%.2fx cached)\n"
-      "  world pool off    : %8.1f runs/sec  (pool is %.2fx on the cached "
-      "drain)\n"
-      "  sharded %dx serial : %8.1f runs/sec  (wire+merge overhead "
-      "%+.1f%% vs cached serial; %zu report bytes)\n"
-      "  orchestrated %dx%-2d : %8.1f runs/sec  (overhead %+.1f%% vs "
-      "cached serial; %d leases, %zu report bytes; persistent workers "
-      "parse+refreeze once)\n"
-      "  shm orchestrated  : %8.1f runs/sec  (overhead %+.1f%% vs cached "
-      "serial; %d leases, %zu binary report bytes in the arena)\n"
-      "  tcp orchestrated  : %8.1f runs/sec  (overhead %+.1f%% vs cached "
-      "serial; %d leases, %zu framed bytes over loopback tcp)\n"
-      "  binary codec      : %8.1f outcomes/sec through encode+decode\n"
-      "  family generated  : %8.1f runs/sec over %zu spec-compiled "
-      "scenarios (%d runs; %.1f%% of the 20 EAI classes fired)\n"
-      "  search %-10s : %zu of %zu exhaustive runs (%.1f%% budget) "
-      "re-fired %.0f%% of the exhaustive EAI classes\n",
-      runs, suite.size(), serial_rps, kJobs, parallel_rps,
-      parallel_rps / serial_rps, cached_serial_rps,
-      cached_serial_rps / serial_rps, kJobs, cached_parallel_rps,
-      cached_parallel_rps / parallel_rps, kJobs, heavy.name.c_str(),
-      heavy_uncached_rps, heavy_cached_rps,
-      heavy_cached_rps / heavy_uncached_rps, heavy_pool_off_rps,
-      heavy_cached_rps / heavy_pool_off_rps, kShards, sharded_rps,
-      shard_overhead_pct, shard_wire_bytes, kShards, kOrchLeasesPerWorker,
-      orch_rps, orch_overhead_pct, orch.leases, orch.wire_bytes, shm_rps,
-      shm_overhead_pct, shm.leases, shm.wire_bytes, tcp_rps,
-      tcp_overhead_pct, tcp.leases, tcp.wire_bytes, codec_rps, family_rps,
-      family_count, family_runs, vuln_coverage_pct, relay->name.c_str(),
-      search_budget, exhaustive_items, search_budget_pct,
-      100.0 * search_coverage_ratio);
-  if (core_starved)
-    std::printf(
-        "  !! core-starved (%u hardware thread%s < %d jobs): the parallel "
-        "speedup is not meaningful here; judge regressions on the serial "
-        "and cached-serial rates only\n",
-        hw, hw == 1 ? "" : "s", kJobs);
-  std::printf("  -> %s\n", path);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // The sweep is expensive (6 full suite runs), so it runs on a plain
-  // invocation — the tracked-artifact path — or when asked for with
-  // --sweep-json; a filtered/listing micro-bench run skips it.
-  bool sweep = argc == 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--sweep-json") {
-      sweep = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (sweep) write_sweep_json("BENCH_perf_injection.json");
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -63,6 +63,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -146,6 +147,13 @@ int usage() {
       "  epa_cli compare <before-scenario> <after-scenario>\n"
       "  epa_cli db [indirect|direct|other|excluded]\n");
   return 2;
+}
+
+/// A command with fixed positional arguments got one more: reject it
+/// rather than ignore it (`trace mailer --json` would print text).
+int extra_argument(const char* arg) {
+  std::fprintf(stderr, "epa: unexpected argument '%s'\n", arg);
+  return usage();
 }
 
 // --- sharded execution (docs/WIRE_FORMAT.md) --------------------------------
@@ -314,6 +322,24 @@ int unknown_scenario(const std::string& name) {
   std::fprintf(stderr, "epa: unknown scenario '%s'\nepa: %s\n", name.c_str(),
                apps::scenario_names_hint().c_str());
   return 1;
+}
+
+/// `--sites` tags are per-scenario, and the planner skips a tag no traced
+/// point carries: a typo'd tag would plan nothing and report no findings.
+/// Throws (an epa: diagnostic listing the traced tags) on such a tag.
+void check_site_tags(const std::vector<std::string>& tags,
+                     const std::vector<core::InteractionPoint>& points,
+                     const std::string& scenario) {
+  std::set<std::string> traced;
+  for (const auto& p : points) traced.insert(p.site.tag);
+  for (const std::string& tag : tags) {
+    if (traced.count(tag)) continue;
+    std::string list;
+    for (const std::string& t : traced)
+      list += (list.empty() ? "" : ", ") + t;
+    throw std::runtime_error("--sites: '" + tag + "' is not a traced site "
+                             "of " + scenario + " (traced: " + list + ")");
+  }
 }
 
 /// Compile a declarative spec file (docs/SCENARIO_AUTHORING.md) against
@@ -494,6 +520,7 @@ int cmd_run(const std::string& name, const std::string& scenario_file,
   }
   core::Campaign campaign(std::move(scenario));
   auto r = campaign.execute(opts);
+  check_site_tags(opts.only_sites, r.points, r.scenario_name);
   std::printf("%s", (as_json ? core::render_json(r)
                              : core::render_report(r))
                         .c_str());
@@ -645,6 +672,7 @@ int cmd_plan(const std::string& name, const std::string& scenario_file,
   // The plan file never carries the world snapshot; don't build one.
   opts.use_world_cache = false;
   core::InjectionPlan plan = core::Planner(scenario).plan(opts);
+  check_site_tags(opts.only_sites, plan.points, plan.scenario_name);
   std::string wire = binary ? core::plan_to_binary(plan) : plan.to_json();
   if (out_path.empty()) {
     // fwrite, not printf: the binary encoding contains NUL bytes.
@@ -1759,7 +1787,10 @@ int main(int argc, char** argv) {
     }
     return guarded([&] { return cmd_scenarios(family, spec_name, as_json); });
   }
-  if (cmd == "db") return cmd_db(argc >= 3 ? argv[2] : "");
+  if (cmd == "db") {
+    if (argc > 3) return extra_argument(argv[3]);
+    return cmd_db(argc == 3 ? argv[2] : "");
+  }
   if (cmd == "sweep") {
     core::SweepOptions opts;
     bool as_json = false;
@@ -1810,8 +1841,8 @@ int main(int argc, char** argv) {
         binary = true;
       } else if (arg == "--merge") {
         opts.merge_equivalent_sites = true;
-      } else if (arg == "--sites" && i + 1 < argc) {
-        opts.only_sites = split(std::string(argv[++i]), ',');
+      } else if (arg == "--sites") {
+        opts.only_sites = split(flag_value(arg, argc, argv, &i), ',');
         saw_sites = true;
       } else if (arg == "--coverage") {
         opts.target_interaction_coverage =
@@ -1823,10 +1854,10 @@ int main(int argc, char** argv) {
         sweep_opts.jobs =
             static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
         saw_jobs = true;
-      } else if (arg == "--out" && i + 1 < argc) {
-        out_path = argv[++i];
-      } else if (arg == "--out-dir" && i + 1 < argc) {
-        out_dir = argv[++i];
+      } else if (arg == "--out") {
+        out_path = flag_value(arg, argc, argv, &i);
+      } else if (arg == "--out-dir") {
+        out_dir = flag_value(arg, argc, argv, &i);
         saw_out_dir = true;
       } else if (arg == "--scenario-file") {
         scenario_file = flag_value(arg, argc, argv, &i);
@@ -1880,12 +1911,12 @@ int main(int argc, char** argv) {
     RunShardArgs a;
     for (int i = 2; i < argc; ++i) {
       std::string arg = argv[i];
-      if (arg == "--shard" && i + 1 < argc) {
-        a.shard_spec = argv[++i];
-      } else if (arg == "--resume" && i + 1 < argc) {
-        a.resume_path = argv[++i];
-      } else if (arg == "--out" && i + 1 < argc) {
-        a.out_path = argv[++i];
+      if (arg == "--shard") {
+        a.shard_spec = flag_value(arg, argc, argv, &i);
+      } else if (arg == "--resume") {
+        a.resume_path = flag_value(arg, argc, argv, &i);
+      } else if (arg == "--out") {
+        a.out_path = flag_value(arg, argc, argv, &i);
       } else if (arg == "--scenario-file") {
         a.scenario_file = flag_value(arg, argc, argv, &i);
       } else if (arg == "--jobs") {
@@ -2233,10 +2264,12 @@ int main(int argc, char** argv) {
   }
   if (cmd == "trace") {
     if (argc < 3) return usage();
+    if (argc > 3) return extra_argument(argv[3]);
     return cmd_trace(argv[2]);
   }
   if (cmd == "compare") {
     if (argc < 4) return usage();
+    if (argc > 4) return extra_argument(argv[4]);
     return cmd_compare(argv[2], argv[3]);
   }
   if (cmd != "run") return usage();
@@ -2250,8 +2283,8 @@ int main(int argc, char** argv) {
       opts.merge_equivalent_sites = true;
     } else if (arg == "--json") {
       as_json = true;
-    } else if (arg == "--sites" && i + 1 < argc) {
-      opts.only_sites = split(std::string(argv[++i]), ',');
+    } else if (arg == "--sites") {
+      opts.only_sites = split(flag_value(arg, argc, argv, &i), ',');
     } else if (arg == "--coverage") {
       opts.target_interaction_coverage =
           unit_interval_flag(arg, argc, argv, &i);

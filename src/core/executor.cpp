@@ -236,10 +236,10 @@ InjectionOutcome Executor::run_item(const InjectionPlan& plan,
   thread_local WorldArena arena;
   TargetWorld* world = nullptr;
   std::unique_ptr<TargetWorld> owned;
-  if (snap && opts.pool_worlds) {
+  if (snap) {
     world = &arena.instantiate(*snap);
   } else {
-    owned = snap ? snap->instantiate() : scenario_.build();
+    owned = scenario_.build();
     world = owned.get();
   }
   world->kernel.set_redzone_audit(opts.use_redzone);

@@ -33,12 +33,6 @@ struct ExecutorOptions {
   /// (see os/redzone.hpp). `epa_cli --no-redzone` is the escape hatch;
   /// with no corruption the results are byte-identical either way.
   bool use_redzone = true;
-  /// Reuse one per-worker WorldArena (core/snapshot.hpp) for the cached
-  /// clone path instead of heap-allocating every clone. Off is the
-  /// pre-pool behavior the bench compares against; outcomes are
-  /// byte-identical either way (clones are storage-location-
-  /// independent).
-  bool pool_worlds = true;
 };
 
 /// Section 4.1's assumption analysis for one violating outcome, judged

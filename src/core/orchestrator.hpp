@@ -8,9 +8,9 @@
 // preempted worker's unfinished lease is simply re-leased to whoever is
 // alive. Workers are *persistent*: they parse a plan and re-freeze the
 // COW prototype once per plan, then drain any number of leases — the
-// per-process costs that dominate the static-shard overhead
-// (BENCH_perf_injection.json's shard_wire_overhead_pct) are paid once,
-// not once per work slice. A Fleet keeps its workers across plans too:
+// per-process costs that dominate a static shard (plan parse, one
+// scenario build to re-freeze) are paid once per plan, not once per work
+// slice. A Fleet keeps its workers across plans too:
 // PLAN (worker protocol v4) swaps a live worker's plan in place, so a
 // multi-scenario command spawns its fleet once.
 //

@@ -62,8 +62,8 @@ class WorldSnapshot {
 /// the executor hot loop pays the clone's member copies but not a heap
 /// allocation per run. A clone is storage-location-independent (the
 /// kernel is re-wired to the new storage's own substrates), so arena
-/// clones are observably identical to heap clones; the executor's
-/// bit-identical output contract holds with pooling on or off.
+/// clones are observably identical to heap clones. Every cached-path run
+/// the executor drains is an arena clone.
 ///
 /// Not thread-safe: one arena per worker thread (the executor keeps one
 /// in thread_local storage). The arena owns the occupant's lifetime —

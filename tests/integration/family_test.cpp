@@ -15,6 +15,7 @@
 #include "core/report.hpp"
 #include "core/scheduler.hpp"
 #include "core/wire.hpp"
+#include "vulndb/coverage.hpp"
 
 namespace ep::core {
 namespace {
@@ -94,6 +95,47 @@ TEST(FamilyDeterminism, FamilySweepIsStableAcrossJobCounts) {
   ASSERT_EQ(serial.results.size(), parallel.results.size());
   for (std::size_t i = 0; i < serial.results.size(); ++i)
     expect_identical(serial.results[i], parallel.results[i]);
+}
+
+// The generated suite's size and adequacy as exact figures: members,
+// exhaustive work items and EAI classes fired, per family and for the
+// three together (the vulnerability-coverage adequacy criterion of
+// vulndb/coverage.hpp over a 20-class universe).
+TEST(FamilyVulnCoverage, EveryFamilyFiresItsExactClassCount) {
+  struct Want {
+    const char* family;
+    std::size_t members;
+    int items;
+    std::size_t classes;
+  };
+  const Want wants[] = {{"fam-spool", 32, 1024, 6},
+                        {"fam-relay", 36, 600, 6},
+                        {"fam-regchain", 36, 996, 7}};
+  std::vector<CampaignResult> all;
+  int all_items = 0;
+  for (const Want& want : wants) {
+    SCOPED_TRACE(want.family);
+    const ScenarioFamily* family = apps::find_family(want.family);
+    ASSERT_NE(family, nullptr);
+    MultiCampaign suite;
+    for (auto& s : apps::family_scenarios(*family)) suite.add(std::move(s));
+    SweepOptions opts;
+    opts.jobs = 4;
+    SweepResult r = suite.run(opts);
+    EXPECT_EQ(r.results.size(), want.members);
+    EXPECT_EQ(r.total_injections(), want.items);
+    EXPECT_EQ(vulndb::vulnerability_coverage(r.results).fired.size(),
+              want.classes);
+    all_items += r.total_injections();
+    all.insert(all.end(), r.results.begin(), r.results.end());
+  }
+  EXPECT_EQ(apps::scenario_families().size(), 3u);
+  EXPECT_EQ(all.size(), 104u);
+  EXPECT_EQ(all_items, 2620);
+  const vulndb::VulnCoverage cov = vulndb::vulnerability_coverage(all);
+  EXPECT_EQ(cov.fired.size(), 13u);
+  EXPECT_EQ(cov.total(), 20);
+  EXPECT_DOUBLE_EQ(100.0 * cov.fraction(), 65.0);
 }
 
 }  // namespace
