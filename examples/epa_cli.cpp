@@ -22,8 +22,11 @@
 //   epa_cli run-shard turnin.plan.json --shard 1/3 --out shard1.json  # x3
 //   epa_cli merge turnin.plan.json shard1.json shard2.json shard3.json
 //
-// merge output is bit-identical to `epa_cli run turnin` for any shard
-// count: work items carry stable ids and outcomes land by id.
+// Every report file owns one strided lease — the ids begin, begin +
+// stride, ... below end; `--shard K/N` is begin K-1, stride N — and
+// merge output is bit-identical to `epa_cli run turnin` for any set of
+// complete reports that partitions the plan: work items carry stable
+// ids and outcomes land by id.
 //
 // Orchestrated execution (docs/ARCHITECTURE.md, core/orchestrator.hpp):
 //
@@ -46,7 +49,7 @@
 // commands over its control channel (stdin/stdout lines; tcp frames with
 // --connect) until EXIT/EOF — the per-process costs are paid per worker,
 // not per work slice, and a multi-scenario command keeps one fleet for
-// all its plans. Every data plane speaks worker protocol v4
+// all its plans. Every data plane speaks worker protocol v5
 // (core/protocol.hpp): HELLO handshake, PING heartbeats at checkpoints,
 // STEAL/YIELD work stealing, FEEDBACK item appends for search, PLAN
 // switches between plans. Orchestrated output is bit-identical to `run`.
@@ -118,10 +121,13 @@ int usage() {
       "  epa_cli run-shard <plan-file> --shard K/N [--out FILE] [--jobs N]\n"
       "                [--no-world-cache] [--no-redzone] [--checkpoint K]\n"
       "                [--preempt-after N] [--scenario-file FILE]\n"
-      "  epa_cli run-shard <plan-file> --resume <shard-file> [--out FILE]\n"
-      "                [--jobs N] [--no-world-cache] [--no-redzone]\n"
-      "                [--checkpoint K]\n"
+      "                (--shard K/N owns ids K-1, K-1+N, ... of the plan)\n"
+      "  epa_cli run-shard <plan-file> --resume <shard-file> [--shard K/N]\n"
+      "                [--out FILE] [--jobs N] [--no-world-cache]\n"
+      "                [--no-redzone] [--checkpoint K]\n"
       "  epa_cli merge <plan-file> <shard-file>... [--json]\n"
+      "                (any complete run-shard or worker lease files that\n"
+      "                together own every plan id exactly once)\n"
       "  epa_cli orchestrate <scenario>|--scenario-file FILE\n"
       "                [--workers N] [--lease auto|K]\n"
       "                [--data-plane pipe|shm|tcp] [--deadman-ms MS]\n"
@@ -142,7 +148,7 @@ int usage() {
       "                [--jobs N] [--no-world-cache] [--no-redzone]\n"
       "                [--preempt-after N] [--scenario-file FILE]\n"
       "                [--checkpoint K] [--drain-delay-ms MS]\n"
-      "                (worker protocol v4 on stdin/stdout, or framed\n"
+      "                (worker protocol v5 on stdin/stdout, or framed\n"
       "                over tcp with --connect; spawned by orchestrate)\n"
       "  epa_cli compare <before-scenario> <after-scenario>\n"
       "  epa_cli db [indirect|direct|other|excluded]\n");
@@ -730,28 +736,24 @@ struct RunShardArgs {
 int cmd_run_shard(RunShardArgs a) {
   core::InjectionPlan plan = load_plan(a.plan_path);
 
-  std::size_t shard_index = 0, shard_count = 0;
+  // --shard K/N is the strided lease [K-1, n) stride N.
+  core::IdRange owned;
+  if (!a.shard_spec.empty()) {
+    std::size_t index = 0, count = 0;
+    parse_shard_spec(a.shard_spec, &index, &count);
+    owned = core::static_shard(plan.items.size(), index, count);
+  }
   core::ShardReport partial;
   const bool resuming = !a.resume_path.empty();
   if (resuming) {
     partial = load_shard_report(a.resume_path);
-    shard_index = partial.shard_index;
-    shard_count = partial.shard_count;
-    if (!a.shard_spec.empty()) {
-      std::size_t want_index = 0, want_count = 0;
-      parse_shard_spec(a.shard_spec, &want_index, &want_count);
-      if (want_index != shard_index || want_count != shard_count)
-        throw std::runtime_error(
-            a.resume_path + ": holds shard " +
-            std::to_string(shard_index + 1) + "/" +
-            std::to_string(shard_count) + " but --shard asked for " +
-            a.shard_spec);
-    }
+    if (!a.shard_spec.empty() && partial.owned != owned)
+      throw std::runtime_error(
+          a.resume_path + ": holds ids " + partial.owned.str() +
+          " but --shard " + a.shard_spec + " owns ids " + owned.str());
     // Completing in place is the natural resume: the partial file becomes
     // the finished report unless --out redirects it.
     if (a.out_path.empty()) a.out_path = a.resume_path;
-  } else {
-    parse_shard_spec(a.shard_spec, &shard_index, &shard_count);
   }
 
   core::Scenario scenario =
@@ -787,8 +789,7 @@ int cmd_run_shard(RunShardArgs a) {
 
   core::ShardReport report =
       resuming ? core::resume_shard(executor, plan, partial, opts, hooks)
-               : core::run_shard(executor, plan, shard_index, shard_count,
-                                 opts, hooks);
+               : core::run_lease(executor, plan, owned, opts, hooks);
   std::string json = report.to_json();
   if (a.out_path.empty()) {
     std::printf("%s", json.c_str());
@@ -1240,7 +1241,7 @@ int cmd_worker(const WorkerArgs& a) {
         };
       }
       core::ShardReport report = core::run_lease(
-          *served->executor, served->plan, begin, end, opts, hooks);
+          *served->executor, served->plan, {begin, end}, opts, hooks);
       if (!report.complete && g_preempted) {
         // Preempted mid-lease: flush the partial (for post-mortems; the
         // orchestrator re-drains the whole range) and exit *without*
@@ -1254,11 +1255,11 @@ int cmd_worker(const WorkerArgs& a) {
       }
       if (!report.complete) {
         // Stopped for a STEAL: keep the drained prefix [begin, mid) and
-        // surrender [mid, end). Shrinking assigned_ids to exactly the
-        // drained ids makes the prefix a *complete* report for the kept
-        // half — the DONE below names the shrunk lease.
+        // surrender [mid, end). Shrinking the range to end at mid makes
+        // the prefix a *complete* report for the kept half — the DONE
+        // below names the shrunk lease.
         std::size_t mid = begin + report.item_ids.size();
-        report.assigned_ids = report.item_ids;
+        report.owned.end = mid;
         report.complete = true;
         chan->send_line(core::format_yield(mid, end));
         std::fprintf(stderr,
@@ -2053,10 +2054,8 @@ int main(int argc, char** argv) {
         a.port_file = flag_value(arg, argc, argv, &i);
         saw_port_file = true;
       } else if (arg == "--data-plane") {
-        // `json` is the documented alias of `pipe` — the data plane was
-        // named after its encoding before tcp made that ambiguous.
         std::string v = flag_value(arg, argc, argv, &i);
-        if (v == "pipe" || v == "json")
+        if (v == "pipe")
           a.plane = DataPlane::pipe;
         else if (v == "shm")
           a.plane = DataPlane::shm;
@@ -2152,7 +2151,7 @@ int main(int argc, char** argv) {
         parse_lease_flag(arg, argc, argv, &i, &a.lease, &a.lease_auto);
       } else if (arg == "--data-plane") {
         std::string v = flag_value(arg, argc, argv, &i);
-        if (v == "pipe" || v == "json")
+        if (v == "pipe")
           a.plane = DataPlane::pipe;
         else if (v == "shm")
           a.plane = DataPlane::shm;

@@ -2,7 +2,7 @@
 # Fan one scenario's campaign across N worker processes on this machine:
 #
 #   scripts/shard_local.sh [-n SHARDS] [-b EPA_CLI] [-o OUTDIR] [-j] [-O]
-#                          [-D PLANE] [-B] [-c CHECKPOINT] [-P PREEMPT]
+#                          [-D PLANE] [-c CHECKPOINT] [-P PREEMPT]
 #                          SCENARIO
 #
 #   -n SHARDS       worker process count (default 4)
@@ -10,17 +10,16 @@
 #   -o OUTDIR       where plan/shard files go (default: a fresh temp dir)
 #   -j              print the merged report as JSON
 #   -O              drive the campaign through `epa_cli orchestrate`
-#                   (dynamic leases, persistent workers, automatic
-#                   re-lease of preempted work) instead of the static
-#                   K/N run-shard fan-out
+#                   (dynamic stride-1 leases, persistent workers,
+#                   automatic re-lease of preempted work) instead of the
+#                   static K/N run-shard fan-out (shard K/N owns the
+#                   strided lease of ids K-1, K-1+N, ...)
 #   -D PLANE        orchestrate data plane: pipe, shm, or tcp (implies
-#                   -O). tcp runs the coordinator with --listen 0 and
-#                   dials the workers into the published port over
-#                   localhost — the remote fan-out, end to end, on one
-#                   machine
-#   -B              alias of -D shm, kept from before the data planes
-#                   were an enum: orchestrate over the mmap'd arena —
-#                   no JSON between the processes at all
+#                   -O). shm orchestrates over the mmap'd arena — no
+#                   JSON between the processes at all; tcp runs the
+#                   coordinator with --listen 0 and dials the workers
+#                   into the published port over localhost — the remote
+#                   fan-out, end to end, on one machine
 #   -c CHECKPOINT   flush a resumable partial report every K outcomes; a
 #                   worker that exits 4 (preempted, e.g. SIGTERM) is
 #                   automatically completed with run-shard --resume
@@ -46,11 +45,11 @@ checkpoint=
 preempt=
 
 usage() {
-  sed -n '2,25p' "$0" >&2
+  sed -n '2,30p' "$0" >&2
   exit 2
 }
 
-while getopts 'n:b:o:jOD:Bc:P:h' opt; do
+while getopts 'n:b:o:jOD:c:P:h' opt; do
   case "$opt" in
     n) shards=$OPTARG ;;
     b) epa_cli=$OPTARG ;;
@@ -58,7 +57,6 @@ while getopts 'n:b:o:jOD:Bc:P:h' opt; do
     j) json_flag=--json ;;
     O) orchestrate=1 ;;
     D) orchestrate=1; data_plane=$OPTARG ;;
-    B) orchestrate=1; data_plane=shm ;;
     c) checkpoint=$OPTARG ;;
     P) preempt=$OPTARG ;;
     *) usage ;;
@@ -69,7 +67,7 @@ shift $((OPTIND - 1))
 scenario=$1
 
 case "${data_plane:-pipe}" in
-  pipe|json|shm|tcp) ;;
+  pipe|shm|tcp) ;;
   *) echo "shard_local: -D must be pipe, shm, or tcp" >&2; exit 2 ;;
 esac
 
@@ -98,7 +96,7 @@ fi
 # first-worker failure left the rest writing into $outdir after the
 # script had already reported failure. Reaped pids are cleared from the
 # array so the trap never signals a recycled pid. A failed run must also
-# not strand mmap'd arena files (-B): unlike shard JSON they are
+# not strand mmap'd arena files (-D shm): unlike shard JSON they are
 # per-run scratch, not resumable artifacts, so unlink them on any exit
 # that is not a campaign result (0 clean, 3 findings).
 pids=()
@@ -159,10 +157,10 @@ if [ "$data_plane" = tcp ]; then
   exit "$rc"
 fi
 
-# -O/-B: hand the whole pipeline to the orchestrator — dynamic id-range
+# -O/-D: hand the whole pipeline to the orchestrator — dynamic id-range
 # leases over persistent workers, preempted leases re-leased
 # automatically. -n is the worker count; plan and lease files (or the
-# shm arena, with -B) land in OUTDIR like the shard files below would.
+# shm arena, with -D shm) land in OUTDIR like the shard files below would.
 if [ -n "$orchestrate" ]; then
   orch_flags=()
   [ -n "$data_plane" ] && orch_flags+=(--data-plane "$data_plane")

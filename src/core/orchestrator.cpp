@@ -326,11 +326,7 @@ CampaignResult Fleet::drain(WorkSource& source, std::size_t known_items,
         // report that is not the lease it claims means a broken worker,
         // and failing now names it.
         const ShardReport& r = ev.report;
-        if (!r.leased || !r.complete ||
-            r.assigned_ids.size() != ev.lease.end - ev.lease.begin ||
-            (!r.assigned_ids.empty() &&
-             (r.assigned_ids.front() != ev.lease.begin ||
-              r.assigned_ids.back() + 1 != ev.lease.end)))
+        if (!r.complete || r.owned != IdRange{ev.lease.begin, ev.lease.end})
           throw OrchestratorError(
               "orchestrate: worker " + std::to_string(ev.worker) +
               "'s report does not match lease [" +

@@ -1,12 +1,13 @@
 // Dynamic-lease orchestration: one coordinator, N persistent workers.
 //
-// PR 3/4 distributed a campaign as a *static* partition — shard K/N owns
-// the ids with id % N == K-1, fixed before any worker starts. The
-// orchestrator replaces that with dynamic **leases**: contiguous id
-// ranges handed out from the front of the plan as workers become idle,
-// so a slow worker holds up one lease, not 1/N of the campaign, and a
-// preempted worker's unfinished lease is simply re-leased to whoever is
-// alive. Workers are *persistent*: they parse a plan and re-freeze the
+// Every shard report owns a strided lease (core/wire.hpp): the ids
+// begin, begin + stride, ... below end. `run-shard --shard K/N` is the
+// static form — stride N, fixed before any worker starts. The
+// orchestrator hands out dynamic **leases** instead: stride-1 ranges
+// taken from the front of the plan as workers become idle, so a slow
+// worker holds up one lease, not 1/N of the campaign, and a preempted
+// worker's unfinished lease is simply re-leased to whoever is alive.
+// Workers are *persistent*: they parse a plan and re-freeze the
 // COW prototype once per plan, then drain any number of leases — the
 // per-process costs that dominate a static shard (plan parse, one
 // scenario build to re-freeze) are paid once per plan, not once per work
@@ -25,9 +26,9 @@
 // When the only remaining work is a straggler's large in-flight lease,
 // the orchestrator steals from it: the worker yields the undrained tail
 // at its next checkpoint boundary (YIELD), the tail becomes a fresh
-// lease granted to an idle worker, and `merge` — which accepts any
-// disjoint covering partition — still reproduces the single-process
-// bytes exactly.
+// lease granted to an idle worker, and `merge` — which accepts any set
+// of complete reports whose ranges partition the plan — still
+// reproduces the single-process bytes exactly.
 //
 // The orchestrator talks to workers through the Transport interface and
 // is itself single-threaded and deterministic in its *output*: every
@@ -91,7 +92,7 @@ struct WorkerEvent {
   Kind kind = Kind::died;
   std::size_t worker = 0;
   Lease lease;              // lease_done / lease_yielded
-  ShardReport report;       // lease_done: the (leased, complete) report
+  ShardReport report;       // lease_done: the complete stride-1 report
   std::string label;        // lease_done: report source for diagnostics
   std::size_t yield_mid = 0;  // lease_yielded: the split point
   int status = 0;           // preempted/died/exited: exit code, -signo

@@ -10,9 +10,12 @@
 // terminated line; over tcp the same line rides as one length-prefixed
 // frame — the bytes between the delimiters are identical.
 //
-// Version 4 grammar (version 1 had no HELLO/PING/STEAL/YIELD/BYE;
-// version 3 added FEEDBACK, the search-plane item append; version 4 adds
-// PLAN, which lets one worker fleet serve many plans):
+// Version 5 grammar (version 1 had no HELLO/PING/STEAL/YIELD/BYE;
+// version 3 added FEEDBACK, the search-plane item append; version 4
+// added PLAN, which lets one worker fleet serve many plans; version 5
+// keeps the grammar and marks the wire change underneath it — shard
+// report v4 / binary v3 — so an older worker is refused at HELLO instead
+// of failing its first plan decode):
 //
 //   worker -> coordinator
 //     HELLO <version>                 first message a worker ever sends
@@ -54,9 +57,10 @@
 namespace ep::core {
 
 /// The control-protocol version this build speaks. Bumped whenever the
-/// grammar above changes incompatibly; the HELLO handshake enforces
-/// agreement before any lease is granted.
-inline constexpr long long kWorkerProtocolVersion = 4;
+/// grammar above or the plan/report encodings it carries change
+/// incompatibly; the HELLO handshake enforces agreement before any plan
+/// is shipped or lease granted.
+inline constexpr long long kWorkerProtocolVersion = 5;
 
 /// One parsed protocol message, either direction.
 struct ProtocolMsg {

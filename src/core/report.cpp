@@ -31,8 +31,7 @@ std::string render_summary_line(const CampaignResult& r) {
 std::string render_shard_summary(const ShardReport& s) {
   int violated = 0;
   for (const auto& o : s.outcomes) violated += o.violated ? 1 : 0;
-  return s.scenario_name + " shard " + std::to_string(s.shard_index + 1) +
-         "/" + std::to_string(s.shard_count) + ": " +
+  return s.scenario_name + " ids " + s.owned.str() + ": " +
          std::to_string(s.outcomes.size()) + " of " +
          std::to_string(s.plan_items) + " work items, " +
          std::to_string(violated) + " violations" +

@@ -108,7 +108,11 @@ bool want_bool(const JsonValue& v, const std::string& ctx) {
 long long want_int(const JsonValue& v, const std::string& ctx) {
   if (!v.is_number())
     fail(ctx, "expected a number, got " + std::string(v.type_name()));
-  return v.as_int();
+  try {
+    return v.as_int();
+  } catch (const JsonError& e) {  // non-integral, or past 64 bits
+    fail(ctx, e.what());
+  }
 }
 
 int want_id(const JsonValue& v, const std::string& ctx) {

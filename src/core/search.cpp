@@ -276,9 +276,8 @@ void SearchWorkSource::resume(const SearchState& state) {
     ShardReport r;
     r.scenario_name = plan_.scenario_name;
     r.plan_items = plan_.items.size();
-    r.leased = true;
+    r.owned = {b, e};
     for (std::size_t id = b; id < e; ++id) {
-      r.assigned_ids.push_back(id);
       r.item_ids.push_back(id);
       r.outcomes.push_back(*recorded.at(id));
     }
@@ -456,7 +455,7 @@ SearchRunResult run_search(const Executor& executor, SearchWorkSource& source,
     }
     auto [begin, end] = source.next_wave();
     if (begin == end) break;
-    ShardReport r = run_lease(executor, source.plan(), begin, end, opts);
+    ShardReport r = run_lease(executor, source.plan(), {begin, end}, opts);
     source.absorb(r);
     reports.push_back(std::move(r));
     ++out.waves;

@@ -15,7 +15,7 @@
 // ShardReport atomically to the LEASE-named target *before* printing
 // DONE, so a DONE line always names a readable, complete report. Worker
 // stderr is inherited (progress and diagnostics pass through); stdout
-// carries protocol lines only, starting with `HELLO 4`.
+// carries protocol lines only, starting with `HELLO 5`.
 //
 // Exit statuses mirror run-shard: 0 clean, 1 failure, 4 preempted
 // (SIGTERM — the worker finishes its in-flight lease, then refuses the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <set>
 #include <utility>
 
 #include "core/catalog.hpp"
@@ -49,61 +48,46 @@ FaultRef parse_fault(FaultKind kind, const std::string& name) {
   return r;
 }
 
-std::size_t owned_id_count(std::size_t total_items, std::size_t shard_index,
-                           std::size_t shard_count) {
-  return total_items > shard_index
-             ? (total_items - shard_index - 1) / shard_count + 1
-             : 0;
+void check_range(const IdRange& owned, std::size_t plan_items) {
+  if (owned.stride == 0) throw WireError("stride must be >= 1");
+  if (owned.begin > owned.end || owned.end > plan_items)
+    throw WireError("range " + owned.str() + " does not fit the plan (" +
+                    std::to_string(plan_items) + " items)");
 }
 
-void check_completed_id(const ShardReport& report, long long id,
-                        bool require_ascending) {
+void check_completed_id(const ShardReport& report, long long id) {
   if (id < 0 || id >= static_cast<long long>(report.plan_items))
     throw WireError("work-item id " + std::to_string(id) +
                     " out of range (plan has " +
                     std::to_string(report.plan_items) + " items)");
   auto uid = static_cast<std::size_t>(id);
-  if (report.leased) {
-    if (!std::binary_search(report.assigned_ids.begin(),
-                            report.assigned_ids.end(), uid))
-      throw WireError("work-item id " + std::to_string(id) +
-                      " is not in this report's assigned_ids lease");
-  } else if (uid % report.shard_count != report.shard_index) {
+  if (!report.owned.contains(uid))
     throw WireError("work-item id " + std::to_string(id) +
-                    " belongs to shard " +
-                    std::to_string(uid % report.shard_count + 1) + "/" +
-                    std::to_string(report.shard_count) + ", not shard " +
-                    std::to_string(report.shard_index + 1) + "/" +
-                    std::to_string(report.shard_count));
-  }
+                    " is not owned by this report (ids " +
+                    report.owned.str() + ")");
   if (!report.item_ids.empty()) {
     std::size_t prev = report.item_ids.back();
     if (uid == prev)
       throw WireError("duplicate outcome for work item " +
                       std::to_string(id));
-    if (require_ascending && uid < prev)
+    if (uid < prev)
       throw WireError("completed_ids out of order (" + std::to_string(id) +
                       " after " + std::to_string(prev) + ")");
   }
 }
 
-void validate_complete_flag(ShardReport& report, bool flag_on_wire) {
-  std::size_t owned = report.leased
-                          ? report.assigned_ids.size()
-                          : owned_id_count(report.plan_items,
-                                           report.shard_index,
-                                           report.shard_count);
+void validate_complete_flag(const ShardReport& report) {
+  std::size_t owned = report.owned.size();
   bool covered = report.item_ids.size() == owned;
-  if (flag_on_wire && report.complete != covered)
+  if (report.complete != covered)
     throw WireError(
         std::string("shard report: ") +
         (report.complete
              ? "'complete' is true but completed_ids covers " +
                    std::to_string(report.item_ids.size()) + " of the " +
-                   std::to_string(owned) + " ids this shard owns"
+                   std::to_string(owned) + " ids this report owns"
              : "'complete' is false but completed_ids covers every id "
-               "this shard owns"));
-  report.complete = covered;
+               "this report owns"));
 }
 
 }  // namespace wire_detail
@@ -139,19 +123,17 @@ JsonValue parse_document(const std::string& text, const char* what) {
 /// Shared header validation: wire files self-describe with
 /// schema_version + kind so a plan handed to merge (or vice versa) fails
 /// with "kind 'injection-plan' where 'shard-report' was expected", not a
-/// missing-field puzzle. Each kind carries its own supported version
-/// range (plans: 1 through kPlanSchemaVersion; shard reports: 1 through
-/// kShardSchemaVersion); the accepted version is returned so the caller
-/// can pick the matching body parser.
-int check_header(const JsonValue& doc, const char* expected_kind,
-                 const char* what, int min_version, int max_version) {
+/// missing-field puzzle. Each kind has exactly one version this build
+/// reads — the one it writes.
+void check_header(const JsonValue& doc, const char* expected_kind,
+                  const char* what, int version) {
   if (!doc.is_object())
     fail(what, "top-level value must be an object");
   const JsonValue* ver = doc.find("schema_version");
   if (!ver)
     fail(what, "missing 'schema_version' (not a wire-format file?)");
-  // Kind before version: each kind has its own version range now, and a
-  // plan handed to merge should say "wrong kind", not "wrong version".
+  // Kind before version: each kind has its own version, and a plan
+  // handed to merge should say "wrong kind", not "wrong version".
   std::string kind = with_ctx(std::string(what) + ": kind",
                               [&] { return doc.at("kind").as_string(); });
   if (kind != expected_kind)
@@ -159,16 +141,10 @@ int check_header(const JsonValue& doc, const char* expected_kind,
                    "' was expected");
   long long v = with_ctx(std::string(what) + ": schema_version",
                          [&] { return ver->as_int(); });
-  if (v < min_version || v > max_version) {
-    std::string supported =
-        min_version == max_version
-            ? "version " + std::to_string(min_version)
-            : "versions " + std::to_string(min_version) + " through " +
-                  std::to_string(max_version);
+  if (v != version)
     fail(what, "unsupported schema_version " + std::to_string(v) +
-                   " (this build reads " + supported + ")");
-  }
-  return static_cast<int>(v);
+                   " (this build reads version " + std::to_string(version) +
+                   ")");
 }
 
 FaultKind fault_kind_from(const std::string& s) {
@@ -240,46 +216,12 @@ Violation parse_violation(const JsonValue& v) {
   return out;
 }
 
-/// The exploit object, shared by the v1 and v2 encodings.
+/// The exploit object of the outcome columns.
 std::string json_exploit(const Exploitability& e) {
   return std::string("{\"nonroot_feasible\": ") +
          (e.nonroot_feasible ? "true" : "false") +
          ", \"actor\": " + json_quote(e.actor) +
          ", \"note\": " + json_quote(e.note) + "}";
-}
-
-/// A version-1 (row-oriented) outcome object — read path only; the
-/// serializer writes the columnar version-2 encoding.
-InjectionOutcome parse_outcome(const JsonValue& v) {
-  InjectionOutcome o;
-  o.site = parse_site(v.at("site"));
-  o.call = v.at("call").as_string();
-  o.object = v.at("object").as_string();
-  o.kind = fault_kind_from(v.at("kind").as_string());
-  o.fault_name = v.at("fault").as_string();
-  o.fault_description = v.at("fault_description").as_string();
-  o.fired = v.at("fired").as_bool();
-  o.violated = v.at("violated").as_bool();
-  o.crashed = v.at("crashed").as_bool();
-  o.overflows = parse_int32(v, "overflows");
-  o.exit_code = parse_int32(v, "exit_code");
-  for (const JsonValue& viol : v.at("violations").items())
-    o.violations.push_back(parse_violation(viol));
-  // v1 carried `violated` as its own field, but the serializer always
-  // kept it equal to "violations is non-empty" — and the v2 encoding
-  // derives it, so a disagreeing file could not re-serialize
-  // canonically. Reject it here the way the v2 parser rejects a
-  // mismatched exploit null.
-  if (o.violated != !o.violations.empty())
-    throw WireError(std::string("'violated' is ") +
-                    (o.violated ? "true" : "false") +
-                    " but 'violations' is " +
-                    (o.violations.empty() ? "empty" : "non-empty"));
-  const JsonValue& e = v.at("exploit");
-  o.exploit.nonroot_feasible = e.at("nonroot_feasible").as_bool();
-  o.exploit.actor = e.at("actor").as_string();
-  o.exploit.note = e.at("note").as_string();
-  return o;
 }
 
 std::size_t parse_count(const JsonValue& doc, const char* key,
@@ -290,114 +232,10 @@ std::size_t parse_count(const JsonValue& doc, const char* key,
   return static_cast<std::size_t>(v);
 }
 
-/// The shared shard-report header fields (both schema versions).
-ShardReport parse_shard_header(const JsonValue& doc, int version) {
-  ShardReport report;
-  report.schema_version = version;
-  report.scenario_name = with_ctx(
-      "shard report: scenario", [&] { return doc.at("scenario").as_string(); });
-  if (report.scenario_name.empty())
-    fail("shard report", "scenario name is empty");
-  report.shard_index = parse_count(doc, "shard_index", "shard report");
-  report.shard_count = parse_count(doc, "shard_count", "shard report");
-  report.plan_items = parse_count(doc, "plan_items", "shard report");
-  if (report.shard_count == 0)
-    fail("shard report", "shard_count must be >= 1");
-  if (report.shard_index >= report.shard_count)
-    fail("shard report",
-         "shard_index " + std::to_string(report.shard_index) +
-             " out of range for shard_count " +
-             std::to_string(report.shard_count));
-  return report;
-}
-
-/// The optional `assigned_ids` lease (schema_version 2 only). Absent =
-/// the modulo partition, byte for byte as before; present = ownership is
-/// exactly this ascending, unique, in-range id list, and the modulo
-/// fields must be the fixed 0/1 so the two styles cannot contradict.
-void parse_assigned_ids(const JsonValue& doc, ShardReport& report) {
-  const JsonValue* lease = doc.find("assigned_ids");
-  if (!lease) return;
-  report.leased = true;
-  if (report.shard_index != 0 || report.shard_count != 1)
-    fail("shard report",
-         "a leased report (assigned_ids) must carry shard_index 0 and "
-         "shard_count 1, not shard " +
-             std::to_string(report.shard_index + 1) + "/" +
-             std::to_string(report.shard_count));
-  const auto& ids =
-      with_ctx("shard report: assigned_ids",
-               [&]() -> decltype(auto) { return lease->items(); });
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    with_ctx("shard report: assigned_ids[" + std::to_string(i) + "]", [&] {
-      long long id = ids[i].as_int();
-      if (id < 0 || id >= static_cast<long long>(report.plan_items))
-        throw WireError("work-item id " + std::to_string(id) +
-                        " out of range (plan has " +
-                        std::to_string(report.plan_items) + " items)");
-      auto uid = static_cast<std::size_t>(id);
-      if (!report.assigned_ids.empty()) {
-        std::size_t prev = report.assigned_ids.back();
-        if (uid == prev)
-          throw WireError("duplicate assigned id " + std::to_string(id));
-        if (uid < prev)
-          throw WireError("assigned_ids out of order (" + std::to_string(id) +
-                          " after " + std::to_string(prev) + ")");
-      }
-      report.assigned_ids.push_back(uid);
-    });
-  }
-}
-
-/// Version 1: one object per outcome, every field on the wire. Duplicate
-/// ids were rejected but ordering was not canonical, and the format
-/// predates partial reports — completeness is inferred from coverage.
-void parse_shard_outcomes_v1(const JsonValue& doc, ShardReport& report) {
-  const auto& outcomes =
-      with_ctx("shard report: outcomes", [&]() -> decltype(auto) {
-        return doc.at("outcomes").items();
-      });
-  // A set, not a plan_items-sized bitmap: plan_items is untrusted input
-  // and must not size an allocation.
-  std::set<std::size_t> seen;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    with_ctx("shard report: outcomes[" + std::to_string(i) + "]", [&] {
-      const JsonValue& o = outcomes[i];
-      long long id = o.at("id").as_int();
-      wire_detail::check_completed_id(report, id,
-                                      /*require_ascending=*/false);
-      auto uid = static_cast<std::size_t>(id);
-      if (!seen.insert(uid).second)
-        throw WireError("duplicate outcome for work item " +
-                        std::to_string(id));
-      report.item_ids.push_back(uid);
-      report.outcomes.push_back(parse_outcome(o));
-    });
-  }
-  // v1 never promised an ordering; the in-memory report (and its v2
-  // re-serialization, whose completed_ids must ascend) does. Sort the
-  // pairs by id — ids are already unique.
-  std::vector<std::size_t> order(report.item_ids.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return report.item_ids[a] < report.item_ids[b];
-  });
-  std::vector<std::size_t> sorted_ids;
-  std::vector<InjectionOutcome> sorted_outcomes;
-  sorted_ids.reserve(order.size());
-  sorted_outcomes.reserve(order.size());
-  for (std::size_t i : order) {
-    sorted_ids.push_back(report.item_ids[i]);
-    sorted_outcomes.push_back(std::move(report.outcomes[i]));
-  }
-  report.item_ids = std::move(sorted_ids);
-  report.outcomes = std::move(sorted_outcomes);
-}
-
-/// Version 2: `completed_ids` plus one column array per run-dependent
-/// field. The plan-derivable fields (site, call, object, fault, ...) are
-/// not on the wire — merge_shard_reports re-derives them by id.
-void parse_shard_outcomes_v2(const JsonValue& doc, ShardReport& report) {
+/// `completed_ids` plus one column array per run-dependent field. The
+/// plan-derivable fields (site, call, object, fault, ...) are not on the
+/// wire — merge_shard_reports re-derives them by id.
+void parse_shard_outcomes(const JsonValue& doc, ShardReport& report) {
   const auto& ids =
       with_ctx("shard report: completed_ids", [&]() -> decltype(auto) {
         return doc.at("completed_ids").items();
@@ -405,8 +243,7 @@ void parse_shard_outcomes_v2(const JsonValue& doc, ShardReport& report) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
     with_ctx("shard report: completed_ids[" + std::to_string(i) + "]", [&] {
       long long id = ids[i].as_int();
-      wire_detail::check_completed_id(report, id,
-                                      /*require_ascending=*/true);
+      wire_detail::check_completed_id(report, id);
       report.item_ids.push_back(static_cast<std::size_t>(id));
     });
   }
@@ -415,8 +252,7 @@ void parse_shard_outcomes_v2(const JsonValue& doc, ShardReport& report) {
       "shard report: outcomes",
       [&]() -> decltype(auto) { return doc.at("outcomes"); });
   if (!cols.is_object())
-    fail("shard report",
-         "outcomes must be an object of column arrays (schema_version 2)");
+    fail("shard report", "outcomes must be an object of column arrays");
   report.outcomes = wire_detail::outcomes_from_columns(
       cols, report.item_ids.size(), "shard report");
 }
@@ -517,9 +353,7 @@ std::vector<InjectionOutcome> outcomes_from_columns(const JsonValue& cols,
 
 InjectionPlan plan_from_json(const std::string& text) {
   JsonValue doc = parse_document(text, "plan");
-  // Version 1 files (pre-redzone) are identical in layout; the bump only
-  // admits the policy name a v1 reader would reject.
-  check_header(doc, "injection-plan", "plan", 1, kPlanSchemaVersion);
+  check_header(doc, "injection-plan", "plan", kPlanSchemaVersion);
 
   InjectionPlan plan;
   plan.scenario_name =
@@ -610,19 +444,28 @@ void refreeze_snapshot(InjectionPlan& plan, const Scenario& scenario) {
     plan.snapshot = WorldSnapshot::freeze(scenario.build());
 }
 
-std::vector<std::size_t> shard_item_ids(std::size_t total_items,
-                                        std::size_t shard_index,
-                                        std::size_t shard_count) {
-  if (shard_count == 0) throw WireError("shard count must be >= 1");
-  if (shard_index >= shard_count)
-    throw WireError("shard index " + std::to_string(shard_index + 1) +
-                    " out of range for " + std::to_string(shard_count) +
+std::size_t IdRange::size() const {
+  return begin < end ? (end - begin - 1) / stride + 1 : 0;
+}
+
+bool IdRange::contains(std::size_t id) const {
+  return id >= begin && id < end && (id - begin) % stride == 0;
+}
+
+std::string IdRange::str() const {
+  std::string out =
+      "[" + std::to_string(begin) + ", " + std::to_string(end) + ")";
+  if (stride != 1) out += " stride " + std::to_string(stride);
+  return out;
+}
+
+IdRange static_shard(std::size_t plan_items, std::size_t index,
+                     std::size_t count) {
+  if (index >= count)
+    throw WireError("shard index " + std::to_string(index + 1) +
+                    " out of range for " + std::to_string(count) +
                     " shards");
-  std::vector<std::size_t> ids;
-  ids.reserve(total_items / shard_count + 1);
-  for (std::size_t i = shard_index; i < total_items; i += shard_count)
-    ids.push_back(i);
-  return ids;
+  return {std::min(index, plan_items), plan_items, count};
 }
 
 std::string feedback_spec(const InjectionPlan& plan, std::size_t begin,
@@ -719,26 +562,18 @@ std::vector<WorkItem> parse_feedback_spec(const std::string& spec,
 }
 
 std::string ShardReport::to_json() const {
-  // The columnar version-2 encoding: `completed_ids` names the ids this
-  // file actually holds (the resume key), and only the run-dependent
-  // outcome fields are serialized — one array per field, so the per-
-  // outcome framing and the plan-redundant strings of version 1 are gone.
+  // `completed_ids` names the ids this file actually holds (the resume
+  // key), and only the run-dependent outcome fields are serialized — one
+  // array per field.
   std::string out = "{\n";
   out += "  \"schema_version\": " + std::to_string(kShardSchemaVersion) +
          ",\n";
   out += "  \"kind\": \"shard-report\",\n";
   out += "  \"scenario\": " + json_quote(scenario_name) + ",\n";
-  out += "  \"shard_index\": " + std::to_string(shard_index) + ",\n";
-  out += "  \"shard_count\": " + std::to_string(shard_count) + ",\n";
   out += "  \"plan_items\": " + std::to_string(plan_items) + ",\n";
-  if (leased) {
-    // The optional lease: only leased reports carry it, so modulo shard
-    // files keep their pre-lease bytes and round-trip unchanged.
-    out += "  \"assigned_ids\": [";
-    for (std::size_t i = 0; i < assigned_ids.size(); ++i)
-      out += (i ? ", " : "") + std::to_string(assigned_ids[i]);
-    out += "],\n";
-  }
+  out += "  \"begin\": " + std::to_string(owned.begin) + ",\n";
+  out += "  \"end\": " + std::to_string(owned.end) + ",\n";
+  out += "  \"stride\": " + std::to_string(owned.stride) + ",\n";
   out += std::string("  \"complete\": ") + (complete ? "true" : "false") +
          ",\n";
   out += "  \"completed_ids\": [";
@@ -754,45 +589,49 @@ std::string ShardReport::to_json() const {
 
 ShardReport shard_report_from_json(const std::string& text) {
   JsonValue doc = parse_document(text, "shard report");
-  int version = check_header(doc, "shard-report", "shard report", 1,
-                             kShardSchemaVersion);
-  ShardReport report = parse_shard_header(doc, version);
-  if (version >= 2) {
-    parse_assigned_ids(doc, report);
-    report.complete = with_ctx("shard report: complete",
-                               [&] { return doc.at("complete").as_bool(); });
-    parse_shard_outcomes_v2(doc, report);
-  } else {
-    parse_shard_outcomes_v1(doc, report);
-  }
-
-  // `complete` is derived state: the ids are each owned and unique, so
-  // coverage is a count comparison. Version 1 files predate the flag and
-  // infer it; a version-2 flag that disagrees is a corrupt file.
-  wire_detail::validate_complete_flag(report,
-                                      /*flag_on_wire=*/version >= 2);
+  check_header(doc, "shard-report", "shard report", kShardSchemaVersion);
+  ShardReport report;
+  report.scenario_name = with_ctx(
+      "shard report: scenario", [&] { return doc.at("scenario").as_string(); });
+  if (report.scenario_name.empty())
+    fail("shard report", "scenario name is empty");
+  report.plan_items = parse_count(doc, "plan_items", "shard report");
+  report.owned.begin = parse_count(doc, "begin", "shard report");
+  report.owned.end = parse_count(doc, "end", "shard report");
+  report.owned.stride = parse_count(doc, "stride", "shard report");
+  with_ctx("shard report", [&] {
+    wire_detail::check_range(report.owned, report.plan_items);
+  });
+  report.complete = with_ctx("shard report: complete",
+                             [&] { return doc.at("complete").as_bool(); });
+  parse_shard_outcomes(doc, report);
+  wire_detail::validate_complete_flag(report);
   return report;
 }
 
 namespace {
 
-/// The shared drain behind run_shard, run_lease, and resume_shard:
-/// execute the `owned` ids (the modulo partition, or the lease already
-/// recorded in `header`) not already in (done_ids, done_outcomes),
-/// optionally flushing a valid partial report after every checkpoint
-/// chunk, and assemble the combined report ascending by id. Preemption
-/// (hooks.interrupted) stops between chunks and yields complete == false.
-ShardReport drain_shard(const Executor& executor, const InjectionPlan& plan,
+/// The drain behind run_lease and resume_shard: execute the ids
+/// `header.owned` names that are not already in (done_ids,
+/// done_outcomes), optionally flushing a valid partial report after every
+/// checkpoint chunk, and assemble the combined report ascending by id.
+/// Preemption (hooks.interrupted) stops between chunks and yields
+/// complete == false. Callers have checked the range against the plan,
+/// so the todo list is bounded by the real item count.
+ShardReport drain_range(const Executor& executor, const InjectionPlan& plan,
                         const ShardReport& header,
-                        const std::vector<std::size_t>& owned,
                         const std::vector<std::size_t>& done_ids,
                         const std::vector<InjectionOutcome>& done_outcomes,
                         const ExecutorOptions& opts,
                         const ShardDrainHooks& hooks) {
+  const IdRange& owned = header.owned;
+  const std::size_t owned_count = owned.size();
   std::vector<std::size_t> todo;  // owned minus done, ascending
+  todo.reserve(owned_count - done_ids.size());
   {
     std::size_t d = 0;
-    for (std::size_t id : owned) {
+    for (std::size_t k = 0; k < owned_count; ++k) {
+      std::size_t id = owned.begin + k * owned.stride;
       while (d < done_ids.size() && done_ids[d] < id) ++d;
       if (d < done_ids.size() && done_ids[d] == id) continue;
       todo.push_back(id);
@@ -819,7 +658,7 @@ ShardReport drain_shard(const Executor& executor, const InjectionPlan& plan,
         ++b;
       }
     }
-    r.complete = r.item_ids.size() == owned.size();
+    r.complete = r.item_ids.size() == owned_count;
     return r;
   };
 
@@ -832,47 +671,39 @@ ShardReport drain_shard(const Executor& executor, const InjectionPlan& plan,
       plan, todo, hooks.checkpoint_every, flush, hooks.interrupted, opts));
 }
 
-}  // namespace
-
-ShardReport run_shard(const Executor& executor, const InjectionPlan& plan,
-                      std::size_t shard_index, std::size_t shard_count,
-                      const ExecutorOptions& opts,
-                      const ShardDrainHooks& hooks) {
-  ShardReport header;
-  header.scenario_name = plan.scenario_name;
-  header.shard_index = shard_index;
-  header.shard_count = shard_count;
-  header.plan_items = plan.items.size();
-  return drain_shard(executor, plan, header,
-                     shard_item_ids(plan.items.size(), shard_index,
-                                    shard_count),
-                     {}, {}, opts, hooks);
+/// Hold an in-memory report (resume, merge) to the invariants its wire
+/// decoders enforce: the range fits the report's plan, and item_ids are
+/// owned, ascending and unique.
+void check_in_memory_ids(const ShardReport& report) {
+  wire_detail::check_range(report.owned, report.plan_items);
+  ShardReport seen;
+  seen.plan_items = report.plan_items;
+  seen.owned = report.owned;
+  seen.item_ids.reserve(report.item_ids.size());
+  for (std::size_t id : report.item_ids) {
+    wire_detail::check_completed_id(seen, static_cast<long long>(id));
+    seen.item_ids.push_back(id);
+  }
 }
 
+}  // namespace
+
 ShardReport run_lease(const Executor& executor, const InjectionPlan& plan,
-                      std::size_t begin, std::size_t end,
-                      const ExecutorOptions& opts,
+                      const IdRange& owned, const ExecutorOptions& opts,
                       const ShardDrainHooks& hooks) {
-  if (begin > end || end > plan.items.size())
-    throw WireError("lease [" + std::to_string(begin) + ", " +
-                    std::to_string(end) + ") does not fit the plan (" +
-                    std::to_string(plan.items.size()) + " items)");
+  wire_detail::check_range(owned, plan.items.size());
   ShardReport header;
   header.scenario_name = plan.scenario_name;
   header.plan_items = plan.items.size();
-  header.leased = true;
-  header.assigned_ids.reserve(end - begin);
-  for (std::size_t id = begin; id < end; ++id)
-    header.assigned_ids.push_back(id);
-  return drain_shard(executor, plan, header, header.assigned_ids, {}, {},
-                     opts, hooks);
+  header.owned = owned;
+  return drain_range(executor, plan, header, {}, {}, opts, hooks);
 }
 
 ShardReport resume_shard(const Executor& executor, const InjectionPlan& plan,
                          const ShardReport& partial,
                          const ExecutorOptions& opts,
                          const ShardDrainHooks& hooks) {
-  // The parser already held wire files to the shard-level invariants;
+  // The parser already held wire files to the report-level invariants;
   // re-check here so in-memory callers get the same guarantees, plus the
   // plan-level matches only resume can check.
   if (partial.scenario_name != plan.scenario_name)
@@ -884,84 +715,19 @@ ShardReport resume_shard(const Executor& executor, const InjectionPlan& plan,
                     std::to_string(partial.plan_items) +
                     " work items; this plan has " +
                     std::to_string(plan.items.size()));
-  if (partial.shard_count == 0)
-    throw WireError("resume: shard_count must be >= 1");
-  if (partial.shard_index >= partial.shard_count)
-    throw WireError("resume: shard_index " +
-                    std::to_string(partial.shard_index) +
-                    " out of range for shard_count " +
-                    std::to_string(partial.shard_count));
   if (partial.item_ids.size() != partial.outcomes.size())
     throw WireError("resume: item id / outcome count mismatch");
-  if (partial.leased &&
-      (partial.shard_index != 0 || partial.shard_count != 1))
-    throw WireError(
-        "resume: a leased report (assigned_ids) must carry shard_index 0 "
-        "and shard_count 1, not shard " +
-        std::to_string(partial.shard_index + 1) + "/" +
-        std::to_string(partial.shard_count));
-  // `checked` doubles as the drain header once validation passes — one
-  // place to populate, so header and validation can never disagree.
-  ShardReport checked;
-  checked.scenario_name = plan.scenario_name;
-  checked.shard_index = partial.shard_index;
-  checked.shard_count = partial.shard_count;
-  checked.plan_items = partial.plan_items;
-  checked.leased = partial.leased;
-  for (std::size_t id : partial.assigned_ids) {
-    if (id >= plan.items.size())
-      throw WireError("resume: assigned id " + std::to_string(id) +
-                      " out of range (plan has " +
-                      std::to_string(plan.items.size()) + " items)");
-    if (!checked.assigned_ids.empty() && id <= checked.assigned_ids.back())
-      throw WireError("resume: assigned_ids must ascend without duplicates");
-    checked.assigned_ids.push_back(id);
+  try {
+    check_in_memory_ids(partial);
+  } catch (const WireError& e) {
+    throw WireError(std::string("resume: ") + e.what());
   }
-  if (checked.leased) {
-    // Leased resume: item_ids and assigned_ids both ascend, so lease
-    // membership is one two-pointer walk over the lease — the previous
-    // per-id binary search re-walked the assigned set for every
-    // completed id, which a merge --all resume sweep repeated per file.
-    std::size_t cursor = 0;
-    for (std::size_t i = 0; i < partial.item_ids.size(); ++i) {
-      std::size_t id = partial.item_ids[i];
-      if (id >= checked.plan_items)
-        throw WireError("work-item id " + std::to_string(id) +
-                        " out of range (plan has " +
-                        std::to_string(checked.plan_items) + " items)");
-      if (i > 0) {
-        std::size_t prev = partial.item_ids[i - 1];
-        if (id == prev)
-          throw WireError("duplicate outcome for work item " +
-                          std::to_string(id));
-        if (id < prev)
-          throw WireError("completed_ids out of order (" +
-                          std::to_string(id) + " after " +
-                          std::to_string(prev) + ")");
-      }
-      while (cursor < checked.assigned_ids.size() &&
-             checked.assigned_ids[cursor] < id)
-        ++cursor;
-      if (cursor >= checked.assigned_ids.size() ||
-          checked.assigned_ids[cursor] != id)
-        throw WireError("work-item id " + std::to_string(id) +
-                        " is not in this report's assigned_ids lease");
-    }
-  } else {
-    for (std::size_t id : partial.item_ids) {
-      wire_detail::check_completed_id(checked, static_cast<long long>(id),
-                                      /*require_ascending=*/true);
-      checked.item_ids.push_back(id);
-    }
-    checked.item_ids.clear();
-  }
-  return drain_shard(executor, plan, checked,
-                     partial.leased
-                         ? partial.assigned_ids
-                         : shard_item_ids(plan.items.size(),
-                                          partial.shard_index,
-                                          partial.shard_count),
-                     partial.item_ids, partial.outcomes, opts, hooks);
+  ShardReport header;
+  header.scenario_name = plan.scenario_name;
+  header.plan_items = partial.plan_items;
+  header.owned = partial.owned;
+  return drain_range(executor, plan, header, partial.item_ids,
+                     partial.outcomes, opts, hooks);
 }
 
 CampaignResult merge_shard_reports(const InjectionPlan& plan,
@@ -975,48 +741,18 @@ CampaignResult merge_shard_reports(const InjectionPlan& plan,
   const std::size_t n = plan.items.size();
 
   // Attribute every diagnostic to its source file when the caller named
-  // one — "shard 3/7" alone does not say which of seven paths to fix.
+  // one — a range alone does not say which of seven paths to fix.
   auto who_of = [&](std::size_t si) {
-    const ShardReport& s = shards[si];
-    std::string who =
-        s.leased ? "lease report " + std::to_string(si + 1)
-                 : "shard " + std::to_string(s.shard_index + 1) + "/" +
-                       std::to_string(s.shard_count);
+    std::string who = "report " + shards[si].owned.str();
     if (si < labels.size() && !labels[si].empty())
       who += " (" + labels[si] + ")";
     return who;
   };
 
-  // A merge is either a modulo shard set or a lease partition; a mixed
-  // set has no single ownership rule to validate against.
-  const bool lease_mode = shards.front().leased;
-  for (std::size_t si = 0; si < shards.size(); ++si)
-    if (shards[si].leased != lease_mode)
-      throw WireError(who_of(si) +
-                      ": cannot mix lease-based (assigned_ids) and modulo "
-                      "shard reports in one merge");
-
-  const std::size_t shard_count = shards.front().shard_count;
-  if (!lease_mode) {
-    // shard_count is untrusted input and must not size an allocation
-    // until it is bounded by something we were actually handed. A
-    // complete merge has exactly one report per shard, so any mismatch is
-    // an error anyway — and with counts equal, a missing shard implies a
-    // duplicate one.
-    if (shard_count != shards.size())
-      throw WireError("merge: got " + std::to_string(shards.size()) +
-                      " shard report(s) but shard_count is " +
-                      std::to_string(shard_count) +
-                      "; every shard must be present exactly once");
-  }
-
   CampaignResult result = result_skeleton(plan);
 
   // The plan-redundant outcome fields (site/call/object/fault), resolved
-  // once per merge into an id-indexed table. They used to be re-derived
-  // inside the per-report loop, so an `--all` merge re-resolved point and
-  // fault catalog entries for every report file it read; every report now
-  // indexes the same table.
+  // once per merge into an id-indexed table every report indexes.
   struct Derived {
     const InteractionPoint* point;
     const WorkItem* item;
@@ -1032,14 +768,11 @@ CampaignResult merge_shard_reports(const InjectionPlan& plan,
                            : &item.fault.direct->description});
   }
 
-  std::vector<bool> shard_seen(lease_mode ? 0 : shard_count, false);
-  std::vector<std::size_t> seen_by(lease_mode ? 0 : shard_count, 0);
-  // The id -> owning-report map, built once up front: both the
-  // disjointness check and the missing-outcome attribution below resolve
-  // owners through it instead of rescanning the shard list per item.
+  // The one rule: every plan id belongs to exactly one complete report.
+  // owner_of is sized by the plan we were handed, never by a report's
+  // header, and each report's range is checked against it first.
   constexpr std::size_t kUnowned = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> owner_of(lease_mode ? n : 0, kUnowned);
-  std::vector<bool> id_seen(n, false);
+  std::vector<std::size_t> owner_of(n, kUnowned);
 
   for (std::size_t si = 0; si < shards.size(); ++si) {
     const ShardReport& s = shards[si];
@@ -1052,58 +785,46 @@ CampaignResult merge_shard_reports(const InjectionPlan& plan,
       throw WireError(who + ": written against a plan with " +
                       std::to_string(s.plan_items) +
                       " work items; this plan has " + std::to_string(n));
-    if (lease_mode) {
-      // Any disjoint id-partition covering the plan merges: record this
-      // report's lease in the owner map, rejecting overlap as it appears.
-      for (std::size_t id : s.assigned_ids) {
-        if (id >= n)
-          throw WireError(who + ": assigned id " + std::to_string(id) +
-                          " out of range (plan has " + std::to_string(n) +
-                          " items)");
-        if (owner_of[id] != kUnowned)
-          throw WireError("work item " + std::to_string(id) +
-                          " is leased to both " + who_of(owner_of[id]) +
-                          " and " + who);
-        owner_of[id] = si;
-      }
-      if (s.item_ids.size() != s.assigned_ids.size())
-        throw WireError(who + ": is a partial lease report (" +
-                        std::to_string(s.item_ids.size()) + " of " +
-                        std::to_string(s.assigned_ids.size()) +
-                        " leased ids completed; finish it with run-shard "
-                        "--resume)");
-    } else {
-      if (s.shard_count != shard_count)
-        throw WireError(who + ": shard_count " +
-                        std::to_string(s.shard_count) +
-                        " disagrees with the first report's " +
-                        std::to_string(shard_count));
-      if (s.shard_index >= shard_count)
-        throw WireError(who + ": shard_index out of range");
-      if (shard_seen[s.shard_index])
-        throw WireError("duplicate report for " + who + " (also " +
-                        who_of(seen_by[s.shard_index]) + ")");
-      shard_seen[s.shard_index] = true;
-      seen_by[s.shard_index] = si;
-    }
     if (s.item_ids.size() != s.outcomes.size())
       throw WireError(who + ": item id / outcome count mismatch");
+    try {
+      check_in_memory_ids(s);
+    } catch (const WireError& e) {
+      throw WireError(who + ": " + e.what());
+    }
+
+    // Claim the owned ids, rejecting overlap as it appears — so all the
+    // walks together stop by the plan's n + 1st claim.
+    const std::size_t owned_count = s.owned.size();
+    std::size_t next_done = 0;
+    for (std::size_t k = 0; k < owned_count; ++k) {
+      std::size_t id = s.owned.begin + k * s.owned.stride;
+      if (owner_of[id] != kUnowned)
+        throw WireError("work item " + std::to_string(id) +
+                        " is leased to both " + who_of(owner_of[id]) +
+                        " and " + who);
+      owner_of[id] = si;
+      if (next_done < s.item_ids.size() && s.item_ids[next_done] == id) {
+        ++next_done;
+      } else {
+        throw WireError("work item " + std::to_string(id) +
+                        " has no outcome — " + who +
+                        " is a partial lease report (" +
+                        std::to_string(s.item_ids.size()) + " of " +
+                        std::to_string(owned_count) +
+                        " owned ids completed; complete it with run-shard "
+                        "--resume)");
+      }
+    }
 
     for (std::size_t i = 0; i < s.item_ids.size(); ++i) {
       std::size_t id = s.item_ids[i];
-      if (id >= n)
-        throw WireError(who + ": work-item id " + std::to_string(id) +
-                        " out of range (plan has " + std::to_string(n) +
-                        " items)");
-      if (id_seen[id])
-        throw WireError(who + ": duplicate outcome for work item " +
-                        std::to_string(id));
       const WorkItem& item = *derived[id].item;
       const InteractionPoint& point = *derived[id].point;
       InjectionOutcome o = s.outcomes[i];
-      // Version-1 reports (and in-process ones) carry the plan-keyed
-      // fields; hold them to the plan. Version-2 reports do not put them
-      // on the wire at all (fault_name is empty after parse).
+      // In-process reports carry the plan-keyed fields; hold them to the
+      // plan. Wire reports do not put them on the wire at all
+      // (fault_name is empty after parse).
       if (!o.fault_name.empty() &&
           (o.fault_name != item.fault.name() || !(o.site == point.site)))
         throw WireError(who + ": outcome for work item " + std::to_string(id) +
@@ -1119,30 +840,17 @@ CampaignResult merge_shard_reports(const InjectionPlan& plan,
       o.kind = item.fault.kind;
       o.fault_name = item.fault.name();
       o.fault_description = *derived[id].description;
-      id_seen[id] = true;
       result.injections[id] = std::move(o);
     }
   }
 
-  // Every report's ids are in range and duplicate-free; only coverage can
-  // still fail — a modulo shard that is an unresumed partial file, or a
-  // lease set that does not add back up to the plan. Owners resolve
-  // through the precomputed maps (seen_by / owner_of), never a rescan of
-  // the shard list.
+  // Every report is complete and the owned ranges are disjoint; only
+  // coverage can still fail.
   for (std::size_t id = 0; id < n; ++id)
-    if (!id_seen[id]) {
-      if (lease_mode) {
-        // A leased id without an outcome was already rejected as a
-        // partial report above, so the gap is in the lease set itself.
-        throw WireError("work item " + std::to_string(id) +
-                        " is not covered by any lease (the lease set does "
-                        "not add back up to the plan)");
-      }
+    if (owner_of[id] == kUnowned)
       throw WireError("work item " + std::to_string(id) +
-                      " has no outcome — " + who_of(seen_by[id % shard_count]) +
-                      " is a partial report (complete it with run-shard "
-                      "--resume)");
-    }
+                      " is not covered by any lease (the lease set does "
+                      "not add back up to the plan)");
   return result;
 }
 

@@ -3,12 +3,15 @@
 //
 // The plan is the engine's unit of distribution. `epa_cli plan` writes
 // InjectionPlan::to_json() to a file; any number of processes — on one
-// machine or many — each read the same plan, drain only their shard's
-// work items (stable id % shard_count == shard_index), and write a
-// ShardReport. merge_shard_reports() recombines the shard files into the
-// exact CampaignResult a single process would have produced: outcomes go
-// to their plan-order slot by stable id, so the merge is deterministic
-// regardless of shard count, arrival order, or how long each shard took.
+// machine or many — each read the same plan, drain the stable ids their
+// report owns, and write a ShardReport. Every report owns its ids by one
+// rule, a strided lease: the ids begin, begin + stride, ... below end.
+// An orchestrator lease is stride 1; `run-shard --shard K/N` is
+// begin = K-1, end = the plan size, stride = N. merge_shard_reports()
+// recombines the report files into the exact CampaignResult a single
+// process would have produced: outcomes go to their plan-order slot by
+// stable id, so the merge is deterministic regardless of how the plan was
+// cut, arrival order, or how long each report took.
 //
 // Everything here validates before it trusts: a malformed, truncated,
 // version-skewed, or foreign file raises WireError with a message naming
@@ -26,25 +29,24 @@
 
 namespace ep::core {
 
-/// Version of the shard-report wire format. Version 2 is the compact
-/// columnar encoding (one array per run-dependent field instead of one
-/// object per outcome) with the `complete`/`completed_ids` partial-report
-/// notion; version 3 admits the `redzone-corruption` violation policy
-/// with the same columnar layout. The serializer always writes the
-/// current version, and the reader still accepts versions 1 (the
-/// row-oriented PR 3 format) and 2. Plans are versioned separately by
+/// Version of the shard-report wire format: the compact columnar
+/// encoding (one array per run-dependent field) with the
+/// `complete`/`completed_ids` partial-report notion, and ownership as one
+/// strided lease (`begin`, `end`, `stride`). Each reader accepts exactly
+/// the version its own build writes; any other version is refused with a
+/// message naming both. Plans are versioned separately by
 /// kPlanSchemaVersion.
-inline constexpr int kShardSchemaVersion = 3;
+inline constexpr int kShardSchemaVersion = 4;
 
 /// Version of the binary wire encoding (docs/WIRE_FORMAT.md, "Binary
 /// encoding"): the compact non-JSON framing of the same plan and
 /// shard-report models, used by the same-host shared-memory data plane
-/// (core/arena.hpp) and sized for the remote fleet's network framing.
-/// Versioned independently of the JSON schema versions — the two
-/// encodings carry identical information and decode to identical
-/// in-memory values. Version 2 appends the `redzone-corruption` policy
-/// ordinal; the layout is unchanged and version-1 frames stay decodable.
-inline constexpr int kBinaryWireVersion = 2;
+/// (core/arena.hpp) and the remote fleet's tcp frames. Versioned
+/// independently of the JSON schema versions — the two encodings carry
+/// identical information and decode to identical in-memory values. Plan
+/// and report frames share this one version, and the decoders accept
+/// only it.
+inline constexpr int kBinaryWireVersion = 3;
 
 /// A plan or shard-report file that cannot be trusted: syntactically
 /// malformed, wrong schema version, wrong kind, missing or inconsistent
@@ -90,46 +92,58 @@ std::string feedback_spec(const InjectionPlan& plan, std::size_t begin,
 std::vector<WorkItem> parse_feedback_spec(const std::string& spec,
                                           std::size_t point_count);
 
-/// The stable work-item ids shard `shard_index` (0-based) owns out of
-/// `shard_count`: { id | id % shard_count == shard_index }, ascending.
-/// Uneven divisions simply give the low-index shards one extra item.
-std::vector<std::size_t> shard_item_ids(std::size_t total_items,
-                                        std::size_t shard_index,
-                                        std::size_t shard_count);
+/// The one ownership rule of a shard report: the stable ids begin,
+/// begin + stride, begin + 2 * stride, ... below end. A lease is stride 1;
+/// static_shard() is the strided `--shard K/N` form. Every query is
+/// arithmetic — a range read from a file never sizes an allocation — and
+/// size()/contains() need stride >= 1, which every decoder, resume and
+/// merge check before asking.
+struct IdRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t stride = 1;
+
+  /// How many ids the range owns (0 when begin >= end).
+  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] bool contains(std::size_t id) const;
+  /// "[1, 3)", or "[0, 11) stride 2" — how diagnostics name a report.
+  [[nodiscard]] std::string str() const;
+  bool operator==(const IdRange& o) const {
+    return begin == o.begin && end == o.end && stride == o.stride;
+  }
+  bool operator!=(const IdRange& o) const { return !(*this == o); }
+};
+
+/// `run-shard --shard K/N` as a strided lease: shard `index` (0-based) of
+/// `count` over a `plan_items`-item plan owns begin = min(index,
+/// plan_items), end = plan_items, stride = count — exactly the ids with
+/// id % count == index. Uneven divisions give the low-index shards one
+/// extra item; shards past the plan own nothing. Throws WireError unless
+/// index < count.
+IdRange static_shard(std::size_t plan_items, std::size_t index,
+                     std::size_t count);
 
 /// One shard's campaign output: the injection outcomes of the work items
-/// the shard owns, keyed by their stable plan ids. Ownership comes in two
-/// flavors: the static modulo partition (`id % shard_count ==
-/// shard_index`, PR 3's `run-shard --shard K/N`) and an explicit
-/// *lease* (`leased == true`): the orchestrator hands a worker an
-/// arbitrary id set, recorded verbatim in `assigned_ids`. A report may be
-/// *partial* (`complete == false`): a preempted `run-shard` flushes the
-/// outcomes it finished, and resume_shard() later drains only the missing
-/// ids — the completed report is byte-identical to an uninterrupted run.
+/// the report owns (`owned`), keyed by their stable plan ids. A report
+/// may be *partial* (`complete == false`): a preempted `run-shard`
+/// flushes the outcomes it finished, and resume_shard() later drains only
+/// the missing ids — the completed report is byte-identical to an
+/// uninterrupted run.
 struct ShardReport {
-  int schema_version = kShardSchemaVersion;
   std::string scenario_name;
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  /// Total items in the *whole* plan (not this shard) — merge uses it to
-  /// reject shard files produced against a different plan.
+  /// Total items in the *whole* plan (not this report) — merge uses it to
+  /// reject report files produced against a different plan.
   std::size_t plan_items = 0;
-  /// Lease-based ownership: when true, this report owns exactly
-  /// `assigned_ids` (ascending, unique, each < plan_items) and the
-  /// modulo partition does not apply — shard_index/shard_count are fixed
-  /// at 0/1 so a lease report cannot masquerade as a modulo shard. The
-  /// field is an *optional* addition to schema_version 2: files without
-  /// it keep the modulo meaning byte for byte.
-  bool leased = false;
-  std::vector<std::size_t> assigned_ids;
-  /// True iff item_ids covers every id the shard owns. Derived, never
+  /// The ids this report owns; `end` never exceeds plan_items.
+  IdRange owned;
+  /// True iff item_ids covers every owned id. Derived, never
   /// free-floating: the serializer computes it and the parser rejects a
   /// file whose flag contradicts its completed_ids.
   bool complete = true;
   std::vector<std::size_t> item_ids;  // ascending; parallel to outcomes
   std::vector<InjectionOutcome> outcomes;
 
-  /// Canonical JSON (docs/WIRE_FORMAT.md), always schema_version 2:
+  /// Canonical JSON (docs/WIRE_FORMAT.md), always kShardSchemaVersion:
   /// parse -> re-serialize reproduces the bytes verbatim. Only the
   /// run-dependent outcome fields go on the wire (fired, crashed,
   /// overflows, exit_code, violations, exploit) — site/call/object/fault
@@ -137,11 +151,11 @@ struct ShardReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Parse and validate a serialized shard report (version 2, or the
-/// row-oriented version 1). Throws WireError on malformed input, a
-/// foreign kind/version, ids outside the plan, ids that belong to a
-/// different shard, duplicate or out-of-order ids, or a `complete` flag
-/// that contradicts the ids actually present.
+/// Parse and validate a serialized shard report (kShardSchemaVersion
+/// only). Throws WireError on malformed input, a foreign kind/version, a
+/// range that does not fit the plan, ids the report does not own,
+/// duplicate or out-of-order ids, or a `complete` flag that contradicts
+/// the ids actually present.
 ShardReport shard_report_from_json(const std::string& text);
 
 /// True when `data` starts with the binary wire magic — how file loaders
@@ -179,32 +193,23 @@ struct ShardDrainHooks {
   std::function<bool()> interrupted;
 };
 
-/// Drain one shard of the plan through the executor (worker pool and COW
-/// snapshot path included) and package the outcomes as a ShardReport.
-ShardReport run_shard(const Executor& executor, const InjectionPlan& plan,
-                      std::size_t shard_index, std::size_t shard_count,
-                      const ExecutorOptions& opts = {},
-                      const ShardDrainHooks& hooks = {});
-
-/// Drain one dynamic lease — the id range [begin, end) — and package the
-/// outcomes as a *leased* ShardReport (`assigned_ids` = the range). This
-/// is the persistent-worker drain (core/orchestrator.hpp): one process
-/// parses the plan and re-freezes the prototype once, then serves any
-/// number of leases through this. Throws WireError when the range does
-/// not fit the plan. `hooks` makes the drain preemptible mid-lease the
-/// same way run_shard's is: with checkpoint_every > 0 a partial leased
-/// report (complete == false) is flushed after each chunk and the drain
-/// stops between chunks when `interrupted` fires.
+/// Drain the ids `owned` names through the executor (worker pool and COW
+/// snapshot path included) and package the outcomes as a ShardReport —
+/// the one drain behind `run-shard --shard K/N` (a static_shard range),
+/// the persistent worker's leases (core/orchestrator.hpp) and search
+/// waves. Throws WireError when the range does not fit the plan. With
+/// hooks.checkpoint_every > 0 a partial report (complete == false) is
+/// flushed after each chunk and the drain stops between chunks when
+/// `interrupted` fires.
 ShardReport run_lease(const Executor& executor, const InjectionPlan& plan,
-                      std::size_t begin, std::size_t end,
-                      const ExecutorOptions& opts = {},
+                      const IdRange& owned, const ExecutorOptions& opts = {},
                       const ShardDrainHooks& hooks = {});
 
-/// Complete a partial report: re-drain only the ids the shard owns but
+/// Complete a partial report: re-drain only the ids the report owns but
 /// `partial` lacks, and return the combined report — byte-identical to an
-/// uninterrupted run_shard (outcomes are deterministic per item). Throws
+/// uninterrupted run_lease (outcomes are deterministic per item). Throws
 /// WireError when the partial report does not belong to this plan
-/// (scenario or item-count mismatch, ids outside the shard). A resumed
+/// (scenario or item-count mismatch, ids it does not own). A resumed
 /// drain can itself be preempted again via `hooks`.
 ShardReport resume_shard(const Executor& executor, const InjectionPlan& plan,
                          const ShardReport& partial,
@@ -213,19 +218,16 @@ ShardReport resume_shard(const Executor& executor, const InjectionPlan& plan,
 
 /// Recombine shard reports into the CampaignResult a single process would
 /// have produced from this plan: outcome with id i lands in slot i, so
-/// the result is bit-identical to a local `--jobs N` drain for any shard
-/// count and any shard file order. Two partition styles merge: a modulo
-/// shard set (all shard_count shards present exactly once) or a lease
-/// set (every report leased, `assigned_ids` disjoint and together
-/// covering the plan — any disjoint id-partition works; the two styles
-/// never mix in one merge). Throws WireError unless the set is complete
-/// and consistent: every report matching this plan's scenario and item
-/// count, and the union of outcome ids covering every work item exactly
-/// once — any mix of v1, v2, and resumed reports merges, but genuinely
-/// missing outcomes (an unresumed partial file) are still rejected.
-/// `labels`, when given, is parallel to `shards` and names each report's
-/// source (its file path on the CLI) in every diagnostic, so a failing
-/// 7-shard merge is attributable to the offending file.
+/// the result is bit-identical to a local `--jobs N` drain for any cut of
+/// the plan and any report order. One validation rule: every plan id
+/// belongs to exactly one complete report — `run-shard` files, lease
+/// files and search waves merge alike, in any mix. Throws WireError
+/// unless every report matches this plan's scenario and item count, the
+/// owned ranges are disjoint and together cover the plan, and each report
+/// holds an outcome for every id it owns (an unresumed partial file is
+/// rejected). `labels`, when given, is parallel to `shards` and names each
+/// report's source (its file path on the CLI) in every diagnostic, so a
+/// failing 7-shard merge is attributable to the offending file.
 CampaignResult merge_shard_reports(const InjectionPlan& plan,
                                    const std::vector<ShardReport>& shards,
                                    const std::vector<std::string>& labels = {});

@@ -57,13 +57,12 @@ constexpr std::uint32_t kPlanPerturbed = 4;
 constexpr std::uint32_t kPlanItems = 5;
 // Optional: one u64 perturbation parameter per item. Written only when
 // some item carries a nonzero param (search-generated plans), so
-// exhaustive plans keep their pre-param bytes — and old readers, which
-// skip unknown tags, stay compatible with param-free plans.
+// exhaustive plans carry no empty column.
 constexpr std::uint32_t kPlanParams = 6;
 
-// Shard-report section tags.
+// Shard-report section tags. Tag 2 stays unused: version-2 frames kept
+// a lease's id list there, and a reused tag would misread them.
 constexpr std::uint32_t kRepMeta = 1;
-constexpr std::uint32_t kRepAssigned = 2;
 constexpr std::uint32_t kRepCompleted = 3;
 constexpr std::uint32_t kRepFired = 4;
 constexpr std::uint32_t kRepCrashed = 5;
@@ -77,8 +76,8 @@ constexpr std::uint32_t kRepExploit = 9;
 }
 
 // The wire ordinal tables. Order mirrors the JSON codec's name lists
-// (wire.cpp's *_from functions) and must never be reordered — only
-// appended to — or old files would decode to different enums.
+// (wire.cpp's *_from functions) and is part of the format: reordering
+// an entry changes what a frame means, so only append.
 constexpr FaultKind kFaultKinds[] = {FaultKind::indirect, FaultKind::direct};
 constexpr ObjectKind kObjectKinds[] = {
     ObjectKind::file,        ObjectKind::directory,
@@ -95,7 +94,6 @@ constexpr InputSemantic kSemantics[] = {
 constexpr Policy kPolicies[] = {Policy::integrity, Policy::confidentiality,
                                 Policy::untrusted_exec, Policy::memory_safety,
                                 Policy::trust, Policy::authorization,
-                                // Appended in wire version 2.
                                 Policy::redzone_corruption};
 
 template <typename E, std::size_t N>
@@ -285,11 +283,9 @@ Header decode_header(const std::uint8_t* p, std::size_t size,
     fail(what, "corrupt byte-order tag");
   }
   std::uint16_t version = rd16(8);
-  // Version 2 only appended a policy ordinal; version-1 frames decode
-  // with the same layout, so accept the whole range.
-  if (version < 1 || version > kBinaryWireVersion)
+  if (version != kBinaryWireVersion)
     fail(what, "unsupported binary wire version " + std::to_string(version) +
-                   " (this build reads versions 1 through " +
+                   " (this build reads version " +
                    std::to_string(kBinaryWireVersion) + ")");
   std::uint16_t kind = rd16(10);
   if (kind != kKindPlan && kind != kKindShardReport)
@@ -537,20 +533,12 @@ std::string shard_report_to_binary(const ShardReport& report) {
 
   Writer meta;
   meta.str(report.scenario_name);
-  meta.u64(report.shard_index);
-  meta.u64(report.shard_count);
   meta.u64(report.plan_items);
-  meta.u8(report.leased ? 1 : 0);
+  meta.u64(report.owned.begin);
+  meta.u64(report.owned.end);
+  meta.u64(report.owned.stride);
   meta.u8(report.complete ? 1 : 0);
   sections.emplace_back(kRepMeta, std::move(meta.out));
-
-  if (report.leased) {
-    // Like the JSON optional: only leased reports carry the section, so
-    // leased-ness round-trips structurally, not just as a flag.
-    Writer assigned;
-    for (std::size_t id : report.assigned_ids) assigned.u64(id);
-    sections.emplace_back(kRepAssigned, std::move(assigned.out));
-  }
 
   Writer completed;
   for (std::size_t id : report.item_ids) completed.u64(id);
@@ -594,60 +582,18 @@ ShardReport shard_report_from_binary(const void* data, std::size_t size) {
 
   Cursor meta = section_cursor(p, h, kRepMeta, "shard report", "meta");
   report.scenario_name = meta.str();
-  report.shard_index = static_cast<std::size_t>(meta.num<std::uint64_t>());
-  report.shard_count = static_cast<std::size_t>(meta.num<std::uint64_t>());
   report.plan_items = static_cast<std::size_t>(meta.num<std::uint64_t>());
-  report.leased = meta.boolean("leased") != 0;
+  report.owned.begin = static_cast<std::size_t>(meta.num<std::uint64_t>());
+  report.owned.end = static_cast<std::size_t>(meta.num<std::uint64_t>());
+  report.owned.stride = static_cast<std::size_t>(meta.num<std::uint64_t>());
   report.complete = meta.boolean("complete") != 0;
   meta.finish();
   if (report.scenario_name.empty())
     fail("shard report", "scenario name is empty");
-  if (report.shard_count == 0)
-    fail("shard report", "shard_count must be >= 1");
-  if (report.shard_index >= report.shard_count)
-    fail("shard report",
-         "shard_index " + std::to_string(report.shard_index) +
-             " out of range for shard_count " +
-             std::to_string(report.shard_count));
-
-  const Section* assigned = find_section(h, kRepAssigned);
-  if (report.leased) {
-    if (!assigned)
-      fail("shard report",
-           "leased report is missing its 'assigned_ids' section");
-    if (report.shard_index != 0 || report.shard_count != 1)
-      fail("shard report",
-           "a leased report (assigned_ids) must carry shard_index 0 and "
-           "shard_count 1, not shard " +
-               std::to_string(report.shard_index + 1) + "/" +
-               std::to_string(report.shard_count));
-    Cursor c = section_cursor(p, h, kRepAssigned, "shard report",
-                              "assigned_ids");
-    if (assigned->length % 8 != 0)
-      fail("shard report", "assigned_ids section length " +
-                               std::to_string(assigned->length) +
-                               " is not a multiple of 8");
-    while (c.remaining() > 0) {
-      auto id = static_cast<std::size_t>(c.num<std::uint64_t>());
-      if (id >= report.plan_items)
-        fail("shard report",
-             "work-item id " + std::to_string(id) +
-                 " out of range (plan has " +
-                 std::to_string(report.plan_items) + " items)");
-      if (!report.assigned_ids.empty()) {
-        std::size_t prev = report.assigned_ids.back();
-        if (id == prev)
-          fail("shard report", "duplicate assigned id " + std::to_string(id));
-        if (id < prev)
-          fail("shard report",
-               "assigned_ids out of order (" + std::to_string(id) +
-                   " after " + std::to_string(prev) + ")");
-      }
-      report.assigned_ids.push_back(id);
-    }
-  } else if (assigned) {
-    fail("shard report",
-         "'assigned_ids' section present but the report is not leased");
+  try {
+    wire_detail::check_range(report.owned, report.plan_items);
+  } catch (const WireError& e) {
+    fail("shard report", e.what());
   }
 
   const Section* completed = find_section(h, kRepCompleted);
@@ -662,8 +608,7 @@ ShardReport shard_report_from_binary(const void* data, std::size_t size) {
                               "completed_ids");
     while (c.remaining() > 0) {
       auto id = c.num<std::uint64_t>();
-      wire_detail::check_completed_id(report, static_cast<long long>(id),
-                                      /*require_ascending=*/true);
+      wire_detail::check_completed_id(report, static_cast<long long>(id));
       report.item_ids.push_back(static_cast<std::size_t>(id));
     }
   }
@@ -705,7 +650,7 @@ ShardReport shard_report_from_binary(const void* data, std::size_t size) {
   violations.finish();
   exploit.finish();
 
-  wire_detail::validate_complete_flag(report, /*flag_on_wire=*/true);
+  wire_detail::validate_complete_flag(report);
   return report;
 }
 

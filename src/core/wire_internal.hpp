@@ -18,28 +18,22 @@ namespace ep::core::wire_detail {
 /// Throws WireError naming the fault when the catalog does not know it.
 FaultRef parse_fault(FaultKind kind, const std::string& name);
 
-/// How many of `total_items` ids shard (index, count) owns — arithmetic
-/// only, because `total_items` is untrusted wire input and must never
-/// size an allocation (unlike shard_item_ids, which materializes the
-/// ids).
-std::size_t owned_id_count(std::size_t total_items, std::size_t shard_index,
-                           std::size_t shard_count);
+/// Hold an owned range to the plan it claims: stride >= 1 and
+/// begin <= end <= plan_items. Arithmetic only — the range is untrusted
+/// wire input and must never size an allocation.
+void check_range(const IdRange& owned, std::size_t plan_items);
 
 /// Validate one completed id against the report header and the ids seen
-/// so far (report.item_ids), mirroring the v1 checks plus v2's
-/// canonical-order requirement. Ownership is the modulo partition, or
-/// the explicit assigned_ids lease when the report is leased.
-void check_completed_id(const ShardReport& report, long long id,
-                        bool require_ascending);
+/// so far (report.item_ids): inside the plan, owned by the report, and
+/// strictly after the previous id (the canonical ascending order).
+void check_completed_id(const ShardReport& report, long long id);
 
 /// The shared tail of every shard-report decode: `complete` is derived
 /// state (the ids are each owned and unique, so coverage is a count
-/// comparison). When `flag_on_wire` the file carried the flag and a
-/// disagreement is a corrupt file; otherwise (JSON v1) the flag is
-/// inferred. Sets report.complete either way.
-void validate_complete_flag(ShardReport& report, bool flag_on_wire);
+/// comparison), and a flag on the wire that disagrees is a corrupt file.
+void validate_complete_flag(const ShardReport& report);
 
-/// The columnar run-dependent outcome encoding (schema_version 2's
+/// The columnar run-dependent outcome encoding (the shard report's
 /// `outcomes` object body), shared by ShardReport::to_json and the
 /// search-state document: one `indent`-prefixed `"name": [...]` line per
 /// column, comma-separated, trailing newline after the last.

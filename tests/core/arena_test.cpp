@@ -107,7 +107,7 @@ TEST(Arena, ReLeasedSegmentDecodesCleanlyAfterPartialGarbage) {
   Scenario s = toy_scenario();
   InjectionPlan plan = Planner(s).plan({});
   std::string report_bin =
-      shard_report_to_binary(run_lease(Executor(s), plan, 0, 2));
+      shard_report_to_binary(run_lease(Executor(s), plan, {0, 2}));
   std::string path = temp_path("release");
   ShmArena a = ShmArena::create(path, plan_to_binary(plan), 1,
                                 report_bin.size() + 128);
@@ -215,7 +215,8 @@ TEST(ShmTransport, SegmentBytesScaleWithTheLargestLease) {
   Scenario s = toy_scenario();
   InjectionPlan plan = Planner(s).plan({});
   std::size_t n = plan.items.size();
-  std::string bin = shard_report_to_binary(run_lease(Executor(s), plan, 0, n));
+  std::string bin =
+      shard_report_to_binary(run_lease(Executor(s), plan, {0, n}));
   EXPECT_LT(bin.size(), arena_segment_bytes(n) / 2);
 }
 

@@ -88,7 +88,7 @@ class PlanSwitchingFleet : public Transport {
       return ev;
     }
     ShardReport report = run_lease(*executors_.at(w.plan), plans_.at(w.plan),
-                                   p.lease.begin, p.lease.end, {});
+                                   {p.lease.begin, p.lease.end}, {});
     ev.kind = WorkerEvent::Kind::lease_done;
     ev.lease = p.lease;
     ev.report = shard_report_from_json(report.to_json());

@@ -80,8 +80,8 @@ class StragglerFleet : public Transport {
       ev.kind = WorkerEvent::Kind::lease_done;
       ev.worker = w;
       ev.lease = wk.lease;
-      ShardReport report = run_lease(executor_, plan_, wk.lease.begin,
-                                     wk.lease.end, {});
+      ShardReport report = run_lease(
+          executor_, plan_, {wk.lease.begin, wk.lease.end}, {});
       ev.report = shard_report_from_json(report.to_json());
       ev.label = "lease" + std::to_string(wk.lease.seq) + ".json";
       return ev;

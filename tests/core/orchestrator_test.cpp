@@ -90,7 +90,7 @@ class FakeTransport : public Transport {
     ExecutorOptions opts;
     opts.jobs = jobs;
     ShardReport report =
-        run_lease(executor_, plan_, p.lease.begin, p.lease.end, opts);
+        run_lease(executor_, plan_, {p.lease.begin, p.lease.end}, opts);
     ev.kind = WorkerEvent::Kind::lease_done;
     ev.lease = p.lease;
     ev.report = shard_report_from_json(report.to_json());

@@ -42,9 +42,9 @@ TEST(Protocol, FormattersRoundTripThroughTheParser) {
 
 TEST(Protocol, ParsesEveryFieldOfEveryProduction) {
   ProtocolMsg m;
-  ASSERT_TRUE(parse_protocol_line("HELLO 4", &m));
+  ASSERT_TRUE(parse_protocol_line("HELLO 5", &m));
   EXPECT_EQ(m.type, Type::hello);
-  EXPECT_EQ(m.version, 4);
+  EXPECT_EQ(m.version, 5);
 
   ASSERT_TRUE(parse_protocol_line("PING", &m));
   EXPECT_EQ(m.type, Type::ping);
@@ -165,12 +165,13 @@ TEST(Protocol, PlanNeedsExactlyOneToken) {
   }
 }
 
-TEST(Protocol, VersionConstantIsFour) {
+TEST(Protocol, VersionConstantIsFive) {
   // Bumping the protocol version must be a conscious act: this pins the
   // constant the HELLO handshake (and docs/WIRE_FORMAT.md) advertise.
   // v3 added FEEDBACK (the search plane's item append); v4 added PLAN
-  // (one fleet serving many plans).
-  EXPECT_EQ(kWorkerProtocolVersion, 4);
+  // (one fleet serving many plans); v5 marks the shard-report v4 /
+  // binary v3 encodings its plans and reports travel in.
+  EXPECT_EQ(kWorkerProtocolVersion, 5);
 }
 
 }  // namespace

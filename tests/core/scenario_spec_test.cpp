@@ -148,6 +148,19 @@ TEST(ScenarioSpecTest, RejectsUidOutOfRange) {
   EXPECT_NE(err.find("out of range"), std::string::npos) << err;
 }
 
+TEST(ScenarioSpecTest, RejectsUidThatIsNotA64BitInteger) {
+  // A number the JSON layer cannot read as an integer is still a spec
+  // error naming the field, not a bare "integer out of range".
+  for (const char* uid : {"1.5", "18446744073709551616"}) {
+    std::string err = parse_error(
+        std::string("{\"kind\": \"scenario-spec\", \"schema_version\": 1, "
+                    "\"name\": \"x\", \"users\": [{\"uid\": ") +
+        uid + ", \"name\": \"alice\", \"gid\": 7}]}");
+    EXPECT_NE(err.find("scenario spec: users[0].uid: "), std::string::npos)
+        << uid << ": " << err;
+  }
+}
+
 TEST(ScenarioSpecTest, RejectsUnknownWorldOp) {
   std::string err = parse_error(
       "{\"kind\": \"scenario-spec\", \"schema_version\": 1, "

@@ -116,7 +116,8 @@ TEST(WireBinary, RoundTrippedPlanExecutesIdentically) {
 TEST(WireBinary, ShardReportRoundTripsThroughBinary) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
-  ShardReport report = run_shard(Executor(s), plan, 1, 3);
+  ShardReport report =
+      run_lease(Executor(s), plan, static_shard(plan.items.size(), 1, 3));
   std::string bin = shard_report_to_binary(report);
   ShardReport parsed = shard_report_from_binary(bin);
   EXPECT_EQ(parsed.to_json(), report.to_json());
@@ -126,12 +127,11 @@ TEST(WireBinary, ShardReportRoundTripsThroughBinary) {
 TEST(WireBinary, LeasedReportRoundTripsWithAssignedIds) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
-  ShardReport report = run_lease(Executor(s), plan, 1, 4);
-  ASSERT_TRUE(report.leased);
+  ShardReport report = run_lease(Executor(s), plan, {1, 4});
   std::string bin = shard_report_to_binary(report);
   ShardReport parsed = shard_report_from_binary(bin);
-  EXPECT_TRUE(parsed.leased);
-  EXPECT_EQ(parsed.assigned_ids, report.assigned_ids);
+  EXPECT_EQ(parsed.owned, (IdRange{1, 4, 1}));
+  EXPECT_EQ(parsed.item_ids, report.item_ids);
   EXPECT_EQ(parsed.to_json(), report.to_json());
   EXPECT_EQ(shard_report_to_binary(parsed), bin);
 }
@@ -139,7 +139,7 @@ TEST(WireBinary, LeasedReportRoundTripsWithAssignedIds) {
 TEST(WireBinary, PartialReportRoundTripsIncomplete) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
-  ShardReport partial = run_lease(Executor(s), plan, 0, 4);
+  ShardReport partial = run_lease(Executor(s), plan, {0, 4});
   ASSERT_GE(partial.item_ids.size(), 2u);
   partial.item_ids.pop_back();
   partial.outcomes.pop_back();
@@ -153,8 +153,10 @@ TEST(WireBinary, EmptyShardRoundTrips) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
   // More shards than items: a trailing shard legitimately drains nothing.
-  ShardReport report =
-      run_shard(Executor(s), plan, plan.items.size(), plan.items.size() + 1);
+  ShardReport report = run_lease(
+      Executor(s), plan,
+      static_shard(plan.items.size(), plan.items.size(),
+                   plan.items.size() + 1));
   ASSERT_TRUE(report.item_ids.empty());
   ShardReport parsed = shard_report_from_binary(shard_report_to_binary(report));
   EXPECT_EQ(parsed.to_json(), report.to_json());
@@ -165,7 +167,7 @@ TEST(WireBinary, BinaryAndJsonDecodersAgreeOnSemanticErrors) {
   // past the framing is rejected with the same message by both codecs.
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
-  ShardReport bad = run_lease(Executor(s), plan, 0, 3);
+  ShardReport bad = run_lease(Executor(s), plan, {0, 3});
   bad.item_ids.pop_back();
   bad.outcomes.pop_back();
   // complete still claims full coverage -> both decoders must object.
@@ -216,7 +218,7 @@ TEST(WireBinaryErrors, UnsupportedVersion) {
   wr16(&bin, 8, 99);
   std::string msg = wire_error_of([&] { (void)plan_from_binary(bin); });
   EXPECT_TRUE(contains(msg, "unsupported binary wire version 99"));
-  EXPECT_TRUE(contains(msg, "this build reads versions 1 through 2"));
+  EXPECT_TRUE(contains(msg, "(this build reads version 3)"));
 }
 
 TEST(WireBinaryErrors, KindIsCheckedBeforePayload) {
@@ -280,7 +282,8 @@ TEST(WireBinaryErrors, OverlappingSectionsAreRejected) {
 TEST(WireBinaryErrors, ColumnLengthMustBeAMultipleOfTheElementSize) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
-  std::string bin = shard_report_to_binary(run_shard(Executor(s), plan, 1, 3));
+  std::string bin = shard_report_to_binary(
+      run_lease(Executor(s), plan, static_shard(plan.items.size(), 1, 3)));
   // overflows (tag 6) is a 4-byte column; shaving one byte off its
   // declared length leaves a ragged column.
   TableEntry overflows = entry_of(bin, 6);
@@ -295,7 +298,8 @@ TEST(WireBinaryErrors, ColumnLengthMustBeAMultipleOfTheElementSize) {
 TEST(WireBinaryErrors, ColumnEntryCountMustMatchCompletedIds) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
-  std::string bin = shard_report_to_binary(run_shard(Executor(s), plan, 1, 3));
+  std::string bin = shard_report_to_binary(
+      run_lease(Executor(s), plan, static_shard(plan.items.size(), 1, 3)));
   // fired (tag 4) is a 1-byte column: dropping one entry keeps it
   // well-formed as a column but one short of the completed ids.
   TableEntry fired = entry_of(bin, 4);
@@ -337,16 +341,28 @@ TEST(WireBinaryErrors, MissingSectionIsNamed) {
   EXPECT_TRUE(contains(msg, "missing section 'items'"));
 }
 
-TEST(WireBinaryErrors, LeasedFlagAndAssignedSectionMustAgree) {
+TEST(WireBinaryErrors, MetaRangeMustFitThePlan) {
+  // The report meta (tag 1) is the scenario string, then u64 plan_items,
+  // begin, end, stride and the complete byte. A range doctored past the
+  // plan is rejected with the JSON decoder's message before any id is
+  // read.
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
-  std::string leased = shard_report_to_binary(run_lease(Executor(s), plan, 0, 2));
-  // Retag assigned_ids (tag 2) away: the flag says leased, the section
-  // is gone.
-  wr32(&leased, entry_of(leased, 2).at, 98);
+  std::string bin =
+      shard_report_to_binary(run_lease(Executor(s), plan, {0, 2}));
+  TableEntry meta = entry_of(bin, 1);
+  const std::size_t end_at = meta.offset + 4 + plan.scenario_name.size() + 16;
+  ASSERT_EQ(rd64(bin, end_at), 2u);
+  wr64(&bin, end_at, plan.items.size() + 1);
   std::string msg =
-      wire_error_of([&] { (void)shard_report_from_binary(leased); });
-  EXPECT_TRUE(contains(msg, "leased report is missing its 'assigned_ids'"));
+      wire_error_of([&] { (void)shard_report_from_binary(bin); });
+  EXPECT_TRUE(contains(msg, "shard report: range [0, " +
+                                std::to_string(plan.items.size() + 1) +
+                                ") does not fit the plan"));
+  wr64(&bin, end_at, 2);
+  wr64(&bin, end_at + 8, 0);  // stride
+  msg = wire_error_of([&] { (void)shard_report_from_binary(bin); });
+  EXPECT_TRUE(contains(msg, "stride must be >= 1"));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The distribution wire format (core/wire.hpp, docs/WIRE_FORMAT.md):
-// canonical plan/shard-report round trips, the shard partition, the
-// deterministic merge, and one test per validation error path — a
-// malformed or partial file must raise WireError naming what broke.
+// canonical plan/shard-report round trips, the one ownership rule (a
+// strided lease), the deterministic merge, and one test per validation
+// error path — a malformed or partial file must raise WireError naming
+// what broke.
 #include "core/wire.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,23 @@ InjectionPlan toy_plan(bool with_snapshot = false) {
   CampaignOptions opts;
   opts.use_world_cache = with_snapshot;
   return Planner(s).plan(opts);
+}
+
+/// The ids `r` owns, ascending, enumerated by stride.
+std::vector<std::size_t> ids_of(const IdRange& r) {
+  std::vector<std::size_t> ids;
+  for (std::size_t k = 0; k < r.size(); ++k)
+    ids.push_back(r.begin + k * r.stride);
+  return ids;
+}
+
+/// `run-shard --shard K/N` over `plan` (0-based k).
+ShardReport run_static_shard(const Executor& ex, const InjectionPlan& plan,
+                             std::size_t k, std::size_t n,
+                             const ExecutorOptions& opts = {},
+                             const ShardDrainHooks& hooks = {}) {
+  return run_lease(ex, plan, static_shard(plan.items.size(), k, n), opts,
+                   hooks);
 }
 
 /// The message of the WireError `fn` must throw.
@@ -100,36 +118,63 @@ TEST(Wire, RefreezeRestoresTheCowPath) {
 }
 
 TEST(Wire, ShardItemIdsPartitionThePlan) {
-  EXPECT_EQ(shard_item_ids(10, 0, 3),
+  EXPECT_EQ(ids_of(static_shard(10, 0, 3)),
             (std::vector<std::size_t>{0, 3, 6, 9}));
-  EXPECT_EQ(shard_item_ids(10, 1, 3), (std::vector<std::size_t>{1, 4, 7}));
-  EXPECT_EQ(shard_item_ids(10, 2, 3), (std::vector<std::size_t>{2, 5, 8}));
+  EXPECT_EQ(ids_of(static_shard(10, 1, 3)),
+            (std::vector<std::size_t>{1, 4, 7}));
+  EXPECT_EQ(ids_of(static_shard(10, 2, 3)),
+            (std::vector<std::size_t>{2, 5, 8}));
   // More shards than items: trailing shards legitimately drain nothing.
-  EXPECT_EQ(shard_item_ids(2, 2, 5), std::vector<std::size_t>{});
+  EXPECT_EQ(ids_of(static_shard(2, 2, 5)), std::vector<std::size_t>{});
   // Every id lands in exactly one shard for any count.
   for (std::size_t n = 1; n <= 8; ++n) {
     std::vector<std::size_t> all;
     for (std::size_t k = 0; k < n; ++k)
-      for (std::size_t id : shard_item_ids(41, k, n)) all.push_back(id);
+      for (std::size_t id : ids_of(static_shard(41, k, n))) all.push_back(id);
     std::sort(all.begin(), all.end());
     ASSERT_EQ(all.size(), 41u) << n;
     for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], i);
   }
-  EXPECT_THROW((void)shard_item_ids(10, 3, 3), WireError);
-  EXPECT_THROW((void)shard_item_ids(10, 0, 0), WireError);
+  EXPECT_THROW((void)static_shard(10, 3, 3), WireError);
+  EXPECT_THROW((void)static_shard(10, 0, 0), WireError);
+
+  // `--shard K/N` is the strided lease [K-1, n) stride N, which must own
+  // exactly { id | id % N == K-1 } — the set the modulo rule owned — for
+  // every count up to past the plan, including shards that own nothing.
+  for (std::size_t items : {0u, 1u, 10u, 41u}) {
+    for (std::size_t n = 1; n <= items + 2; ++n) {
+      for (std::size_t k = 0; k < n; ++k) {
+        IdRange r = static_shard(items, k, n);
+        EXPECT_LE(r.end, items);
+        std::vector<std::size_t> want;
+        for (std::size_t id = 0; id < items; ++id)
+          if (id % n == k) want.push_back(id);
+        EXPECT_EQ(ids_of(r), want) << items << " items, shard " << k + 1
+                                   << "/" << n;
+        EXPECT_EQ(r.size(), want.size());
+        for (std::size_t id = 0; id < items + 3; ++id)
+          EXPECT_EQ(r.contains(id), id < items && id % n == k)
+              << items << " items, shard " << k + 1 << "/" << n << ", id "
+              << id;
+      }
+    }
+  }
 }
 
 TEST(Wire, ShardReportRoundTripsThroughJson) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
-  ShardReport report = run_shard(Executor(s), plan, 1, 3);
+  ShardReport report = run_static_shard(Executor(s), plan, 1, 3);
   EXPECT_EQ(report.scenario_name, "toy");
   EXPECT_EQ(report.plan_items, plan.items.size());
-  EXPECT_EQ(report.item_ids, shard_item_ids(plan.items.size(), 1, 3));
+  EXPECT_EQ(report.item_ids, ids_of(static_shard(plan.items.size(), 1, 3)));
   EXPECT_TRUE(report.complete);
 
   std::string json = report.to_json();
-  EXPECT_TRUE(contains(json, "\"schema_version\": 3"));
+  EXPECT_TRUE(contains(json, "\"schema_version\": 4"));
+  EXPECT_TRUE(contains(json, "\"begin\": 1,\n  \"end\": " +
+                                 std::to_string(plan.items.size()) +
+                                 ",\n  \"stride\": 3,"));
   EXPECT_TRUE(contains(json, "\"complete\": true"));
   EXPECT_TRUE(contains(json, "\"completed_ids\": ["));
   // The compact columnar promise: plan-derivable strings stay off the
@@ -140,8 +185,7 @@ TEST(Wire, ShardReportRoundTripsThroughJson) {
 
   ShardReport parsed = shard_report_from_json(json);
   EXPECT_EQ(parsed.scenario_name, report.scenario_name);
-  EXPECT_EQ(parsed.shard_index, report.shard_index);
-  EXPECT_EQ(parsed.shard_count, report.shard_count);
+  EXPECT_EQ(parsed.owned, report.owned);
   EXPECT_EQ(parsed.plan_items, report.plan_items);
   EXPECT_EQ(parsed.item_ids, report.item_ids);
   EXPECT_TRUE(parsed.complete);
@@ -169,7 +213,7 @@ TEST(Wire, PartialShardReportRoundTripsThroughJson) {
   // complete=false, is a valid wire file that parses and round-trips.
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
-  ShardReport full = run_shard(Executor(s), plan, 0, 2);
+  ShardReport full = run_static_shard(Executor(s), plan, 0, 2);
   ASSERT_GE(full.item_ids.size(), 2u);
 
   ShardReport partial = full;
@@ -185,83 +229,6 @@ TEST(Wire, PartialShardReportRoundTripsThroughJson) {
   EXPECT_EQ(parsed.to_json(), json);
 }
 
-TEST(Wire, ShardReportReadsVersion1Files) {
-  // The row-oriented PR 3 format stays readable: all plan-redundant
-  // fields present per outcome, no complete/completed_ids. Completeness
-  // is inferred from id coverage.
-  std::string v1 =
-      "{\"schema_version\": 1, \"kind\": \"shard-report\", "
-      "\"scenario\": \"toy\", \"shard_index\": 1, \"shard_count\": 2, "
-      "\"plan_items\": 4, \"outcomes\": ["
-      "{\"id\": 1, \"site\": {\"unit\": \"toy.c\", \"line\": 10, "
-      "\"tag\": \"toy-read-config\"}, \"call\": \"open\", "
-      "\"object\": \"/toy/config\", \"kind\": \"direct\", "
-      "\"fault\": \"file-existence\", \"fault_description\": \"gone\", "
-      "\"fired\": true, \"violated\": false, \"crashed\": false, "
-      "\"overflows\": 0, \"exit_code\": 1, \"violations\": [], "
-      "\"exploit\": {\"nonroot_feasible\": false, \"actor\": \"\", "
-      "\"note\": \"\"}}]}";
-  ShardReport r = shard_report_from_json(v1);
-  EXPECT_EQ(r.schema_version, 1);
-  EXPECT_EQ(r.item_ids, std::vector<std::size_t>{1});
-  ASSERT_EQ(r.outcomes.size(), 1u);
-  EXPECT_EQ(r.outcomes[0].fault_name, "file-existence");
-  EXPECT_EQ(r.outcomes[0].exit_code, 1);
-  EXPECT_FALSE(r.complete);  // shard 2/2 of 4 items owns ids 1 and 3
-
-  // Re-serializing a v1 read emits the current canonical encoding.
-  std::string v3 = r.to_json();
-  EXPECT_TRUE(contains(v3, "\"schema_version\": 3"));
-  EXPECT_TRUE(contains(v3, "\"completed_ids\": [1]"));
-  EXPECT_EQ(shard_report_from_json(v3).to_json(), v3);
-}
-
-TEST(Wire, Version1OutcomesAreSortedById) {
-  // v1 never promised an ordering, but the in-memory report (and its v2
-  // re-serialization) must ascend — a file-order v1 report sorts on read.
-  auto outcome = [](int id, int exit_code) {
-    return "{\"id\": " + std::to_string(id) +
-           ", \"site\": {\"unit\": \"t.c\", \"line\": 1, \"tag\": \"x\"}, "
-           "\"call\": \"open\", \"object\": \"/f\", \"kind\": \"direct\", "
-           "\"fault\": \"file-existence\", \"fault_description\": \"d\", "
-           "\"fired\": true, \"violated\": false, \"crashed\": false, "
-           "\"overflows\": 0, \"exit_code\": " + std::to_string(exit_code) +
-           ", \"violations\": [], \"exploit\": {\"nonroot_feasible\": "
-           "false, \"actor\": \"\", \"note\": \"\"}}";
-  };
-  std::string v1 =
-      "{\"schema_version\": 1, \"kind\": \"shard-report\", "
-      "\"scenario\": \"toy\", \"shard_index\": 1, \"shard_count\": 2, "
-      "\"plan_items\": 4, \"outcomes\": [" +
-      outcome(3, 33) + ", " + outcome(1, 11) + "]}";
-  ShardReport r = shard_report_from_json(v1);
-  EXPECT_EQ(r.item_ids, (std::vector<std::size_t>{1, 3}));
-  ASSERT_EQ(r.outcomes.size(), 2u);
-  EXPECT_EQ(r.outcomes[0].exit_code, 11);  // outcome followed its id
-  EXPECT_EQ(r.outcomes[1].exit_code, 33);
-  EXPECT_TRUE(r.complete);  // shard 2/2 of 4 items owns exactly {1, 3}
-  EXPECT_EQ(shard_report_from_json(r.to_json()).to_json(), r.to_json());
-}
-
-TEST(WireErrors, Version1RejectsViolatedFlagContradictingViolations) {
-  // The serializer always kept `violated` == "violations non-empty";
-  // a disagreeing v1 file could not re-serialize canonically as v2.
-  std::string v1 =
-      "{\"schema_version\": 1, \"kind\": \"shard-report\", "
-      "\"scenario\": \"toy\", \"shard_index\": 0, \"shard_count\": 2, "
-      "\"plan_items\": 4, \"outcomes\": ["
-      "{\"id\": 0, \"site\": {\"unit\": \"t.c\", \"line\": 1, "
-      "\"tag\": \"x\"}, \"call\": \"open\", \"object\": \"/f\", "
-      "\"kind\": \"direct\", \"fault\": \"file-existence\", "
-      "\"fault_description\": \"d\", \"fired\": true, \"violated\": true, "
-      "\"crashed\": false, \"overflows\": 0, \"exit_code\": 0, "
-      "\"violations\": [], \"exploit\": {\"nonroot_feasible\": false, "
-      "\"actor\": \"\", \"note\": \"\"}}]}";
-  std::string msg =
-      wire_error_of([&] { (void)shard_report_from_json(v1); });
-  EXPECT_TRUE(contains(msg, "'violated' is true but 'violations' is empty"));
-}
-
 TEST(Wire, MergeReassemblesThePlanOrderResult) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
@@ -271,7 +238,7 @@ TEST(Wire, MergeReassemblesThePlanOrderResult) {
   for (std::size_t n : {2u, 3u, 7u}) {
     std::vector<ShardReport> shards;
     for (std::size_t k = 0; k < n; ++k)
-      shards.push_back(run_shard(ex, plan, k, n));
+      shards.push_back(run_static_shard(ex, plan, k, n));
     // Arrival order must not matter.
     std::reverse(shards.begin(), shards.end());
     CampaignResult merged = merge_shard_reports(plan, shards);
@@ -293,45 +260,45 @@ TEST(Wire, MergeSurvivesTheWireRoundTrip) {
   std::vector<ShardReport> shards;
   for (std::size_t k = 0; k < 3; ++k)
     shards.push_back(shard_report_from_json(
-        run_shard(ex, parsed, k, 3).to_json()));
+        run_static_shard(ex, parsed, k, 3).to_json()));
   CampaignResult merged = merge_shard_reports(parsed, shards);
   ExecutorOptions opts;
   opts.jobs = 4;
   expect_identical(ex.execute(plan, opts), merged);
 }
 
-// --- lease-based (assigned_ids) reports ---------------------------------------
+// --- stride-1 leases and mixed partitions ----------------------------------
 
 TEST(WireLease, LeaseReportRoundTripsThroughJson) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
   ASSERT_GE(plan.items.size(), 5u);
-  ShardReport report = run_lease(Executor(s), plan, 1, 4);
-  EXPECT_TRUE(report.leased);
+  ShardReport report = run_lease(Executor(s), plan, {1, 4});
   EXPECT_TRUE(report.complete);
-  EXPECT_EQ(report.assigned_ids, (std::vector<std::size_t>{1, 2, 3}));
-  EXPECT_EQ(report.item_ids, report.assigned_ids);
-  EXPECT_EQ(report.shard_index, 0u);
-  EXPECT_EQ(report.shard_count, 1u);
+  EXPECT_EQ(ids_of(report.owned), (std::vector<std::size_t>{1, 2, 3}));
+  EXPECT_EQ(report.item_ids, ids_of(report.owned));
+  EXPECT_EQ(report.owned.stride, 1u);
 
   std::string json = report.to_json();
-  EXPECT_TRUE(contains(json, "\"assigned_ids\": [1, 2, 3]"));
+  EXPECT_TRUE(contains(
+      json, "\"begin\": 1,\n  \"end\": 4,\n  \"stride\": 1,"));
   ShardReport parsed = shard_report_from_json(json);
-  EXPECT_TRUE(parsed.leased);
   EXPECT_TRUE(parsed.complete);
-  EXPECT_EQ(parsed.assigned_ids, report.assigned_ids);
+  EXPECT_EQ(parsed.owned, report.owned);
   EXPECT_EQ(parsed.item_ids, report.item_ids);
   EXPECT_EQ(parsed.to_json(), json);  // canonical round trip
 }
 
 TEST(WireLease, ModuloReportsStayByteIdenticalWithoutALease) {
-  // The lease is an *optional* v2 addition: a modulo shard report must
-  // not grow an assigned_ids field, or every pre-lease file and doc
-  // example would stop round-tripping.
+  // One rule, one encoding: `--shard 1/1` is the whole-plan lease, so the
+  // static shard and the stride-1 lease of the same ids are the same
+  // bytes — there is no second ownership field to tell them apart.
   Scenario s = toy_scenario();
-  std::string json = run_shard(Executor(s), toy_plan(), 0, 2).to_json();
-  EXPECT_FALSE(contains(json, "assigned_ids"));
-  EXPECT_FALSE(shard_report_from_json(json).leased);
+  InjectionPlan plan = toy_plan();
+  Executor ex(s);
+  std::string json = run_static_shard(ex, plan, 0, 1).to_json();
+  EXPECT_EQ(json, run_lease(ex, plan, {0, plan.items.size()}).to_json());
+  EXPECT_EQ(shard_report_from_json(json).to_json(), json);
 }
 
 TEST(WireLease, MergeAcceptsAnyDisjointLeasePartition) {
@@ -347,11 +314,11 @@ TEST(WireLease, MergeAcceptsAnyDisjointLeasePartition) {
 
   std::vector<ShardReport> leases;
   leases.push_back(shard_report_from_json(
-      run_lease(ex, plan, 5, 7).to_json()));  // arrival order != id order
+      run_lease(ex, plan, {5, 7}).to_json()));  // arrival order != id order
   leases.push_back(shard_report_from_json(
-      run_lease(ex, plan, 0, 5).to_json()));
+      run_lease(ex, plan, {0, 5}).to_json()));
   leases.push_back(shard_report_from_json(
-      run_lease(ex, plan, 7, n).to_json()));
+      run_lease(ex, plan, {7, n}).to_json()));
   CampaignResult merged = merge_shard_reports(plan, leases);
   expect_identical(single, merged);
   EXPECT_EQ(render_json(single), render_json(merged));
@@ -361,7 +328,7 @@ TEST(WireLease, ResumeCompletesAPartialLeaseReport) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
   Executor ex(s);
-  ShardReport full = run_lease(ex, plan, 0, 4);
+  ShardReport full = run_lease(ex, plan, {0, 4});
   ShardReport partial = full;
   partial.item_ids.resize(2);
   partial.outcomes.resize(2);
@@ -379,10 +346,12 @@ TEST(WireLeaseErrors, RunLeaseRejectsARangeBeyondThePlan) {
   InjectionPlan plan = toy_plan();
   Executor ex(s);
   std::string msg = wire_error_of(
-      [&] { (void)run_lease(ex, plan, 0, plan.items.size() + 1); });
+      [&] { (void)run_lease(ex, plan, {0, plan.items.size() + 1}); });
   EXPECT_TRUE(contains(msg, "does not fit the plan"));
-  msg = wire_error_of([&] { (void)run_lease(ex, plan, 3, 2); });
+  msg = wire_error_of([&] { (void)run_lease(ex, plan, {3, 2}); });
   EXPECT_TRUE(contains(msg, "does not fit the plan"));
+  msg = wire_error_of([&] { (void)run_lease(ex, plan, {0, 2, 0}); });
+  EXPECT_TRUE(contains(msg, "stride must be >= 1"));
 }
 
 TEST(WireLeaseErrors, RejectsCompletedIdOutsideTheLease) {
@@ -390,64 +359,70 @@ TEST(WireLeaseErrors, RejectsCompletedIdOutsideTheLease) {
   InjectionPlan plan = toy_plan();
   ASSERT_GE(plan.items.size(), 5u);
   std::string json =
-      replace_all(run_lease(Executor(s), plan, 1, 3).to_json(),
+      replace_all(run_lease(Executor(s), plan, {1, 3}).to_json(),
                   "\"completed_ids\": [1, 2]", "\"completed_ids\": [1, 4]");
   EXPECT_TRUE(
       contains(wire_error_of([&] { (void)shard_report_from_json(json); }),
-               "not in this report's assigned_ids lease"));
+               "work-item id 4 is not owned by this report (ids [1, 3))"));
 }
 
 TEST(WireLeaseErrors, RejectsAssignedIdsOutOfOrderOrDuplicate) {
+  // The assigned ids are the range now: a range whose ends are out of
+  // order, whose stride repeats an id forever, or which runs past the
+  // plan is rejected before any id is read.
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan();
-  std::string json = run_lease(Executor(s), plan, 1, 3).to_json();
+  std::string json = run_lease(Executor(s), plan, {1, 3}).to_json();
   EXPECT_TRUE(contains(
       wire_error_of([&] {
-        (void)shard_report_from_json(replace_all(
-            json, "\"assigned_ids\": [1, 2]", "\"assigned_ids\": [2, 1]"));
+        (void)shard_report_from_json(
+            replace_all(json, "\"begin\": 1,", "\"begin\": 4,"));
       }),
-      "assigned_ids out of order"));
+      "range [4, 3) does not fit the plan"));
   EXPECT_TRUE(contains(
       wire_error_of([&] {
-        (void)shard_report_from_json(replace_all(
-            json, "\"assigned_ids\": [1, 2]", "\"assigned_ids\": [1, 1]"));
+        (void)shard_report_from_json(
+            replace_all(json, "\"stride\": 1,", "\"stride\": 0,"));
       }),
-      "duplicate assigned id 1"));
+      "stride must be >= 1"));
   EXPECT_TRUE(contains(
       wire_error_of([&] {
-        (void)shard_report_from_json(replace_all(
-            json, "\"assigned_ids\": [1, 2]",
-            "\"assigned_ids\": [1, 99999]"));
+        (void)shard_report_from_json(
+            replace_all(json, "\"end\": 3,", "\"end\": 99999,"));
       }),
-      "out of range"));
+      "does not fit the plan"));
 }
 
 TEST(WireLeaseErrors, RejectsALeaseMasqueradingAsAModuloShard) {
-  // shard_index/shard_count are fixed at 0/1 for leased reports so the
-  // two ownership styles can never contradict inside one file.
+  // A lease file whose stride is doctored into a static shard's no
+  // longer owns the ids it holds: the range and the ids cannot disagree.
   Scenario s = toy_scenario();
-  std::string json = run_lease(Executor(s), toy_plan(), 1, 3).to_json();
+  std::string json = run_lease(Executor(s), toy_plan(), {1, 3}).to_json();
   EXPECT_TRUE(contains(
       wire_error_of([&] {
-        (void)shard_report_from_json(replace_all(
-            json, "\"shard_count\": 1", "\"shard_count\": 3"));
+        (void)shard_report_from_json(
+            replace_all(json, "\"stride\": 1,", "\"stride\": 3,"));
       }),
-      "must carry shard_index 0 and shard_count 1"));
+      "work-item id 2 is not owned by this report (ids [1, 3) stride 3)"));
 }
 
 TEST(WireLeaseErrors, ResumeRejectsALeaseWithModuloShardFields) {
-  // The parser enforces leased => shard 0/1 for wire files; resume must
-  // hold in-memory callers to the same invariant, or the resumed report
-  // would serialize into a file its own reader rejects.
+  // The parser holds wire files to their range; resume must hold
+  // in-memory callers to the same invariant, or the resumed report would
+  // serialize into a file its own reader rejects.
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan();
   Executor ex(s);
-  ShardReport bad = run_lease(ex, plan, 0, 2);
-  bad.shard_index = 2;
-  bad.shard_count = 5;
+  ShardReport bad = run_lease(ex, plan, {0, 2});
+  bad.owned.stride = 5;
   EXPECT_TRUE(contains(
       wire_error_of([&] { (void)resume_shard(ex, plan, bad); }),
-      "must carry shard_index 0 and shard_count 1"));
+      "resume: work-item id 1 is not owned by this report"));
+  bad.owned = {0, plan.items.size() + 1};
+  EXPECT_TRUE(contains(
+      wire_error_of([&] { (void)resume_shard(ex, plan, bad); }),
+      "resume: range [0, " + std::to_string(plan.items.size() + 1) +
+          ") does not fit the plan"));
 }
 
 TEST(WireLeaseErrors, MergeRejectsOverlappingLeases) {
@@ -455,8 +430,8 @@ TEST(WireLeaseErrors, MergeRejectsOverlappingLeases) {
   InjectionPlan plan = toy_plan();
   Executor ex(s);
   std::vector<ShardReport> leases;
-  leases.push_back(run_lease(ex, plan, 0, 5));
-  leases.push_back(run_lease(ex, plan, 4, plan.items.size()));
+  leases.push_back(run_lease(ex, plan, {0, 5}));
+  leases.push_back(run_lease(ex, plan, {4, plan.items.size()}));
   std::string msg = wire_error_of(
       [&] { (void)merge_shard_reports(plan, leases, {"a.json", "b.json"}); });
   EXPECT_TRUE(contains(msg, "work item 4 is leased to both"));
@@ -469,23 +444,70 @@ TEST(WireLeaseErrors, MergeRejectsANonCoveringLeaseSet) {
   InjectionPlan plan = toy_plan();
   Executor ex(s);
   std::vector<ShardReport> leases;
-  leases.push_back(run_lease(ex, plan, 0, 5));
-  leases.push_back(run_lease(ex, plan, 6, plan.items.size()));  // gap: id 5
+  leases.push_back(run_lease(ex, plan, {0, 5}));
+  leases.push_back(run_lease(ex, plan, {6, plan.items.size()}));  // gap: 5
   EXPECT_TRUE(contains(
       wire_error_of([&] { (void)merge_shard_reports(plan, leases); }),
       "work item 5 is not covered by any lease"));
 }
 
-TEST(WireLeaseErrors, MergeRejectsMixedLeaseAndModuloReports) {
+TEST(WireLease, MergeAcceptsAStaticShardPlusSingleIdLeases) {
+  // One ownership rule for every report: a `--shard 1/2` file (stride 2,
+  // the even ids) and one single-id lease per odd id partition the plan,
+  // so they merge byte-identically to the single process — through the
+  // JSON and binary wire alike.
   Scenario s = toy_scenario();
-  InjectionPlan plan = toy_plan();
+  InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
   Executor ex(s);
+  CampaignResult single = ex.execute(plan);
+  const std::size_t n = plan.items.size();
+  ASSERT_GE(n, 4u);
+
   std::vector<ShardReport> mixed;
-  mixed.push_back(run_shard(ex, plan, 0, 2));
-  mixed.push_back(run_lease(ex, plan, 1, 2));
+  std::vector<std::string> labels;
+  mixed.push_back(shard_report_from_json(
+      run_static_shard(ex, plan, 0, 2).to_json()));
+  labels.push_back("even.json");
+  for (std::size_t id = 1; id < n; id += 2) {
+    mixed.push_back(shard_report_from_binary(
+        shard_report_to_binary(run_lease(ex, plan, {id, id + 1}))));
+    labels.push_back("odd" + std::to_string(id) + ".json");
+  }
+  std::vector<ShardReport> arrived(mixed.rbegin(), mixed.rend());
+  std::vector<std::string> arrived_labels(labels.rbegin(), labels.rend());
+  CampaignResult merged = merge_shard_reports(plan, arrived, arrived_labels);
+  expect_identical(single, merged);
+  EXPECT_EQ(render_json(single), render_json(merged));
+  EXPECT_EQ(render_report(single), render_report(merged));
+
+  // An extra lease over an even id overlaps the static shard: rejected,
+  // naming both files.
+  std::vector<ShardReport> overlap = mixed;
+  std::vector<std::string> overlap_labels = labels;
+  overlap.push_back(run_lease(ex, plan, {2, 3}));
+  overlap_labels.push_back("extra.json");
+  std::string msg = wire_error_of(
+      [&] { (void)merge_shard_reports(plan, overlap, overlap_labels); });
+  EXPECT_TRUE(contains(msg, "work item 2 is leased to both"));
+  EXPECT_TRUE(contains(msg, "(even.json)"));
+  EXPECT_TRUE(contains(msg, "(extra.json)"));
+
+  // Dropping the lease over id 1 leaves a gap...
+  std::vector<ShardReport> gap = mixed;
+  gap.erase(gap.begin() + 1);  // the lease over id 1
   EXPECT_TRUE(contains(
-      wire_error_of([&] { (void)merge_shard_reports(plan, mixed); }),
-      "cannot mix lease-based (assigned_ids) and modulo shard reports"));
+      wire_error_of([&] { (void)merge_shard_reports(plan, gap); }),
+      "work item 1 is not covered by any lease"));
+
+  // ...and a partial static shard is still a partial report.
+  std::vector<ShardReport> partial = mixed;
+  partial.front().item_ids.pop_back();  // the static shard
+  partial.front().outcomes.pop_back();
+  msg = wire_error_of(
+      [&] { (void)merge_shard_reports(plan, partial, labels); });
+  EXPECT_TRUE(contains(msg, "has no outcome"));
+  EXPECT_TRUE(contains(msg, "(even.json)"));
+  EXPECT_TRUE(contains(msg, "--resume"));
 }
 
 TEST(WireLeaseErrors, MergeRejectsAPartialLeaseReport) {
@@ -493,8 +515,8 @@ TEST(WireLeaseErrors, MergeRejectsAPartialLeaseReport) {
   InjectionPlan plan = toy_plan();
   Executor ex(s);
   std::vector<ShardReport> leases;
-  leases.push_back(run_lease(ex, plan, 0, 5));
-  leases.push_back(run_lease(ex, plan, 5, plan.items.size()));
+  leases.push_back(run_lease(ex, plan, {0, 5}));
+  leases.push_back(run_lease(ex, plan, {5, plan.items.size()}));
   leases[1].item_ids.pop_back();
   leases[1].outcomes.pop_back();
   std::string msg = wire_error_of([&] {
@@ -506,11 +528,11 @@ TEST(WireLeaseErrors, MergeRejectsAPartialLeaseReport) {
 }
 
 TEST(Wire, MergeScalesToLargeShardCountsWithEmptyTrailingShards) {
-  // Locks the owner-resolution rework: merge with a shard count well
-  // beyond the item count (trailing shards own nothing and arrive as
-  // empty-but-complete reports) must validate per-shard through the
-  // precomputed index, not a per-item rescan of the shard list — and a
-  // partial report in the pile is still attributed to its file.
+  // Merge with a shard count well beyond the item count (trailing shards
+  // own nothing and arrive as empty-but-complete reports) must resolve
+  // owners through the id-indexed owner map, not a per-item rescan of
+  // the shard list — and a partial report in the pile is still
+  // attributed to its file.
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
   Executor ex(s);
@@ -520,7 +542,7 @@ TEST(Wire, MergeScalesToLargeShardCountsWithEmptyTrailingShards) {
   std::vector<ShardReport> shards;
   std::vector<std::string> labels;
   for (std::size_t k = 0; k < count; ++k) {
-    shards.push_back(run_shard(ex, plan, k, count));
+    shards.push_back(run_static_shard(ex, plan, k, count));
     labels.push_back("s" + std::to_string(k) + ".json");
   }
   expect_identical(single, merge_shard_reports(plan, shards, labels));
@@ -562,12 +584,12 @@ TEST(WireErrors, PlanRejectsFutureSchemaVersion) {
                          "\"injection-plan\"}");
   });
   EXPECT_TRUE(contains(msg, "unsupported schema_version 99"));
-  EXPECT_TRUE(contains(msg, "versions 1 through 2"));
+  EXPECT_TRUE(contains(msg, "(this build reads version 2)"));
 }
 
 TEST(WireErrors, PlanRejectsForeignKind) {
   Scenario s = toy_scenario();
-  ShardReport report = run_shard(Executor(s), toy_plan(), 0, 2);
+  ShardReport report = run_static_shard(Executor(s), toy_plan(), 0, 2);
   std::string msg =
       wire_error_of([&] { (void)plan_from_json(report.to_json()); });
   EXPECT_TRUE(contains(msg, "'shard-report'"));
@@ -654,35 +676,40 @@ TEST(WireErrors, ShardReportRejectsForeignKind) {
 }
 
 TEST(WireErrors, ShardReportRejectsIndexOutOfRange) {
+  // A range that starts past its end is no range at all.
   Scenario s = toy_scenario();
+  InjectionPlan plan = toy_plan();
+  const std::string n = std::to_string(plan.items.size());
   std::string json =
-      replace_all(run_shard(Executor(s), toy_plan(), 2, 3).to_json(),
-                  "\"shard_index\": 2", "\"shard_index\": 3");
+      replace_all(run_static_shard(Executor(s), plan, 2, 3).to_json(),
+                  "\"begin\": 2", "\"begin\": " + n + "1");
   EXPECT_TRUE(
       contains(wire_error_of([&] { (void)shard_report_from_json(json); }),
-               "shard_index 3 out of range"));
+               "range [" + n + "1, " + n + ") stride 3 does not fit"));
 }
 
 TEST(WireErrors, ShardReportRejectsForeignItemId) {
   Scenario s = toy_scenario();
   // Shard 0 of 3 owns ids 0, 3, 6, ...; retagging the first completed id
   // as 1 hands it an item of shard 2/3.
+  InjectionPlan plan = toy_plan();
   std::string json =
-      replace_all(run_shard(Executor(s), toy_plan(), 0, 3).to_json(),
+      replace_all(run_static_shard(Executor(s), plan, 0, 3).to_json(),
                   "\"completed_ids\": [0, ", "\"completed_ids\": [1, ");
   EXPECT_TRUE(
       contains(wire_error_of([&] { (void)shard_report_from_json(json); }),
-               "belongs to shard 2/3, not shard 1/3"));
+               "work-item id 1 is not owned by this report (ids [0, " +
+                   std::to_string(plan.items.size()) + ") stride 3)"));
 }
 
 TEST(WireErrors, ShardReportRejectsIdBeyondPlan) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan();
-  std::size_t last = shard_item_ids(plan.items.size(), 0, 1).back();
+  std::size_t last = plan.items.size() - 1;
   // Anchor on the "outcomes" key that follows so a small column value
   // equal to `last` cannot match.
   std::string json = replace_all(
-      run_shard(Executor(s), plan, 0, 1).to_json(),
+      run_static_shard(Executor(s), plan, 0, 1).to_json(),
       ", " + std::to_string(last) + "],\n  \"outcomes\"",
       ", " + std::to_string(plan.items.size()) + "],\n  \"outcomes\"");
   EXPECT_TRUE(
@@ -695,7 +722,7 @@ TEST(WireErrors, ShardReportRejectsDuplicateIds) {
   // Shard 2/2 owns ids 1, 3, 5, ...; its first two completed ids both
   // claiming 1 is a duplicate.
   std::string json =
-      replace_all(run_shard(Executor(s), toy_plan(), 1, 2).to_json(),
+      replace_all(run_static_shard(Executor(s), toy_plan(), 1, 2).to_json(),
                   "\"completed_ids\": [1, 3", "\"completed_ids\": [1, 1");
   EXPECT_TRUE(
       contains(wire_error_of([&] { (void)shard_report_from_json(json); }),
@@ -707,7 +734,7 @@ TEST(WireErrors, ShardReportRejectsOutOfOrderIds) {
   // Version 2 is canonical: completed_ids must ascend, or the resumed
   // report could not be byte-identical to an uninterrupted run.
   std::string json =
-      replace_all(run_shard(Executor(s), toy_plan(), 1, 2).to_json(),
+      replace_all(run_static_shard(Executor(s), toy_plan(), 1, 2).to_json(),
                   "\"completed_ids\": [1, 3", "\"completed_ids\": [3, 1");
   EXPECT_TRUE(
       contains(wire_error_of([&] { (void)shard_report_from_json(json); }),
@@ -716,7 +743,7 @@ TEST(WireErrors, ShardReportRejectsOutOfOrderIds) {
 
 TEST(WireErrors, ShardReportRejectsCompleteFlagContradictions) {
   Scenario s = toy_scenario();
-  std::string json = run_shard(Executor(s), toy_plan(), 0, 2).to_json();
+  std::string json = run_static_shard(Executor(s), toy_plan(), 0, 2).to_json();
   // A full report claiming to be partial...
   EXPECT_TRUE(contains(
       wire_error_of([&] {
@@ -740,7 +767,7 @@ TEST(WireErrors, ShardReportRejectsCompleteFlagContradictions) {
 
 TEST(WireErrors, ShardReportRejectsColumnLengthMismatch) {
   Scenario s = toy_scenario();
-  std::string json = run_shard(Executor(s), toy_plan(), 0, 3).to_json();
+  std::string json = run_static_shard(Executor(s), toy_plan(), 0, 3).to_json();
   // Empty out the fired column: its length no longer matches the ids.
   std::size_t at = json.find("\"fired\": [");
   ASSERT_NE(at, std::string::npos);
@@ -756,7 +783,7 @@ TEST(WireErrors, ShardReportRejectsExploitViolationsDisagreement) {
   // outcomes. The toy scenario has at least one of each, so flipping one
   // side of the pairing must fail.
   Scenario s = toy_scenario();
-  std::string json = run_shard(Executor(s), toy_plan(), 0, 1).to_json();
+  std::string json = run_static_shard(Executor(s), toy_plan(), 0, 1).to_json();
   ASSERT_TRUE(contains(json, "null"));  // at least one non-violated outcome
   std::size_t at = json.find("\"exploit\": [");
   ASSERT_NE(at, std::string::npos);
@@ -780,7 +807,7 @@ class WireMergeErrors : public ::testing::Test {
     plan_ = Planner(scenario_).plan();
     Executor ex(scenario_);
     for (std::size_t k = 0; k < 3; ++k)
-      shards_.push_back(run_shard(ex, plan_, k, 3));
+      shards_.push_back(run_static_shard(ex, plan_, k, 3));
   }
 
   Scenario scenario_;
@@ -795,26 +822,33 @@ TEST_F(WireMergeErrors, RejectsEmptyShardList) {
 }
 
 TEST_F(WireMergeErrors, RejectsMissingShard) {
-  shards_.pop_back();
+  shards_.pop_back();  // shard 3/3 owns id 2 first
   EXPECT_TRUE(contains(
       wire_error_of([&] { (void)merge_shard_reports(plan_, shards_); }),
-      "got 2 shard report(s) but shard_count is 3"));
+      "work item 2 is not covered by any lease"));
 }
 
 TEST_F(WireMergeErrors, RejectsImplausibleShardCountWithoutAllocating) {
-  // shard_count is untrusted: a crafted value must fail fast, never size
-  // an allocation (a 7e11 count once zero-filled ~87GB here).
-  for (auto& s : shards_) s.shard_count = 700000000000ull;
+  // The range is untrusted: a crafted end or stride must fail fast, never
+  // size an allocation (a 7e11 count once zero-filled ~87GB here) or walk
+  // an id list that long.
+  for (auto& s : shards_) s.owned.end = 700000000000ull;
   EXPECT_TRUE(contains(
       wire_error_of([&] { (void)merge_shard_reports(plan_, shards_); }),
-      "shard_count is 700000000000"));
+      "700000000000) stride 3 does not fit the plan"));
+  shards_.clear();
+  SetUp();  // fresh shards
+  for (auto& s : shards_) s.owned.stride = 700000000000ull;
+  EXPECT_TRUE(contains(
+      wire_error_of([&] { (void)merge_shard_reports(plan_, shards_); }),
+      "is not owned by this report"));
 }
 
 TEST_F(WireMergeErrors, RejectsDuplicateShard) {
   shards_[2] = shards_[0];
   EXPECT_TRUE(contains(
       wire_error_of([&] { (void)merge_shard_reports(plan_, shards_); }),
-      "duplicate report for shard 1/3"));
+      "work item 0 is leased to both"));
 }
 
 TEST_F(WireMergeErrors, RejectsForeignScenario) {
@@ -832,10 +866,12 @@ TEST_F(WireMergeErrors, RejectsForeignPlanSize) {
 }
 
 TEST_F(WireMergeErrors, RejectsInconsistentShardCounts) {
-  shards_[1].shard_count = 4;
+  // Shard 2/3 restrided as if cut 4 ways owns 1, 5, 9, ... — not the
+  // 1, 4, 7, ... it holds.
+  shards_[1].owned.stride = 4;
   EXPECT_TRUE(contains(
       wire_error_of([&] { (void)merge_shard_reports(plan_, shards_); }),
-      "disagrees"));
+      "work-item id 4 is not owned by this report"));
 }
 
 TEST_F(WireMergeErrors, RejectsPartialShardFile) {
@@ -857,10 +893,11 @@ TEST_F(WireMergeErrors, NamesTheOffendingFileWhenLabelsAreGiven) {
   // The CLI passes shard file paths as labels: a 7-shard failure must
   // name the file to fix, not just "shard 2/3".
   std::vector<std::string> labels = {"a.json", "b.json", "c.json"};
+  const std::string n = std::to_string(plan_.items.size());
   shards_[1].scenario_name = "other";
   std::string msg = wire_error_of(
       [&] { (void)merge_shard_reports(plan_, shards_, labels); });
-  EXPECT_TRUE(contains(msg, "shard 2/3 (b.json)"));
+  EXPECT_TRUE(contains(msg, "report [1, " + n + ") stride 3 (b.json)"));
 
   shards_.clear();
   SetUp();  // fresh shards
@@ -868,7 +905,7 @@ TEST_F(WireMergeErrors, NamesTheOffendingFileWhenLabelsAreGiven) {
   msg = wire_error_of(
       [&] { (void)merge_shard_reports(plan_, shards_, labels); });
   // Both claimants named: the duplicate and the report it collides with.
-  EXPECT_TRUE(contains(msg, "shard 1/3 (c.json)"));
+  EXPECT_TRUE(contains(msg, "report [0, " + n + ") stride 3 (c.json)"));
   EXPECT_TRUE(contains(msg, "(a.json)"));
 }
 
@@ -887,7 +924,7 @@ TEST_F(WireMergeErrors, AttributesPartialFileToItsShard) {
 // --- checkpointed drains and resume -----------------------------------------
 
 TEST(WireResume, MergeAcceptsAMixOfWireVersionsAndResumedShards) {
-  // One shard straight from memory, one through the v2 wire, one
+  // One shard straight from memory, one through the JSON wire, one
   // preempted + resumed through the wire: the merge must not care.
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
@@ -895,9 +932,9 @@ TEST(WireResume, MergeAcceptsAMixOfWireVersionsAndResumedShards) {
   CampaignResult single = ex.execute(plan);
 
   std::vector<ShardReport> shards;
-  shards.push_back(run_shard(ex, plan, 0, 3));
+  shards.push_back(run_static_shard(ex, plan, 0, 3));
   shards.push_back(
-      shard_report_from_json(run_shard(ex, plan, 1, 3).to_json()));
+      shard_report_from_json(run_static_shard(ex, plan, 1, 3).to_json()));
 
   ShardDrainHooks hooks;
   hooks.checkpoint_every = 1;
@@ -908,7 +945,7 @@ TEST(WireResume, MergeAcceptsAMixOfWireVersionsAndResumedShards) {
   };
   int polls = 0;
   hooks.interrupted = [&] { return ++polls > 2; };  // stop after 2 items
-  ShardReport preempted = run_shard(ex, plan, 2, 3, {}, hooks);
+  ShardReport preempted = run_static_shard(ex, plan, 2, 3, {}, hooks);
   EXPECT_FALSE(preempted.complete);
   EXPECT_FALSE(last_flush.empty());
 
@@ -916,7 +953,7 @@ TEST(WireResume, MergeAcceptsAMixOfWireVersionsAndResumedShards) {
       ex, plan, shard_report_from_json(preempted.to_json()));
   EXPECT_TRUE(resumed.complete);
   // Byte-identical to a never-preempted drain of the same shard.
-  EXPECT_EQ(resumed.to_json(), run_shard(ex, plan, 2, 3).to_json());
+  EXPECT_EQ(resumed.to_json(), run_static_shard(ex, plan, 2, 3).to_json());
 
   shards.push_back(shard_report_from_json(resumed.to_json()));
   expect_identical(single, merge_shard_reports(plan, shards));
@@ -926,7 +963,7 @@ TEST(WireResume, ResumeOfACompleteReportDrainsNothing) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
   Executor ex(s);
-  ShardReport full = run_shard(ex, plan, 0, 2);
+  ShardReport full = run_static_shard(ex, plan, 0, 2);
   ShardReport resumed = resume_shard(ex, plan, full);
   EXPECT_EQ(resumed.to_json(), full.to_json());
 }
@@ -935,7 +972,7 @@ TEST(WireResume, ResumeRejectsAForeignPartialReport) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan();
   Executor ex(s);
-  ShardReport partial = run_shard(ex, plan, 0, 2);
+  ShardReport partial = run_static_shard(ex, plan, 0, 2);
   partial.item_ids.resize(1);
   partial.outcomes.resize(1);
   partial.complete = false;
@@ -953,10 +990,10 @@ TEST(WireResume, ResumeRejectsAForeignPartialReport) {
       "written against a plan with"));
 
   foreign = partial;
-  foreign.item_ids[0] = 1;  // shard 1/2 owns id 1, not shard 0/2
+  foreign.item_ids[0] = 1;  // shard 2/2 owns id 1, not shard 1/2
   EXPECT_TRUE(contains(
       wire_error_of([&] { (void)resume_shard(ex, plan, foreign); }),
-      "belongs to shard 2/2"));
+      "work-item id 1 is not owned by this report"));
 }
 
 TEST(WireResume, CheckpointedSubsetDrainMatchesPlainDrain) {
@@ -965,7 +1002,7 @@ TEST(WireResume, CheckpointedSubsetDrainMatchesPlainDrain) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
   Executor ex(s);
-  std::vector<std::size_t> ids = shard_item_ids(plan.items.size(), 0, 1);
+  std::vector<std::size_t> ids = ids_of({0, plan.items.size()});
   auto plain = ex.execute_subset(plan, ids);
   for (int jobs : {1, 2}) {
     ExecutorOptions opts;

@@ -103,9 +103,9 @@ TEST(WireFormatDoc, LeaseReportExampleRoundTripsVerbatim) {
   std::string example = example_block(read_doc(), "shard-report-lease");
   ASSERT_FALSE(example.empty());
   ShardReport report = shard_report_from_json(example);
-  EXPECT_TRUE(report.leased);
+  EXPECT_EQ(report.owned.stride, 1u);
   EXPECT_TRUE(report.complete);
-  EXPECT_EQ(report.assigned_ids, report.item_ids);
+  EXPECT_EQ(report.item_ids.size(), report.owned.size());
   EXPECT_EQ(report.to_json(), example)
       << "docs/WIRE_FORMAT.md lease-report example is no longer canonical "
          "serializer output — regenerate it (see the doc's 'Regenerating "
@@ -131,26 +131,10 @@ TEST(WireFormatDoc, RedzoneReportExampleRoundTripsVerbatim) {
          "the examples' section)";
 }
 
-TEST(WireFormatDoc, LegacyShardReportExampleReadsAsTheV2Example) {
-  // The documented version-1 file must stay parseable, and its canonical
-  // re-serialization must be exactly the documented version-2 example —
-  // the two blocks describe the same drain in both encodings.
-  std::string doc = read_doc();
-  std::string v1 = example_block(doc, "shard-report-v1");
-  std::string v2 = example_block(doc, "shard-report");
-  ASSERT_FALSE(v1.empty());
-  ASSERT_FALSE(v2.empty());
-  ShardReport report = shard_report_from_json(v1);
-  EXPECT_EQ(report.schema_version, 1);
-  EXPECT_EQ(report.to_json(), v2)
-      << "docs/WIRE_FORMAT.md v1 legacy example no longer re-serializes "
-         "into the v2 example";
-}
-
 TEST(WireFormatDoc, BinaryPlanExampleIsVerbatimEncoderOutput) {
   // The hex block must be exactly what the binary encoder emits for the
   // documented JSON plan — the two examples describe the same plan in
-  // both encodings, like the v1/v2 shard-report pair.
+  // both encodings.
   std::string doc = read_doc();
   std::string json = example_block(doc, "plan");
   std::string hex = example_block(doc, "plan-binary", "text");

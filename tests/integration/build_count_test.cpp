@@ -84,8 +84,8 @@ TEST(CachedBuildCount, WorkerBuildsOncePerPlanWhateverTheLeaseCount) {
     refreeze_snapshot(plan, local);
     Executor executor(local);
     const std::size_t n = plan.items.size();
-    ShardReport head = run_lease(executor, plan, 0, n / 2);
-    ShardReport tail = run_lease(executor, plan, n / 2, n);
+    ShardReport head = run_lease(executor, plan, {0, n / 2});
+    ShardReport tail = run_lease(executor, plan, {n / 2, n});
     EXPECT_EQ(head.outcomes.size() + tail.outcomes.size(), n);
     EXPECT_EQ(builds.load(), 1);
   }

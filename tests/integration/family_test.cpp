@@ -70,7 +70,9 @@ TEST(FamilyDeterminism, ShardedFamilyMatchesSingleProcess) {
         ExecutorOptions shard_opts;
         shard_opts.jobs = 2;
         shards.push_back(shard_report_from_json(
-            run_shard(ex, wire_plan, k, n, shard_opts).to_json()));
+            run_lease(ex, wire_plan,
+                      static_shard(wire_plan.items.size(), k, n),
+                      shard_opts).to_json()));
       }
       CampaignResult merged = merge_shard_reports(wire_plan, shards);
       expect_identical(single, merged);

@@ -37,9 +37,9 @@ TEST(KillAndResume, MergedResultIsByteIdenticalToSingleProcess) {
     std::vector<ShardReport> shards;
     for (std::size_t k = 0; k < n; ++k) {
       SCOPED_TRACE("shard=" + std::to_string(k + 1));
-      std::string uninterrupted =
-          run_shard(ex, wire_plan, k, n).to_json();
-      std::size_t owned = shard_item_ids(wire_plan.items.size(), k, n).size();
+      const IdRange shard = static_shard(wire_plan.items.size(), k, n);
+      std::string uninterrupted = run_lease(ex, wire_plan, shard).to_json();
+      std::size_t owned = shard.size();
       ASSERT_GE(owned, 2u);
 
       // Kill the drain after `cut` items, at checkpoint interval 1 —
@@ -53,8 +53,7 @@ TEST(KillAndResume, MergedResultIsByteIdenticalToSingleProcess) {
         };
         std::size_t polls = 0;
         hooks.interrupted = [&] { return ++polls > cut; };
-        ShardReport preempted =
-            run_shard(ex, wire_plan, k, n, {}, hooks);
+        ShardReport preempted = run_lease(ex, wire_plan, shard, {}, hooks);
         ASSERT_FALSE(preempted.complete);
         ASSERT_EQ(preempted.item_ids.size(), cut);
         ASSERT_FALSE(last_flush.empty());

@@ -227,7 +227,7 @@ TEST(TcpTransport, HandshakePlanLeaseAndReportAllCrossTheWire) {
   // The scripted worker drains the lease for real and answers with the
   // DONE control frame plus the binary report frame.
   core::Executor ex(s);
-  core::ShardReport report = core::run_lease(ex, plan, 0, 2, {});
+  core::ShardReport report = core::run_lease(ex, plan, {0, 2}, {});
   worker.say(core::format_done(0, 2));
   worker.say(core::shard_report_to_binary(report));
   std::optional<core::WorkerEvent> ev = transport.wait_any(2000);
@@ -256,7 +256,7 @@ TEST(TcpTransport, HandshakePlanLeaseAndReportAllCrossTheWire) {
   EXPECT_EQ(ev->lease.end, 6u);  // the event names the original range
 
   // The worker now owes [2, 4); finish it so shutdown finds it idle.
-  core::ShardReport head = core::run_lease(ex, plan, 2, 4, {});
+  core::ShardReport head = core::run_lease(ex, plan, {2, 4}, {});
   worker.say(core::format_done(2, 4));
   worker.say(core::shard_report_to_binary(head));
   ev = transport.wait_any(2000);
@@ -386,7 +386,7 @@ TEST(TcpTransport, BothEndsSetNoDelaySoLeasesSkipTheAckTimer) {
   (void)worker.hear();
   core::Executor ex(s);
   const std::string report =
-      core::shard_report_to_binary(core::run_lease(ex, plan, 0, 2, {}));
+      core::shard_report_to_binary(core::run_lease(ex, plan, {0, 2}, {}));
   auto t0 = std::chrono::steady_clock::now();
   for (std::size_t seq = 0; seq < 20; ++seq) {
     transport.submit(*w, {seq, 0, 2});
@@ -492,7 +492,7 @@ void answer_lease(TcpTransport& transport, ScriptedWorker& worker,
                   const core::InjectionPlan& plan, const core::Lease& lease) {
   core::Executor ex(scenario);
   core::ShardReport report =
-      core::run_lease(ex, plan, lease.begin, lease.end, {});
+      core::run_lease(ex, plan, {lease.begin, lease.end}, {});
   worker.say(core::format_done(lease.begin, lease.end));
   worker.say(core::shard_report_to_binary(report));
   std::optional<core::WorkerEvent> ev = transport.wait_any(2000);

@@ -2,6 +2,8 @@
 // full owner/group/other x read/write/exec matrix.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "os/vfs.hpp"
 
 namespace ep::os {
@@ -48,7 +50,14 @@ struct PermCase {
   int who;  // 0=owner, 1=group, 2=other
   Perm perm;
   bool expect;
+  // gtest lists a parameter that has no PrintTo as its raw bytes, and
+  // ctest discovery names each test after that listing. As padding these
+  // three bytes were uninitialized and the names changed from one run to
+  // the next; as a zeroed member they print the same every time.
+  char zero_tail[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<PermCase>,
+              "every byte gtest prints must belong to a member");
 
 class PermMatrix : public ::testing::TestWithParam<PermCase> {};
 
