@@ -46,14 +46,14 @@
 //
 // `epa_cli worker` is the orchestrator's worker half: it parses a plan
 // and re-freezes the COW prototype once per plan, then serves LEASE
-// commands over its control channel (stdin/stdout lines; tcp frames with
-// --connect) until EXIT/EOF — the per-process costs are paid per worker,
-// not per work slice, and a multi-scenario command keeps one fleet for
-// all its plans. Every data plane speaks worker protocol v5
-// (core/protocol.hpp): HELLO handshake, PING heartbeats at checkpoints,
-// STEAL/YIELD work stealing, FEEDBACK item appends for search, PLAN
-// switches between plans. Orchestrated output is bit-identical to `run`.
-#include <poll.h>
+// frames over one framed stream (stdin/stdout when orchestrate forks it,
+// a socket with --connect) until EXIT/EOF — the per-process costs are
+// paid per worker, not per work slice, and a multi-scenario command keeps
+// one fleet for all its plans. Every worker speaks worker protocol v6
+// (core/protocol.hpp): HELLO handshake, the binary plan and report
+// frames, PING heartbeats at checkpoints, STEAL/YIELD work stealing,
+// FEEDBACK item appends for search, PLAN switches between plans.
+// Orchestrated output is bit-identical to `run`.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -76,7 +76,6 @@
 #include "apps/redzone_demo.hpp"
 #include "apps/scenarios.hpp"
 #include "apps/spec_env.hpp"
-#include "core/arena.hpp"
 #include "core/compare.hpp"
 #include "core/equivalence.hpp"
 #include "core/orchestrator.hpp"
@@ -89,6 +88,7 @@
 #include "core/transport.hpp"
 #include "core/wire.hpp"
 #include "net/transport_tcp.hpp"
+#include "util/atomic_file.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "vulndb/classifier.hpp"
@@ -126,7 +126,7 @@ int usage() {
       "                [--out FILE] [--jobs N] [--no-world-cache]\n"
       "                [--no-redzone] [--checkpoint K]\n"
       "  epa_cli merge <plan-file> <shard-file>... [--json]\n"
-      "                (any complete run-shard or worker lease files that\n"
+      "                (any complete run-shard or lease reports that\n"
       "                together own every plan id exactly once)\n"
       "  epa_cli orchestrate <scenario>|--scenario-file FILE\n"
       "                [--workers N] [--lease auto|K]\n"
@@ -136,20 +136,25 @@ int usage() {
       "                [--listen PORT] [--port-file FILE]   (tcp)\n"
       "                [--json] [--no-world-cache] [--no-redzone]\n"
       "  epa_cli orchestrate --all [same flags]\n"
+      "                (pipe and shm both fork local workers, the default;\n"
+      "                tcp accepts dialed-in ones. --dir is accepted and\n"
+      "                unused: no plane writes files)\n"
       "  epa_cli search <scenario>|--family F|--scenario-file FILE\n"
       "                --budget N [--seed S] [--batch K] [--jobs N]\n"
       "                [--workers N] [--lease auto|K]\n"
       "                [--data-plane pipe|shm|tcp] [--listen PORT]\n"
       "                [--port-file FILE] [--state FILE] [--resume]\n"
       "                [--stop-after W] [--json] [--no-world-cache]\n"
-      "                [--no-redzone]\n"
-      "                (coverage-guided novelty search; docs/SEARCH.md)\n"
-      "  epa_cli worker <plan-file>|--arena FILE|--connect HOST:PORT\n"
+      "                [--no-redzone] [--dir DIR]\n"
+      "                (coverage-guided novelty search; docs/SEARCH.md;\n"
+      "                planes and --dir as for orchestrate)\n"
+      "  epa_cli worker [--connect HOST:PORT]\n"
       "                [--jobs N] [--no-world-cache] [--no-redzone]\n"
       "                [--preempt-after N] [--scenario-file FILE]\n"
       "                [--checkpoint K] [--drain-delay-ms MS]\n"
-      "                (worker protocol v5 on stdin/stdout, or framed\n"
-      "                over tcp with --connect; spawned by orchestrate)\n"
+      "                (worker protocol v6 frames on stdin/stdout, as\n"
+      "                orchestrate forks it, or on a socket with\n"
+      "                --connect)\n"
       "  epa_cli compare <before-scenario> <after-scenario>\n"
       "  epa_cli db [indirect|direct|other|excluded]\n");
   return 2;
@@ -178,38 +183,6 @@ std::string read_file(const std::string& path) {
   if (bad)
     throw std::runtime_error("error while reading '" + path + "'");
   return out;
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f)
-    throw std::runtime_error("cannot write '" + path +
-                             "': " + std::strerror(errno));
-  bool bad = std::fwrite(content.data(), 1, content.size(), f) !=
-             content.size();
-  bad |= std::fclose(f) != 0;
-  if (bad) throw std::runtime_error("error while writing '" + path + "'");
-}
-
-/// Write-temp-then-rename, so a reader (or a resume after a kill) never
-/// sees a torn file: the path holds either the previous checkpoint or the
-/// new one, never half of each. The temp name is pid-unique — two
-/// processes pointed at the same --out must never share one (a fixed
-/// ".tmp" let them interleave writes and rename each other's half-written
-/// bytes into place) — and is unlinked when the write or rename fails,
-/// never left behind.
-void write_file_atomic(const std::string& path, const std::string& content) {
-  std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
-  try {
-    write_file(tmp, content);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-      throw std::runtime_error("cannot rename '" + tmp + "' to '" + path +
-                               "': " + std::strerror(errno));
-  } catch (...) {
-    (void)std::remove(tmp.c_str());
-    throw;
-  }
 }
 
 // --- numeric flag parsing ---------------------------------------------------
@@ -685,7 +658,7 @@ int cmd_plan(const std::string& name, const std::string& scenario_file,
     std::fwrite(wire.data(), 1, wire.size(), stdout);
     return 0;
   }
-  write_file(out_path, wire);
+  write_file_atomic(out_path, wire);
   std::printf("%s: %zu interaction points, %zu work items -> %s\n",
               scenario.name.c_str(), plan.points.size(), plan.items.size(),
               out_path.c_str());
@@ -705,7 +678,7 @@ int cmd_plan_all(const core::SweepOptions& opts, const std::string& out_dir) {
   auto plans = suite.plan_all(plan_opts);
   for (const auto& plan : plans) {
     std::string path = out_dir + "/" + plan.scenario_name + ".plan.json";
-    write_file(path, plan.to_json());
+    write_file_atomic(path, plan.to_json());
     std::printf("%s: %zu interaction points, %zu work items -> %s\n",
                 plan.scenario_name.c_str(), plan.points.size(),
                 plan.items.size(), path.c_str());
@@ -828,127 +801,8 @@ int cmd_merge(const std::string& plan_path,
 
 // --- orchestrated execution (core/orchestrator.hpp) -------------------------
 
-/// One control channel to the coordinator: protocol lines out, commands
-/// in. The pipe flavor speaks newline-delimited lines on fds 0/1; the
-/// tcp flavor carries the same line bytes as length-prefixed frames.
-/// Raw fds rather than stdio — the STEAL poll between checkpoint chunks
-/// needs a non-blocking read that does not fight a buffered FILE*.
-class WorkerChannel {
- public:
-  virtual ~WorkerChannel() = default;
-  /// Send one protocol line (no trailing newline). False on a dead peer;
-  /// the read side tells the death story.
-  virtual bool send_line(const std::string& line) = 0;
-  /// Block for the next command. False on EOF (coordinator gone).
-  virtual bool recv_line(std::string* line) = 0;
-  /// Pull one already-arrived command without blocking — how a draining
-  /// worker notices STEAL between chunks.
-  virtual bool poll_line(std::string* line) = 0;
-  /// Ship a completed lease report. The tcp flavor sends it as the
-  /// binary frame right after DONE; the pipe/shm planes already landed
-  /// the report via the lease target, so the base is a no-op.
-  virtual bool send_report(const std::string& wire) {
-    (void)wire;
-    return true;
-  }
-};
-
-/// stdin/stdout, one protocol line per '\n' — what orchestrate's
-/// fork/exec transports (pipe and shm data planes) speak.
-class PipeChannel : public WorkerChannel {
- public:
-  bool send_line(const std::string& line) override {
-    std::string out = line;
-    out.push_back('\n');
-    std::size_t off = 0;
-    while (off < out.size()) {
-      ssize_t n = ::write(1, out.data() + off, out.size() - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-  bool recv_line(std::string* line) override {
-    while (!take(line)) {
-      if (eof_) return false;
-      fill(-1);
-    }
-    return true;
-  }
-  bool poll_line(std::string* line) override {
-    if (take(line)) return true;
-    if (!eof_) fill(0);
-    return take(line);
-  }
-
- private:
-  /// Read whatever poll() reports ready within timeout_ms (-1 blocks).
-  void fill(int timeout_ms) {
-    pollfd p{0, POLLIN, 0};
-    if (::poll(&p, 1, timeout_ms) <= 0) return;  // timeout/EINTR: no data
-    char buf[4096];
-    ssize_t n = ::read(0, buf, sizeof buf);
-    if (n > 0)
-      buf_.append(buf, static_cast<std::size_t>(n));
-    else if (n == 0)
-      eof_ = true;
-  }
-  bool take(std::string* line) {
-    auto nl = buf_.find('\n');
-    if (nl == std::string::npos) {
-      // A command this long is a broken coordinator, not a command.
-      if (buf_.size() > 65536)
-        throw std::runtime_error("worker: command line exceeds 65536 bytes");
-      return false;
-    }
-    line->assign(buf_, 0, nl);
-    while (!line->empty() && line->back() == '\r') line->pop_back();
-    buf_.erase(0, nl + 1);
-    return true;
-  }
-  std::string buf_;
-  bool eof_ = false;
-};
-
-/// A dialed-in tcp worker: the identical protocol lines, framed
-/// (net/transport_tcp.hpp), plus the report frame after each DONE.
-class TcpChannel : public WorkerChannel {
- public:
-  explicit TcpChannel(int fd) : fd_(fd) {}
-  ~TcpChannel() override {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool send_line(const std::string& line) override {
-    return net::send_frame(fd_, line);
-  }
-  bool recv_line(std::string* line) override {
-    if (eof_) return false;
-    if (!net::recv_frame(fd_, &frames_, line, -1)) eof_ = true;
-    return !eof_;
-  }
-  bool poll_line(std::string* line) override {
-    if (frames_.pop(line)) return true;
-    if (!eof_) eof_ = !net::pump_nonblocking(fd_, &frames_);
-    return frames_.pop(line);
-  }
-  bool send_report(const std::string& wire) override {
-    return net::send_frame(fd_, wire);
-  }
-
- private:
-  int fd_;
-  net::FrameBuffer frames_;
-  bool eof_ = false;
-};
-
 struct WorkerArgs {
-  std::string plan_path;
-  std::string arena_path;        // --arena: shm data plane (binary plan +
-                                 // per-lease report segments)
-  std::string connect_host;      // --connect: tcp data plane
+  std::string connect_host;      // --connect: dial a remote coordinator
   std::string scenario_file;     // --scenario-file: spec instead of the
                                  // plan's scenario name
   int connect_port = 0;
@@ -956,14 +810,14 @@ struct WorkerArgs {
   bool use_world_cache = true;
   bool use_redzone = true;       // --no-redzone: disable the memory oracle
   long long preempt_after = 0;   // self-preempt after N leases, or — with
-                                 // --checkpoint — after N flushes (CI hook)
-  std::size_t checkpoint = 0;    // flush partials every K outcomes
+                                 // --checkpoint — after N checkpoints (CI)
+  std::size_t checkpoint = 0;    // PING + STEAL poll every K outcomes
   long long drain_delay_ms = 0;  // sleep before each chunk (straggler hook)
 };
 
 /// The worker's protocol version for HELLO. EPA_WORKER_PROTOCOL overrides
 /// it — the test hook that manufactures an old fleet so the handshake
-/// rejection path is exercised on every data plane.
+/// rejection path is exercised on every plane.
 long long worker_protocol_version() {
   const char* env = std::getenv("EPA_WORKER_PROTOCOL");
   if (!env || !*env) return core::kWorkerProtocolVersion;
@@ -977,127 +831,87 @@ long long worker_protocol_version() {
 
 /// The plan a worker serves, with everything derived from it: the
 /// scenario it drains against, the COW prototype frozen into the plan,
-/// the executor over both, and on the shm plane the arena the plan came
-/// out of (lease reports land in its segments). PLAN replaces the whole
-/// bundle.
+/// and the executor over both. PLAN replaces the whole bundle.
 struct ServedPlan {
-  std::optional<core::ShmArena> arena;
   core::InjectionPlan plan;
   core::Scenario scenario;
   std::unique_ptr<core::Executor> executor;  // refers to `scenario`
-  std::string src;                           // for diagnostics
 };
 
-/// Read the plan `token` names on this worker's data plane — a plan file
-/// (pipe), an arena file (shm), or `-`: the next frame on the tcp
-/// channel — and re-freeze its prototype. Logs one line per plan: the
-/// ctest worker-protocol check counts these to pin "parse + re-freeze
-/// happen once per plan, not per lease".
+/// Read the next frame as a binary plan and re-freeze its prototype.
+/// Logs one line per plan: the CLI tests count these to pin "parse +
+/// re-freeze happen once per plan, not per lease".
 std::unique_ptr<ServedPlan> load_served_plan(const WorkerArgs& a,
-                                             WorkerChannel& chan,
-                                             const std::string& token) {
-  const bool use_tcp = !a.connect_host.empty();
-  if ((token == "-") != use_tcp)
-    throw std::runtime_error(
-        "worker: plan token '" + token + "' does not fit the " +
-        (use_tcp ? "tcp data plane (expected '-')"
-                 : "pipe/shm data plane (expected a file path)"));
+                                             core::FrameChannel& chan,
+                                             const std::string& src) {
   auto s = std::make_unique<ServedPlan>();
-  if (use_tcp) {
-    s->src = a.connect_host + ":" + std::to_string(a.connect_port);
-    std::string frame;
-    if (!chan.recv_line(&frame))
-      throw std::runtime_error(
-          s->src + ": coordinator closed the connection before sending "
-                   "a plan (handshake rejected?)");
-    try {
-      s->plan = core::plan_from_binary(frame);
-    } catch (const core::WireError& e) {
-      throw std::runtime_error(s->src + ": " + e.what());
-    }
-  } else if (!a.arena_path.empty()) {
-    s->src = token;
-    s->arena.emplace(core::ShmArena::open(token));
-    try {
-      s->plan = core::plan_from_binary(s->arena->plan_data(),
-                                       s->arena->plan_size());
-    } catch (const core::WireError& e) {
-      throw std::runtime_error(token + ": " + e.what());
-    }
-  } else {
-    s->src = token;
-    s->plan = load_plan(token);
+  std::string frame;
+  if (!chan.recv(&frame))
+    throw std::runtime_error(src +
+                             ": coordinator closed the stream before "
+                             "sending a plan (handshake rejected?)");
+  try {
+    s->plan = core::plan_from_binary(frame);
+  } catch (const core::WireError& e) {
+    throw std::runtime_error(src + ": " + e.what());
   }
-  s->scenario = plan_scenario(s->plan, s->src, a.scenario_file);
+  s->scenario = plan_scenario(s->plan, src, a.scenario_file);
   if (a.use_world_cache) core::refreeze_snapshot(s->plan, s->scenario);
   s->executor = std::make_unique<core::Executor>(s->scenario);
   std::fprintf(stderr,
                "epa worker: parsed %s (%zu items), prototype %s; serving\n",
-               s->src.c_str(), s->plan.items.size(),
+               s->plan.scenario_name.c_str(), s->plan.items.size(),
                s->plan.snapshot ? "frozen" : "uncached");
   return s;
 }
 
 /// The persistent worker half of the orchestrator: parse a plan and
-/// re-freeze the COW prototype once per plan, then serve LEASE commands
-/// until EXIT/EOF. The first line out is always `HELLO <version>` — a
-/// coordinator speaking a different protocol rejects the worker before
-/// any lease is granted. `PLAN <token>` (protocol v4) swaps in another
-/// plan between leases and frees the old one, so one fleet serves a
-/// whole suite or family. Protocol lines only on the control channel;
-/// everything human-facing goes to stderr. SIGTERM is graceful
-/// preemption: with --checkpoint the in-flight lease stops at the next
-/// chunk boundary (partial flushed, no DONE, exit 4); without it the
-/// in-flight lease finishes and the *next* one is refused with exit 4.
-/// Either way the orchestrator re-leases the unfinished range.
+/// re-freeze the COW prototype once per plan, then serve LEASE frames
+/// until EXIT/EOF. One framed stream carries everything (core/
+/// protocol.hpp): stdin/stdout when a local coordinator forked us, the
+/// socket with --connect. The first frame out is always `HELLO
+/// <version>`; the first frame in is always the binary plan, and `PLAN -`
+/// (protocol v4) is followed by the next one — the old plan is freed
+/// first, so one fleet serves a whole suite or family. Each lease is
+/// answered with DONE and its binary report frame; the last frame out is
+/// `BYE <status>`. Everything human-facing goes to stderr. SIGTERM is
+/// graceful preemption: with --checkpoint the in-flight lease stops at
+/// the next chunk boundary (no DONE, exit 4); without it the in-flight
+/// lease finishes and the *next* one is refused with exit 4. Either way
+/// the orchestrator re-leases the unfinished range whole.
 ///
 /// With --checkpoint the worker also sends a PING heartbeat after every
 /// chunk (feeding the coordinator's deadman) and polls for STEAL between
 /// chunks: a stolen lease is answered with `YIELD <mid> <end>` — the
 /// worker keeps the drained prefix [begin, mid) and the coordinator
 /// re-leases the tail to an idle worker.
-///
-/// With --arena the data plane is the mmap'd arena (core/arena.hpp): the
-/// plan comes out of the arena's binary plan region, a lease's target is
-/// the token `@<seq>` naming its arena segment, reports are encoded with
-/// shard_report_to_binary straight into that segment, and DONE carries
-/// the (offset, length) handoff instead of a file path.
-///
-/// With --connect the whole exchange rides one tcp socket: HELLO up,
-/// the binary plan down as the first frame (and after each `PLAN -`),
-/// then the same protocol lines framed, with each DONE followed by the
-/// lease's binary report frame. The worker announces its exit with
-/// `BYE <status>` so the coordinator can tell a clean exit from a lost
-/// host.
 int cmd_worker(const WorkerArgs& a) {
-  const bool use_arena = !a.arena_path.empty();
-  const bool use_tcp = !a.connect_host.empty();
-  std::unique_ptr<WorkerChannel> chan;
-  if (use_tcp)
-    chan = std::make_unique<TcpChannel>(
-        net::tcp_connect(a.connect_host, a.connect_port));
-  else
-    chan = std::make_unique<PipeChannel>();
-  // HELLO before anything else — a tcp coordinator checks the version
-  // before it ships the plan.
-  chan->send_line(core::format_hello(worker_protocol_version()));
-  std::unique_ptr<ServedPlan> served = load_served_plan(
-      a, *chan, use_tcp ? "-" : use_arena ? a.arena_path : a.plan_path);
-  core::ExecutorOptions opts;
-  opts.jobs = a.jobs;
-  opts.use_world_cache = a.use_world_cache;
-  opts.use_redzone = a.use_redzone;
-  std::signal(SIGTERM, on_sigterm);
+  const bool remote = !a.connect_host.empty();
+  const int sock = remote ? net::tcp_connect(a.connect_host, a.connect_port)
+                          : -1;
+  core::FrameChannel chan(remote ? sock : STDIN_FILENO,
+                          remote ? sock : STDOUT_FILENO);
+  const std::string src =
+      remote ? a.connect_host + ":" + std::to_string(a.connect_port)
+             : "stdin";
+  chan.send(core::format_hello(worker_protocol_version()));
 
   long long done = 0;
-  long long flushes = 0;  // cumulative across leases, like `done`
+  long long checkpoints = 0;  // cumulative across leases, like `done`
   auto serve = [&]() -> int {
+    std::unique_ptr<ServedPlan> served = load_served_plan(a, chan, src);
+    core::ExecutorOptions opts;
+    opts.jobs = a.jobs;
+    opts.use_world_cache = a.use_world_cache;
+    opts.use_redzone = a.use_redzone;
+    std::signal(SIGTERM, on_sigterm);
+
     std::string cmd;
-    while (chan->recv_line(&cmd)) {
+    while (chan.recv(&cmd)) {
       core::ProtocolMsg msg;
       if (!core::parse_protocol_line(cmd, &msg)) {
-        std::fprintf(stderr, "epa: worker: malformed command '%s'\n",
-                     cmd.c_str());
+        std::fprintf(stderr, "epa: worker: malformed command %s\n",
+                     core::quote_frame(cmd).c_str());
         return 1;
       }
       if (msg.type == core::ProtocolMsg::Type::exit_cmd) break;
@@ -1108,7 +922,7 @@ int cmd_worker(const WorkerArgs& a) {
         // The next plan of a fleet that outlives one (protocol v4). Free
         // the old bundle first, so the worker never holds two plans.
         served.reset();
-        served = load_served_plan(a, *chan, msg.target);
+        served = load_served_plan(a, chan, src);
         continue;
       }
       if (msg.type == core::ProtocolMsg::Type::feedback) {
@@ -1149,60 +963,17 @@ int cmd_worker(const WorkerArgs& a) {
         continue;
       }
       if (msg.type != core::ProtocolMsg::Type::lease) {
-        std::fprintf(stderr, "epa: worker: unexpected command '%s'\n",
-                     cmd.c_str());
+        std::fprintf(stderr, "epa: worker: unexpected command %s\n",
+                     core::quote_frame(cmd).c_str());
         return 1;
       }
       std::size_t begin = msg.begin, end = msg.end;
-      std::string target = msg.target;
-      std::size_t seq = 0;
-      if (use_arena) {
-        errno = 0;
-        char* tok_end = nullptr;
-        unsigned long long v =
-            !target.empty() && target[0] == '@'
-                ? std::strtoull(target.c_str() + 1, &tok_end, 10)
-                : 0;
-        if (target.empty() || target[0] != '@' || errno == ERANGE ||
-            tok_end == target.c_str() + 1 || *tok_end != '\0') {
-          std::fprintf(stderr,
-                       "epa: worker: arena lease target must be @<seq>, "
-                       "got '%s'\n",
-                       target.c_str());
-          return 1;
-        }
-        seq = static_cast<std::size_t>(v);
-      }
       if (g_preempted) {
         std::fprintf(stderr,
                      "epa: worker preempted; lease [%zu, %zu) not drained\n",
                      begin, end);
         return 4;  // the orchestrator re-leases [begin, end)
       }
-
-      // Where (partial and final) reports land for this lease. The tcp
-      // plane ships the report as a frame after DONE instead, so its
-      // flush is a no-op. The arena flush bounds-checks before touching
-      // the segment: a report that outgrows its segment is a clean
-      // worker failure, never a neighboring lease's bytes overwritten.
-      std::size_t flushed_bytes = 0;
-      auto flush = [&](const core::ShardReport& r) {
-        if (use_tcp) return;
-        if (!use_arena) {
-          write_file_atomic(target, r.to_json());
-          return;
-        }
-        core::ShmArena& arena = *served->arena;
-        std::string bin = core::shard_report_to_binary(r);
-        if (bin.size() > arena.segment_bytes())
-          throw std::runtime_error(
-              "worker: lease " + std::to_string(seq) + " report (" +
-              std::to_string(bin.size()) +
-              " bytes) exceeds the arena segment capacity (" +
-              std::to_string(arena.segment_bytes()) + " bytes)");
-        std::memcpy(arena.segment(seq), bin.data(), bin.size());
-        flushed_bytes = bin.size();
-      };
 
       bool steal_requested = false;
       std::size_t chunks = 0;
@@ -1217,7 +988,7 @@ int cmd_worker(const WorkerArgs& a) {
                 std::chrono::milliseconds(a.drain_delay_ms));
           if (g_preempted) return true;
           std::string in;
-          while (chan->poll_line(&in)) {
+          while (chan.poll(&in)) {
             core::ProtocolMsg m;
             if (core::parse_protocol_line(in, &m) &&
                 m.type == core::ProtocolMsg::Type::steal)
@@ -1227,29 +998,28 @@ int cmd_worker(const WorkerArgs& a) {
           // split point must sit strictly inside the lease.
           return steal_requested && chunks > 0;
         };
-        hooks.on_checkpoint = [&](const core::ShardReport& r) {
+        hooks.on_checkpoint = [&](const core::ShardReport&) {
           ++chunks;
-          flush(r);
           // Heartbeat at every checkpoint: the coordinator's deadman
           // only trusts a worker it has heard from recently.
-          chan->send_line(core::format_ping());
+          chan.send(core::format_ping());
           // CI determinism hook (--checkpoint mode): preempt mid-lease
-          // at the Nth flush, counted across the worker's whole lifetime
-          // so replacements make progress before being preempted too.
-          if (a.preempt_after > 0 && ++flushes >= a.preempt_after)
+          // at the Nth checkpoint, counted across the worker's whole
+          // lifetime so replacements make progress before being
+          // preempted too.
+          if (a.preempt_after > 0 && ++checkpoints >= a.preempt_after)
             (void)std::raise(SIGTERM);
         };
       }
       core::ShardReport report = core::run_lease(
           *served->executor, served->plan, {begin, end}, opts, hooks);
       if (!report.complete && g_preempted) {
-        // Preempted mid-lease: flush the partial (for post-mortems; the
-        // orchestrator re-drains the whole range) and exit *without*
-        // DONE — a DONE line must always name a complete report.
-        flush(report);
+        // Preempted mid-lease: exit *without* DONE — a DONE is always
+        // followed by a complete report. The orchestrator re-drains the
+        // whole range.
         std::fprintf(stderr,
-                     "epa: worker preempted mid-lease; partial for "
-                     "[%zu, %zu) flushed, range will be re-leased\n",
+                     "epa: worker preempted mid-lease; [%zu, %zu) will be "
+                     "re-leased\n",
                      begin, end);
         return 4;
       }
@@ -1261,21 +1031,14 @@ int cmd_worker(const WorkerArgs& a) {
         std::size_t mid = begin + report.item_ids.size();
         report.owned.end = mid;
         report.complete = true;
-        chan->send_line(core::format_yield(mid, end));
+        chan.send(core::format_yield(mid, end));
         std::fprintf(stderr,
                      "epa worker: yielded [%zu, %zu) of lease [%zu, %zu)\n",
                      mid, end, begin, end);
         end = mid;
       }
-      // Flush *before* DONE: a DONE line always names a readable,
-      // complete report, even if this worker dies right after.
-      flush(report);
-      if (use_arena)
-        chan->send_line(core::format_done(
-            begin, end, served->arena->segment_offset(seq), flushed_bytes));
-      else
-        chan->send_line(core::format_done(begin, end));
-      if (use_tcp) chan->send_report(core::shard_report_to_binary(report));
+      chan.send(core::format_done(begin, end));
+      chan.send(core::shard_report_to_binary(report));
       ++done;
       // CI determinism hook (lease mode): deliver the preemption signal
       // to ourselves after N served leases, through the real handler.
@@ -1289,17 +1052,30 @@ int cmd_worker(const WorkerArgs& a) {
   try {
     rc = serve();
   } catch (...) {
-    // A tcp coordinator cannot see an exit status — announce the death
-    // so it is classified `died`, not a lost host to re-lease around.
-    if (use_tcp) chan->send_line(core::format_bye(1));
+    // A remote coordinator cannot see an exit status — announce the
+    // death so it is classified `died`, not a lost host to re-lease
+    // around.
+    chan.send(core::format_bye(1));
     throw;
   }
-  if (use_tcp) chan->send_line(core::format_bye(rc));
+  chan.send(core::format_bye(rc));
   std::fprintf(stderr, "epa worker: served %lld lease(s), exiting\n", done);
   return rc;
 }
 
-enum class DataPlane { pipe, shm, tcp };
+/// Where workers come from: forked here (`--data-plane pipe` or `shm`,
+/// two spellings of one plane, the default) or dialed in over tcp.
+enum class DataPlane { local, tcp };
+
+/// Parse a `--data-plane` value.
+DataPlane parse_data_plane(const std::string& flag, int argc, char** argv,
+                           int* i) {
+  std::string v = flag_value(flag, argc, argv, i);
+  if (v == "tcp") return DataPlane::tcp;
+  if (v != "pipe" && v != "shm")
+    flag_fail(flag, "value '" + v + "' is not 'pipe', 'shm', or 'tcp'");
+  return DataPlane::local;
+}
 
 /// `--lease auto` (the default): size leases from the measured per-item
 /// cost. Planning runs the scenario once (the trace run), so the
@@ -1343,25 +1119,7 @@ void parse_lease_flag(const std::string& flag, int argc, char** argv,
   *lease_auto = false;
 }
 
-/// The run directory of the file-based data planes: `dir` when given
-/// (created if missing), else a fresh <TMPDIR>/<stem>.XXXXXX.
-std::string make_run_dir(const std::string& dir, const char* stem) {
-  if (!dir.empty()) {
-    if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST)
-      throw std::runtime_error("cannot create '" + dir +
-                               "': " + std::strerror(errno));
-    return dir;
-  }
-  const char* tmp = std::getenv("TMPDIR");
-  std::string tmpl =
-      std::string(tmp && *tmp ? tmp : "/tmp") + "/" + stem + ".XXXXXX";
-  if (!::mkdtemp(tmpl.data()))
-    throw std::runtime_error(std::string("cannot create temp dir: ") +
-                             std::strerror(errno));
-  return tmpl;
-}
-
-/// One worker fleet for a whole command, on any data plane. The first
+/// One worker fleet for a whole command, on either plane. The first
 /// drain builds the transport on its plan; each later drain makes its
 /// plan current in place (Transport::load_plan, worker protocol v4), so
 /// `orchestrate --all` and `search --family` spawn or accept their
@@ -1378,14 +1136,13 @@ class CommandFleet {
         who_(who) {}
 
   /// Drain `source` over the fleet with `grain` items per lease (0 =
-  /// auto). `leases` bounds the drain's lease seqs for the shm arena.
+  /// auto).
   core::CampaignResult drain(core::WorkSource& source,
                              std::size_t known_items, std::size_t grain,
-                             const std::vector<core::Lease>& leases,
                              core::OrchestratorStats* stats) {
     const core::InjectionPlan& plan = source.plan();
     if (transport_) {
-      transport_->load_plan(plan, leases);
+      transport_->load_plan(plan);
     } else if (plane_ == DataPlane::tcp) {
       auto t = std::make_unique<net::TcpTransport>(tcfg_, plan);
       std::fprintf(stderr,
@@ -1393,16 +1150,9 @@ class CommandFleet {
                    "(epa_cli worker --connect HOST:%d)\n",
                    who_, t->port(), opts_.workers, t->port());
       transport_ = std::move(t);
-    } else if (plane_ == DataPlane::shm) {
-      // The shm data plane writes no plan JSON at all: the binary plan
-      // is frozen into the arena, sized against `leases` plus the
-      // reserve for stolen-tail leases.
-      cfg_.file_prefix = plan.scenario_name;
-      transport_ =
-          std::make_unique<core::ShmLocalTransport>(cfg_, plan, leases);
     } else {
       transport_ = std::make_unique<core::LocalProcessTransport>(cfg_);
-      transport_->load_plan(plan, leases);
+      transport_->load_plan(plan);
     }
     if (!fleet_) fleet_.emplace(*transport_, opts_);
     return fleet_->drain(source, known_items, grain, stats);
@@ -1434,14 +1184,13 @@ struct OrchestrateArgs {
   long long preempt_after = 0;  // forwarded to workers (CI hook)
   long long checkpoint = 0;     // forwarded to workers: mid-lease partials
   long long drain_delay_ms = 0;  // forwarded: straggler hook (CI)
-  DataPlane plane = DataPlane::pipe;
+  DataPlane plane = DataPlane::local;
   long long deadman_ms = 0;     // silence budget; 0 = no deadman
   int listen_port = 0;          // tcp: port to bind (0 = ephemeral)
   std::string port_file;        // tcp: where to publish the bound port
   bool as_json = false;
   bool use_world_cache = true;
   bool use_redzone = true;  // --no-redzone forwarded to workers
-  std::string dir;  // plan + lease/arena files; empty = fresh temp dir
 };
 
 int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
@@ -1457,12 +1206,8 @@ int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
     scenarios.push_back(std::move(s));
   }
 
-  const bool tcp = a.plane == DataPlane::tcp;
-  // The tcp plane moves no files; nothing to create.
-  const std::string dir = tcp ? "" : make_run_dir(a.dir, "epa-orch");
   core::LocalProcessConfig cfg;
   cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
-  cfg.out_dir = dir;
   // A spec file is forwarded so workers compile the same spec the
   // coordinator planned, even when its name is not in the registry.
   cfg.scenario_file = a.scenario_file;
@@ -1510,9 +1255,8 @@ int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
     // what core::orchestrate() runs, so every byte matches `run`.
     core::PlanWorkSource source(plan);
     core::OrchestratorStats stats;
-    sweep.results.push_back(fleet.drain(
-        source, plan.items.size(), oopts.lease_items,
-        core::lease_partition(plan.items.size(), oopts), &stats));
+    sweep.results.push_back(
+        fleet.drain(source, plan.items.size(), oopts.lease_items, &stats));
     if (m + 1 == scenarios.size()) fleet.close(&stats);
     std::fprintf(stderr,
                  "epa orchestrate: %s: %zu leases across %zu worker(s) "
@@ -1523,9 +1267,6 @@ int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
                  stats.workers_preempted, stats.workers_spawned,
                  stats.leases_split, stats.deadman_expiries);
   }
-  if (!tcp)
-    std::fprintf(stderr, "epa orchestrate: plan and %s files in %s\n",
-                 a.plane == DataPlane::shm ? "arena" : "lease", dir.c_str());
   // The adequacy summary rides stderr: stdout stays byte-identical to a
   // single-process run/sweep on every data plane.
   vulndb::VulnCoverage cov = vulndb::vulnerability_coverage(sweep.results);
@@ -1557,7 +1298,7 @@ struct SearchArgs {
   long long batch = 16;       // wave size cap
   int jobs = 1;
   int workers = 0;            // 0 = in-process drain; > 0 = orchestrated
-  DataPlane plane = DataPlane::pipe;
+  DataPlane plane = DataPlane::local;
   long long lease = 0;
   bool lease_auto = true;
   int listen_port = 0;        // tcp
@@ -1568,7 +1309,6 @@ struct SearchArgs {
   bool as_json = false;
   bool use_world_cache = true;
   bool use_redzone = true;
-  std::string dir;
 };
 
 /// The search drive: one SearchWorkSource per scenario, drained either
@@ -1604,8 +1344,6 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
   if (orchestrated) {
     core::LocalProcessConfig cfg;
     cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
-    if (a.plane != DataPlane::tcp)
-      cfg.out_dir = make_run_dir(a.dir, "epa-search");
     cfg.scenario_file = a.scenario_file;
     cfg.jobs = a.jobs;
     cfg.use_world_cache = a.use_world_cache;
@@ -1689,22 +1427,9 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
       const std::size_t grain =
           a.lease_auto ? auto_lease_items(sopts.batch, a.workers, plan_ms)
                        : static_cast<std::size_t>(a.lease);
-      // The shm arena needs a segment per lease seq up front, but search
-      // leases are cut per wave as items are generated. Bound the seq
-      // space instead of enumerating it: every lease covers at least one
-      // item and the stream is capped at the budget, so budget leases
-      // (the arena adds the stolen-tail reserve) of the grain's span each
-      // cover the worst case.
-      const std::size_t seqs = std::max<std::size_t>(member_budget, 1);
-      const std::size_t max_lease = std::max<std::size_t>(
-          1, std::min(grain, std::min(sopts.batch, seqs)));
-      std::vector<core::Lease> leases;
-      for (std::size_t q = 0; q < seqs; ++q)
-        leases.push_back({q, 0, max_lease});
-
       core::OrchestratorStats stats;
-      result = fleet->drain(source, source.plan().items.size(), grain,
-                            leases, &stats);
+      result =
+          fleet->drain(source, source.plan().items.size(), grain, &stats);
       if (m + 1 == scenarios.size()) fleet->close(&stats);
       std::fprintf(stderr,
                    "epa search: %s: %zu leases across %zu worker(s) "
@@ -1967,8 +1692,6 @@ int main(int argc, char** argv) {
             int_flag(arg, argc, argv, &i, 1, 1LL << 30));
       } else if (arg == "--drain-delay-ms") {
         a.drain_delay_ms = int_flag(arg, argc, argv, &i, 1, 1LL << 20);
-      } else if (arg == "--arena") {
-        a.arena_path = flag_value(arg, argc, argv, &i);
       } else if (arg == "--scenario-file") {
         a.scenario_file = flag_value(arg, argc, argv, &i);
       } else if (arg == "--connect") {
@@ -1992,25 +1715,14 @@ int main(int argc, char** argv) {
         a.use_world_cache = false;
       } else if (arg == "--no-redzone") {
         a.use_redzone = false;
-      } else if (!starts_with(arg, "--") && a.plan_path.empty()) {
-        a.plan_path = arg;
+      } else if (!starts_with(arg, "--")) {
+        // The plan arrives as a frame, never as a file.
+        return extra_argument(argv[i]);
       } else {
         std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
         return usage();
       }
     }
-    // Exactly one data plane: a plan file (pipe), --arena (shm), or
-    // --connect (tcp).
-    int planes = (!a.plan_path.empty() ? 1 : 0) +
-                 (!a.arena_path.empty() ? 1 : 0) +
-                 (!a.connect_host.empty() ? 1 : 0);
-    if (planes > 1) {
-      std::fprintf(stderr,
-                   "epa: worker takes exactly one of a plan file, --arena, "
-                   "or --connect\n");
-      return 1;
-    }
-    if (planes == 0) return usage();
     if (a.drain_delay_ms > 0 && a.checkpoint == 0) {
       std::fprintf(stderr,
                    "epa: --drain-delay-ms needs --checkpoint (the delay is "
@@ -2022,7 +1734,7 @@ int main(int argc, char** argv) {
   if (cmd == "orchestrate") {
     OrchestrateArgs a;
     bool saw_jobs = false, saw_preempt = false, saw_checkpoint = false;
-    bool saw_drain = false, saw_no_cache = false, saw_dir = false;
+    bool saw_drain = false, saw_no_cache = false;
     bool saw_listen = false, saw_port_file = false, saw_no_redzone = false;
     for (int i = 2; i < argc; ++i) {
       std::string arg = argv[i];
@@ -2054,16 +1766,7 @@ int main(int argc, char** argv) {
         a.port_file = flag_value(arg, argc, argv, &i);
         saw_port_file = true;
       } else if (arg == "--data-plane") {
-        std::string v = flag_value(arg, argc, argv, &i);
-        if (v == "pipe")
-          a.plane = DataPlane::pipe;
-        else if (v == "shm")
-          a.plane = DataPlane::shm;
-        else if (v == "tcp")
-          a.plane = DataPlane::tcp;
-        else
-          flag_fail(arg,
-                    "value '" + v + "' is not 'pipe', 'shm', or 'tcp'");
+        a.plane = parse_data_plane(arg, argc, argv, &i);
       } else if (arg == "--json") {
         a.as_json = true;
       } else if (arg == "--no-world-cache") {
@@ -2073,8 +1776,7 @@ int main(int argc, char** argv) {
         a.use_redzone = false;
         saw_no_redzone = true;
       } else if (arg == "--dir") {
-        a.dir = flag_value(arg, argc, argv, &i);
-        saw_dir = true;
+        (void)flag_value(arg, argc, argv, &i);  // accepted, unused
       } else if (arg == "--scenario-file") {
         a.scenario_file = flag_value(arg, argc, argv, &i);
       } else if (!starts_with(arg, "--") && a.scenario.empty()) {
@@ -2099,8 +1801,7 @@ int main(int argc, char** argv) {
           : saw_drain ? "--drain-delay-ms"
           : saw_no_cache ? "--no-world-cache"
           : saw_no_redzone ? "--no-redzone"
-          : saw_dir ? "--dir"
-                    : nullptr;
+                           : nullptr;
       if (worker_flag) {
         std::fprintf(stderr,
                      "epa: %s is worker-side; pass it to `epa_cli worker "
@@ -2150,16 +1851,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--lease") {
         parse_lease_flag(arg, argc, argv, &i, &a.lease, &a.lease_auto);
       } else if (arg == "--data-plane") {
-        std::string v = flag_value(arg, argc, argv, &i);
-        if (v == "pipe")
-          a.plane = DataPlane::pipe;
-        else if (v == "shm")
-          a.plane = DataPlane::shm;
-        else if (v == "tcp")
-          a.plane = DataPlane::tcp;
-        else
-          flag_fail(arg,
-                    "value '" + v + "' is not 'pipe', 'shm', or 'tcp'");
+        a.plane = parse_data_plane(arg, argc, argv, &i);
       } else if (arg == "--listen") {
         a.listen_port =
             static_cast<int>(int_flag(arg, argc, argv, &i, 0, 65535));
@@ -2184,7 +1876,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--no-redzone") {
         a.use_redzone = false;
       } else if (arg == "--dir") {
-        a.dir = flag_value(arg, argc, argv, &i);
+        (void)flag_value(arg, argc, argv, &i);  // accepted, unused
       } else if (!starts_with(arg, "--") && a.scenario.empty()) {
         a.scenario = arg;
       } else {

@@ -15,17 +15,18 @@
 #                   static K/N run-shard fan-out (shard K/N owns the
 #                   strided lease of ids K-1, K-1+N, ...)
 #   -D PLANE        orchestrate data plane: pipe, shm, or tcp (implies
-#                   -O). shm orchestrates over the mmap'd arena — no
-#                   JSON between the processes at all; tcp runs the
-#                   coordinator with --listen 0 and dials the workers
-#                   into the published port over localhost — the remote
-#                   fan-out, end to end, on one machine
+#                   -O). pipe and shm both mean the local plane (forked
+#                   workers, frames on their stdin/stdout, nothing on
+#                   disk); tcp runs the coordinator with --listen 0 and
+#                   dials the workers into the published port over
+#                   localhost — the remote fan-out, end to end, on one
+#                   machine
 #   -c CHECKPOINT   flush a resumable partial report every K outcomes; a
 #                   worker that exits 4 (preempted, e.g. SIGTERM) is
 #                   automatically completed with run-shard --resume
-#                   (with -O/-D: workers flush partials mid-lease and
+#                   (with -O/-D: workers checkpoint mid-lease and
 #                   preemption re-leases the unfinished range)
-#   -P PREEMPT      self-preempt each worker after N checkpoint flushes
+#   -P PREEMPT      self-preempt each worker after N checkpoints
 #                   (with -O/-D and no -c: after N served leases;
 #                   testing hook)
 #
@@ -96,9 +97,9 @@ fi
 # first-worker failure left the rest writing into $outdir after the
 # script had already reported failure. Reaped pids are cleared from the
 # array so the trap never signals a recycled pid. A failed run must also
-# not strand mmap'd arena files (-D shm): unlike shard JSON they are
-# per-run scratch, not resumable artifacts, so unlink them on any exit
-# that is not a campaign result (0 clean, 3 findings).
+# not strand the tcp port file (-D tcp): unlike shard JSON it is per-run
+# scratch, not a resumable artifact, so unlink it on any exit that is not
+# a campaign result (0 clean, 3 findings).
 pids=()
 cleanup() {
   local rc=$? pid
@@ -109,7 +110,7 @@ cleanup() {
     [ -n "$pid" ] && wait "$pid" 2>/dev/null || true
   done
   if [ "$rc" -ne 0 ] && [ "$rc" -ne 3 ]; then
-    rm -f "$outdir"/*.arena "$outdir"/*.port
+    rm -f "$outdir"/*.port
   fi
 }
 trap cleanup EXIT
@@ -159,8 +160,7 @@ fi
 
 # -O/-D: hand the whole pipeline to the orchestrator — dynamic id-range
 # leases over persistent workers, preempted leases re-leased
-# automatically. -n is the worker count; plan and lease files (or the
-# shm arena, with -D shm) land in OUTDIR like the shard files below would.
+# automatically. -n is the worker count; nothing is written to OUTDIR.
 if [ -n "$orchestrate" ]; then
   orch_flags=()
   [ -n "$data_plane" ] && orch_flags+=(--data-plane "$data_plane")
@@ -168,15 +168,8 @@ if [ -n "$orchestrate" ]; then
   [ -n "$preempt" ] && orch_flags+=(--preempt-after "$preempt")
   [ -n "$json_flag" ] && orch_flags+=("$json_flag")
   rc=0
-  "$epa_cli" orchestrate "$scenario" --workers "$shards" --dir "$outdir" \
+  "$epa_cli" orchestrate "$scenario" --workers "$shards" \
     "${orch_flags[@]}" || rc=$?
-  # 3 = candidate vulnerabilities: a finding, not a pipeline failure.
-  [ "$rc" -eq 0 ] || [ "$rc" -eq 3 ] || exit "$rc"
-  if [ -n "$data_plane" ]; then
-    echo "plan+report arena in $outdir" >&2
-  else
-    echo "lease files in $outdir" >&2
-  fi
   exit "$rc"
 fi
 

@@ -37,10 +37,10 @@
 // byte-identical to a single-process run no matter how leases were
 // scheduled, split, or re-leased.
 //
-// Transports: LocalProcessTransport (pipes + report files),
-// ShmLocalTransport (mmap'd arena), TcpTransport (net/transport_tcp.hpp,
-// remote workers over sockets). All three speak the same versioned line
-// protocol (core/protocol.hpp).
+// Transports: LocalProcessTransport (workers forked with a socketpair as
+// stdin/stdout) and TcpTransport (net/transport_tcp.hpp, workers that
+// dial in). Both speak the same framed, versioned protocol
+// (core/protocol.hpp) through one dispatcher (core/transport.hpp).
 #pragma once
 
 #include <cstddef>
@@ -118,7 +118,7 @@ class Transport {
   /// first just sends its DONE and the steal is moot. Default: no-op.
   virtual void steal(std::size_t worker) { (void)worker; }
   /// Ship search-generated work items plan.items[begin, end) to `worker`
-  /// before a lease over them is submitted (the FEEDBACK protocol line):
+  /// before a lease over them is submitted (the FEEDBACK message):
   /// a growing-plan source appends items the worker's serialized plan
   /// copy predates, and the worker appends them to its local plan by the
   /// same stable ids. Only search drains call this; transports that
@@ -134,17 +134,12 @@ class Transport {
         "(FEEDBACK is worker protocol v3)");
   }
   /// Make `plan` the current plan — how one Fleet drains many plans
-  /// (the PLAN line, worker protocol v4). Workers spawned from now on
+  /// (the PLAN message, worker protocol v4). Workers spawned from now on
   /// start on it; each live worker is sent PLAN before its next FEEDBACK
-  /// or LEASE. `leases` is every lease the next drain may grant (seqs
-  /// and sizes), for transports that pre-allocate per-lease resources
-  /// (ShmLocalTransport's arena segments, plus kMaxLeaseSplits). Call
-  /// only between drains, never with a lease in flight. Transports that
-  /// serve a single plan inherit the throwing default.
-  virtual void load_plan(const InjectionPlan& plan,
-                         const std::vector<Lease>& leases) {
+  /// or LEASE. Call only between drains, never with a lease in flight.
+  /// Transports that serve a single plan inherit the throwing default.
+  virtual void load_plan(const InjectionPlan& plan) {
     (void)plan;
-    (void)leases;
     throw OrchestratorError(
         "orchestrate: this transport serves a single plan (PLAN is worker "
         "protocol v4)");
@@ -163,10 +158,8 @@ class Transport {
   virtual void kill(std::size_t worker) = 0;
 };
 
-/// Ceiling on work-stealing splits per campaign. A constant (not an
-/// option) because transports that pre-allocate per-lease resources
-/// (ShmLocalTransport's arena segments) must reserve room for stolen
-/// leases before orchestrate() decides to create any.
+/// Ceiling on work-stealing splits per campaign: a straggler's tail is
+/// worth stealing a few times, not split down to single items.
 inline constexpr std::size_t kMaxLeaseSplits = 8;
 
 struct OrchestratorOptions {
@@ -198,10 +191,7 @@ struct OrchestratorOptions {
 
 /// The fixed lease partition orchestrate() deals out for a plan of
 /// `plan_items` items under `opts`: contiguous ranges, ascending, with
-/// seq = position. Exposed so transports that pre-allocate per-lease
-/// resources (ShmLocalTransport's arena segments) size them against the
-/// exact same split the orchestrator will schedule (plus kMaxLeaseSplits
-/// stolen-lease slots). Throws OrchestratorError when opts.workers < 1.
+/// seq = position. Throws OrchestratorError when opts.workers < 1.
 std::vector<Lease> lease_partition(std::size_t plan_items,
                                    const OrchestratorOptions& opts);
 

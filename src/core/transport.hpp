@@ -1,27 +1,27 @@
-// LocalProcessTransport: the orchestrator's first Transport — epa_cli
-// worker processes on this machine, pipes as the control wire, files as
-// the data wire.
+// The worker transports' shared half, and the local one.
 //
-// Each spawn() forks one `epa_cli worker PLAN` process with its stdin
-// and stdout connected to the coordinator. The control protocol is the
-// versioned line grammar in core/protocol.hpp (HELLO handshake, LEASE
-// grants, PING heartbeats, STEAL/YIELD work stealing, DONE results) —
-// deliberately shell-debuggable, and byte-identical to what the tcp
-// transport frames over sockets.
+// Every worker — forked on this machine or dialed in from another —
+// speaks the same frame stream (core/protocol.hpp): HELLO up, the binary
+// plan down, then LEASE/FEEDBACK/PLAN/STEAL/EXIT down and PING/YIELD/
+// DONE + report frame/BYE up. FramedTransport owns that conversation
+// for every transport: the HELLO check (version, 64 KiB opening cap),
+// plan shipping and plan switches, lease bookkeeping, the poll loop, and
+// the one frame dispatcher. A transport adds only how it gets a worker
+// (fork or accept) and how it learns why a worker's stream ended.
 //
-// The worker parses its plan and re-freezes the COW prototype once per
-// plan — at startup, and again on each PLAN line load_plan() queues for
-// it — then drains leases until told to stop; it writes each lease's
-// ShardReport atomically to the LEASE-named target *before* printing
-// DONE, so a DONE line always names a readable, complete report. Worker
-// stderr is inherited (progress and diagnostics pass through); stdout
-// carries protocol lines only, starting with `HELLO 5`.
+// LocalProcessTransport forks `epa_cli worker` with one end of a
+// socketpair as its stdin and stdout; stderr is inherited (progress and
+// diagnostics pass through). The worker parses its plan and re-freezes
+// the COW prototype once per plan — the frame shipped at spawn, and the
+// frame after each `PLAN -` load_plan() queues for it — then drains
+// leases until told to stop. Nothing touches the file system.
 //
 // Exit statuses mirror run-shard: 0 clean, 1 failure, 4 preempted
 // (SIGTERM — the worker finishes its in-flight lease, then refuses the
-// next one). wait_any() classifies a death into a typed event: exit 0 is
-// `exited`, exit 4 and the preemption signals are `preempted` (re-lease
-// and replace), anything else is `died` (would only fail again).
+// next one). A local worker's death is classified by its wait status:
+// exit 0 is `exited`, exit 4 and the preemption signals are `preempted`
+// (re-lease and replace), anything else is `died` (would only fail
+// again).
 #pragma once
 
 #include <cstddef>
@@ -30,26 +30,106 @@
 #include <sys/types.h>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "core/orchestrator.hpp"
 #include "core/protocol.hpp"
 
 namespace ep::core {
 
+/// The frame dispatcher every transport shares. Subclasses get workers
+/// (spawn() + adopt()) and classify how their streams end (ended()).
+class FramedTransport : public Transport {
+ public:
+  /// Closes every worker stream still open.
+  ~FramedTransport() override;
+
+  FramedTransport(const FramedTransport&) = delete;
+  FramedTransport& operator=(const FramedTransport&) = delete;
+
+  void submit(std::size_t worker, const Lease& lease) override;
+  void steal(std::size_t worker) override;
+  /// FEEDBACK as a control frame — the search plane's item append; the
+  /// item spec rides as one token (wire.hpp's feedback_spec()).
+  void feedback(std::size_t worker, const InjectionPlan& plan,
+                std::size_t begin, std::size_t end) override;
+  /// Re-encodes the plan frame. Workers adopted later get it first
+  /// thing; live ones get `PLAN -` plus the frame, once, before their
+  /// next FEEDBACK or LEASE.
+  void load_plan(const InjectionPlan& plan) override;
+  std::optional<WorkerEvent> wait_any(long timeout_ms) override;
+  /// EXIT, then half-close: the worker reads EOF after EXIT even if it
+  /// missed the frame, and its BYE and exit still arrive.
+  void shutdown(std::size_t worker) override;
+  /// Closes the stream now, then killed() — no further events arrive.
+  void kill(std::size_t worker) override;
+
+ protected:
+  /// `kind` names workers in diagnostics ("worker 3", "tcp worker 3").
+  explicit FramedTransport(std::string kind);
+
+  /// Take over a connected worker stream (`fd`, read and written) and
+  /// ship it the current plan frame; returns the worker id. `greeted`
+  /// says HELLO was already checked (check_hello()); otherwise it must
+  /// be the stream's first frame, under kMaxOpeningFrameBytes.
+  std::size_t adopt(int fd, bool greeted);
+  bool has_plan() const { return !plan_wire_.empty(); }
+  bool alive(std::size_t worker) const { return conns_[worker].fd >= 0; }
+  /// Close a worker's stream without classifying its end.
+  void close_stream(std::size_t worker);
+  /// Throws OrchestratorError unless `frame` is
+  /// `HELLO <kWorkerProtocolVersion>`.
+  static void check_hello(const std::string& who, const std::string& frame);
+  std::string who(std::size_t worker) const;
+  /// The exit-status rule both kinds of worker share: 0 exited, 4
+  /// preempted, anything else died.
+  static WorkerEvent::Kind kind_of_status(int status);
+
+  /// Classify the end of `worker`'s stream (already closed): `bye` is
+  /// the status it announced with BYE, if it did.
+  virtual WorkerEvent ended(std::size_t worker, std::optional<int> bye) = 0;
+  /// After kill() closed the stream: the transport's own hammer.
+  virtual void killed(std::size_t worker) { (void)worker; }
+
+ private:
+  struct Conn {
+    int fd = -1;
+    bool saw_eof = false;
+    bool writable = true;  // false once shutdown() half-closed it
+    bool greeted = false;  // HELLO checked
+    std::optional<int> bye;
+    bool has_lease = false;
+    bool awaiting_report = false;  // DONE seen; next frame is the report
+    Lease lease;  // shrinks in place when the worker YIELDs a tail
+    FrameBuffer frames;
+    std::size_t plan_gen = 0;  // the load_plan() generation it holds
+  };
+
+  Conn& conn(std::size_t worker, const char* op);
+  std::optional<WorkerEvent> dispatch(std::size_t worker,
+                                      const std::string& frame);
+  WorkerEvent reap(std::size_t worker);
+  /// Send `PLAN -` and the current plan frame to a worker still on an
+  /// older plan, ahead of the FEEDBACK or LEASE about to follow.
+  void sync_plan(Conn& c);
+
+  std::string kind_;
+  std::string plan_wire_;     // binary EPAB plan, shipped per worker
+  std::size_t plan_gen_ = 0;  // bumped by every load_plan()
+  std::vector<Conn> conns_;
+};
+
+/// The worker process every local spawn starts.
 struct LocalProcessConfig {
   /// The worker binary — normally the running epa_cli itself
   /// (self_exe()).
   std::string epa_cli;
-  /// Serialized plan a worker parses at startup (JSON data plane; the
-  /// shm transport ships the plan inside its arena instead). Empty is
-  /// fine when load_plan() names the first plan.
+  /// A plan file (JSON or binary) the constructor parses and makes
+  /// current; empty when load_plan() names the first plan. Kept with
+  /// out_dir and file_prefix for perfbench's in-process fleets until
+  /// ROADMAP item 10 retires them with the benchmark's plane rotation.
   std::string plan_path;
-  /// Directory lease report files, load_plan()'s plan files and the shm
-  /// transport's arena files are written to.
+  /// Unused: nothing is written anywhere (ROADMAP item 10).
   std::string out_dir;
-  /// Lease files are named <file_prefix>.lease<seq>.json; the shm
-  /// transport's arena is <file_prefix>.arena. load_plan() sets it to
-  /// the plan's scenario name.
+  /// Unused (ROADMAP item 10).
   std::string file_prefix = "plan";
   /// --jobs forwarded to each worker.
   int jobs = 1;
@@ -60,14 +140,12 @@ struct LocalProcessConfig {
   bool use_redzone = true;
   /// --preempt-after forwarded when > 0: each worker self-preempts
   /// (exit 4) — after serving N leases, or, with `checkpoint` set, after
-  /// N checkpoint flushes (which lands the preemption *mid-lease*). The
-  /// CI determinism hook for the kill-and-re-lease path.
+  /// N checkpoints (which lands the preemption *mid-lease*). The CI
+  /// determinism hook for the kill-and-re-lease path.
   long long preempt_after = 0;
   /// --checkpoint forwarded when > 0: workers drain leases in chunks of
-  /// K items, flush a valid partial report after each chunk (so a
-  /// preemption mid-lease leaves a re-leasable partial behind), send a
-  /// PING heartbeat, and poll for STEAL — checkpointing is what makes
-  /// the deadman and work stealing live.
+  /// K items, send a PING heartbeat after each chunk, and poll for STEAL
+  /// — checkpointing is what makes the deadman and work stealing live.
   long long checkpoint = 0;
   /// --drain-delay-ms forwarded when > 0: each worker sleeps this long
   /// before every checkpoint chunk. A testing hook that manufactures
@@ -79,39 +157,16 @@ struct LocalProcessConfig {
   std::string scenario_file;
 };
 
-/// The JSON-pipe data plane. Subclasses swap the data plane (how the
-/// plan reaches workers and how reports come back) by overriding the
-/// protected hooks; the process plumbing — fork/exec, poll, protocol
-/// dispatch, exit-status classification — is shared.
-class LocalProcessTransport : public Transport {
+/// Workers forked on this machine, one socketpair each.
+class LocalProcessTransport : public FramedTransport {
  public:
   explicit LocalProcessTransport(LocalProcessConfig config);
   /// Kills (SIGTERM) and reaps any worker still alive — orchestrate()
   /// shuts workers down cleanly on success; this is the error-path net.
   ~LocalProcessTransport() override;
 
-  LocalProcessTransport(const LocalProcessTransport&) = delete;
-  LocalProcessTransport& operator=(const LocalProcessTransport&) = delete;
-
+  /// Fork one `epa_cli worker`; its HELLO is checked as it arrives.
   std::optional<std::size_t> spawn() override;
-  void submit(std::size_t worker, const Lease& lease) override;
-  void steal(std::size_t worker) override;
-  /// FEEDBACK line down the worker's stdin — the search plane's item
-  /// append. Shared by the pipe and shm data planes (both drive workers
-  /// over stdin); the item spec rides as one token (wire.hpp's
-  /// feedback_spec()).
-  void feedback(std::size_t worker, const InjectionPlan& plan,
-                std::size_t begin, std::size_t end) override;
-  /// Writes <out_dir>/<scenario>.plan.json and makes it current: later
-  /// spawns parse it, live workers get `PLAN <path>`. `leases` is unused
-  /// on this plane.
-  void load_plan(const InjectionPlan& plan,
-                 const std::vector<Lease>& leases) override;
-  std::optional<WorkerEvent> wait_any(long timeout_ms) override;
-  void shutdown(std::size_t worker) override;
-  /// SIGKILL + reap, immediately — the deadman's path for a worker that
-  /// is wedged (stopped, not exited) and will never answer SIGTERM.
-  void kill(std::size_t worker) override;
 
   /// The absolute path of the running binary (/proc/self/exe), falling
   /// back to `argv0` where the link is unavailable — how `epa_cli
@@ -119,96 +174,24 @@ class LocalProcessTransport : public Transport {
   static std::string self_exe(const char* argv0);
 
  protected:
-  struct Proc {
-    pid_t pid = -1;
-    int in_fd = -1;   // worker stdin (coordinator writes)
-    int out_fd = -1;  // worker stdout (coordinator reads)
-    std::string buf;  // partial protocol line
-    bool alive = false;
-    bool saw_eof = false;
-    bool said_hello = false;  // HELLO handshake completed
-    bool has_lease = false;
-    Lease lease;  // shrinks in place when the worker YIELDs a tail
-    std::string lease_token;  // what LEASE named as the report target
-    std::size_t plan_gen = 0;  // the load_plan() generation it holds
-  };
-
-  /// Worker argv after the binary path. Base: worker <plan> --jobs N
-  /// [...]; the shm transport substitutes --arena for the plan file.
-  virtual std::vector<std::string> worker_args() const;
-  /// The report-target token of a LEASE line: a report file path (base)
-  /// or the shm transport's @<seq> segment reference.
-  virtual std::string lease_token(const Lease& lease) const;
-  /// The token of a PLAN line for the current plan: the plan file (base)
-  /// or the shm transport's arena path.
-  virtual std::string plan_token() const;
-  /// Turn a parsed DONE message into ev.report + ev.label. Base: no
-  /// handoff allowed, the report is read from the lease file. Shm: the
-  /// (offset, length) handoff is decoded from the coordinator's own
-  /// mapping. Throws OrchestratorError/WireError on a broken worker.
-  virtual void load_report(const Proc& p, const ProtocolMsg& done,
-                           WorkerEvent& ev);
-  /// Common flags (--jobs, --no-world-cache, --no-redzone,
-  /// --preempt-after, --checkpoint, --drain-delay-ms) every data plane
-  /// forwards.
-  void append_common_args(std::vector<std::string>& args) const;
-
-  const LocalProcessConfig& config() const { return config_; }
-
-  /// Finish a load_plan(): name later files after `prefix` and mark
-  /// every live worker as owing a PLAN line.
-  void plan_loaded(const std::string& prefix);
+  /// Reaps the worker and classifies its wait status.
+  WorkerEvent ended(std::size_t worker, std::optional<int> bye) override;
+  /// SIGKILL + reap, immediately — the deadman's path for a worker that
+  /// is wedged (stopped, not exited) and will never answer SIGTERM.
+  void killed(std::size_t worker) override;
 
  private:
-  WorkerEvent handle_line(std::size_t worker, const std::string& line);
-  WorkerEvent reap(std::size_t worker);
-  /// Write `PLAN <token>` to a worker still on an older plan, so it
-  /// switches before the FEEDBACK or LEASE about to follow.
-  void sync_plan(Proc& p);
-
   LocalProcessConfig config_;
-  std::vector<Proc> procs_;
-  std::size_t plan_gen_ = 0;  // bumped by every load_plan()
+  std::vector<pid_t> pids_;  // by worker id
 };
 
-/// The same-host shared-memory data plane (core/arena.hpp): the binary
-/// plan is frozen into an mmap'd arena once per plan, each lease owns a
-/// fixed arena segment indexed by its seq, workers write binary reports
-/// into their lease's segment directly, and DONE carries only an
-/// (offset, length) handoff — zero parse and zero copy on the
-/// coordinator's hot path, and no JSON anywhere between the processes.
+/// Constructor-only: a LocalProcessTransport with `plan` current, kept
+/// so perfbench's shm lane still builds until ROADMAP item 10 retires it.
+/// `leases` is unused.
 class ShmLocalTransport : public LocalProcessTransport {
  public:
-  /// `leases` must be the exact partition orchestrate() will schedule
-  /// (lease_partition()) — segments are indexed by lease seq and sized
-  /// for the largest lease. kMaxLeaseSplits extra segments are reserved
-  /// past the partition so stolen-tail leases (fresh seqs) have arena
-  /// homes too. Creates <out_dir>/<file_prefix>.arena.
   ShmLocalTransport(LocalProcessConfig config, const InjectionPlan& plan,
                     const std::vector<Lease>& leases);
-
-  const std::string& arena_path() const { return arena_.path(); }
-
-  /// Creates <out_dir>/<scenario>.arena for `plan`, sized for `leases`
-  /// like the constructor, and unmaps the previous arena; live workers
-  /// get `PLAN <arena path>`.
-  void load_plan(const InjectionPlan& plan,
-                 const std::vector<Lease>& leases) override;
-
- protected:
-  std::vector<std::string> worker_args() const override;
-  std::string lease_token(const Lease& lease) const override;
-  std::string plan_token() const override;
-  void load_report(const Proc& p, const ProtocolMsg& done,
-                   WorkerEvent& ev) override;
-
- private:
-  ShmArena arena_;
 };
-
-/// How large a lease's arena segment is for a lease of `lease_items`
-/// items: a fixed base plus a generous per-item budget. A report that
-/// still does not fit is a clean worker error, not a truncation.
-std::size_t arena_segment_bytes(std::size_t lease_items);
 
 }  // namespace ep::core

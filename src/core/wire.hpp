@@ -40,8 +40,8 @@ inline constexpr int kShardSchemaVersion = 4;
 
 /// Version of the binary wire encoding (docs/WIRE_FORMAT.md, "Binary
 /// encoding"): the compact non-JSON framing of the same plan and
-/// shard-report models, used by the same-host shared-memory data plane
-/// (core/arena.hpp) and the remote fleet's tcp frames. Versioned
+/// shard-report models, the plan and report frames every worker stream
+/// carries (core/protocol.hpp). Versioned
 /// independently of the JSON schema versions — the two encodings carry
 /// identical information and decode to identical in-memory values. Plan
 /// and report frames share this one version, and the decoders accept

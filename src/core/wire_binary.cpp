@@ -19,11 +19,11 @@
 // Like the JSON side, the encoding is canonical: sections are written
 // in fixed tag order with no padding, so decode -> re-encode reproduces
 // the bytes verbatim — what lets docs/WIRE_FORMAT.md pin a hex example
-// literally and the arena transport compare segments byte for byte.
+// literally.
 //
-// Numbers are native-endian (the same-host data plane never crosses a
-// byte-order boundary); the header's byte-order tag turns a
-// foreign-endian file into a clean WireError instead of garbage. Enum
+// Numbers are native-endian (a fleet is one architecture in practice);
+// the header's byte-order tag turns a foreign-endian file into a clean
+// WireError instead of garbage. Enum
 // values travel as ordinals into fixed tables that mirror the JSON
 // codec's name lists — independent of the C++ enum values, so a
 // reordered enum cannot silently change the wire format.

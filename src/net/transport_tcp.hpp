@@ -1,20 +1,11 @@
-// TcpTransport: the first *remote* data plane — no shared filesystem,
-// no fork. The coordinator listens; workers are started on any host
-// (`epa_cli worker --connect host:port`) and dial in. spawn() adopts a
-// connection from the accept queue, checks the HELLO handshake, and
-// ships the current plan down the socket as one binary EPAB frame; lease
-// reports ride back as binary frames. load_plan() switches a connected
-// fleet to another plan: each worker gets `PLAN -` and the new plan
-// frame before its next FEEDBACK or LEASE. The control protocol is the
-// same versioned line grammar every transport speaks (core/protocol.hpp)
-// — one line per frame instead of one line per '\n'.
-//
-// Framing is the simplest thing that works on a byte stream: a u32
-// little-endian payload length, then the payload. Control frames carry
-// protocol-line text; a DONE control frame is followed immediately by
-// one binary frame holding the lease's ShardReport (EPAB bytes). The
-// first frame a connection sends must be HELLO, and until it arrives
-// the coordinator accepts no frame above kMaxOpeningFrameBytes.
+// TcpTransport: the remote side of the one worker wire — no shared
+// filesystem, no fork. The coordinator listens; workers are started on
+// any host (`epa_cli worker --connect host:port`) and dial in. spawn()
+// adopts a connection from the accept queue and checks the HELLO
+// handshake before the plan frame is shipped; everything after that —
+// the frames, the dispatcher, plan switches — is the FramedTransport
+// every worker shares (core/transport.hpp, core/protocol.hpp). A local
+// worker's stream is a socketpair; a remote one's is this socket.
 //
 // Both ends set TCP_NODELAY (tcp_accept and tcp_connect). Three exchanges
 // write more than once before they read: the coordinator sends the plan
@@ -37,66 +28,9 @@
 #include <string>
 #include <vector>
 
-#include "core/orchestrator.hpp"
+#include "core/transport.hpp"
 
 namespace ep::net {
-
-/// --- Frame plumbing, shared by coordinator, worker, and bench ---
-
-/// Anything bigger is a corrupt length prefix, not a frame: the largest
-/// real payload is a plan or report, megabytes at worst.
-inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 30;
-
-/// The cap on a connection's opening frame, before HELLO has proven the
-/// peer is a worker: the same 64 KiB a pipe worker allows one command
-/// line, so a 4-byte header cannot make the coordinator buffer 1 GiB.
-inline constexpr std::size_t kMaxOpeningFrameBytes = 65536;
-
-/// A length prefix above the FrameBuffer's cap — corruption or a hostile
-/// peer; bytes() is the announced length.
-class FrameTooLarge : public core::OrchestratorError {
- public:
-  FrameTooLarge(std::size_t bytes, std::size_t limit);
-  std::size_t bytes() const { return bytes_; }
-
- private:
-  std::size_t bytes_;
-};
-
-/// Incremental frame reassembly: feed() raw bytes, pop() complete
-/// payloads. mid_frame() says bytes are buffered but incomplete — how
-/// EOF-mid-frame is told apart from EOF at a boundary. pop() throws
-/// FrameTooLarge as soon as a header announces more than the cap
-/// (kMaxFrameBytes unless set_max_frame() lowered it); nothing that
-/// size is waited for.
-class FrameBuffer {
- public:
-  void set_max_frame(std::size_t max_frame) { max_frame_ = max_frame; }
-  void feed(const char* data, std::size_t n);
-  bool pop(std::string* payload);
-  bool mid_frame() const { return !buf_.empty(); }
-
- private:
-  std::string buf_;
-  std::size_t max_frame_ = kMaxFrameBytes;
-};
-
-/// Write one length-prefixed frame. Returns false on any write failure
-/// (EPIPE, reset) — like the pipe transport's write_line, the death
-/// story belongs to the read side, not here.
-bool send_frame(int fd, const std::string& payload);
-
-/// Block until one frame is available in `fb` (reading from `fd` as
-/// needed), the peer closes (returns false), or `timeout_ms` passes
-/// (throws; < 0 = wait forever). EOF mid-frame throws — the peer died
-/// mid-sentence.
-bool recv_frame(int fd, FrameBuffer* fb, std::string* payload,
-                long timeout_ms = -1);
-
-/// Drain whatever is readable *right now* into `fb` without blocking —
-/// how a draining worker polls for STEAL between chunks. Returns false
-/// once the peer has closed.
-bool pump_nonblocking(int fd, FrameBuffer* fb);
 
 /// --- Socket plumbing ---
 
@@ -117,7 +51,7 @@ int tcp_connect(const std::string& host, int port);
 struct TcpTransportConfig {
   /// Port to listen on; 0 picks an ephemeral port (see port()).
   int listen_port = 0;
-  /// When set, the bound port is written here (atomic rename), so
+  /// When set, the bound port is written here (write_file_atomic), so
   /// scripts that started the coordinator with --listen 0 can learn
   /// where to aim the workers.
   std::string port_file;
@@ -133,66 +67,31 @@ struct TcpTransportConfig {
   long long handshake_timeout_ms = 10000;
 };
 
-class TcpTransport : public core::Transport {
+class TcpTransport : public core::FramedTransport {
  public:
   /// Binds and listens immediately; `plan` is encoded once and shipped
   /// to every worker that completes the handshake until load_plan()
   /// replaces it.
   TcpTransport(TcpTransportConfig config, const core::InjectionPlan& plan);
-  /// Closes every socket — workers see EOF and exit; none are left
-  /// holding a dead coordinator's connection.
+  /// Closes the listening socket; the shared half closes every worker
+  /// socket, so workers see EOF and exit — none are left holding a dead
+  /// coordinator's connection.
   ~TcpTransport() override;
 
-  TcpTransport(const TcpTransport&) = delete;
-  TcpTransport& operator=(const TcpTransport&) = delete;
-
   std::optional<std::size_t> spawn() override;
-  void submit(std::size_t worker, const core::Lease& lease) override;
-  void steal(std::size_t worker) override;
-  /// FEEDBACK as a control frame — same line bytes the pipe transport
-  /// writes, framed like every other control message.
-  void feedback(std::size_t worker, const core::InjectionPlan& plan,
-                std::size_t begin, std::size_t end) override;
-  /// Re-encodes the plan frame. Workers accepted later get it at the
-  /// handshake; connected ones get `PLAN -` plus the frame, once, before
-  /// their next FEEDBACK or LEASE. `leases` is unused on this plane.
-  void load_plan(const core::InjectionPlan& plan,
-                 const std::vector<core::Lease>& leases) override;
-  std::optional<core::WorkerEvent> wait_any(long timeout_ms) override;
-  void shutdown(std::size_t worker) override;
-  void kill(std::size_t worker) override;
 
   int port() const { return port_; }
 
+ protected:
+  /// BYE's status, or preempted (-1) for a connection dropped without.
+  core::WorkerEvent ended(std::size_t worker,
+                          std::optional<int> bye) override;
+
  private:
-  struct Conn {
-    int fd = -1;
-    bool alive = false;
-    bool saw_eof = false;
-    bool said_bye = false;
-    int bye_status = 0;
-    bool has_lease = false;
-    bool awaiting_report = false;  // DONE seen; next frame is the report
-    core::Lease lease;
-    core::WorkerEvent done_ev;  // built from DONE, completed by the frame
-    FrameBuffer frames;
-    std::size_t plan_gen = 0;  // the load_plan() generation it holds
-  };
-
-  std::optional<core::WorkerEvent> handle_frame(std::size_t worker,
-                                                const std::string& frame);
-  core::WorkerEvent reap(std::size_t worker);
-  /// Send `PLAN -` and the current plan frame to a worker still on an
-  /// older plan, ahead of the FEEDBACK or LEASE about to follow.
-  void sync_plan(Conn& c);
-
   TcpTransportConfig config_;
-  std::string plan_wire_;  // binary EPAB plan, shipped per worker
-  std::size_t plan_gen_ = 0;  // bumped by every load_plan()
   int listen_fd_ = -1;
   int port_ = 0;
   std::size_t accepted_ = 0;
-  std::vector<Conn> conns_;
 };
 
 }  // namespace ep::net

@@ -35,9 +35,7 @@ class PlanSwitchingFleet : public Transport {
 
   std::vector<std::size_t> die_on_plan;  // indexed by spawn order; 0 = never
 
-  void load_plan(const InjectionPlan& plan,
-                 const std::vector<Lease>& leases) override {
-    (void)leases;
+  void load_plan(const InjectionPlan& plan) override {
     plans_.push_back(plan);
     executors_.push_back(
         std::make_unique<Executor>(*scenarios_.at(plan.scenario_name)));
@@ -140,12 +138,12 @@ TEST(OrchestratorFleet, DrainsTwoPlansWithOneSpawnPerWorker) {
   opts.workers = 2;
   Fleet fleet(transport, opts);
 
-  transport.load_plan(t.open_plan, {});
+  transport.load_plan(t.open_plan);
   PlanWorkSource first(t.open_plan);
   OrchestratorStats s1;
   CampaignResult r1 = fleet.drain(first, t.open_plan.items.size(), 1, &s1);
 
-  transport.load_plan(t.locked_plan, {});
+  transport.load_plan(t.locked_plan);
   PlanWorkSource second(t.locked_plan);
   OrchestratorStats s2;
   CampaignResult r2 = fleet.drain(second, t.locked_plan.items.size(), 1, &s2);
@@ -175,13 +173,13 @@ TEST(OrchestratorFleet, WorkerPreemptedInTheSecondDrainIsReplacedOnItsPlan) {
   opts.workers = 2;
   Fleet fleet(transport, opts);
 
-  transport.load_plan(t.open_plan, {});
+  transport.load_plan(t.open_plan);
   PlanWorkSource first(t.open_plan);
   OrchestratorStats s1;
   CampaignResult r1 = fleet.drain(first, t.open_plan.items.size(), 1, &s1);
   EXPECT_EQ(s1.workers_preempted, 0u);
 
-  transport.load_plan(t.locked_plan, {});
+  transport.load_plan(t.locked_plan);
   PlanWorkSource second(t.locked_plan);
   OrchestratorStats s2;
   CampaignResult r2 = fleet.drain(second, t.locked_plan.items.size(), 1, &s2);
@@ -206,7 +204,7 @@ TEST(OrchestratorFleet, OrchestrateIsOneDrainOfAFreshFleet) {
   // worker PLAN, so its conversation is the one before protocol v4.
   TwoPlans t;
   PlanSwitchingFleet transport({&t.open});
-  transport.load_plan(t.open_plan, {});
+  transport.load_plan(t.open_plan);
   OrchestratorOptions opts;
   opts.workers = 3;
   OrchestratorStats stats;
@@ -220,7 +218,7 @@ TEST(OrchestratorFleet, OrchestrateIsOneDrainOfAFreshFleet) {
 TEST(OrchestratorFleet, AClosedFleetRefusesAnotherDrain) {
   TwoPlans t;
   PlanSwitchingFleet transport({&t.open});
-  transport.load_plan(t.open_plan, {});
+  transport.load_plan(t.open_plan);
   OrchestratorOptions opts;
   opts.workers = 1;
   Fleet fleet(transport, opts);

@@ -146,9 +146,8 @@ TEST(LeaseSplit, StolenTailsMergeByteIdentically) {
 }
 
 TEST(LeaseSplit, SplitCountIsCappedAtKMaxLeaseSplits) {
-  // Transports pre-allocate per-lease resources (the shm arena reserves
-  // exactly kMaxLeaseSplits spare segments), so the orchestrator must
-  // never split more often than that even when every steal would stick.
+  // A campaign's splits are capped at kMaxLeaseSplits even when every
+  // steal would stick: a straggler's tail is not split down to items.
   Scenario s = toy_scenario();
   InjectionPlan plan = planned_toy();
   if (plan.items.size() < kMaxLeaseSplits + 2)

@@ -268,6 +268,29 @@ TEST(OrchestratorErrors, RejectsAWorkerCountBelowOne) {
   EXPECT_THROW((void)orchestrate(plan, transport, opts), OrchestratorError);
 }
 
+TEST(Orchestrator, LeasePartitionIsContiguousAscending) {
+  OrchestratorOptions oopts;
+  oopts.workers = 3;
+  std::vector<Lease> leases = lease_partition(26, oopts);
+  ASSERT_FALSE(leases.empty());
+  std::size_t expect_begin = 0;
+  for (std::size_t i = 0; i < leases.size(); ++i) {
+    EXPECT_EQ(leases[i].seq, i);
+    EXPECT_EQ(leases[i].begin, expect_begin);
+    EXPECT_GT(leases[i].end, leases[i].begin);
+    expect_begin = leases[i].end;
+  }
+  EXPECT_EQ(expect_begin, 26u);
+  // auto grain: roughly four leases per worker.
+  EXPECT_EQ(leases.size(), 13u);  // 26 / max(1, 26/(3*4)=2) = 13
+
+  oopts.lease_items = 100;  // one big lease swallows the plan
+  EXPECT_EQ(lease_partition(26, oopts).size(), 1u);
+  EXPECT_TRUE(lease_partition(0, oopts).empty());
+  oopts.workers = 0;
+  EXPECT_THROW((void)lease_partition(26, oopts), OrchestratorError);
+}
+
 TEST(Orchestrator, EveryScenarioMatchesSingleProcessIncludingPreemption) {
   // The ISSUE's acceptance bar: for every packaged scenario, the
   // orchestrated drain — leases through the wire, one worker preempted

@@ -50,12 +50,11 @@ void read_transcript(const std::string& text) {
 std::string transcript() {
   std::string out;
   for (const std::string& line :
-       {format_hello(kWorkerProtocolVersion), format_lease(0, 4, "-"),
+       {format_hello(kWorkerProtocolVersion), format_lease(0, 4),
         format_ping(), format_done(0, 4),
         format_feedback(11, 13, "0:d:file-existence:771,1:i:short-read:42"),
-        format_lease(4, 11, "@7"), format_steal(), format_yield(6, 11),
-        format_done(4, 6, 448, 192), format_plan("/tmp/t.plan.json"),
-        format_exit(), format_bye(0)})
+        format_lease(4, 11), format_steal(), format_yield(6, 11),
+        format_done(4, 6), format_plan(), format_exit(), format_bye(0)})
     out += line + "\n";
   return out;
 }

@@ -1,6 +1,5 @@
-// The worker line protocol (core/protocol.hpp): one grammar, one
-// parser, one formatter set, shared by the pipe, shm, and tcp data
-// planes. The parser is strict — a protocol line is either exactly one
+// The worker protocol (core/protocol.hpp): one grammar, one parser,
+// one formatter set, shared by local and remote workers. The parser is strict — a protocol line is either exactly one
 // production or a rejected worker, never a best-effort guess.
 #include "core/protocol.hpp"
 
@@ -23,11 +22,9 @@ TEST(Protocol, FormattersRoundTripThroughTheParser) {
       format_ping(),
       format_yield(3, 9),
       format_done(0, 4),
-      format_done(4, 9, 128, 77),
       format_bye(4),
-      format_lease(0, 4, "lpr.lease0.json"),
-      format_lease(4, 9, "@1"),
-      format_lease(9, 11, "-"),
+      format_lease(0, 4),
+      format_plan(),
       format_steal(),
       format_exit(),
       format_feedback(9, 11, "0:i:close-fails:0,1:d:short-read:7"),
@@ -42,9 +39,9 @@ TEST(Protocol, FormattersRoundTripThroughTheParser) {
 
 TEST(Protocol, ParsesEveryFieldOfEveryProduction) {
   ProtocolMsg m;
-  ASSERT_TRUE(parse_protocol_line("HELLO 5", &m));
+  ASSERT_TRUE(parse_protocol_line("HELLO 6", &m));
   EXPECT_EQ(m.type, Type::hello);
-  EXPECT_EQ(m.version, 5);
+  EXPECT_EQ(m.version, 6);
 
   ASSERT_TRUE(parse_protocol_line("PING", &m));
   EXPECT_EQ(m.type, Type::ping);
@@ -58,23 +55,17 @@ TEST(Protocol, ParsesEveryFieldOfEveryProduction) {
   EXPECT_EQ(m.type, Type::done);
   EXPECT_EQ(m.begin, 0u);
   EXPECT_EQ(m.end, 4u);
-  EXPECT_FALSE(m.has_handoff);
-
-  ASSERT_TRUE(parse_protocol_line("DONE 4 9 128 77", &m));
-  EXPECT_EQ(m.type, Type::done);
-  EXPECT_TRUE(m.has_handoff);
-  EXPECT_EQ(m.offset, 128u);
-  EXPECT_EQ(m.length, 77u);
+  // v6: the report is the next frame, never an (offset, length) handoff.
+  EXPECT_FALSE(parse_protocol_line("DONE 4 9 128 77", &m));
 
   ASSERT_TRUE(parse_protocol_line("BYE 4", &m));
   EXPECT_EQ(m.type, Type::bye);
   EXPECT_EQ(m.status, 4);
 
-  ASSERT_TRUE(parse_protocol_line("LEASE 0 4 report.json", &m));
+  ASSERT_TRUE(parse_protocol_line("LEASE 0 4 -", &m));
   EXPECT_EQ(m.type, Type::lease);
   EXPECT_EQ(m.begin, 0u);
   EXPECT_EQ(m.end, 4u);
-  EXPECT_EQ(m.target, "report.json");
 
   ASSERT_TRUE(parse_protocol_line("STEAL", &m));
   EXPECT_EQ(m.type, Type::steal);
@@ -90,13 +81,15 @@ TEST(Protocol, ParsesEveryFieldOfEveryProduction) {
 }
 
 TEST(Protocol, LeaseTargetIsOneToken) {
-  // A lease target is a single token — a path with a space would be
-  // ambiguous against future operands, so the parser rejects it rather
-  // than guessing where the target ends.
+  // v6: the lease target is the one token `-` — the report comes back
+  // as the frame after DONE. A report path or an arena segment is a
+  // protocol error, not a place to write.
   ProtocolMsg m;
-  EXPECT_FALSE(parse_protocol_line("LEASE 1 2 /tmp/a dir/x.json", &m));
-  ASSERT_TRUE(parse_protocol_line("LEASE 1 2 /tmp/a-dir/x.json", &m));
-  EXPECT_EQ(m.target, "/tmp/a-dir/x.json");
+  ASSERT_TRUE(parse_protocol_line("LEASE 1 2 -", &m));
+  EXPECT_EQ(m.type, Type::lease);
+  EXPECT_FALSE(parse_protocol_line("LEASE 1 2 /tmp/a-dir/x.json", &m));
+  EXPECT_FALSE(parse_protocol_line("LEASE 1 2 @7", &m));
+  EXPECT_FALSE(parse_protocol_line("LEASE 1 2 - -", &m));
 }
 
 TEST(Protocol, RejectsMalformedLines) {
@@ -111,7 +104,8 @@ TEST(Protocol, RejectsMalformedLines) {
       "YIELD 3 9 12",      // trailing junk
       "DONE",              // missing range
       "DONE 0",
-      "DONE 0 4 128",      // a handoff is two fields or none
+      "DONE 0 4 128",      // DONE carries no handoff (v6)
+      "DONE 0 4 128 77",
       "DONE 0 4 128 77 9",
       "BYE",
       "BYE 4 0",
@@ -134,19 +128,19 @@ TEST(Protocol, RejectsMalformedLines) {
 }
 
 TEST(Protocol, PlanRoundTripsEveryPlaneToken) {
-  // PLAN (v4) names the next plan the way each data plane ships it: a
-  // plan file, an arena file, or `-` for the tcp frame that follows.
+  // PLAN (v4) is spelled `PLAN -` on every plane since v6: the binary
+  // plan frame follows. The v5 spellings — a plan file, an arena file —
+  // are rejected.
+  const std::string line = format_plan();
+  EXPECT_EQ(line, "PLAN -");
+  ProtocolMsg m;
+  ASSERT_TRUE(parse_protocol_line(line, &m));
+  EXPECT_EQ(m.type, Type::plan);
+  EXPECT_EQ(format_protocol_msg(m), line);
   for (const std::string token :
-       {"/tmp/epa-orch.x/turnin.plan.json", "/tmp/epa-orch.x/turnin.arena",
-        "-"}) {
+       {"/tmp/epa-orch.x/turnin.plan.json", "/tmp/epa-orch.x/turnin.arena"}) {
     SCOPED_TRACE(token);
-    const std::string line = format_plan(token);
-    EXPECT_EQ(line, "PLAN " + token);
-    ProtocolMsg m;
-    ASSERT_TRUE(parse_protocol_line(line, &m));
-    EXPECT_EQ(m.type, Type::plan);
-    EXPECT_EQ(m.target, token);
-    EXPECT_EQ(format_protocol_msg(m), line);
+    EXPECT_FALSE(parse_protocol_line("PLAN " + token, &m));
   }
 }
 
@@ -165,13 +159,14 @@ TEST(Protocol, PlanNeedsExactlyOneToken) {
   }
 }
 
-TEST(Protocol, VersionConstantIsFive) {
+TEST(Protocol, VersionConstantIsSix) {
   // Bumping the protocol version must be a conscious act: this pins the
   // constant the HELLO handshake (and docs/WIRE_FORMAT.md) advertise.
   // v3 added FEEDBACK (the search plane's item append); v4 added PLAN
-  // (one fleet serving many plans); v5 marks the shard-report v4 /
-  // binary v3 encodings its plans and reports travel in.
-  EXPECT_EQ(kWorkerProtocolVersion, 5);
+  // (one fleet serving many plans); v5 marked the shard-report v4 /
+  // binary v3 encodings; v6 makes the frame stream the only wire (no
+  // DONE handoff, `-` as every LEASE and PLAN target).
+  EXPECT_EQ(kWorkerProtocolVersion, 6);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// TcpTransport (net/transport_tcp.hpp): framing, socket plumbing, and
-// the coordinator's side of the worker protocol, driven from a scripted
-// in-test "worker" on the other end of a loopback socket. Everything is
-// single-threaded: the client pre-writes whatever the transport will
-// want next, so no call here ever blocks on the other side of the test.
+// TcpTransport (net/transport_tcp.hpp): framing (core/protocol.hpp),
+// socket plumbing, and the coordinator's side of the worker protocol,
+// driven from a scripted in-test "worker" on the other end of a loopback
+// socket. Everything is single-threaded: the client pre-writes whatever
+// the transport will want next, so no call here ever blocks on the other
+// side of the test.
 // The real worker binary is exercised by the CLI tcp pipeline tests.
 #include "net/transport_tcp.hpp"
 
@@ -25,6 +26,13 @@
 
 namespace ep::net {
 namespace {
+
+using core::FrameBuffer;
+using core::FrameTooLarge;
+using core::kMaxFrameBytes;
+using core::pump_nonblocking;
+using core::recv_frame;
+using core::send_frame;
 
 TEST(FrameBuffer, ReassemblesFramesFromArbitraryDribbles) {
   // One frame: length prefix 5, payload "hello", delivered a byte at a
@@ -522,7 +530,7 @@ TEST(TcpTransport, PlanSwitchSendsPlanAndFrameOncePerPlan) {
 
   // After a switch, `PLAN -` and the new plan frame arrive once, right
   // before the worker's next LEASE...
-  transport.load_plan(locked_plan, {});
+  transport.load_plan(locked_plan);
   transport.submit(*w, {0, 0, 2});
   EXPECT_EQ(worker.hear(), "PLAN -");
   core::InjectionPlan shipped = core::plan_from_binary(worker.hear());
@@ -539,7 +547,7 @@ TEST(TcpTransport, PlanSwitchSendsPlanAndFrameOncePerPlan) {
   answer_lease(transport, worker, locked, locked_plan, {1, 2, 3});
 
   // The next switch reaches the worker ahead of a FEEDBACK the same way.
-  transport.load_plan(open_plan, {});
+  transport.load_plan(open_plan);
   const std::size_t n = open_plan.items.size();
   transport.feedback(*w, open_plan, n - 1, n);
   EXPECT_EQ(worker.hear(), "PLAN -");
