@@ -3,18 +3,14 @@
 // testing based on this methodology").
 //
 // Drives any packaged scenario through the full methodology from the
-// command line:
+// command line. Every subcommand parses its argv against one declarative
+// flag table (kFlags below), and `epa_cli` alone prints the usage
+// generated from it:
 //
-//   epa_cli list                         # what can be audited
-//   epa_cli run turnin                   # full campaign + report
-//   epa_cli run turnin --sites fopen-projlist,arg-filename
-//   epa_cli run logind --coverage 0.5 --seed 7
+//   epa_cli run turnin --jobs 4          # full campaign + report
 //   epa_cli run lpr --merge              # equivalence-reduced campaign
-//   epa_cli run turnin --jobs 4          # parallel injection engine
 //   epa_cli sweep --jobs 8               # every scenario, one shared pool
-//   epa_cli trace mailer                 # interaction points only
 //   epa_cli compare turnin turnin-hardened   # did the repair work?
-//   epa_cli db [category]                # browse the vulnerability DB
 //
 // Sharded execution (docs/WIRE_FORMAT.md, scripts/shard_local.sh):
 //
@@ -30,18 +26,15 @@
 //
 // Orchestrated execution (docs/ARCHITECTURE.md, core/orchestrator.hpp):
 //
-//   epa_cli orchestrate turnin --workers 3    # dynamic leases, persistent
-//   epa_cli orchestrate --all --workers 4     # workers, auto re-lease on
+//   epa_cli orchestrate --all --workers 4     # dynamic leases, persistent
+//                                             # workers, auto re-lease on
 //                                             # preemption (exit 4)
 //   epa_cli orchestrate turnin --data-plane tcp --listen 7070  # remote
-//   epa_cli worker --connect host:7070        # workers dial in from
-//                                             # any machine
+//   epa_cli worker --connect host:7070        # workers dial in
 //
 // Coverage-guided search (docs/SEARCH.md, core/search.hpp):
 //
-//   epa_cli search turnin --budget 40 --seed 7      # novelty-driven, local
 //   epa_cli search --family fam-relay --budget 120  # cumulative family search
-//   epa_cli search turnin --budget 40 --workers 3   # orchestrated fleet
 //   epa_cli search turnin --budget 40 --state s.json --resume
 //
 // `epa_cli worker` is the orchestrator's worker half: it parses a plan
@@ -59,7 +52,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -70,10 +62,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "apps/families.hpp"
-#include "apps/redzone_demo.hpp"
 #include "apps/scenarios.hpp"
 #include "apps/spec_env.hpp"
 #include "core/compare.hpp"
@@ -98,73 +90,432 @@ using namespace ep;
 
 namespace {
 
+// --- the command line -------------------------------------------------------
+// Every subcommand parses its argv against one declarative flag table: a
+// row per flag with its value kind and range, metavar, the subcommands
+// that take it, and its help text. One loop parses any subcommand's argv
+// against those rows, check_flags holds every rule that spans flags, and
+// usage() prints from the same rows.
+
+/// One bit per subcommand, so a flag row names every subcommand that
+/// takes it.
+enum Command : unsigned {
+  kList = 1u << 0,
+  kScenarios = 1u << 1,
+  kTrace = 1u << 2,
+  kRun = 1u << 3,
+  kSweep = 1u << 4,
+  kPlan = 1u << 5,
+  kRunShard = 1u << 6,
+  kMerge = 1u << 7,
+  kOrchestrate = 1u << 8,
+  kSearch = 1u << 9,
+  kWorker = 1u << 10,
+  kCompare = 1u << 11,
+  kDb = 1u << 12,
+};
+
+struct CommandRow {
+  const char* name;
+  unsigned bit;
+  int max_args;      // positional arguments it takes at most; -1: any
+  const char* args;  // their synopsis
+};
+
+constexpr CommandRow kCommands[] = {
+    {"list", kList, 0, ""},
+    {"scenarios", kScenarios, 0, ""},
+    {"trace", kTrace, 1, " <scenario>"},
+    {"run", kRun, 1, " <scenario>"},
+    {"sweep", kSweep, 0, ""},
+    {"plan", kPlan, 1, " <scenario>"},
+    {"run-shard", kRunShard, 1, " <plan-file>"},
+    {"merge", kMerge, -1, " <plan-file> <shard-file>..."},
+    {"orchestrate", kOrchestrate, 1, " <scenario>"},
+    {"search", kSearch, 1, " <scenario>"},
+    {"worker", kWorker, 0, ""},
+    {"compare", kCompare, 2, " <before-scenario> <after-scenario>"},
+    {"db", kDb, 1, " [indirect|direct|other|excluded]"},
+};
+
+/// Every flag a command line can set, parsed and validated. A default
+/// that differs by subcommand (orchestrate's two workers) is the
+/// subcommand's own.
+struct Flags {
+  const CommandRow* cmd = nullptr;
+  std::vector<std::string> args;  // positional arguments, in order
+  std::uint64_t given = 0;        // bit r: row r of kFlags was given
+
+  bool json = false, all = false, merge = false, binary = false;
+  bool no_redzone = false, resume = false, tcp = false;
+  std::string family, spec, scenario_file, sites, out, out_dir = ".";
+  std::string shard, resume_file, port_file, connect, state;
+  long long jobs = 1, checkpoint = 0, preempt_after = 0;
+  long long drain_delay_ms = 0, workers = 0, lease = 0, deadman_ms = 0;
+  long long listen = 0, budget = 0, batch = 16, stop_after = 0;
+  std::uint64_t seed = 1;
+  double coverage = 1.0;
+
+  /// Whether the subcommand is one of `commands` (Command bits).
+  bool is(unsigned commands) const { return (cmd->bit & commands) != 0; }
+  /// Whether `flag` was given.
+  bool has(const char* flag) const;
+};
+
+/// How a flag's value is read. A value flag takes the next argv slot
+/// verbatim, even one that starts with "--", and every value is strictly
+/// validated: garbage exits 1 with an epa: diagnostic, never silently
+/// becomes 0 (atoi) or is taken for a flag.
+enum class Kind {
+  on,         // a switch: no value
+  text,       // any string
+  integer,    // an integer in [min, max]
+  seed,       // an unsigned 64-bit integer
+  unit,       // a number in [0, 1]
+  lease,      // "auto" (stored as 0) or an integer in [1, 2^30]
+  plane,      // pipe|shm|tcp, stored as whether it is tcp
+  host_port,  // HOST:PORT, the port in [1, 65535]
+};
+
+/// Where a row stores its value in Flags; nullptr: accepted and unused.
+using Dest = std::variant<std::nullptr_t, bool Flags::*, std::string Flags::*,
+                          long long Flags::*, std::uint64_t Flags::*,
+                          double Flags::*>;
+
+struct FlagRow {
+  const char* name;
+  Kind kind;
+  long long min, max;   // Kind::integer's range
+  const char* metavar;  // nullptr for a switch
+  unsigned commands;    // Command bits of the subcommands that take it
+  Dest dest;
+  const char* help;
+};
+
+constexpr long long kMaxCount = 1LL << 30;
+
+constexpr FlagRow kFlags[] = {
+    {"--json", Kind::on, 0, 0, nullptr,
+     kScenarios | kRun | kSweep | kMerge | kOrchestrate | kSearch,
+     &Flags::json, "machine-readable output"},
+    {"--all", Kind::on, 0, 0, nullptr, kPlan | kOrchestrate, &Flags::all,
+     "every packaged scenario, not <scenario>"},
+    {"--family", Kind::text, 0, 0, "F", kScenarios | kSweep | kSearch,
+     &Flags::family, "a family's members, not <scenario>"},
+    {"--spec", Kind::text, 0, 0, "NAME", kScenarios, &Flags::spec,
+     "print a scenario's declarative spec JSON"},
+    {"--scenario-file", Kind::text, 0, 0, "FILE",
+     kRun | kSweep | kPlan | kRunShard | kOrchestrate | kSearch | kWorker,
+     &Flags::scenario_file, "a spec file, not <scenario>"},
+    {"--sites", Kind::text, 0, 0, "a,b,...", kRun | kPlan, &Flags::sites,
+     "perturb only these traced site tags"},
+    {"--coverage", Kind::unit, 0, 0, "F", kRun | kPlan, &Flags::coverage,
+     "stop at this interaction coverage (0..1)"},
+    {"--seed", Kind::seed, 0, 0, "N", kRun | kSweep | kPlan | kSearch,
+     &Flags::seed, "random seed"},
+    {"--merge", Kind::on, 0, 0, nullptr, kRun | kSweep | kPlan,
+     &Flags::merge, "one site per injection-equivalence class"},
+    {"--jobs", Kind::integer, 1, 4096, "N",
+     kRun | kSweep | kPlan | kRunShard | kOrchestrate | kSearch | kWorker,
+     &Flags::jobs, "threads per process (plan: with --all)"},
+    {"--no-redzone", Kind::on, 0, 0, nullptr,
+     kRun | kSweep | kRunShard | kOrchestrate | kSearch | kWorker,
+     &Flags::no_redzone, "turn the redzone memory oracle off"},
+    {"--binary", Kind::on, 0, 0, nullptr, kPlan, &Flags::binary,
+     "the binary plan encoding"},
+    {"--out", Kind::text, 0, 0, "FILE", kPlan | kRunShard, &Flags::out,
+     "write the plan or report here"},
+    {"--out-dir", Kind::text, 0, 0, "DIR", kPlan, &Flags::out_dir,
+     "plan --all's directory (default .)"},
+    {"--shard", Kind::text, 0, 0, "K/N", kRunShard, &Flags::shard,
+     "own ids K-1, K-1+N, ... of the plan"},
+    {"--resume", Kind::text, 0, 0, "FILE", kRunShard, &Flags::resume_file,
+     "complete this partial report"},
+    {"--checkpoint", Kind::integer, 1, kMaxCount, "K",
+     kRunShard | kOrchestrate | kWorker, &Flags::checkpoint,
+     "flush, or PING and poll, every K outcomes"},
+    {"--preempt-after", Kind::integer, 1, kMaxCount, "N",
+     kRunShard | kOrchestrate | kWorker, &Flags::preempt_after,
+     "self-SIGTERM after N flushes or leases (CI)"},
+    {"--drain-delay-ms", Kind::integer, 1, 1LL << 20, "MS",
+     kOrchestrate | kWorker, &Flags::drain_delay_ms,
+     "sleep before each checkpoint chunk (CI)"},
+    {"--workers", Kind::integer, 1, 1024, "N", kOrchestrate | kSearch,
+     &Flags::workers, "fleet size (orchestrate: 2; search: none)"},
+    {"--lease", Kind::lease, 0, 0, "auto|K", kOrchestrate | kSearch,
+     &Flags::lease, "items per lease; auto: from planning time"},
+    {"--data-plane", Kind::plane, 0, 0, "pipe|shm|tcp",
+     kOrchestrate | kSearch, &Flags::tcp,
+     "pipe, shm: forked workers; tcp: dialed in"},
+    {"--deadman-ms", Kind::integer, 1, kMaxCount, "MS", kOrchestrate,
+     &Flags::deadman_ms, "kill a busy worker silent this long"},
+    {"--listen", Kind::integer, 0, 65535, "PORT", kOrchestrate | kSearch,
+     &Flags::listen, "tcp: port to bind (0 = ephemeral)"},
+    {"--port-file", Kind::text, 0, 0, "FILE", kOrchestrate | kSearch,
+     &Flags::port_file, "tcp: publish the bound port here"},
+    {"--dir", Kind::text, 0, 0, "DIR", kOrchestrate | kSearch, nullptr,
+     "accepted and unused: no plane writes files"},
+    {"--connect", Kind::host_port, 0, 0, "HOST:PORT", kWorker,
+     &Flags::connect, "dial a tcp coordinator"},
+    {"--budget", Kind::integer, 1, kMaxCount, "N", kSearch, &Flags::budget,
+     "total injection runs to spend (required)"},
+    {"--batch", Kind::integer, 1, 1LL << 20, "K", kSearch, &Flags::batch,
+     "wave size cap (default 16)"},
+    {"--state", Kind::text, 0, 0, "FILE", kSearch, &Flags::state,
+     "checkpoint at every wave barrier"},
+    {"--resume", Kind::on, 0, 0, nullptr, kSearch, &Flags::resume,
+     "replay --state when it exists"},
+    {"--stop-after", Kind::integer, 1, kMaxCount, "W", kSearch,
+     &Flags::stop_after, "stop after W wave barriers, exit 4"},
+};
+constexpr std::size_t kFlagCount = sizeof kFlags / sizeof kFlags[0];
+static_assert(kFlagCount <= 64, "Flags::given holds one bit per row");
+
+bool Flags::has(const char* flag) const {
+  for (std::size_t r = 0; r < kFlagCount; ++r)
+    if ((given >> r & 1) != 0 && std::strcmp(kFlags[r].name, flag) == 0)
+      return true;
+  return false;
+}
+
+/// The usage text, printed from the two tables: each subcommand with the
+/// flags it takes, then every flag's help.
 int usage() {
-  std::printf(
-      "epa - environment perturbation analysis (prototype tool)\n\n"
-      "usage:\n"
-      "  epa_cli list\n"
-      "  epa_cli scenarios [--family F] [--spec NAME] [--json]\n"
-      "                (inventory; --family expands one family, --spec\n"
-      "                emits a scenario's declarative spec JSON)\n"
-      "  epa_cli trace <scenario>\n"
-      "  epa_cli run <scenario>|--scenario-file FILE\n"
-      "                         [--sites a,b,...] [--coverage F]\n"
-      "                         [--seed N] [--merge] [--json] [--jobs N]\n"
-      "                         [--no-world-cache] [--no-redzone]\n"
-      "  epa_cli sweep [--family F|--scenario-file FILE] [--jobs N]\n"
-      "                [--seed N] [--merge] [--json]\n"
-      "                [--no-world-cache] [--no-redzone]\n"
-      "  epa_cli plan <scenario>|--scenario-file FILE\n"
-      "                [--out FILE] [--binary] [--sites a,b,...]\n"
-      "                [--coverage F] [--seed N] [--merge]\n"
-      "  epa_cli plan --all [--out-dir DIR] [--seed N] [--merge] [--jobs N]\n"
-      "  epa_cli run-shard <plan-file> --shard K/N [--out FILE] [--jobs N]\n"
-      "                [--no-world-cache] [--no-redzone] [--checkpoint K]\n"
-      "                [--preempt-after N] [--scenario-file FILE]\n"
-      "                (--shard K/N owns ids K-1, K-1+N, ... of the plan)\n"
-      "  epa_cli run-shard <plan-file> --resume <shard-file> [--shard K/N]\n"
-      "                [--out FILE] [--jobs N] [--no-world-cache]\n"
-      "                [--no-redzone] [--checkpoint K]\n"
-      "  epa_cli merge <plan-file> <shard-file>... [--json]\n"
-      "                (any complete run-shard or lease reports that\n"
-      "                together own every plan id exactly once)\n"
-      "  epa_cli orchestrate <scenario>|--scenario-file FILE\n"
-      "                [--workers N] [--lease auto|K]\n"
-      "                [--data-plane pipe|shm|tcp] [--deadman-ms MS]\n"
-      "                [--jobs N] [--preempt-after N] [--checkpoint K]\n"
-      "                [--drain-delay-ms MS] [--dir DIR]\n"
-      "                [--listen PORT] [--port-file FILE]   (tcp)\n"
-      "                [--json] [--no-world-cache] [--no-redzone]\n"
-      "  epa_cli orchestrate --all [same flags]\n"
-      "                (pipe and shm both fork local workers, the default;\n"
-      "                tcp accepts dialed-in ones. --dir is accepted and\n"
-      "                unused: no plane writes files)\n"
-      "  epa_cli search <scenario>|--family F|--scenario-file FILE\n"
-      "                --budget N [--seed S] [--batch K] [--jobs N]\n"
-      "                [--workers N] [--lease auto|K]\n"
-      "                [--data-plane pipe|shm|tcp] [--listen PORT]\n"
-      "                [--port-file FILE] [--state FILE] [--resume]\n"
-      "                [--stop-after W] [--json] [--no-world-cache]\n"
-      "                [--no-redzone] [--dir DIR]\n"
-      "                (coverage-guided novelty search; docs/SEARCH.md;\n"
-      "                planes and --dir as for orchestrate)\n"
-      "  epa_cli worker [--connect HOST:PORT]\n"
-      "                [--jobs N] [--no-world-cache] [--no-redzone]\n"
-      "                [--preempt-after N] [--scenario-file FILE]\n"
-      "                [--checkpoint K] [--drain-delay-ms MS]\n"
-      "                (worker protocol v6 frames on stdin/stdout, as\n"
-      "                orchestrate forks it, or on a socket with\n"
-      "                --connect)\n"
-      "  epa_cli compare <before-scenario> <after-scenario>\n"
-      "  epa_cli db [indirect|direct|other|excluded]\n");
+  const auto spelled = [](const FlagRow& row) {
+    return row.metavar ? std::string(row.name) + " " + row.metavar
+                       : std::string(row.name);
+  };
+  std::printf("epa - environment perturbation analysis (prototype tool)\n\n"
+              "usage:\n");
+  for (const CommandRow& c : kCommands) {
+    std::string line = std::string("  epa_cli ") + c.name + c.args;
+    for (const FlagRow& row : kFlags) {
+      if ((row.commands & c.bit) == 0) continue;
+      const std::string item = " [" + spelled(row) + "]";
+      if (line.size() + item.size() > 78) {
+        std::printf("%s\n", line.c_str());
+        line = std::string(15, ' ');
+      }
+      line += item;
+    }
+    std::printf("%s\n", line.c_str());
+  }
+  std::printf("\nflags:\n");
+  for (const FlagRow& row : kFlags)
+    std::printf("  %-28s %s\n", spelled(row).c_str(), row.help);
   return 2;
 }
 
-/// A command with fixed positional arguments got one more: reject it
-/// rather than ignore it (`trace mailer --json` would print text).
-int extra_argument(const char* arg) {
-  std::fprintf(stderr, "epa: unexpected argument '%s'\n", arg);
-  return usage();
+[[noreturn]] void flag_fail(const std::string& flag, const std::string& why) {
+  std::fprintf(stderr, "epa: %s %s\n", flag.c_str(), why.c_str());
+  std::exit(1);
+}
+
+/// `text` as an integer in [min, max]; `what` names the accepted forms.
+long long integer_value(const char* flag, const std::string& text,
+                        long long min, long long max,
+                        const char* what = "an integer") {
+  errno = 0;
+  char* end = nullptr;
+  long long v = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0')
+    flag_fail(flag, "value '" + text + "' is not " + what);
+  if (errno == ERANGE || v < min || v > max)
+    flag_fail(flag, "value " + text + " out of range [" +
+                        std::to_string(min) + ", " + std::to_string(max) +
+                        "]");
+  return v;
+}
+
+/// The Flags member `row` stores its value in.
+template <typename T>
+T& slot(const FlagRow& row, Flags* f) {
+  return f->*std::get<T Flags::*>(row.dest);
+}
+
+/// Validate `v` as `row`'s kind and store it where the row says.
+void store_value(const FlagRow& row, const std::string& v, Flags* f) {
+  errno = 0;
+  char* end = nullptr;
+  switch (row.kind) {
+    case Kind::on:
+      slot<bool>(row, f) = true;
+      break;
+    case Kind::text:
+      if (row.dest.index() != 0) slot<std::string>(row, f) = v;
+      break;
+    case Kind::integer:
+      slot<long long>(row, f) = integer_value(row.name, v, row.min, row.max);
+      break;
+    case Kind::seed:
+      slot<std::uint64_t>(row, f) = std::strtoull(v.c_str(), &end, 10);
+      if (errno == ERANGE || end == v.c_str() || *end != '\0' || v[0] == '-')
+        flag_fail(row.name, "value '" + v + "' is not an unsigned integer");
+      break;
+    case Kind::unit:
+      slot<double>(row, f) = std::strtod(v.c_str(), &end);
+      if (errno == ERANGE || end == v.c_str() || *end != '\0')
+        flag_fail(row.name, "value '" + v + "' is not a number");
+      if (!(slot<double>(row, f) >= 0.0 && slot<double>(row, f) <= 1.0))
+        flag_fail(row.name, "value " + v + " out of range [0, 1]");
+      break;
+    case Kind::lease:
+      slot<long long>(row, f) =
+          v == "auto" ? 0
+                      : integer_value(row.name, v, 1, kMaxCount,
+                                      "an integer or 'auto'");
+      break;
+    case Kind::plane:
+      if (v != "pipe" && v != "shm" && v != "tcp")
+        flag_fail(row.name, "value '" + v + "' is not 'pipe', 'shm', or 'tcp'");
+      slot<bool>(row, f) = v == "tcp";
+      break;
+    case Kind::host_port: {
+      // Split on the *last* colon, as cmd_worker splits it.
+      const std::size_t colon = v.rfind(':');
+      if (colon == std::string::npos || colon == 0)
+        flag_fail(row.name, "value '" + v + "' is not HOST:PORT");
+      integer_value(row.name, v.substr(colon + 1), 1, 65535);
+      slot<std::string>(row, f) = v;
+      break;
+    }
+  }
+}
+
+/// Parse argv[2..] against the rows of f->cmd: each flag's value checked
+/// and stored, every argument not starting with "--" kept as a positional
+/// one. A bad or missing value exits 1; a flag the subcommand does not
+/// take returns false after its epa: line.
+bool parse_flags(int argc, char** argv, Flags* f) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (!starts_with(arg, "--")) {
+      f->args.push_back(arg);
+      continue;
+    }
+    std::size_t r = 0;
+    while (r < kFlagCount &&
+           (arg != kFlags[r].name || !f->is(kFlags[r].commands)))
+      ++r;
+    if (r == kFlagCount) {
+      std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
+      return false;
+    }
+    f->given |= std::uint64_t{1} << r;
+    const bool on = kFlags[r].kind == Kind::on;
+    if (!on && i + 1 == argc) flag_fail(arg, "requires a value");
+    store_value(kFlags[r], on ? "" : argv[++i], f);
+  }
+  return true;
+}
+
+/// "epa: A and B are exclusive" when both were given.
+bool both(const Flags& f, const char* a, const char* b) {
+  if (!f.has(a) || !f.has(b)) return false;
+  std::fprintf(stderr, "epa: %s and %s are exclusive\n", a, b);
+  return true;
+}
+
+/// "epa: WHO needs WHAT" when `given` holds and `has_it` does not.
+bool lacks(bool given, bool has_it, const char* who, const char* what) {
+  if (!given || has_it) return false;
+  std::fprintf(stderr, "epa: %s needs %s\n", who, what);
+  return true;
+}
+
+/// Every rule that spans arguments or flags, each written once for every
+/// subcommand it concerns: a flag that would mean nothing where it was
+/// given is refused, never silently ignored. Returns 0 when all hold,
+/// else the exit code after the diagnostic: 2 (with usage) for a
+/// malformed command shape, 1 for a flag in the wrong company.
+int check_flags(const Flags& f) {
+  // A command with fixed positional arguments got one more, or db a
+  // category that is none of the four: reject it rather than ignore it.
+  const std::size_t args = f.args.size();
+  const std::size_t max_args = static_cast<std::size_t>(f.cmd->max_args);
+  const bool bad_db = f.is(kDb) && args == 1 && f.args[0] != "indirect" &&
+                      f.args[0] != "direct" && f.args[0] != "other" &&
+                      f.args[0] != "excluded";
+  if (args > max_args || bad_db) {
+    std::fprintf(stderr, "epa: unexpected argument '%s'\n",
+                 f.args[bad_db ? 0 : max_args].c_str());
+    return usage();
+  }
+  if ((f.is(kTrace | kRunShard) && args != 1) ||
+      (f.is(kCompare) && args != 2) || (f.is(kMerge) && args < 2) ||
+      (f.is(kRunShard) && !f.has("--shard") && !f.has("--resume")))
+    return usage();
+  // Exactly one scenario source where a subcommand drains one: a name,
+  // --scenario-file, --family or --all. sweep's default is the packaged
+  // suite.
+  const std::size_t sources = args + !f.scenario_file.empty() +
+                              !f.family.empty() + (f.all ? 1 : 0);
+  if (f.is(kRun | kPlan | kOrchestrate | kSearch) && sources != 1)
+    return usage();
+  // plan --all writes one plan per packaged scenario into --out-dir: the
+  // single-scenario flags mean nothing there, and the reverse.
+  static constexpr std::pair<const char*, bool> kPlanModes[] = {
+      {"--out", false},      {"--binary", false},  {"--sites", false},
+      {"--coverage", false}, {"--out-dir", true}, {"--jobs", true}};
+  for (const auto& [flag, all_only] : kPlanModes)
+    if (f.is(kPlan) && f.has(flag) && f.all != all_only) {
+      std::fprintf(stderr, "epa: %s applies to %s only\n", flag,
+                   all_only ? "plan --all" : "single-scenario plan");
+      return usage();
+    }
+  // A search without --workers drains in-process, with no fleet to lease
+  // to nor a plane to carry it. On tcp, workers are started by the
+  // operator, not forked by the coordinator: worker-side flags have
+  // nowhere to be forwarded.
+  const bool fleet = f.is(kOrchestrate) || f.has("--workers");
+  for (const char* flag : {"--jobs", "--preempt-after", "--checkpoint",
+                           "--drain-delay-ms", "--no-redzone"})
+    if (f.tcp && fleet && f.has(flag)) {
+      std::fprintf(stderr,
+                   "epa: %s is worker-side; pass it to `epa_cli worker "
+                   "--connect` (tcp workers are not spawned by %s)\n",
+                   flag, f.cmd->name);
+      return 1;
+    }
+  // A family search runs its members through one scorer: a checkpoint of
+  // member N alone could not reproduce that state.
+  if (both(f, "--family", "--spec") ||
+      both(f, "--family", "--scenario-file") ||
+      both(f, "--sites", "--coverage") ||
+      lacks(f.is(kSearch), f.has("--budget"), "search",
+            "--budget N (the total number of injection runs to spend)") ||
+      lacks(f.has("--state") || f.has("--stop-after"), f.family.empty(),
+            f.has("--state") ? "--state" : "--stop-after",
+            "a single scenario, not --family") ||
+      lacks(f.has("--stop-after"), !f.has("--workers"), "--stop-after",
+            "the in-process drain; drop --workers (orchestrated searches "
+            "checkpoint at every wave barrier anyway)") ||
+      lacks(f.has("--data-plane") || f.has("--lease"), fleet,
+            f.has("--data-plane") ? "--data-plane" : "--lease",
+            "--workers N") ||
+      lacks(f.resume, !f.state.empty(), "--resume", "--state FILE") ||
+      lacks(f.has("--stop-after"), !f.state.empty(), "--stop-after",
+            "--state FILE (stopping without a checkpoint would just "
+            "discard the waves)") ||
+      lacks(f.has("--listen") || f.has("--port-file"), f.tcp,
+            f.has("--listen") ? "--listen" : "--port-file",
+            "--data-plane tcp") ||
+      lacks(f.has("--deadman-ms"), f.tcp || f.has("--checkpoint"),
+            "--deadman-ms",
+            "--checkpoint on the pipe/shm data planes (heartbeats are "
+            "sent at checkpoint flushes)") ||
+      lacks(f.has("--drain-delay-ms"), f.has("--checkpoint"),
+            "--drain-delay-ms",
+            "--checkpoint (the delay is applied per checkpoint chunk)") ||
+      lacks(f.is(kRunShard) && f.has("--checkpoint"),
+            !f.out.empty() || !f.resume_file.empty(), "--checkpoint",
+            "--out (checkpoints are flushed to the report file)") ||
+      lacks(f.is(kRunShard) && f.has("--preempt-after"),
+            f.has("--checkpoint"), "--preempt-after",
+            "--checkpoint (preemption is delivered at a checkpoint "
+            "flush)"))
+    return 1;
+  return 0;
 }
 
 // --- sharded execution (docs/WIRE_FORMAT.md) --------------------------------
@@ -183,66 +534,6 @@ std::string read_file(const std::string& path) {
   if (bad)
     throw std::runtime_error("error while reading '" + path + "'");
   return out;
-}
-
-// --- numeric flag parsing ---------------------------------------------------
-// Every numeric option goes through strtoll/strtod with full validation
-// (the parse_shard_spec style): `--jobs garbage` or a flag with no value
-// must exit 1 with an epa: diagnostic, never silently become 0 (atoi) or
-// fall through to "unknown option".
-
-[[noreturn]] void flag_fail(const std::string& flag, const std::string& why) {
-  std::fprintf(stderr, "epa: %s %s\n", flag.c_str(), why.c_str());
-  std::exit(1);
-}
-
-/// The value argv slot of `flag`, advancing *i past it.
-const char* flag_value(const std::string& flag, int argc, char** argv,
-                       int* i) {
-  if (*i + 1 >= argc) flag_fail(flag, "requires a value");
-  return argv[++*i];
-}
-
-long long int_flag(const std::string& flag, int argc, char** argv, int* i,
-                   long long min, long long max) {
-  const char* text = flag_value(flag, argc, argv, i);
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0')
-    flag_fail(flag, "value '" + std::string(text) +
-                        "' is not an integer");
-  if (errno == ERANGE || v < min || v > max)
-    flag_fail(flag, "value " + std::string(text) + " out of range [" +
-                        std::to_string(min) + ", " + std::to_string(max) +
-                        "]");
-  return v;
-}
-
-std::uint64_t uint64_flag(const std::string& flag, int argc, char** argv,
-                          int* i) {
-  const char* text = flag_value(flag, argc, argv, i);
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno == ERANGE || end == text || *end != '\0' || text[0] == '-')
-    flag_fail(flag, "value '" + std::string(text) +
-                        "' is not an unsigned integer");
-  return static_cast<std::uint64_t>(v);
-}
-
-double unit_interval_flag(const std::string& flag, int argc, char** argv,
-                          int* i) {
-  const char* text = flag_value(flag, argc, argv, i);
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(text, &end);
-  if (errno == ERANGE || end == text || *end != '\0')
-    flag_fail(flag, "value '" + std::string(text) + "' is not a number");
-  if (!(v >= 0.0 && v <= 1.0))
-    flag_fail(flag, "value " + std::string(text) +
-                        " out of range [0, 1]");
-  return v;
 }
 
 /// "K/N" with 1 <= K <= N (1-based on the command line, 0-based inside).
@@ -265,42 +556,47 @@ void parse_shard_spec(const std::string& spec, std::size_t* index,
   *count = static_cast<std::size_t>(n);
 }
 
+/// Run `read`, naming `source` (a file, or a worker's stream) in any
+/// wire-format failure.
+template <typename Fn>
+auto naming(const std::string& source, Fn&& read) -> decltype(read()) {
+  try {
+    return read();
+  } catch (const core::WireError& e) {
+    throw std::runtime_error(source + ": " + e.what());
+  }
+}
+
 /// Load + validate a plan file, naming the file in any failure. The
 /// encoding is sniffed from the magic, so every plan-consuming command
 /// (run-shard, merge, worker) accepts `plan --binary` output unchanged.
 core::InjectionPlan load_plan(const std::string& path) {
-  try {
+  return naming(path, [&] {
     std::string text = read_file(path);
     return core::looks_like_binary_wire(text) ? core::plan_from_binary(text)
                                               : core::plan_from_json(text);
-  } catch (const core::WireError& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  });
 }
 
 core::ShardReport load_shard_report(const std::string& path) {
-  try {
-    return core::shard_report_from_json(read_file(path));
-  } catch (const core::WireError& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  return naming(path,
+                [&] { return core::shard_report_from_json(read_file(path)); });
+}
+
+/// The unknown-scenario failure: name what was asked for, then the full
+/// inventory — packaged names, redzone-demo, family patterns — so a
+/// typo'd generated name is diagnosable without a second command.
+std::runtime_error unknown_scenario(const std::string& name) {
+  return std::runtime_error("unknown scenario '" + name + "'\nepa: " +
+                            apps::scenario_names_hint());
 }
 
 /// Name resolution covers the packaged suite, the unlisted redzone-demo,
 /// and every generated family member (apps::resolve_scenario).
-core::Scenario find_scenario(const std::string& name, bool& found) {
-  auto s = apps::resolve_scenario(name);
-  found = s.has_value();
-  return found ? std::move(*s) : core::Scenario{};
-}
-
-/// The unknown-scenario exit path: name what was asked for, then the
-/// full inventory — packaged names, redzone-demo, family patterns — so
-/// a typo'd generated name is diagnosable without a second command.
-int unknown_scenario(const std::string& name) {
-  std::fprintf(stderr, "epa: unknown scenario '%s'\nepa: %s\n", name.c_str(),
-               apps::scenario_names_hint().c_str());
-  return 1;
+core::Scenario named_scenario(const std::string& name) {
+  std::optional<core::Scenario> s = apps::resolve_scenario(name);
+  if (!s) throw unknown_scenario(name);
+  return std::move(*s);
 }
 
 /// `--sites` tags are per-scenario, and the planner skips a tag no traced
@@ -325,12 +621,10 @@ void check_site_tags(const std::vector<std::string>& tags,
 /// the standard image/handler environment. Parse and validation failures
 /// name the file; the spec reader adds line/column for syntax errors.
 core::Scenario scenario_from_file(const std::string& path) {
-  try {
+  return naming(path, [&] {
     core::ScenarioSpec spec = core::spec_from_json(read_file(path));
     return core::compile_spec(spec, apps::spec_environment());
-  } catch (const core::WireError& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  });
 }
 
 /// The scenario a plan drains against (run-shard, worker): the spec file
@@ -349,15 +643,33 @@ core::Scenario plan_scenario(const core::InjectionPlan& plan,
                                "'");
     return s;
   }
-  bool found = false;
-  core::Scenario s = find_scenario(plan.scenario_name, found);
-  if (!found)
+  std::optional<core::Scenario> s = apps::resolve_scenario(plan.scenario_name);
+  if (!s)
     throw std::runtime_error(
         plan_src + ": plan names unknown scenario '" + plan.scenario_name +
         "' (written by a different scenario set? pass its spec with "
         "--scenario-file); " +
         apps::scenario_names_hint());
-  return s;
+  return std::move(*s);
+}
+
+/// apps::find_family; throws, listing what exists, on an unknown name.
+const core::ScenarioFamily& known_family(const std::string& name) {
+  const core::ScenarioFamily* fam = apps::find_family(name);
+  if (!fam)
+    throw std::runtime_error("unknown family '" + name + "'\nepa: " +
+                             apps::scenario_names_hint());
+  return *fam;
+}
+
+/// The scenarios a subcommand drains, from the one source it was given:
+/// --family, --scenario-file, a name, or else the packaged suite (--all,
+/// and sweep's default).
+std::vector<core::Scenario> resolve_scenarios(const Flags& f) {
+  if (!f.family.empty()) return apps::family_scenarios(known_family(f.family));
+  if (!f.scenario_file.empty()) return {scenario_from_file(f.scenario_file)};
+  if (!f.args.empty()) return {named_scenario(f.args[0])};
+  return apps::all_scenarios();
 }
 
 int cmd_list() {
@@ -378,19 +690,13 @@ int cmd_scenarios(const std::string& family_name,
     // Canonical serializer output — exactly what --scenario-file parses
     // back, so this doubles as the authoring template.
     auto spec = apps::resolve_spec(spec_name);
-    if (!spec) return unknown_scenario(spec_name);
+    if (!spec) throw unknown_scenario(spec_name);
     std::string json = core::spec_to_json(*spec);
     std::fwrite(json.data(), 1, json.size(), stdout);
     return 0;
   }
   if (!family_name.empty()) {
-    const core::ScenarioFamily* fam = apps::find_family(family_name);
-    if (!fam) {
-      std::fprintf(stderr, "epa: unknown family '%s'\nepa: %s\n",
-                   family_name.c_str(),
-                   apps::scenario_names_hint().c_str());
-      return 1;
-    }
+    const core::ScenarioFamily* fam = &known_family(family_name);
     auto specs = core::expand_family(*fam);
     if (as_json) {
       std::printf("{\n\"family\": %s,\n\"members\": [\n",
@@ -466,10 +772,7 @@ int cmd_scenarios(const std::string& family_name,
 }
 
 int cmd_trace(const std::string& name) {
-  bool found = false;
-  core::Scenario scenario = find_scenario(name, found);
-  if (!found) return unknown_scenario(name);
-  core::Campaign campaign(std::move(scenario));
+  core::Campaign campaign(named_scenario(name));
   core::CampaignOptions opts;
   opts.only_sites = {"--none--"};  // discovery only
   auto r = campaign.execute(opts);
@@ -487,32 +790,39 @@ int cmd_trace(const std::string& name) {
   return 0;
 }
 
-int cmd_run(const std::string& name, const std::string& scenario_file,
-            const core::CampaignOptions& opts, bool as_json) {
-  core::Scenario scenario;
-  if (!scenario_file.empty()) {
-    scenario = scenario_from_file(scenario_file);
-  } else {
-    bool found = false;
-    scenario = find_scenario(name, found);
-    if (!found) return unknown_scenario(name);
-  }
-  core::Campaign campaign(std::move(scenario));
-  auto r = campaign.execute(opts);
-  check_site_tags(opts.only_sites, r.points, r.scenario_name);
+/// The campaign options of a command line that plans or runs campaigns.
+core::CampaignOptions campaign_options(const Flags& f) {
+  core::CampaignOptions opts;
+  if (f.has("--sites")) opts.only_sites = split(f.sites, ',');
+  opts.target_interaction_coverage = f.coverage;
+  opts.seed = f.seed;
+  opts.merge_equivalent_sites = f.merge;
+  opts.jobs = static_cast<int>(f.jobs);
+  opts.use_redzone = !f.no_redzone;
+  return opts;
+}
+
+/// Print one campaign's report and return the run exit contract: 0
+/// clean, 3 candidate vulnerabilities.
+int print_report(const core::CampaignResult& r, bool as_json) {
   std::printf("%s", (as_json ? core::render_json(r)
                              : core::render_report(r))
                         .c_str());
-  return r.exploitable().empty() ? 0 : 3;  // 3 = candidate vulnerabilities
+  return r.exploitable().empty() ? 0 : 3;
+}
+
+int cmd_run(const Flags& f) {
+  core::CampaignOptions opts = campaign_options(f);
+  core::Campaign campaign(std::move(resolve_scenarios(f).front()));
+  auto r = campaign.execute(opts);
+  check_site_tags(opts.only_sites, r.points, r.scenario_name);
+  return print_report(r, f.json);
 }
 
 int cmd_compare(const std::string& before_name,
                 const std::string& after_name) {
-  bool found_b = false, found_a = false;
-  core::Scenario before_s = find_scenario(before_name, found_b);
-  core::Scenario after_s = find_scenario(after_name, found_a);
-  if (!found_b || !found_a)
-    return unknown_scenario(found_b ? after_name : before_name);
+  core::Scenario before_s = named_scenario(before_name);
+  core::Scenario after_s = named_scenario(after_name);
   auto before = core::Campaign(std::move(before_s)).execute();
   auto after = core::Campaign(std::move(after_s)).execute();
   auto c = core::compare(before, after);
@@ -574,30 +884,16 @@ int print_sweep(const core::SweepResult& sweep, bool as_json,
   return sweep.total_exploitable() == 0 ? 0 : 3;
 }
 
-int cmd_sweep(const core::SweepOptions& opts, bool as_json,
-              const std::string& family_name,
-              const std::string& scenario_file) {
+int cmd_sweep(const Flags& f) {
   core::MultiCampaign suite;
-  bool generated = false;
-  if (!family_name.empty()) {
-    const core::ScenarioFamily* fam = apps::find_family(family_name);
-    if (!fam) {
-      std::fprintf(stderr, "epa: unknown family '%s'\nepa: %s\n",
-                   family_name.c_str(),
-                   apps::scenario_names_hint().c_str());
-      return 1;
-    }
-    for (auto& s : apps::family_scenarios(*fam)) suite.add(std::move(s));
-    generated = true;
-  } else if (!scenario_file.empty()) {
-    suite.add(scenario_from_file(scenario_file));
-    generated = true;
-  } else {
-    for (auto& s : apps::all_scenarios()) suite.add(std::move(s));
-  }
+  for (auto& s : resolve_scenarios(f)) suite.add(std::move(s));
+  core::SweepOptions opts;
+  opts.jobs = static_cast<int>(f.jobs);
+  opts.campaign = campaign_options(f);
   // Generated suites carry the adequacy report; the packaged sweep's
   // output is a byte-pinned regression control and stays untouched.
-  return print_sweep(suite.run(opts), as_json, generated);
+  return print_sweep(suite.run(opts), f.json,
+                     !f.family.empty() || !f.scenario_file.empty());
 }
 
 int cmd_db(const std::string& filter) {
@@ -617,16 +913,9 @@ int cmd_db(const std::string& filter) {
       case vulndb::EaiClass::other: cls_name = "other"; break;
       default: cls_name = "excluded/" + std::string(to_string(r.cause));
     }
-    bool matches = filter.empty() ||
-                   (filter == "indirect" &&
-                    cls == vulndb::EaiClass::indirect) ||
-                   (filter == "direct" && cls == vulndb::EaiClass::direct) ||
-                   (filter == "other" && cls == vulndb::EaiClass::other) ||
-                   (filter == "excluded" &&
-                    cls != vulndb::EaiClass::indirect &&
-                    cls != vulndb::EaiClass::direct &&
-                    cls != vulndb::EaiClass::other);
-    if (!matches) continue;
+    // Each class name starts with its category (check_flags allows only
+    // the four).
+    if (cls_name.compare(0, filter.size(), filter) != 0) continue;
     ++shown;
     std::string desc = r.description.size() > 60
                            ? r.description.substr(0, 57) + "..."
@@ -637,47 +926,41 @@ int cmd_db(const std::string& filter) {
   return 0;
 }
 
-int cmd_plan(const std::string& name, const std::string& scenario_file,
-             core::CampaignOptions opts, const std::string& out_path,
-             bool binary) {
-  core::Scenario scenario;
-  if (!scenario_file.empty()) {
-    scenario = scenario_from_file(scenario_file);
-  } else {
-    bool found = false;
-    scenario = find_scenario(name, found);
-    if (!found) return unknown_scenario(name);
-  }
+int cmd_plan(const Flags& f) {
+  const core::Scenario scenario = std::move(resolve_scenarios(f).front());
+  core::CampaignOptions opts = campaign_options(f);
   // The plan file never carries the world snapshot; don't build one.
   opts.use_world_cache = false;
   core::InjectionPlan plan = core::Planner(scenario).plan(opts);
   check_site_tags(opts.only_sites, plan.points, plan.scenario_name);
-  std::string wire = binary ? core::plan_to_binary(plan) : plan.to_json();
-  if (out_path.empty()) {
+  std::string wire = f.binary ? core::plan_to_binary(plan) : plan.to_json();
+  if (f.out.empty()) {
     // fwrite, not printf: the binary encoding contains NUL bytes.
     std::fwrite(wire.data(), 1, wire.size(), stdout);
     return 0;
   }
-  write_file_atomic(out_path, wire);
+  write_file_atomic(f.out, wire);
   std::printf("%s: %zu interaction points, %zu work items -> %s\n",
               scenario.name.c_str(), plan.points.size(), plan.items.size(),
-              out_path.c_str());
+              f.out.c_str());
   return 0;
 }
 
-int cmd_plan_all(const core::SweepOptions& opts, const std::string& out_dir) {
+int cmd_plan_all(const Flags& f) {
   // Create the output directory up front: planning every scenario only
   // to fail on the first write would discard all of that work.
-  if (::mkdir(out_dir.c_str(), 0777) != 0 && errno != EEXIST)
-    throw std::runtime_error("cannot create '" + out_dir +
+  if (::mkdir(f.out_dir.c_str(), 0777) != 0 && errno != EEXIST)
+    throw std::runtime_error("cannot create '" + f.out_dir +
                              "': " + std::strerror(errno));
   core::MultiCampaign suite;
   for (auto& s : apps::all_scenarios()) suite.add(std::move(s));
-  core::SweepOptions plan_opts = opts;
+  core::SweepOptions plan_opts;
+  plan_opts.jobs = static_cast<int>(f.jobs);
+  plan_opts.campaign = campaign_options(f);
   plan_opts.campaign.use_world_cache = false;  // plan files carry no snapshot
   auto plans = suite.plan_all(plan_opts);
   for (const auto& plan : plans) {
-    std::string path = out_dir + "/" + plan.scenario_name + ".plan.json";
+    std::string path = f.out_dir + "/" + plan.scenario_name + ".plan.json";
     write_file_atomic(path, plan.to_json());
     std::printf("%s: %zu interaction points, %zu work items -> %s\n",
                 plan.scenario_name.c_str(), plan.points.size(),
@@ -693,53 +976,38 @@ volatile std::sig_atomic_t g_preempted = 0;
 
 extern "C" void on_sigterm(int) { g_preempted = 1; }
 
-struct RunShardArgs {
-  std::string plan_path;
-  std::string shard_spec;     // --shard K/N
-  std::string resume_path;    // --resume FILE
-  std::string out_path;       // --out FILE
-  std::string scenario_file;  // --scenario-file: spec instead of the name
-  int jobs = 1;
-  bool use_world_cache = true;
-  bool use_redzone = true;        // --no-redzone: disable the memory oracle
-  std::size_t checkpoint = 0;     // --checkpoint K: flush every K outcomes
-  long long preempt_after = 0;    // --preempt-after N: self-SIGTERM (CI)
-};
-
-int cmd_run_shard(RunShardArgs a) {
-  core::InjectionPlan plan = load_plan(a.plan_path);
+int cmd_run_shard(Flags a) {
+  core::InjectionPlan plan = load_plan(a.args[0]);
 
   // --shard K/N is the strided lease [K-1, n) stride N.
   core::IdRange owned;
-  if (!a.shard_spec.empty()) {
+  if (!a.shard.empty()) {
     std::size_t index = 0, count = 0;
-    parse_shard_spec(a.shard_spec, &index, &count);
+    parse_shard_spec(a.shard, &index, &count);
     owned = core::static_shard(plan.items.size(), index, count);
   }
   core::ShardReport partial;
-  const bool resuming = !a.resume_path.empty();
+  const bool resuming = !a.resume_file.empty();
   if (resuming) {
-    partial = load_shard_report(a.resume_path);
-    if (!a.shard_spec.empty() && partial.owned != owned)
+    partial = load_shard_report(a.resume_file);
+    if (!a.shard.empty() && partial.owned != owned)
       throw std::runtime_error(
-          a.resume_path + ": holds ids " + partial.owned.str() +
-          " but --shard " + a.shard_spec + " owns ids " + owned.str());
+          a.resume_file + ": holds ids " + partial.owned.str() +
+          " but --shard " + a.shard + " owns ids " + owned.str());
     // Completing in place is the natural resume: the partial file becomes
     // the finished report unless --out redirects it.
-    if (a.out_path.empty()) a.out_path = a.resume_path;
+    if (a.out.empty()) a.out = a.resume_file;
   }
 
-  core::Scenario scenario =
-      plan_scenario(plan, a.plan_path, a.scenario_file);
+  core::Scenario scenario = plan_scenario(plan, a.args[0], a.scenario_file);
   // The wire never carries the snapshot; re-freeze a local prototype so
   // the shard drains through the same COW clone path as a local run.
-  if (a.use_world_cache) core::refreeze_snapshot(plan, scenario);
+  core::refreeze_snapshot(plan, scenario);
 
   core::Executor executor(scenario);
   core::ExecutorOptions opts;
-  opts.jobs = a.jobs;
-  opts.use_world_cache = a.use_world_cache;
-  opts.use_redzone = a.use_redzone;
+  opts.jobs = static_cast<int>(a.jobs);
+  opts.use_redzone = !a.no_redzone;
 
   long long flushes = 0;
   core::ShardDrainHooks hooks;
@@ -752,7 +1020,7 @@ int cmd_run_shard(RunShardArgs a) {
     hooks.checkpoint_every = a.checkpoint;
     hooks.interrupted = [] { return g_preempted != 0; };
     hooks.on_checkpoint = [&](const core::ShardReport& r) {
-      write_file_atomic(a.out_path, r.to_json());
+      write_file_atomic(a.out, r.to_json());
       // The CI determinism hook: deliver the preemption signal to
       // ourselves after N flushes, through the real handler.
       if (a.preempt_after > 0 && ++flushes >= a.preempt_after)
@@ -764,18 +1032,18 @@ int cmd_run_shard(RunShardArgs a) {
       resuming ? core::resume_shard(executor, plan, partial, opts, hooks)
                : core::run_lease(executor, plan, owned, opts, hooks);
   std::string json = report.to_json();
-  if (a.out_path.empty()) {
+  if (a.out.empty()) {
     std::printf("%s", json.c_str());
     return report.complete ? 0 : 4;
   }
-  write_file_atomic(a.out_path, json);
+  write_file_atomic(a.out, json);
   std::printf("%s -> %s\n", core::render_shard_summary(report).c_str(),
-              a.out_path.c_str());
+              a.out.c_str());
   if (!report.complete) {
     std::fprintf(stderr,
                  "epa: preempted; partial report flushed to %s "
                  "(complete it with run-shard --resume)\n",
-                 a.out_path.c_str());
+                 a.out.c_str());
     return 4;  // 4 = preempted, valid partial report on disk
   }
   return 0;
@@ -791,29 +1059,12 @@ int cmd_merge(const std::string& plan_path,
   // shard, partial file, foreign plan) also name the offending file.
   for (const auto& path : shard_paths)
     shards.push_back(load_shard_report(path));
-  core::CampaignResult r = core::merge_shard_reports(plan, shards,
-                                                     shard_paths);
-  std::printf("%s", (as_json ? core::render_json(r)
-                             : core::render_report(r))
-                        .c_str());
-  return r.exploitable().empty() ? 0 : 3;  // same contract as `run`
+  // The same report and exit contract as `run`.
+  return print_report(core::merge_shard_reports(plan, shards, shard_paths),
+                      as_json);
 }
 
 // --- orchestrated execution (core/orchestrator.hpp) -------------------------
-
-struct WorkerArgs {
-  std::string connect_host;      // --connect: dial a remote coordinator
-  std::string scenario_file;     // --scenario-file: spec instead of the
-                                 // plan's scenario name
-  int connect_port = 0;
-  int jobs = 1;
-  bool use_world_cache = true;
-  bool use_redzone = true;       // --no-redzone: disable the memory oracle
-  long long preempt_after = 0;   // self-preempt after N leases, or — with
-                                 // --checkpoint — after N checkpoints (CI)
-  std::size_t checkpoint = 0;    // PING + STEAL poll every K outcomes
-  long long drain_delay_ms = 0;  // sleep before each chunk (straggler hook)
-};
 
 /// The worker's protocol version for HELLO. EPA_WORKER_PROTOCOL overrides
 /// it — the test hook that manufactures an old fleet so the handshake
@@ -841,7 +1092,7 @@ struct ServedPlan {
 /// Read the next frame as a binary plan and re-freeze its prototype.
 /// Logs one line per plan: the CLI tests count these to pin "parse +
 /// re-freeze happen once per plan, not per lease".
-std::unique_ptr<ServedPlan> load_served_plan(const WorkerArgs& a,
+std::unique_ptr<ServedPlan> load_served_plan(const Flags& a,
                                              core::FrameChannel& chan,
                                              const std::string& src) {
   auto s = std::make_unique<ServedPlan>();
@@ -850,13 +1101,9 @@ std::unique_ptr<ServedPlan> load_served_plan(const WorkerArgs& a,
     throw std::runtime_error(src +
                              ": coordinator closed the stream before "
                              "sending a plan (handshake rejected?)");
-  try {
-    s->plan = core::plan_from_binary(frame);
-  } catch (const core::WireError& e) {
-    throw std::runtime_error(src + ": " + e.what());
-  }
+  s->plan = naming(src, [&] { return core::plan_from_binary(frame); });
   s->scenario = plan_scenario(s->plan, src, a.scenario_file);
-  if (a.use_world_cache) core::refreeze_snapshot(s->plan, s->scenario);
+  core::refreeze_snapshot(s->plan, s->scenario);
   s->executor = std::make_unique<core::Executor>(s->scenario);
   std::fprintf(stderr,
                "epa worker: parsed %s (%zu items), prototype %s; serving\n",
@@ -885,15 +1132,15 @@ std::unique_ptr<ServedPlan> load_served_plan(const WorkerArgs& a,
 /// chunks: a stolen lease is answered with `YIELD <mid> <end>` — the
 /// worker keeps the drained prefix [begin, mid) and the coordinator
 /// re-leases the tail to an idle worker.
-int cmd_worker(const WorkerArgs& a) {
-  const bool remote = !a.connect_host.empty();
-  const int sock = remote ? net::tcp_connect(a.connect_host, a.connect_port)
+int cmd_worker(const Flags& a) {
+  const bool remote = !a.connect.empty();
+  const std::size_t colon = a.connect.rfind(':');  // as the parser split it
+  const int sock = remote ? net::tcp_connect(a.connect.substr(0, colon),
+                                             std::atoi(&a.connect[colon + 1]))
                           : -1;
   core::FrameChannel chan(remote ? sock : STDIN_FILENO,
                           remote ? sock : STDOUT_FILENO);
-  const std::string src =
-      remote ? a.connect_host + ":" + std::to_string(a.connect_port)
-             : "stdin";
+  const std::string src = remote ? a.connect : "stdin";
   chan.send(core::format_hello(worker_protocol_version()));
 
   long long done = 0;
@@ -901,9 +1148,8 @@ int cmd_worker(const WorkerArgs& a) {
   auto serve = [&]() -> int {
     std::unique_ptr<ServedPlan> served = load_served_plan(a, chan, src);
     core::ExecutorOptions opts;
-    opts.jobs = a.jobs;
-    opts.use_world_cache = a.use_world_cache;
-    opts.use_redzone = a.use_redzone;
+    opts.jobs = static_cast<int>(a.jobs);
+    opts.use_redzone = !a.no_redzone;
     std::signal(SIGTERM, on_sigterm);
 
     std::string cmd;
@@ -958,8 +1204,7 @@ int cmd_worker(const WorkerArgs& a) {
         // A search plan can start empty (every item arrives as
         // feedback); the prototype freeze was a no-op then, so pay it on
         // the first append instead.
-        if (a.use_world_cache)
-          core::refreeze_snapshot(plan, served->scenario);
+        core::refreeze_snapshot(plan, served->scenario);
         continue;
       }
       if (msg.type != core::ProtocolMsg::Type::lease) {
@@ -1063,87 +1308,49 @@ int cmd_worker(const WorkerArgs& a) {
   return rc;
 }
 
-/// Where workers come from: forked here (`--data-plane pipe` or `shm`,
-/// two spellings of one plane, the default) or dialed in over tcp.
-enum class DataPlane { local, tcp };
-
-/// Parse a `--data-plane` value.
-DataPlane parse_data_plane(const std::string& flag, int argc, char** argv,
-                           int* i) {
-  std::string v = flag_value(flag, argc, argv, i);
-  if (v == "tcp") return DataPlane::tcp;
-  if (v != "pipe" && v != "shm")
-    flag_fail(flag, "value '" + v + "' is not 'pipe', 'shm', or 'tcp'");
-  return DataPlane::local;
-}
-
-/// `--lease auto` (the default): size leases from the measured per-item
-/// cost. Planning runs the scenario once (the trace run), so the
-/// planning wall time is a live sample of roughly one build plus one
-/// run on this machine. Targeting ~250ms of drain per lease gives
-/// build-heavy scenarios smaller initial leases — rebalancing around
-/// stragglers and preemptions happens at lease grain, so an expensive
-/// lease is a long time to be stuck — while the classic
-/// items/(workers*4) grain stays the ceiling, so cheap scenarios keep
-/// marginal per-lease costs. Lease sizing never changes merged output
-/// (outcomes land by stable id); only scheduling granularity moves.
-std::size_t auto_lease_items(std::size_t plan_items, int workers,
-                             double plan_ms) {
-  const std::size_t grain = std::max<std::size_t>(
-      1, plan_items / (static_cast<std::size_t>(workers) * 4));
-  const double per_item_ms = plan_ms / 2.0;  // trace ~ build + one run
-  if (per_item_ms <= 0.0) return grain;
-  const double by_cost = 250.0 / per_item_ms;
-  if (by_cost >= static_cast<double>(grain)) return grain;
-  return std::max<std::size_t>(1, static_cast<std::size_t>(by_cost));
-}
-
-/// Parse a `--lease` value: `auto` (measured sizing) or an explicit
-/// item count — the same strict validation every numeric flag gets.
-void parse_lease_flag(const std::string& flag, int argc, char** argv,
-                      int* i, long long* lease, bool* lease_auto) {
-  std::string v = flag_value(flag, argc, argv, i);
-  if (v == "auto") {
-    *lease_auto = true;
-    return;
-  }
-  errno = 0;
-  char* end = nullptr;
-  long long k = std::strtoll(v.c_str(), &end, 10);
-  if (errno == ERANGE || end == v.c_str() || *end != '\0')
-    flag_fail(flag, "value '" + v + "' is not an integer or 'auto'");
-  if (k < 1 || k > (1LL << 30))
-    flag_fail(flag, "value " + v + " out of range [1, " +
-                        std::to_string(1LL << 30) + "]");
-  *lease = k;
-  *lease_auto = false;
-}
-
-/// One worker fleet for a whole command, on either plane. The first
-/// drain builds the transport on its plan; each later drain makes its
-/// plan current in place (Transport::load_plan, worker protocol v4), so
-/// `orchestrate --all` and `search --family` spawn or accept their
-/// workers once rather than once per scenario.
+/// One worker fleet for a whole command, on either plane, configured from
+/// the command's flags. The first drain builds the transport on its plan;
+/// each later drain makes its plan current in place (Transport::load_plan,
+/// worker protocol v4), so `orchestrate --all` and `search --family` spawn
+/// or accept their workers once rather than once per scenario.
 class CommandFleet {
  public:
-  CommandFleet(DataPlane plane, core::LocalProcessConfig cfg,
-               net::TcpTransportConfig tcfg, core::OrchestratorOptions opts,
-               const char* who)
-      : plane_(plane),
-        cfg_(std::move(cfg)),
-        tcfg_(std::move(tcfg)),
-        opts_(std::move(opts)),
-        who_(who) {}
+  CommandFleet(const Flags& f, int workers, const char* argv0)
+      : tcp_(f.tcp), lease_(static_cast<std::size_t>(f.lease)),
+        who_(f.cmd->name) {
+    cfg_.epa_cli = core::LocalProcessTransport::self_exe(argv0);
+    // A spec file is forwarded so workers compile the same spec the
+    // coordinator planned, even when its name is not in the registry.
+    cfg_.scenario_file = f.scenario_file;
+    cfg_.jobs = static_cast<int>(f.jobs);
+    cfg_.use_redzone = !f.no_redzone;
+    cfg_.preempt_after = f.preempt_after;
+    cfg_.checkpoint = f.checkpoint;
+    cfg_.drain_delay_ms = f.drain_delay_ms;
+    tcfg_.listen_port = static_cast<int>(f.listen);
+    tcfg_.port_file = f.port_file;
+    tcfg_.workers = workers;
+    opts_.workers = workers;
+    opts_.deadman_ms = f.deadman_ms;
+  }
 
-  /// Drain `source` over the fleet with `grain` items per lease (0 =
-  /// auto).
+  /// Items per lease for a wave of `items` items: --lease K, or --lease
+  /// auto's sizing from the plan's measured planning time.
+  std::size_t grain(std::size_t items, double plan_ms) const {
+    return lease_ > 0 ? lease_
+                      : core::auto_lease_items(items, opts_.workers, plan_ms);
+  }
+
+  /// Drain `source` over the fleet with `grain` items per lease and print
+  /// the member's lease counts on stderr. The last member closes the
+  /// fleet first, so its line also counts any shutdown deadman kills.
   core::CampaignResult drain(core::WorkSource& source,
                              std::size_t known_items, std::size_t grain,
-                             core::OrchestratorStats* stats) {
+                             const std::string& member, bool last) {
     const core::InjectionPlan& plan = source.plan();
     if (transport_) {
       transport_->load_plan(plan);
-    } else if (plane_ == DataPlane::tcp) {
+    } else if (tcp_) {
       auto t = std::make_unique<net::TcpTransport>(tcfg_, plan);
       std::fprintf(stderr,
                    "epa %s: listening on port %d; waiting for %d worker(s) "
@@ -1155,161 +1362,98 @@ class CommandFleet {
       transport_->load_plan(plan);
     }
     if (!fleet_) fleet_.emplace(*transport_, opts_);
-    return fleet_->drain(source, known_items, grain, stats);
-  }
-
-  /// Release the workers; `stats` collects any shutdown deadman kills.
-  void close(core::OrchestratorStats* stats) {
-    if (fleet_) fleet_->close(stats);
+    core::OrchestratorStats stats;
+    core::CampaignResult result =
+        fleet_->drain(source, known_items, grain, &stats);
+    if (last) fleet_->close(&stats);
+    std::fprintf(stderr,
+                 "epa %s: %s: %zu leases across %zu worker(s) "
+                 "(%zu re-leased, %zu preempted, %zu spawned, %zu split, "
+                 "%zu deadman)\n",
+                 who_, member.c_str(), stats.leases_total,
+                 static_cast<std::size_t>(opts_.workers),
+                 stats.leases_released, stats.workers_preempted,
+                 stats.workers_spawned, stats.leases_split,
+                 stats.deadman_expiries);
+    return result;
   }
 
  private:
-  DataPlane plane_;
+  bool tcp_;
+  std::size_t lease_;  // --lease K; 0 = auto
+  const char* who_;
   core::LocalProcessConfig cfg_;
   net::TcpTransportConfig tcfg_;
   core::OrchestratorOptions opts_;
-  const char* who_;
   std::unique_ptr<core::Transport> transport_;
   std::optional<core::Fleet> fleet_;  // over *transport_
 };
 
-struct OrchestrateArgs {
-  std::string scenario;
-  std::string scenario_file;  // --scenario-file: spec instead of a name
-  bool all = false;
-  int workers = 2;
-  long long lease = 0;          // items per lease (explicit --lease K)
-  bool lease_auto = true;       // --lease auto: measured sizing (default)
-  int jobs = 1;                 // per-worker --jobs
-  long long preempt_after = 0;  // forwarded to workers (CI hook)
-  long long checkpoint = 0;     // forwarded to workers: mid-lease partials
-  long long drain_delay_ms = 0;  // forwarded: straggler hook (CI)
-  DataPlane plane = DataPlane::local;
-  long long deadman_ms = 0;     // silence budget; 0 = no deadman
-  int listen_port = 0;          // tcp: port to bind (0 = ephemeral)
-  std::string port_file;        // tcp: where to publish the bound port
-  bool as_json = false;
-  bool use_world_cache = true;
-  bool use_redzone = true;  // --no-redzone forwarded to workers
-};
+/// Plan `scenario` in-process and time it: the planning wall time is the
+/// per-item cost sample --lease auto sizes leases from.
+core::InjectionPlan timed_plan(const core::Scenario& scenario,
+                               const Flags& f, bool use_world_cache,
+                               double* plan_ms) {
+  core::CampaignOptions popts;
+  popts.use_world_cache = use_world_cache;
+  popts.use_redzone = !f.no_redzone;
+  const auto plan_t0 = std::chrono::steady_clock::now();
+  core::InjectionPlan plan = core::Planner(scenario).plan(popts);
+  *plan_ms = std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - plan_t0)
+                 .count();
+  return plan;
+}
 
-int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
-  std::vector<core::Scenario> scenarios;
-  if (a.all) {
-    scenarios = apps::all_scenarios();
-  } else if (!a.scenario_file.empty()) {
-    scenarios.push_back(scenario_from_file(a.scenario_file));
-  } else {
-    bool found = false;
-    core::Scenario s = find_scenario(a.scenario, found);
-    if (!found) return unknown_scenario(a.scenario);
-    scenarios.push_back(std::move(s));
-  }
+/// The adequacy lines on stderr (stdout stays byte-identical to a
+/// single-process run on every plane): the coverage figure after `spent`,
+/// then one line per fired class, which adequacy tooling and the CI
+/// superset check read without parsing the report.
+void print_coverage(const char* who, const core::SweepResult& sweep,
+                    const std::string& spent) {
+  vulndb::VulnCoverage cov = vulndb::vulnerability_coverage(sweep.results);
+  std::fprintf(stderr,
+               "epa %s: %svulnerability coverage %zu/%d EAI classes "
+               "(%.1f%%)\n",
+               who, spent.c_str(), cov.fired.size(), cov.total(),
+               100.0 * cov.fraction());
+  for (const auto& c : cov.fired)
+    std::fprintf(stderr, "epa %s: fired %s\n", who, c.c_str());
+}
 
-  core::LocalProcessConfig cfg;
-  cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
-  // A spec file is forwarded so workers compile the same spec the
-  // coordinator planned, even when its name is not in the registry.
-  cfg.scenario_file = a.scenario_file;
-  cfg.jobs = a.jobs;
-  cfg.use_world_cache = a.use_world_cache;
-  cfg.use_redzone = a.use_redzone;
-  cfg.preempt_after = a.preempt_after;
-  cfg.checkpoint = a.checkpoint;
-  cfg.drain_delay_ms = a.drain_delay_ms;
-  net::TcpTransportConfig tcfg;
-  tcfg.listen_port = a.listen_port;
-  tcfg.port_file = a.port_file;
-  tcfg.workers = a.workers;
-  core::OrchestratorOptions oopts;
-  oopts.workers = a.workers;
-  oopts.deadman_ms = a.deadman_ms;
-  CommandFleet fleet(a.plane, cfg, tcfg, oopts, "orchestrate");
+int cmd_orchestrate(const Flags& f, const char* argv0) {
+  const std::vector<core::Scenario> scenarios = resolve_scenarios(f);
+  CommandFleet fleet(f, f.workers > 0 ? static_cast<int>(f.workers) : 2,
+                     argv0);
 
   core::SweepResult sweep;
   for (std::size_t m = 0; m < scenarios.size(); ++m) {
     const core::Scenario& scenario = scenarios[m];
     // The coordinator plans in-process and keeps the plan in memory for
-    // the merge; only workers pay a plan parse (once per plan).
-    core::CampaignOptions popts;
-    popts.use_world_cache = false;  // the plan file carries no snapshot
-    popts.use_redzone = a.use_redzone;
-    const auto plan_t0 = std::chrono::steady_clock::now();
-    core::InjectionPlan plan = core::Planner(scenario).plan(popts);
-    const double plan_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - plan_t0)
-            .count();
-
-    oopts.lease_items =
-        a.lease_auto
-            ? auto_lease_items(plan.items.size(), a.workers, plan_ms)
-            : static_cast<std::size_t>(a.lease);
-    if (a.lease_auto)
+    // the merge; only workers pay a plan parse (once per plan), and the
+    // plan they get carries no snapshot.
+    double plan_ms = 0.0;
+    core::InjectionPlan plan = timed_plan(scenario, f, false, &plan_ms);
+    const std::size_t grain = fleet.grain(plan.items.size(), plan_ms);
+    if (f.lease == 0)
       std::fprintf(stderr,
                    "epa orchestrate: %s: auto lease grain %zu item(s) "
                    "(planning took %.0f ms)\n",
-                   scenario.name.c_str(), oopts.lease_items, plan_ms);
+                   scenario.name.c_str(), grain, plan_ms);
 
     // The exhaustive drain: one wave over the whole fixed plan, exactly
     // what core::orchestrate() runs, so every byte matches `run`.
     core::PlanWorkSource source(plan);
-    core::OrchestratorStats stats;
-    sweep.results.push_back(
-        fleet.drain(source, plan.items.size(), oopts.lease_items, &stats));
-    if (m + 1 == scenarios.size()) fleet.close(&stats);
-    std::fprintf(stderr,
-                 "epa orchestrate: %s: %zu leases across %zu worker(s) "
-                 "(%zu re-leased, %zu preempted, %zu spawned, %zu split, "
-                 "%zu deadman)\n",
-                 scenario.name.c_str(), stats.leases_total,
-                 static_cast<std::size_t>(a.workers), stats.leases_released,
-                 stats.workers_preempted, stats.workers_spawned,
-                 stats.leases_split, stats.deadman_expiries);
+    sweep.results.push_back(fleet.drain(source, plan.items.size(), grain,
+                                        scenario.name,
+                                        m + 1 == scenarios.size()));
   }
-  // The adequacy summary rides stderr: stdout stays byte-identical to a
-  // single-process run/sweep on every data plane.
-  vulndb::VulnCoverage cov = vulndb::vulnerability_coverage(sweep.results);
-  std::fprintf(stderr,
-               "epa orchestrate: vulnerability coverage %zu/%d EAI "
-               "classes (%.1f%%)\n",
-               cov.fired.size(), cov.total(), 100.0 * cov.fraction());
-  // One line per fired class: the search smoke leg diffs these against a
-  // coverage-guided search's to prove the search lost no class.
-  for (const auto& c : cov.fired)
-    std::fprintf(stderr, "epa orchestrate: fired %s\n", c.c_str());
-
-  if (a.all) return print_sweep(sweep, a.as_json);
-  const core::CampaignResult& r = sweep.results.front();
-  std::printf("%s", (a.as_json ? core::render_json(r)
-                               : core::render_report(r))
-                        .c_str());
-  return r.exploitable().empty() ? 0 : 3;  // same contract as `run`
+  print_coverage("orchestrate", sweep, "");
+  if (f.all) return print_sweep(sweep, f.json);
+  return print_report(sweep.results.front(), f.json);
 }
 
 // --- coverage-guided search (core/search.hpp, docs/SEARCH.md) ---------------
-
-struct SearchArgs {
-  std::string scenario;
-  std::string scenario_file;  // --scenario-file: spec instead of a name
-  std::string family;         // --family F: cumulative sequential search
-  std::uint64_t seed = 1;
-  long long budget = 0;       // required: total injection runs
-  long long batch = 16;       // wave size cap
-  int jobs = 1;
-  int workers = 0;            // 0 = in-process drain; > 0 = orchestrated
-  DataPlane plane = DataPlane::local;
-  long long lease = 0;
-  bool lease_auto = true;
-  int listen_port = 0;        // tcp
-  std::string port_file;      // tcp
-  std::string state_path;     // --state FILE: checkpoint at wave barriers
-  bool resume = false;        // --resume: replay --state when it exists
-  long long stop_after = 0;   // stop after W wave barriers, exit 4
-  bool as_json = false;
-  bool use_world_cache = true;
-  bool use_redzone = true;
-};
 
 /// The search drive: one SearchWorkSource per scenario, drained either
 /// in-process (run_search) or across a worker fleet (orchestrate_source
@@ -1319,43 +1463,13 @@ struct SearchArgs {
 /// class fired by member one stops paying rent in member two. Exit
 /// contract: 0/3 like `run`, 4 when --stop-after ended the search early
 /// (checkpoint flushed; finish with --resume).
-int cmd_search(const SearchArgs& a, const char* argv0) {
-  std::vector<core::Scenario> scenarios;
-  if (!a.family.empty()) {
-    const core::ScenarioFamily* fam = apps::find_family(a.family);
-    if (!fam) {
-      std::fprintf(stderr, "epa: unknown family '%s'\nepa: %s\n",
-                   a.family.c_str(), apps::scenario_names_hint().c_str());
-      return 1;
-    }
-    scenarios = apps::family_scenarios(*fam);
-  } else if (!a.scenario_file.empty()) {
-    scenarios.push_back(scenario_from_file(a.scenario_file));
-  } else {
-    bool found = false;
-    core::Scenario s = find_scenario(a.scenario, found);
-    if (!found) return unknown_scenario(a.scenario);
-    scenarios.push_back(std::move(s));
-  }
+int cmd_search(const Flags& f, const char* argv0) {
+  const std::vector<core::Scenario> scenarios = resolve_scenarios(f);
 
   // An orchestrated search drains every member over one fleet.
-  const bool orchestrated = a.workers > 0;
+  const bool orchestrated = f.workers > 0;
   std::optional<CommandFleet> fleet;
-  if (orchestrated) {
-    core::LocalProcessConfig cfg;
-    cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
-    cfg.scenario_file = a.scenario_file;
-    cfg.jobs = a.jobs;
-    cfg.use_world_cache = a.use_world_cache;
-    cfg.use_redzone = a.use_redzone;
-    net::TcpTransportConfig tcfg;
-    tcfg.listen_port = a.listen_port;
-    tcfg.port_file = a.port_file;
-    tcfg.workers = a.workers;
-    core::OrchestratorOptions oopts;
-    oopts.workers = a.workers;
-    fleet.emplace(a.plane, cfg, tcfg, oopts, "search");
-  }
+  if (orchestrated) fleet.emplace(f, static_cast<int>(f.workers), argv0);
 
   core::NoveltyScorer scorer;  // shared across family members
   core::SweepResult sweep;
@@ -1363,28 +1477,22 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
   std::size_t generated_items = 0;
   for (std::size_t m = 0; m < scenarios.size(); ++m) {
     const core::Scenario& scenario = scenarios[m];
-    const std::size_t budget = static_cast<std::size_t>(a.budget);
+    const std::size_t budget = static_cast<std::size_t>(f.budget);
     const std::size_t member_budget =
         budget / scenarios.size() +
         (m == 0 ? budget % scenarios.size() : 0);
 
     // The exhaustive plan is the candidate frontier; its planning wall
     // time doubles as the per-item cost sample for --lease auto.
-    core::CampaignOptions popts;
-    popts.use_world_cache = orchestrated ? false : a.use_world_cache;
-    popts.use_redzone = a.use_redzone;
-    const auto plan_t0 = std::chrono::steady_clock::now();
-    core::InjectionPlan base = core::Planner(scenario).plan(popts);
-    const double plan_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - plan_t0)
-            .count();
+    double plan_ms = 0.0;
+    core::InjectionPlan base =
+        timed_plan(scenario, f, !orchestrated, &plan_ms);
     exhaustive_items += base.items.size();
 
     core::SearchOptions sopts;
-    sopts.seed = a.seed;
+    sopts.seed = f.seed;
     sopts.budget = member_budget;
-    sopts.batch = static_cast<std::size_t>(a.batch);
+    sopts.batch = static_cast<std::size_t>(f.batch);
     sopts.classify = [](core::FaultKind kind, const std::string& name) {
       return vulndb::coverage_class(kind, name);
     };
@@ -1394,50 +1502,38 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
     // is installed, so replay never re-writes the state file. A missing
     // state file is a fresh start — a search killed before its first
     // wave barrier left nothing behind, by design.
-    if (a.resume) {
+    if (f.resume) {
       struct stat st{};
-      if (::stat(a.state_path.c_str(), &st) == 0)
-        source.resume(core::search_state_from_json(read_file(a.state_path)));
+      if (::stat(f.state.c_str(), &st) == 0)
+        source.resume(core::search_state_from_json(read_file(f.state)));
     }
-    if (!a.state_path.empty())
+    if (!f.state.empty())
       source.set_checkpoint([&](const core::SearchState& s) {
-        write_file_atomic(a.state_path, core::search_state_to_json(s));
+        write_file_atomic(f.state, core::search_state_to_json(s));
       });
 
     core::CampaignResult result;
     if (!orchestrated) {
       core::Executor executor(scenario);
       core::ExecutorOptions eopts;
-      eopts.jobs = a.jobs;
-      eopts.use_world_cache = a.use_world_cache;
-      eopts.use_redzone = a.use_redzone;
+      eopts.jobs = static_cast<int>(f.jobs);
+      eopts.use_redzone = !f.no_redzone;
       core::SearchRunResult run = core::run_search(
-          executor, source, eopts, static_cast<std::size_t>(a.stop_after));
+          executor, source, eopts, static_cast<std::size_t>(f.stop_after));
       if (run.stopped) {
         std::fprintf(stderr,
                      "epa search: stopped after %zu wave(s); state "
                      "checkpointed to %s (finish with --resume)\n",
-                     run.waves, a.state_path.c_str());
+                     run.waves, f.state.c_str());
         return 4;
       }
       result = std::move(run.result);
     } else {
       // Waves are at most `batch` items, so the auto grain sizes leases
       // against the wave, not the (unbounded) generated stream.
-      const std::size_t grain =
-          a.lease_auto ? auto_lease_items(sopts.batch, a.workers, plan_ms)
-                       : static_cast<std::size_t>(a.lease);
-      core::OrchestratorStats stats;
-      result =
-          fleet->drain(source, source.plan().items.size(), grain, &stats);
-      if (m + 1 == scenarios.size()) fleet->close(&stats);
-      std::fprintf(stderr,
-                   "epa search: %s: %zu leases across %zu worker(s) "
-                   "(%zu re-leased, %zu preempted, %zu spawned, %zu split)\n",
-                   scenario.name.c_str(), stats.leases_total,
-                   static_cast<std::size_t>(a.workers),
-                   stats.leases_released, stats.workers_preempted,
-                   stats.workers_spawned, stats.leases_split);
+      result = fleet->drain(source, source.plan().items.size(),
+                            fleet->grain(sopts.batch, plan_ms),
+                            scenario.name, m + 1 == scenarios.size());
     }
     generated_items += source.plan().items.size();
     std::fprintf(stderr,
@@ -1447,30 +1543,17 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
     sweep.results.push_back(std::move(result));
   }
 
-  // The adequacy lines ride stderr (stdout is the report, byte-compared
-  // across planes and worker counts by the determinism tests). The fired
-  // classes are listed one per line so adequacy tooling — and the CI
-  // superset check against an exhaustive drain — can consume them
-  // without parsing the report.
-  vulndb::VulnCoverage cov = vulndb::vulnerability_coverage(sweep.results);
-  std::fprintf(stderr,
-               "epa search: %zu of %zu exhaustive item(s) spent (%.1f%%), "
-               "vulnerability coverage %zu/%d EAI classes (%.1f%%)\n",
-               generated_items, exhaustive_items,
-               exhaustive_items == 0
-                   ? 0.0
-                   : 100.0 * static_cast<double>(generated_items) /
-                         static_cast<double>(exhaustive_items),
-               cov.fired.size(), cov.total(), 100.0 * cov.fraction());
-  for (const auto& c : cov.fired)
-    std::fprintf(stderr, "epa search: fired %s\n", c.c_str());
-
-  if (scenarios.size() > 1) return print_sweep(sweep, a.as_json, true);
-  const core::CampaignResult& r = sweep.results.front();
-  std::printf("%s", (a.as_json ? core::render_json(r)
-                               : core::render_report(r))
-                        .c_str());
-  return r.exploitable().empty() ? 0 : 3;  // same contract as `run`
+  char spent[128];
+  std::snprintf(spent, sizeof spent,
+                "%zu of %zu exhaustive item(s) spent (%.1f%%), ",
+                generated_items, exhaustive_items,
+                exhaustive_items == 0
+                    ? 0.0
+                    : 100.0 * static_cast<double>(generated_items) /
+                          static_cast<double>(exhaustive_items));
+  print_coverage("search", sweep, spent);
+  if (scenarios.size() > 1) return print_sweep(sweep, f.json, true);
+  return print_report(sweep.results.front(), f.json);
 }
 
 /// Malformed or partial wire files must exit non-zero with a clear
@@ -1488,516 +1571,28 @@ int guarded(Fn&& fn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  std::string cmd = argv[1];
-  if (cmd == "list") return cmd_list();
-  if (cmd == "scenarios") {
-    std::string family, spec_name;
-    bool as_json = false;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--json") {
-        as_json = true;
-      } else if (arg == "--family") {
-        family = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--spec") {
-        spec_name = flag_value(arg, argc, argv, &i);
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
+  Flags f;
+  for (const CommandRow& c : kCommands)
+    if (argc >= 2 && std::strcmp(argv[1], c.name) == 0) f.cmd = &c;
+  if (!f.cmd || !parse_flags(argc, argv, &f)) return usage();
+  if (int rc = check_flags(f)) return rc;
+  return guarded([&] {
+    switch (f.cmd->bit) {
+      case kList: return cmd_list();
+      case kScenarios: return cmd_scenarios(f.family, f.spec, f.json);
+      case kTrace: return cmd_trace(f.args[0]);
+      case kRun: return cmd_run(f);
+      case kSweep: return cmd_sweep(f);
+      case kPlan: return f.all ? cmd_plan_all(f) : cmd_plan(f);
+      case kRunShard: return cmd_run_shard(f);
+      case kMerge:
+        return cmd_merge(f.args[0], {f.args.begin() + 1, f.args.end()},
+                         f.json);
+      case kOrchestrate: return cmd_orchestrate(f, argv[0]);
+      case kSearch: return cmd_search(f, argv[0]);
+      case kWorker: return cmd_worker(f);
+      case kCompare: return cmd_compare(f.args[0], f.args[1]);
+      default: return cmd_db(f.args.empty() ? "" : f.args[0]);
     }
-    if (!family.empty() && !spec_name.empty()) {
-      std::fprintf(stderr, "epa: --family and --spec are exclusive\n");
-      return 1;
-    }
-    return guarded([&] { return cmd_scenarios(family, spec_name, as_json); });
-  }
-  if (cmd == "db") {
-    if (argc > 3) return extra_argument(argv[3]);
-    return cmd_db(argc == 3 ? argv[2] : "");
-  }
-  if (cmd == "sweep") {
-    core::SweepOptions opts;
-    bool as_json = false;
-    std::string family, scenario_file;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--json") {
-        as_json = true;
-      } else if (arg == "--merge") {
-        opts.campaign.merge_equivalent_sites = true;
-      } else if (arg == "--jobs") {
-        opts.jobs = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-      } else if (arg == "--seed") {
-        opts.campaign.seed = uint64_flag(arg, argc, argv, &i);
-      } else if (arg == "--family") {
-        family = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--scenario-file") {
-        scenario_file = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--no-world-cache") {
-        opts.campaign.use_world_cache = false;
-      } else if (arg == "--no-redzone") {
-        opts.campaign.use_redzone = false;
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    if (!family.empty() && !scenario_file.empty()) {
-      std::fprintf(stderr,
-                   "epa: --family and --scenario-file are exclusive\n");
-      return 1;
-    }
-    return guarded([&] {
-      return cmd_sweep(opts, as_json, family, scenario_file);
-    });
-  }
-  if (cmd == "plan") {
-    core::CampaignOptions opts;
-    core::SweepOptions sweep_opts;
-    bool all = false, saw_out_dir = false, saw_jobs = false;
-    bool saw_sites = false, saw_coverage = false, binary = false;
-    std::string scenario_name, scenario_file, out_path, out_dir = ".";
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--all") {
-        all = true;
-      } else if (arg == "--binary") {
-        binary = true;
-      } else if (arg == "--merge") {
-        opts.merge_equivalent_sites = true;
-      } else if (arg == "--sites") {
-        opts.only_sites = split(flag_value(arg, argc, argv, &i), ',');
-        saw_sites = true;
-      } else if (arg == "--coverage") {
-        opts.target_interaction_coverage =
-            unit_interval_flag(arg, argc, argv, &i);
-        saw_coverage = true;
-      } else if (arg == "--seed") {
-        opts.seed = uint64_flag(arg, argc, argv, &i);
-      } else if (arg == "--jobs") {
-        sweep_opts.jobs =
-            static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-        saw_jobs = true;
-      } else if (arg == "--out") {
-        out_path = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--out-dir") {
-        out_dir = flag_value(arg, argc, argv, &i);
-        saw_out_dir = true;
-      } else if (arg == "--scenario-file") {
-        scenario_file = flag_value(arg, argc, argv, &i);
-      } else if (!starts_with(arg, "--") && scenario_name.empty()) {
-        scenario_name = arg;
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    // Exactly one of --all / <scenario> / --scenario-file must be given,
-    // and flags must match the mode — a silently ignored flag hides a
-    // typo'd command.
-    if ((all ? 1 : 0) + (scenario_name.empty() ? 0 : 1) +
-            (scenario_file.empty() ? 0 : 1) !=
-        1)
-      return usage();
-    if (all && !out_path.empty()) {
-      std::fprintf(stderr,
-                   "epa: --out applies to single-scenario plan only "
-                   "(use --out-dir with --all)\n");
-      return usage();
-    }
-    if (all && binary) {
-      std::fprintf(stderr,
-                   "epa: --binary applies to single-scenario plan only\n");
-      return usage();
-    }
-    if (all && (saw_sites || saw_coverage)) {
-      // Site tags are per-scenario: a typo'd --sites under --all would
-      // silently plan zero work items for every scenario.
-      std::fprintf(stderr,
-                   "epa: %s applies to single-scenario plan only\n",
-                   saw_sites ? "--sites" : "--coverage");
-      return usage();
-    }
-    if (!all && (saw_out_dir || saw_jobs)) {
-      std::fprintf(stderr,
-                   "epa: %s applies to plan --all only\n",
-                   saw_out_dir ? "--out-dir" : "--jobs");
-      return usage();
-    }
-    sweep_opts.campaign = opts;
-    return guarded([&] {
-      return all ? cmd_plan_all(sweep_opts, out_dir)
-                 : cmd_plan(scenario_name, scenario_file, opts, out_path,
-                            binary);
-    });
-  }
-  if (cmd == "run-shard") {
-    RunShardArgs a;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--shard") {
-        a.shard_spec = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--resume") {
-        a.resume_path = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--out") {
-        a.out_path = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--scenario-file") {
-        a.scenario_file = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--jobs") {
-        a.jobs = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-      } else if (arg == "--checkpoint") {
-        a.checkpoint = static_cast<std::size_t>(
-            int_flag(arg, argc, argv, &i, 1, 1LL << 30));
-      } else if (arg == "--preempt-after") {
-        a.preempt_after = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-      } else if (arg == "--no-world-cache") {
-        a.use_world_cache = false;
-      } else if (arg == "--no-redzone") {
-        a.use_redzone = false;
-      } else if (!starts_with(arg, "--") && a.plan_path.empty()) {
-        a.plan_path = arg;
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    if (a.plan_path.empty()) return usage();
-    if (a.shard_spec.empty() && a.resume_path.empty()) return usage();
-    if (a.checkpoint > 0 && a.out_path.empty() && a.resume_path.empty()) {
-      std::fprintf(stderr,
-                   "epa: --checkpoint needs --out (checkpoints are flushed "
-                   "to the report file)\n");
-      return 1;
-    }
-    if (a.preempt_after > 0 && a.checkpoint == 0) {
-      std::fprintf(stderr,
-                   "epa: --preempt-after needs --checkpoint (preemption is "
-                   "delivered at a checkpoint flush)\n");
-      return 1;
-    }
-    return guarded([&] { return cmd_run_shard(std::move(a)); });
-  }
-  if (cmd == "worker") {
-    WorkerArgs a;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--jobs") {
-        a.jobs = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-      } else if (arg == "--preempt-after") {
-        a.preempt_after = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-      } else if (arg == "--checkpoint") {
-        a.checkpoint = static_cast<std::size_t>(
-            int_flag(arg, argc, argv, &i, 1, 1LL << 30));
-      } else if (arg == "--drain-delay-ms") {
-        a.drain_delay_ms = int_flag(arg, argc, argv, &i, 1, 1LL << 20);
-      } else if (arg == "--scenario-file") {
-        a.scenario_file = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--connect") {
-        // HOST:PORT, split on the *last* colon; the port goes through
-        // the same strict strtoll validation as every numeric flag.
-        std::string v = flag_value(arg, argc, argv, &i);
-        auto colon = v.rfind(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 == v.size())
-          flag_fail(arg, "value '" + v + "' is not HOST:PORT");
-        errno = 0;
-        char* end = nullptr;
-        long long port = std::strtoll(v.c_str() + colon + 1, &end, 10);
-        if (errno == ERANGE || end == v.c_str() + colon + 1 ||
-            *end != '\0' || port < 1 || port > 65535)
-          flag_fail(arg, "port '" + v.substr(colon + 1) +
-                             "' is not in [1, 65535]");
-        a.connect_host = v.substr(0, colon);
-        a.connect_port = static_cast<int>(port);
-      } else if (arg == "--no-world-cache") {
-        a.use_world_cache = false;
-      } else if (arg == "--no-redzone") {
-        a.use_redzone = false;
-      } else if (!starts_with(arg, "--")) {
-        // The plan arrives as a frame, never as a file.
-        return extra_argument(argv[i]);
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    if (a.drain_delay_ms > 0 && a.checkpoint == 0) {
-      std::fprintf(stderr,
-                   "epa: --drain-delay-ms needs --checkpoint (the delay is "
-                   "applied per checkpoint chunk)\n");
-      return 1;
-    }
-    return guarded([&] { return cmd_worker(a); });
-  }
-  if (cmd == "orchestrate") {
-    OrchestrateArgs a;
-    bool saw_jobs = false, saw_preempt = false, saw_checkpoint = false;
-    bool saw_drain = false, saw_no_cache = false;
-    bool saw_listen = false, saw_port_file = false, saw_no_redzone = false;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--all") {
-        a.all = true;
-      } else if (arg == "--workers") {
-        a.workers = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 1024));
-      } else if (arg == "--lease") {
-        parse_lease_flag(arg, argc, argv, &i, &a.lease, &a.lease_auto);
-      } else if (arg == "--jobs") {
-        a.jobs = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-        saw_jobs = true;
-      } else if (arg == "--preempt-after") {
-        a.preempt_after = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-        saw_preempt = true;
-      } else if (arg == "--checkpoint") {
-        a.checkpoint = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-        saw_checkpoint = true;
-      } else if (arg == "--drain-delay-ms") {
-        a.drain_delay_ms = int_flag(arg, argc, argv, &i, 1, 1LL << 20);
-        saw_drain = true;
-      } else if (arg == "--deadman-ms") {
-        a.deadman_ms = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-      } else if (arg == "--listen") {
-        a.listen_port =
-            static_cast<int>(int_flag(arg, argc, argv, &i, 0, 65535));
-        saw_listen = true;
-      } else if (arg == "--port-file") {
-        a.port_file = flag_value(arg, argc, argv, &i);
-        saw_port_file = true;
-      } else if (arg == "--data-plane") {
-        a.plane = parse_data_plane(arg, argc, argv, &i);
-      } else if (arg == "--json") {
-        a.as_json = true;
-      } else if (arg == "--no-world-cache") {
-        a.use_world_cache = false;
-        saw_no_cache = true;
-      } else if (arg == "--no-redzone") {
-        a.use_redzone = false;
-        saw_no_redzone = true;
-      } else if (arg == "--dir") {
-        (void)flag_value(arg, argc, argv, &i);  // accepted, unused
-      } else if (arg == "--scenario-file") {
-        a.scenario_file = flag_value(arg, argc, argv, &i);
-      } else if (!starts_with(arg, "--") && a.scenario.empty()) {
-        a.scenario = arg;
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    // Exactly one of --all / <scenario> / --scenario-file, like `plan`.
-    if ((a.all ? 1 : 0) + (a.scenario.empty() ? 0 : 1) +
-            (a.scenario_file.empty() ? 0 : 1) !=
-        1)
-      return usage();
-    if (a.plane == DataPlane::tcp) {
-      // tcp workers are started by the operator, not forked by
-      // orchestrate — worker-side flags have nowhere to be forwarded.
-      const char* worker_flag =
-          saw_jobs ? "--jobs"
-          : saw_preempt ? "--preempt-after"
-          : saw_checkpoint ? "--checkpoint"
-          : saw_drain ? "--drain-delay-ms"
-          : saw_no_cache ? "--no-world-cache"
-          : saw_no_redzone ? "--no-redzone"
-                           : nullptr;
-      if (worker_flag) {
-        std::fprintf(stderr,
-                     "epa: %s is worker-side; pass it to `epa_cli worker "
-                     "--connect` (tcp workers are not spawned by "
-                     "orchestrate)\n",
-                     worker_flag);
-        return 1;
-      }
-    } else {
-      if (saw_listen || saw_port_file) {
-        std::fprintf(stderr, "epa: %s needs --data-plane tcp\n",
-                     saw_listen ? "--listen" : "--port-file");
-        return 1;
-      }
-      if (a.deadman_ms > 0 && a.checkpoint == 0) {
-        std::fprintf(stderr,
-                     "epa: --deadman-ms needs --checkpoint on the pipe/shm "
-                     "data planes (heartbeats are sent at checkpoint "
-                     "flushes)\n");
-        return 1;
-      }
-      if (a.drain_delay_ms > 0 && a.checkpoint == 0) {
-        std::fprintf(stderr,
-                     "epa: --drain-delay-ms needs --checkpoint (the delay "
-                     "is applied per checkpoint chunk)\n");
-        return 1;
-      }
-    }
-    return guarded([&] { return cmd_orchestrate(a, argv[0]); });
-  }
-  if (cmd == "search") {
-    SearchArgs a;
-    bool saw_budget = false, saw_listen = false, saw_port_file = false;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--budget") {
-        a.budget = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-        saw_budget = true;
-      } else if (arg == "--seed") {
-        a.seed = uint64_flag(arg, argc, argv, &i);
-      } else if (arg == "--batch") {
-        a.batch = int_flag(arg, argc, argv, &i, 1, 1LL << 20);
-      } else if (arg == "--jobs") {
-        a.jobs = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-      } else if (arg == "--workers") {
-        a.workers = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 1024));
-      } else if (arg == "--lease") {
-        parse_lease_flag(arg, argc, argv, &i, &a.lease, &a.lease_auto);
-      } else if (arg == "--data-plane") {
-        a.plane = parse_data_plane(arg, argc, argv, &i);
-      } else if (arg == "--listen") {
-        a.listen_port =
-            static_cast<int>(int_flag(arg, argc, argv, &i, 0, 65535));
-        saw_listen = true;
-      } else if (arg == "--port-file") {
-        a.port_file = flag_value(arg, argc, argv, &i);
-        saw_port_file = true;
-      } else if (arg == "--state") {
-        a.state_path = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--resume") {
-        a.resume = true;
-      } else if (arg == "--stop-after") {
-        a.stop_after = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-      } else if (arg == "--family") {
-        a.family = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--scenario-file") {
-        a.scenario_file = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--json") {
-        a.as_json = true;
-      } else if (arg == "--no-world-cache") {
-        a.use_world_cache = false;
-      } else if (arg == "--no-redzone") {
-        a.use_redzone = false;
-      } else if (arg == "--dir") {
-        (void)flag_value(arg, argc, argv, &i);  // accepted, unused
-      } else if (!starts_with(arg, "--") && a.scenario.empty()) {
-        a.scenario = arg;
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    // Exactly one of <scenario> / --scenario-file / --family.
-    if ((a.scenario.empty() ? 0 : 1) + (a.scenario_file.empty() ? 0 : 1) +
-            (a.family.empty() ? 0 : 1) !=
-        1)
-      return usage();
-    if (!saw_budget) {
-      std::fprintf(stderr,
-                   "epa: search needs --budget N (the total number of "
-                   "injection runs to spend)\n");
-      return 1;
-    }
-    if (a.resume && a.state_path.empty()) {
-      std::fprintf(stderr, "epa: --resume needs --state FILE\n");
-      return 1;
-    }
-    if (!a.family.empty() && (!a.state_path.empty() || a.stop_after > 0)) {
-      // A family search interleaves members through one scorer; a
-      // checkpoint of member N alone could not reproduce that state.
-      std::fprintf(stderr,
-                   "epa: %s works on a single scenario, not --family\n",
-                   a.state_path.empty() ? "--stop-after" : "--state");
-      return 1;
-    }
-    if (a.stop_after > 0 && a.workers > 0) {
-      std::fprintf(stderr,
-                   "epa: --stop-after drives the in-process drain; drop "
-                   "--workers (orchestrated searches checkpoint at every "
-                   "wave barrier anyway)\n");
-      return 1;
-    }
-    if (a.stop_after > 0 && a.state_path.empty()) {
-      std::fprintf(stderr,
-                   "epa: --stop-after needs --state FILE (stopping without "
-                   "a checkpoint would just discard the waves)\n");
-      return 1;
-    }
-    if (a.plane == DataPlane::tcp) {
-      if (a.workers == 0) {
-        std::fprintf(stderr, "epa: --data-plane tcp needs --workers N\n");
-        return 1;
-      }
-    } else if (saw_listen || saw_port_file) {
-      std::fprintf(stderr, "epa: %s needs --data-plane tcp\n",
-                   saw_listen ? "--listen" : "--port-file");
-      return 1;
-    }
-    return guarded([&] { return cmd_search(a, argv[0]); });
-  }
-  if (cmd == "merge") {
-    std::string plan_path;
-    std::vector<std::string> shard_paths;
-    bool as_json = false;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--json") {
-        as_json = true;
-      } else if (!starts_with(arg, "--")) {
-        if (plan_path.empty())
-          plan_path = arg;
-        else
-          shard_paths.push_back(arg);
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    if (plan_path.empty() || shard_paths.empty()) return usage();
-    return guarded([&] { return cmd_merge(plan_path, shard_paths, as_json); });
-  }
-  if (cmd == "trace") {
-    if (argc < 3) return usage();
-    if (argc > 3) return extra_argument(argv[3]);
-    return cmd_trace(argv[2]);
-  }
-  if (cmd == "compare") {
-    if (argc < 4) return usage();
-    if (argc > 4) return extra_argument(argv[4]);
-    return cmd_compare(argv[2], argv[3]);
-  }
-  if (cmd != "run") return usage();
-
-  core::CampaignOptions opts;
-  bool as_json = false;
-  std::string scenario, scenario_file;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--merge") {
-      opts.merge_equivalent_sites = true;
-    } else if (arg == "--json") {
-      as_json = true;
-    } else if (arg == "--sites") {
-      opts.only_sites = split(flag_value(arg, argc, argv, &i), ',');
-    } else if (arg == "--coverage") {
-      opts.target_interaction_coverage =
-          unit_interval_flag(arg, argc, argv, &i);
-    } else if (arg == "--seed") {
-      opts.seed = uint64_flag(arg, argc, argv, &i);
-    } else if (arg == "--jobs") {
-      opts.jobs = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-    } else if (arg == "--scenario-file") {
-      scenario_file = flag_value(arg, argc, argv, &i);
-    } else if (arg == "--no-world-cache") {
-      opts.use_world_cache = false;
-    } else if (arg == "--no-redzone") {
-      opts.use_redzone = false;
-    } else if (!starts_with(arg, "--") && scenario.empty()) {
-      scenario = arg;
-    } else {
-      std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-      return usage();
-    }
-  }
-  // Exactly one of <scenario> / --scenario-file.
-  if (scenario.empty() == scenario_file.empty()) return usage();
-  return guarded([&] { return cmd_run(scenario, scenario_file, opts,
-                                      as_json); });
+  });
 }

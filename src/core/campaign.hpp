@@ -145,9 +145,10 @@ struct CampaignOptions {
   int jobs = 1;
   /// Amortize world builds: plan a frozen prototype world for
   /// snapshot-safe scenarios and clone it per run (see core/snapshot.hpp).
-  /// Off = the paper's original rebuild-per-run procedure (the CLI's
-  /// --no-world-cache escape hatch). Either setting yields the identical
-  /// CampaignResult; this only trades build time for clone time.
+  /// Off = the paper's original rebuild-per-run procedure, the reference
+  /// path the cached-world tests compare against. Either setting yields
+  /// the identical CampaignResult; this only trades build time for clone
+  /// time.
   bool use_world_cache = true;
   /// Validate redzone poison on syscalls and at run teardown (see
   /// os/redzone.hpp; the CLI's --no-redzone escape hatch). With no

@@ -26,14 +26,28 @@ long long steady_now_ms() {
 
 }  // namespace
 
+std::size_t lease_grain(std::size_t items, int workers) {
+  return std::max<std::size_t>(
+      1, items / (static_cast<std::size_t>(workers) * 4));
+}
+
+std::size_t auto_lease_items(std::size_t plan_items, int workers,
+                             double plan_ms) {
+  const std::size_t grain = lease_grain(plan_items, workers);
+  const double per_item_ms = plan_ms / 2.0;  // trace ~ build + one run
+  if (per_item_ms <= 0.0) return grain;
+  const double by_cost = 250.0 / per_item_ms;
+  if (by_cost >= static_cast<double>(grain)) return grain;
+  return std::max<std::size_t>(1, static_cast<std::size_t>(by_cost));
+}
+
 std::vector<Lease> lease_partition(std::size_t plan_items,
                                    const OrchestratorOptions& opts) {
   if (opts.workers < 1)
     throw OrchestratorError("orchestrate: workers must be >= 1");
-  const auto workers = static_cast<std::size_t>(opts.workers);
-  std::size_t lease_items = opts.lease_items;
-  if (lease_items == 0)
-    lease_items = std::max<std::size_t>(1, plan_items / (workers * 4));
+  const std::size_t lease_items =
+      opts.lease_items > 0 ? opts.lease_items
+                           : lease_grain(plan_items, opts.workers);
   std::vector<Lease> leases;
   for (std::size_t begin = 0; begin < plan_items; begin += lease_items)
     leases.push_back(
@@ -210,9 +224,9 @@ CampaignResult Fleet::drain(WorkSource& source, std::size_t known_items,
     // empty here: the previous wave's barrier collected every lease.
     {
       const std::size_t wave_items = wave.second - wave.first;
-      std::size_t grain = lease_items;
-      if (grain == 0)
-        grain = std::max<std::size_t>(1, wave_items / (workers * 4));
+      const std::size_t grain = lease_items > 0
+                                    ? lease_items
+                                    : lease_grain(wave_items, opts_.workers);
       for (std::size_t b = wave.first; b < wave.second; b += grain) {
         pending.push_back({next_seq++, b, std::min(b + grain, wave.second)});
         ++st.leases_total;

@@ -311,7 +311,6 @@ std::optional<std::size_t> LocalProcessTransport::spawn() {
   if (!has_plan()) throw OrchestratorError("spawn: no plan loaded");
   std::vector<std::string> args = {config_.epa_cli, "worker", "--jobs",
                                    std::to_string(config_.jobs)};
-  if (!config_.use_world_cache) args.push_back("--no-world-cache");
   if (!config_.use_redzone) args.push_back("--no-redzone");
   if (config_.preempt_after > 0) {
     args.push_back("--preempt-after");

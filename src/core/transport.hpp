@@ -133,8 +133,6 @@ struct LocalProcessConfig {
   std::string file_prefix = "plan";
   /// --jobs forwarded to each worker.
   int jobs = 1;
-  /// --no-world-cache forwarded when false.
-  bool use_world_cache = true;
   /// --no-redzone forwarded when false (the redzone memory oracle is on
   /// by default; see os/redzone.hpp).
   bool use_redzone = true;

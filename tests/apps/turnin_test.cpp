@@ -121,6 +121,13 @@ struct SiteExpectation {
   int violations;
 };
 
+// gtest names each test after the printed parameter: the tag's text, not
+// the raw bytes of its pointer, keeps the names the same on every run.
+void PrintTo(const SiteExpectation& e, std::ostream* os) {
+  *os << e.tag << ": " << e.injections << " injections, " << e.violations
+      << " violations";
+}
+
 class TurninSites : public ::testing::TestWithParam<SiteExpectation> {};
 
 TEST_P(TurninSites, PerSiteInjectionAndViolationCounts) {

@@ -291,6 +291,20 @@ TEST(Orchestrator, LeasePartitionIsContiguousAscending) {
   EXPECT_THROW((void)lease_partition(26, oopts), OrchestratorError);
 }
 
+TEST(Orchestrator, LeaseGrainAtTheEdges) {
+  // The default grain: four leases per worker, never below one item.
+  EXPECT_EQ(lease_grain(0, 3), 1u);  // an empty plan
+  EXPECT_EQ(lease_grain(26, 3), 2u);
+  EXPECT_EQ(lease_grain(3, 8), 1u);  // more workers than items
+  // --lease auto: the cost-sized lease, capped by the default grain.
+  EXPECT_EQ(auto_lease_items(0, 3, 10.0), 1u);
+  EXPECT_EQ(auto_lease_items(100, 1, 0.0), 25u);  // no cost sample
+  EXPECT_EQ(auto_lease_items(100, 1, 2.0), 25u);  // cheap: the grain wins
+  EXPECT_EQ(auto_lease_items(100, 1, 40.0), 12u);  // 250 ms / 20 ms
+  EXPECT_EQ(auto_lease_items(100, 1, 1000.0), 1u);  // one item > 250 ms
+  EXPECT_EQ(auto_lease_items(3, 8, 40.0), 1u);  // more workers than items
+}
+
 TEST(Orchestrator, EveryScenarioMatchesSingleProcessIncludingPreemption) {
   // The ISSUE's acceptance bar: for every packaged scenario, the
   // orchestrated drain — leases through the wire, one worker preempted
