@@ -42,10 +42,11 @@
 // frames over one framed stream (stdin/stdout when orchestrate forks it,
 // a socket with --connect) until EXIT/EOF — the per-process costs are
 // paid per worker, not per work slice, and a multi-scenario command keeps
-// one fleet for all its plans. Every worker speaks worker protocol v6
-// (core/protocol.hpp): HELLO handshake, the binary plan and report
-// frames, PING heartbeats at checkpoints, STEAL/YIELD work stealing,
-// FEEDBACK item appends for search, PLAN switches between plans.
+// one fleet for all its plans. Every worker speaks worker protocol v7
+// (core/protocol.hpp): HELLO handshake, the binary plan, work-items and
+// report frames, PING heartbeats at checkpoints, STEAL/YIELD work
+// stealing, FEEDBACK item appends for search, PLAN switches between
+// plans.
 // Orchestrated output is bit-identical to `run`.
 #include <sys/stat.h>
 #include <unistd.h>
@@ -146,7 +147,7 @@ struct Flags {
   std::vector<std::string> args;  // positional arguments, in order
   std::uint64_t given = 0;        // bit r: row r of kFlags was given
 
-  bool json = false, all = false, merge = false, binary = false;
+  bool json = false, all = false, merge = false;
   bool no_redzone = false, resume = false, tcp = false;
   std::string family, spec, scenario_file, sites, out, out_dir = ".";
   std::string shard, resume_file, port_file, connect, state;
@@ -221,8 +222,6 @@ constexpr FlagRow kFlags[] = {
     {"--no-redzone", Kind::on, 0, 0, nullptr,
      kRun | kSweep | kRunShard | kOrchestrate | kSearch | kWorker,
      &Flags::no_redzone, "turn the redzone memory oracle off"},
-    {"--binary", Kind::on, 0, 0, nullptr, kPlan, &Flags::binary,
-     "the binary plan encoding"},
     {"--out", Kind::text, 0, 0, "FILE", kPlan | kRunShard, &Flags::out,
      "write the plan or report here"},
     {"--out-dir", Kind::text, 0, 0, "DIR", kPlan, &Flags::out_dir,
@@ -455,8 +454,8 @@ int check_flags(const Flags& f) {
   // plan --all writes one plan per packaged scenario into --out-dir: the
   // single-scenario flags mean nothing there, and the reverse.
   static constexpr std::pair<const char*, bool> kPlanModes[] = {
-      {"--out", false},      {"--binary", false},  {"--sites", false},
-      {"--coverage", false}, {"--out-dir", true}, {"--jobs", true}};
+      {"--out", false},     {"--sites", false}, {"--coverage", false},
+      {"--out-dir", true}, {"--jobs", true}};
   for (const auto& [flag, all_only] : kPlanModes)
     if (f.is(kPlan) && f.has(flag) && f.all != all_only) {
       std::fprintf(stderr, "epa: %s applies to %s only\n", flag,
@@ -479,7 +478,7 @@ int check_flags(const Flags& f) {
     }
   // A family search runs its members through one scorer: a checkpoint of
   // member N alone could not reproduce that state.
-  if (both(f, "--family", "--spec") ||
+  if (both(f, "--family", "--spec") || both(f, "--spec", "--json") ||
       both(f, "--family", "--scenario-file") ||
       both(f, "--sites", "--coverage") ||
       lacks(f.is(kSearch), f.has("--budget"), "search",
@@ -487,9 +486,6 @@ int check_flags(const Flags& f) {
       lacks(f.has("--state") || f.has("--stop-after"), f.family.empty(),
             f.has("--state") ? "--state" : "--stop-after",
             "a single scenario, not --family") ||
-      lacks(f.has("--stop-after"), !f.has("--workers"), "--stop-after",
-            "the in-process drain; drop --workers (orchestrated searches "
-            "checkpoint at every wave barrier anyway)") ||
       lacks(f.has("--data-plane") || f.has("--lease"), fleet,
             f.has("--data-plane") ? "--data-plane" : "--lease",
             "--workers N") ||
@@ -567,15 +563,9 @@ auto naming(const std::string& source, Fn&& read) -> decltype(read()) {
   }
 }
 
-/// Load + validate a plan file, naming the file in any failure. The
-/// encoding is sniffed from the magic, so every plan-consuming command
-/// (run-shard, merge, worker) accepts `plan --binary` output unchanged.
+/// Load + validate a plan file, naming the file in any failure.
 core::InjectionPlan load_plan(const std::string& path) {
-  return naming(path, [&] {
-    std::string text = read_file(path);
-    return core::looks_like_binary_wire(text) ? core::plan_from_binary(text)
-                                              : core::plan_from_json(text);
-  });
+  return naming(path, [&] { return core::plan_from_json(read_file(path)); });
 }
 
 core::ShardReport load_shard_report(const std::string& path) {
@@ -933,13 +923,12 @@ int cmd_plan(const Flags& f) {
   opts.use_world_cache = false;
   core::InjectionPlan plan = core::Planner(scenario).plan(opts);
   check_site_tags(opts.only_sites, plan.points, plan.scenario_name);
-  std::string wire = f.binary ? core::plan_to_binary(plan) : plan.to_json();
+  std::string json = plan.to_json();
   if (f.out.empty()) {
-    // fwrite, not printf: the binary encoding contains NUL bytes.
-    std::fwrite(wire.data(), 1, wire.size(), stdout);
+    std::printf("%s", json.c_str());
     return 0;
   }
-  write_file_atomic(f.out, wire);
+  write_file_atomic(f.out, json);
   std::printf("%s: %zu interaction points, %zu work items -> %s\n",
               scenario.name.c_str(), plan.points.size(), plan.items.size(),
               f.out.c_str());
@@ -1117,7 +1106,7 @@ std::unique_ptr<ServedPlan> load_served_plan(const Flags& a,
 /// until EXIT/EOF. One framed stream carries everything (core/
 /// protocol.hpp): stdin/stdout when a local coordinator forked us, the
 /// socket with --connect. The first frame out is always `HELLO
-/// <version>`; the first frame in is always the binary plan, and `PLAN -`
+/// <version>`; the first frame in is always the binary plan, and `PLAN`
 /// (protocol v4) is followed by the next one — the old plan is freed
 /// first, so one fleet serves a whole suite or family. Each lease is
 /// answered with DONE and its binary report frame; the last frame out is
@@ -1173,11 +1162,12 @@ int cmd_worker(const Flags& a) {
       }
       if (msg.type == core::ProtocolMsg::Type::feedback) {
         core::InjectionPlan& plan = served->plan;
-        // The search plane's item append (protocol v3): the coordinator
-        // generated items past the range this worker's plan copy carries.
-        // The append must be gap-free — begin names exactly the current
-        // item count, or a lost FEEDBACK would silently shift every later
-        // id — and the spec's length must match the announced range.
+        // The search plane's item append: the coordinator generated items
+        // past the range this worker's plan copy carries, and the
+        // work-items frame that follows holds them. The append must be
+        // gap-free — begin names exactly the current item count, or a
+        // lost FEEDBACK would silently shift every later id — and the
+        // frame must hold exactly the announced range.
         if (msg.begin != plan.items.size()) {
           std::fprintf(stderr,
                        "epa: worker: FEEDBACK begins at %zu but the plan "
@@ -1185,18 +1175,17 @@ int cmd_worker(const Flags& a) {
                        msg.begin, plan.items.size());
           return 1;
         }
-        std::vector<core::WorkItem> appended;
-        try {
-          appended =
-              core::parse_feedback_spec(msg.target, plan.points.size());
-        } catch (const core::WireError& e) {
-          std::fprintf(stderr, "epa: worker: %s\n", e.what());
-          return 1;
-        }
+        std::string frame;
+        if (!chan.recv(&frame))
+          throw std::runtime_error(src + ": stream closed before the "
+                                         "FEEDBACK items frame");
+        std::vector<core::WorkItem> appended = naming(src, [&] {
+          return core::work_items_from_binary(frame, plan.points.size());
+        });
         if (msg.end != msg.begin + appended.size()) {
           std::fprintf(stderr,
                        "epa: worker: FEEDBACK range [%zu, %zu) but the "
-                       "spec carries %zu item(s)\n",
+                       "frame carries %zu item(s)\n",
                        msg.begin, msg.end, appended.size());
           return 1;
         }
@@ -1455,14 +1444,15 @@ int cmd_orchestrate(const Flags& f, const char* argv0) {
 
 // --- coverage-guided search (core/search.hpp, docs/SEARCH.md) ---------------
 
-/// The search drive: one SearchWorkSource per scenario, drained either
-/// in-process (run_search) or across a worker fleet (orchestrate_source
-/// — the workers learn generated items via protocol FEEDBACK). A family
-/// search runs its members sequentially through ONE shared NoveltyScorer
-/// with the budget split evenly (remainder to the first member), so a
-/// class fired by member one stops paying rent in member two. Exit
+/// The search drive: one SearchWorkSource per scenario, drained through
+/// the one wave loop either in-process (one run_lease per wave) or
+/// across a worker fleet (the workers learn generated items via protocol
+/// FEEDBACK). A family search runs its members sequentially through ONE
+/// shared NoveltyScorer with the budget split evenly (remainder to the
+/// first member), so a class fired by member one stops paying rent in
+/// member two. Exit
 /// contract: 0/3 like `run`, 4 when --stop-after ended the search early
-/// (checkpoint flushed; finish with --resume).
+/// on either drive (checkpoint flushed; finish with --resume).
 int cmd_search(const Flags& f, const char* argv0) {
   const std::vector<core::Scenario> scenarios = resolve_scenarios(f);
 
@@ -1493,6 +1483,7 @@ int cmd_search(const Flags& f, const char* argv0) {
     sopts.seed = f.seed;
     sopts.budget = member_budget;
     sopts.batch = static_cast<std::size_t>(f.batch);
+    sopts.stop_after_waves = static_cast<std::size_t>(f.stop_after);
     sopts.classify = [](core::FaultKind kind, const std::string& name) {
       return vulndb::coverage_class(kind, name);
     };
@@ -1505,7 +1496,9 @@ int cmd_search(const Flags& f, const char* argv0) {
     if (f.resume) {
       struct stat st{};
       if (::stat(f.state.c_str(), &st) == 0)
-        source.resume(core::search_state_from_json(read_file(f.state)));
+        naming(f.state, [&] {
+          source.resume(core::search_state_from_json(read_file(f.state)));
+        });
     }
     if (!f.state.empty())
       source.set_checkpoint([&](const core::SearchState& s) {
@@ -1518,22 +1511,27 @@ int cmd_search(const Flags& f, const char* argv0) {
       core::ExecutorOptions eopts;
       eopts.jobs = static_cast<int>(f.jobs);
       eopts.use_redzone = !f.no_redzone;
-      core::SearchRunResult run = core::run_search(
-          executor, source, eopts, static_cast<std::size_t>(f.stop_after));
-      if (run.stopped) {
-        std::fprintf(stderr,
-                     "epa search: stopped after %zu wave(s); state "
-                     "checkpointed to %s (finish with --resume)\n",
-                     run.waves, f.state.c_str());
-        return 4;
-      }
-      result = std::move(run.result);
+      result = core::drain_waves(
+          source, [&](std::size_t begin, std::size_t end, auto& reports,
+                      auto& labels) {
+            reports.push_back(
+                core::run_lease(executor, source.plan(), {begin, end}, eopts));
+            labels.push_back("wave " +
+                             std::to_string(source.waves_generated()));
+          });
     } else {
       // Waves are at most `batch` items, so the auto grain sizes leases
       // against the wave, not the (unbounded) generated stream.
       result = fleet->drain(source, source.plan().items.size(),
                             fleet->grain(sopts.batch, plan_ms),
                             scenario.name, m + 1 == scenarios.size());
+    }
+    if (source.stopped()) {
+      std::fprintf(stderr,
+                   "epa search: stopped after %zu wave(s); state "
+                   "checkpointed to %s (finish with --resume)\n",
+                   source.waves_generated(), f.state.c_str());
+      return 4;
     }
     generated_items += source.plan().items.size();
     std::fprintf(stderr,

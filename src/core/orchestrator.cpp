@@ -100,19 +100,6 @@ CampaignResult Fleet::drain(WorkSource& source, std::size_t known_items,
   // from here on every worker, old or new, starts from known_items.
   for (auto& [w, slot] : slots_) slot.known = known_items;
 
-  // Checkpoint-replayed reports (search --resume): waves already drained
-  // in a previous run, owed to the final merge but never re-executed.
-  std::vector<ShardReport> reports;
-  std::vector<std::string> labels;
-  for (ShardReport& r : source.take_replayed_reports()) {
-    reports.push_back(std::move(r));
-    labels.emplace_back("resumed checkpoint");
-  }
-
-  std::pair<std::size_t, std::size_t> wave = source.next_wave();
-  if (wave.first == wave.second && reports.empty())
-    return result_skeleton(source.plan());  // nothing to lease out
-
   // Leases across all waves share one seq space: each wave's partition
   // takes the next positions in grant order and stolen tails take fresh
   // seqs, so a seq names the same id range for the whole drain. The
@@ -217,28 +204,28 @@ CampaignResult Fleet::drain(WorkSource& source, std::size_t known_items,
     return static_cast<long>(earliest);
   };
 
-  while (wave.first != wave.second) {
+  // One wave: partition, (re)fill the fleet, and run the grant, steal
+  // and event loop until every lease of the wave has reported.
+  auto drain_wave = [&](std::size_t begin, std::size_t end,
+                        std::vector<ShardReport>& reports,
+                        std::vector<std::string>& labels) {
     // Partition this wave into leases with lease_partition()'s grain
     // rule applied to the wave size — identical ranges (and seqs) to
     // the classic partition for the single full-plan wave. pending is
     // empty here: the previous wave's barrier collected every lease.
-    {
-      const std::size_t wave_items = wave.second - wave.first;
-      const std::size_t grain = lease_items > 0
-                                    ? lease_items
-                                    : lease_grain(wave_items, opts_.workers);
-      for (std::size_t b = wave.first; b < wave.second; b += grain) {
-        pending.push_back({next_seq++, b, std::min(b + grain, wave.second)});
-        ++st.leases_total;
-      }
+    const std::size_t wave_items = end - begin;
+    const std::size_t grain =
+        lease_items > 0 ? lease_items : lease_grain(wave_items, opts_.workers);
+    for (std::size_t b = begin; b < end; b += grain) {
+      pending.push_back({next_seq++, b, std::min(b + grain, end)});
+      ++st.leases_total;
     }
 
     if (!spawned_) {
       // Spawn against the item count, not the lease count: a one-lease
       // wave still wants idle workers around, because work stealing can
       // split that lease across them.
-      const std::size_t first_wave_items = wave.second - wave.first;
-      for (std::size_t i = 0; i < std::min(workers, first_wave_items); ++i)
+      for (std::size_t i = 0; i < std::min(workers, wave_items); ++i)
         if (!spawn_one()) break;
       if (live_ == 0)
         throw OrchestratorError(
@@ -347,9 +334,6 @@ CampaignResult Fleet::drain(WorkSource& source, std::size_t known_items,
               std::to_string(ev.lease.begin) + ", " +
               std::to_string(ev.lease.end) + ")" +
               (ev.label.empty() ? "" : " (" + ev.label + ")"));
-        // Feedback: the source scores this wave's outcomes before it
-        // generates the next wave (a no-op for the exhaustive path).
-        source.absorb(ev.report);
         reports.push_back(std::move(ev.report));
         labels.push_back(std::move(ev.label));
         slot.busy = false;
@@ -380,22 +364,12 @@ CampaignResult Fleet::drain(WorkSource& source, std::size_t known_items,
       ++st.workers_preempted;
       refill();
     }
-
-    // Wave barrier: every lease of this wave is collected and absorbed;
-    // only now may the source decide the next wave, so generation sees
-    // a deterministic (stable-id-ordered) view of all prior outcomes
+    // Wave barrier: every lease of this wave is collected; only now may
+    // the source decide the next wave, so generation sees a
+    // deterministic (stable-id-ordered) view of all prior outcomes
     // regardless of lease scheduling.
-    wave = source.next_wave();
-  }
-
-  // Reports from earlier waves (and resumed checkpoints) were written
-  // against a shorter plan; the drain grew it. Their leases and
-  // outcomes are unchanged — rebase the plan_items header on the final
-  // size so the merge's consistency checks see one plan. A no-op for
-  // the exhaustive path (every report already carries the full size).
-  const std::size_t n = source.plan().items.size();
-  for (ShardReport& r : reports) r.plan_items = n;
-  return merge_shard_reports(source.plan(), reports, labels);
+  };
+  return drain_waves(source, drain_wave);
 }
 
 void Fleet::close(OrchestratorStats* stats) {

@@ -260,7 +260,8 @@ class Fleet {
   /// Spawns nothing yet. Throws OrchestratorError when opts.workers < 1.
   Fleet(Transport& transport, OrchestratorOptions opts);
 
-  /// Lease out a WorkSource's item stream wave by wave. Each wave is
+  /// Lease out a WorkSource's item stream wave by wave, through the one
+  /// wave loop (drain_waves(), core/work_source.hpp). Each wave is
   /// partitioned into leases of `lease_items` items (0 = the
   /// lease_partition() auto grain applied to the wave size), drained by
   /// the fleet, and absorbed back into the source before the next wave

@@ -57,17 +57,6 @@ class Scanner {
     return true;
   }
 
-  /// The rest of the line, which must be non-empty and spaceless — a
-  /// FEEDBACK item spec is one token.
-  bool token_to_end(std::string* out) {
-    if (pos_ >= s_.size()) return false;
-    std::string rest = s_.substr(pos_);
-    if (rest.find(' ') != std::string::npos) return false;
-    pos_ = s_.size();
-    *out = rest;
-    return true;
-  }
-
   bool at_end() const { return pos_ == s_.size(); }
 
  private:
@@ -106,17 +95,16 @@ bool parse_protocol_line(const std::string& line, ProtocolMsg* out) {
   } else if (sc.literal("LEASE")) {
     msg.type = ProtocolMsg::Type::lease;
     if (!sc.space() || !sc.size(&msg.begin) || !sc.space() ||
-        !sc.size(&msg.end) || !sc.space() || !sc.literal("-") ||
-        !sc.at_end())
+        !sc.size(&msg.end) || !sc.at_end())
       return false;
   } else if (sc.literal("FEEDBACK")) {
     msg.type = ProtocolMsg::Type::feedback;
     if (!sc.space() || !sc.size(&msg.begin) || !sc.space() ||
-        !sc.size(&msg.end) || !sc.space() || !sc.token_to_end(&msg.target))
+        !sc.size(&msg.end) || !sc.at_end())
       return false;
   } else if (sc.literal("PLAN")) {
     msg.type = ProtocolMsg::Type::plan;
-    if (!sc.space() || !sc.literal("-") || !sc.at_end()) return false;
+    if (!sc.at_end()) return false;
   } else if (sc.literal("STEAL")) {
     msg.type = ProtocolMsg::Type::steal;
     if (!sc.at_end()) return false;
@@ -149,17 +137,14 @@ std::string format_bye(int status) {
 }
 
 std::string format_lease(std::size_t begin, std::size_t end) {
-  return "LEASE " + std::to_string(begin) + " " + std::to_string(end) +
-         " -";
+  return "LEASE " + std::to_string(begin) + " " + std::to_string(end);
 }
 
-std::string format_feedback(std::size_t begin, std::size_t end,
-                            const std::string& spec) {
-  return "FEEDBACK " + std::to_string(begin) + " " + std::to_string(end) +
-         " " + spec;
+std::string format_feedback(std::size_t begin, std::size_t end) {
+  return "FEEDBACK " + std::to_string(begin) + " " + std::to_string(end);
 }
 
-std::string format_plan() { return "PLAN -"; }
+std::string format_plan() { return "PLAN"; }
 
 std::string format_steal() { return "STEAL"; }
 
@@ -180,7 +165,7 @@ std::string format_protocol_msg(const ProtocolMsg& msg) {
     case ProtocolMsg::Type::lease:
       return format_lease(msg.begin, msg.end);
     case ProtocolMsg::Type::feedback:
-      return format_feedback(msg.begin, msg.end, msg.target);
+      return format_feedback(msg.begin, msg.end);
     case ProtocolMsg::Type::plan:
       return format_plan();
     case ProtocolMsg::Type::steal:

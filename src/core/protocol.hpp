@@ -13,16 +13,17 @@
 // little-endian payload length, then the payload. A local worker speaks
 // frames on its stdin/stdout, a remote one on its socket — the same
 // bytes either way. Control frames carry one message of the grammar
-// below (no newline); two frame kinds carry bulk payloads: the binary
-// plan (the first frame a worker receives, and the frame after each
-// `PLAN -`) and the binary report (the frame after each DONE).
+// below (no newline); three frame kinds carry bulk payloads, each the
+// frame right after its message: the binary plan (the first frame a
+// worker receives, and the frame after each `PLAN`), the binary work
+// items (after each FEEDBACK) and the binary report (after each DONE).
 //
-// Version 6 grammar (version 1 had no HELLO/PING/STEAL/YIELD/BYE;
+// Version 7 grammar (version 1 had no HELLO/PING/STEAL/YIELD/BYE;
 // version 3 added FEEDBACK, the search plane's item append; version 4
 // added PLAN, which lets one worker fleet serve many plans; version 5
-// marked the shard report v4 / binary v3 encodings; version 6 makes the
-// frame stream the only wire, so DONE lost its arena handoff and every
-// LEASE and PLAN target is `-`):
+// marked the shard report v4 / binary v3 encodings; version 6 made the
+// frame stream the only wire; version 7 moves FEEDBACK's items into a
+// binary frame and drops the `-` target of LEASE and PLAN):
 //
 //   worker -> coordinator
 //     HELLO <version>                 first message a worker ever sends
@@ -35,15 +36,13 @@
 //     BYE <status>                    exit status, sent before closing
 //
 //   coordinator -> worker
-//     LEASE <begin> <end> -           drain [begin, end); the report
+//     LEASE <begin> <end>             drain [begin, end); the report
 //                                     comes back as the frame after DONE
-//     FEEDBACK <begin> <end> <spec>   append search-generated work items
+//     FEEDBACK <begin> <end>          append search-generated work items
 //                                     [begin, end) to the worker's plan
-//                                     before their lease arrives; <spec>
-//                                     is one space-free token of comma-
-//                                     separated point:kind:fault:param
-//                                     entries (kind is `i` or `d`)
-//     PLAN -                          replace the worker's plan before its
+//                                     before their lease arrives; the
+//                                     binary work-items frame follows
+//     PLAN                            replace the worker's plan before its
 //                                     next FEEDBACK or LEASE; the binary
 //                                     plan frame follows
 //     STEAL                           yield the undrained tail of the
@@ -66,7 +65,7 @@ namespace ep::core {
 /// grammar above or the plan/report encodings it carries change
 /// incompatibly; the HELLO handshake enforces agreement before any lease
 /// is granted.
-inline constexpr long long kWorkerProtocolVersion = 6;
+inline constexpr long long kWorkerProtocolVersion = 7;
 
 /// One parsed protocol message, either direction.
 struct ProtocolMsg {
@@ -76,8 +75,8 @@ struct ProtocolMsg {
     yield,  ///< begin = mid (the split point), end
     done,   ///< begin, end
     bye,    ///< status
-    lease,  ///< begin, end
-    feedback,  ///< begin, end, target = the item spec token
+    lease,     ///< begin, end
+    feedback,  ///< begin, end
     plan,
     steal,
     exit_cmd,
@@ -86,7 +85,6 @@ struct ProtocolMsg {
   long long version = 0;        // hello
   std::size_t begin = 0;        // lease, done, feedback; yield's split point
   std::size_t end = 0;          // lease, done, yield, feedback
-  std::string target;           // feedback's item spec
   int status = 0;               // bye
 };
 
@@ -104,8 +102,7 @@ std::string format_yield(std::size_t mid, std::size_t end);
 std::string format_done(std::size_t begin, std::size_t end);
 std::string format_bye(int status);
 std::string format_lease(std::size_t begin, std::size_t end);
-std::string format_feedback(std::size_t begin, std::size_t end,
-                            const std::string& spec);
+std::string format_feedback(std::size_t begin, std::size_t end);
 std::string format_plan();
 std::string format_steal();
 std::string format_exit();

@@ -3,36 +3,24 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/executor.hpp"
 #include "core/wire_internal.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace ep::core {
 
 namespace {
 
-/// Run `f`, prefixing any failure with where in the document it happened
-/// — the same diagnostic convention the plan/shard-report parsers use.
-template <typename F>
-auto with_ctx(const std::string& where, F&& f) -> decltype(f()) {
-  try {
-    return f();
-  } catch (const std::exception& e) {
-    throw WireError(where + ": " + e.what());
-  }
-}
-
 [[noreturn]] void fail(const std::string& msg) {
   throw WireError("search state: " + msg);
 }
 
-std::size_t parse_count(const JsonValue& doc, const char* key) {
-  long long v = with_ctx(std::string("search state: ") + key,
-                         [&] { return doc.at(key).as_int(); });
-  if (v < 0) fail(std::string(key) + " must be >= 0");
-  return static_cast<std::size_t>(v);
+/// The plan's document without its items: the scenario, points, benign
+/// violations and perturbed sites a checkpoint shares with the base plan
+/// of the search that resumes it.
+std::string plan_frame(InjectionPlan plan) {
+  plan.items.clear();
+  return plan.to_json();
 }
 
 /// The verdict signature: what shape did this run end in? Two items with
@@ -183,12 +171,14 @@ std::pair<std::size_t, std::size_t> SearchWorkSource::generate_wave() {
 std::pair<std::size_t, std::size_t> SearchWorkSource::next_wave() {
   process_feedback();
   if (checkpoint_) checkpoint_(state());
+  if (opts_.stop_after_waves != 0 &&
+      wave_ends_.size() >= opts_.stop_after_waves) {
+    // Stop *between* barriers, state flushed — the deterministic
+    // preemption hook (--stop-after). Nothing drained is lost.
+    stopped_ = true;
+    return {plan_.items.size(), plan_.items.size()};
+  }
   return generate_wave();
-}
-
-void SearchWorkSource::checkpoint_now() {
-  process_feedback();
-  if (checkpoint_) checkpoint_(state());
 }
 
 std::vector<ShardReport> SearchWorkSource::take_replayed_reports() {
@@ -197,35 +187,29 @@ std::vector<ShardReport> SearchWorkSource::take_replayed_reports() {
 
 SearchState SearchWorkSource::state() const {
   SearchState st;
-  st.scenario_name = plan_.scenario_name;
   st.seed = opts_.seed;
   st.budget = opts_.budget;
   st.batch = opts_.batch;
-  st.items.reserve(plan_.items.size());
-  for (const WorkItem& w : plan_.items) {
-    SearchStateItem it;
-    it.point = w.point_index;
-    it.site = plan_.points[w.point_index].site.tag;
-    it.kind = w.fault.kind;
-    it.fault = w.fault.name();
-    it.param = w.param;
-    st.items.push_back(std::move(it));
-  }
   st.wave_ends = wave_ends_;
-  st.completed_ids.reserve(outcomes_.size());
-  st.outcomes.reserve(outcomes_.size());
+  st.plan = plan_;
+  ShardReport& r = st.report;
+  r.scenario_name = plan_.scenario_name;
+  r.plan_items = plan_.items.size();
+  r.owned = {0, plan_.items.size()};
   for (const auto& [id, outcome] : outcomes_) {
-    st.completed_ids.push_back(id);
-    st.outcomes.push_back(outcome);
+    r.item_ids.push_back(id);
+    r.outcomes.push_back(outcome);
   }
+  r.complete = r.item_ids.size() == r.plan_items;
   return st;
 }
 
 void SearchWorkSource::resume(const SearchState& state) {
   if (!plan_.items.empty())
     fail("resume() must run before any wave is generated");
-  if (state.scenario_name != plan_.scenario_name)
-    fail("scenario '" + state.scenario_name +
+  const InjectionPlan& recorded_plan = state.plan;
+  if (recorded_plan.scenario_name != plan_.scenario_name)
+    fail("scenario '" + recorded_plan.scenario_name +
          "' does not match this search's scenario '" + plan_.scenario_name +
          "'");
   if (state.seed != opts_.seed || state.budget != opts_.budget ||
@@ -235,17 +219,20 @@ void SearchWorkSource::resume(const SearchState& state) {
          ") do not match this search's (" + std::to_string(opts_.seed) + "/" +
          std::to_string(opts_.budget) + "/" + std::to_string(opts_.batch) +
          ")");
+  if (plan_frame(recorded_plan) != plan_frame(plan_))
+    fail("the recorded plan's interaction points do not match this "
+         "search's — state from a different build?");
 
   std::map<std::size_t, const InjectionOutcome*> recorded;
-  for (std::size_t i = 0; i < state.completed_ids.size(); ++i)
-    recorded[state.completed_ids[i]] = &state.outcomes[i];
+  for (std::size_t i = 0; i < state.report.item_ids.size(); ++i)
+    recorded[state.report.item_ids[i]] = &state.report.outcomes[i];
 
   std::size_t prev_end = 0;
   for (std::size_t wave_end : state.wave_ends) {
     // Replay only fully-completed waves: a wave any of whose outcomes
     // are missing (a checkpoint raced its own write, or hand-edited
     // state) is simply re-drained live, along with everything after it.
-    bool covered = wave_end <= state.items.size();
+    bool covered = wave_end <= recorded_plan.items.size();
     for (std::size_t id = prev_end; covered && id < wave_end; ++id)
       covered = recorded.count(id) != 0;
     if (!covered) break;
@@ -264,10 +251,9 @@ void SearchWorkSource::resume(const SearchState& state) {
            ") — state from a different search?");
     for (std::size_t id = b; id < e; ++id) {
       const WorkItem& w = plan_.items[id];
-      const SearchStateItem& it = state.items[id];
-      if (it.point != w.point_index || it.kind != w.fault.kind ||
-          it.fault != w.fault.name() || it.param != w.param ||
-          it.site != plan_.points[w.point_index].site.tag)
+      const WorkItem& it = recorded_plan.items[id];
+      if (it.point_index != w.point_index || it.fault.kind != w.fault.kind ||
+          it.fault.name() != w.fault.name() || it.param != w.param)
         fail("items[" + std::to_string(id) +
              "] does not match the regenerated item — state from a "
              "different search?");
@@ -289,188 +275,72 @@ void SearchWorkSource::resume(const SearchState& state) {
 }
 
 std::string search_state_to_json(const SearchState& state) {
+  // The embedded documents keep their own canonical bytes, one level
+  // deeper: a JSON string holds no raw newline, so each one is structure.
+  auto nested = [](const std::string& doc) {
+    std::string out;
+    for (std::size_t i = 0; i + 1 < doc.size(); ++i) {
+      out += doc[i];
+      if (doc[i] == '\n') out += "  ";
+    }
+    return out;
+  };
   std::string out = "{\n";
-  out += "  \"schema_version\": 1,\n";
+  out += "  \"schema_version\": " + std::to_string(kSearchStateSchemaVersion) +
+         ",\n";
   out += "  \"kind\": \"search-state\",\n";
-  out += "  \"scenario\": " + json_quote(state.scenario_name) + ",\n";
   out += "  \"seed\": " + std::to_string(state.seed) + ",\n";
   out += "  \"budget\": " + std::to_string(state.budget) + ",\n";
   out += "  \"batch\": " + std::to_string(state.batch) + ",\n";
-  out += "  \"items\": [";
-  for (std::size_t i = 0; i < state.items.size(); ++i) {
-    const SearchStateItem& it = state.items[i];
-    out += i ? ",\n    " : "\n    ";
-    out += "{\"id\": " + std::to_string(i) +
-           ", \"point\": " + std::to_string(it.point) +
-           ", \"site\": " + json_quote(it.site) +
-           ", \"kind\": " + json_quote(std::string(to_string(it.kind))) +
-           ", \"fault\": " + json_quote(it.fault) +
-           ", \"param\": " + std::to_string(it.param) + "}";
-  }
-  out += state.items.empty() ? "],\n" : "\n  ],\n";
   out += "  \"wave_ends\": [";
   for (std::size_t i = 0; i < state.wave_ends.size(); ++i)
     out += (i ? ", " : "") + std::to_string(state.wave_ends[i]);
   out += "],\n";
-  out += "  \"completed_ids\": [";
-  for (std::size_t i = 0; i < state.completed_ids.size(); ++i)
-    out += (i ? ", " : "") + std::to_string(state.completed_ids[i]);
-  out += "],\n";
-  out += "  \"outcomes\": {\n";
-  out += wire_detail::outcome_columns_json(state.outcomes, "    ");
-  out += "  }\n}\n";
+  out += "  \"plan\": " + nested(state.plan.to_json()) + ",\n";
+  out += "  \"report\": " + nested(state.report.to_json()) + "\n}\n";
   return out;
 }
 
 SearchState search_state_from_json(const std::string& text) {
-  JsonValue doc;
-  try {
-    doc = json_parse(text);
-  } catch (const JsonError& e) {
-    throw WireError(std::string("search state is not valid JSON: ") +
-                    e.what());
-  }
-  if (!doc.is_object()) fail("top-level value must be an object");
-  if (!doc.find("schema_version"))
-    fail("missing 'schema_version' (not a wire-format file?)");
-  std::string kind = with_ctx("search state: kind",
-                              [&] { return doc.at("kind").as_string(); });
-  if (kind != "search-state")
-    fail("kind '" + kind + "' where 'search-state' was expected");
-  long long version =
-      with_ctx("search state: schema_version",
-               [&] { return doc.at("schema_version").as_int(); });
-  if (version != 1)
-    fail("unsupported schema_version " + std::to_string(version) +
-         " (this build reads version 1)");
-
+  using wire_detail::parse_count;
+  using wire_detail::with_ctx;
+  const char* what = "search state";
+  JsonValue doc = wire_detail::parse_document(text, what);
+  wire_detail::check_header(doc, "search-state", what,
+                            kSearchStateSchemaVersion);
   SearchState st;
-  st.schema_version = static_cast<int>(version);
-  st.scenario_name = with_ctx(
-      "search state: scenario", [&] { return doc.at("scenario").as_string(); });
-  if (st.scenario_name.empty()) fail("scenario name is empty");
-  st.seed = static_cast<std::uint64_t>(parse_count(doc, "seed"));
-  st.budget = parse_count(doc, "budget");
-  st.batch = parse_count(doc, "batch");
-
-  const auto& items = with_ctx("search state: items", [&]() -> decltype(auto) {
-    return doc.at("items").items();
+  st.seed = static_cast<std::uint64_t>(parse_count(doc, "seed", what));
+  st.budget = parse_count(doc, "budget", what);
+  st.batch = parse_count(doc, "batch", what);
+  st.plan = with_ctx(
+      what, [&] { return wire_detail::plan_from_value(doc.at("plan")); });
+  st.report = with_ctx(what, [&] {
+    return wire_detail::shard_report_from_value(doc.at("report"));
   });
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    with_ctx("search state: items[" + std::to_string(i) + "]", [&] {
-      const JsonValue& v = items[i];
-      long long id = v.at("id").as_int();
-      if (id != static_cast<long long>(i))
-        throw WireError("stable id " + std::to_string(id) +
-                        " out of order (expected " + std::to_string(i) + ")");
-      SearchStateItem it;
-      long long point = v.at("point").as_int();
-      if (point < 0)
-        throw WireError("point index " + std::to_string(point) +
-                        " must be >= 0");
-      it.point = static_cast<std::size_t>(point);
-      it.site = v.at("site").as_string();
-      std::string ks = v.at("kind").as_string();
-      if (ks == to_string(FaultKind::indirect))
-        it.kind = FaultKind::indirect;
-      else if (ks == to_string(FaultKind::direct))
-        it.kind = FaultKind::direct;
-      else
-        throw WireError("unknown fault kind '" + ks + "'");
-      it.fault = v.at("fault").as_string();
-      long long param = v.at("param").as_int();
-      if (param < 0)
-        throw WireError("param " + std::to_string(param) + " must be >= 0");
-      it.param = static_cast<std::uint64_t>(param);
-      st.items.push_back(std::move(it));
-    });
-  }
+  const std::size_t n = st.plan.items.size();
+  if (st.report.scenario_name != st.plan.scenario_name ||
+      st.report.plan_items != n || st.report.owned != IdRange{0, n})
+    fail("the report must own the plan's items " + IdRange{0, n}.str() +
+         " of scenario '" + st.plan.scenario_name + "'");
 
-  const auto& waves =
-      with_ctx("search state: wave_ends", [&]() -> decltype(auto) {
-        return doc.at("wave_ends").items();
-      });
+  const auto& waves = with_ctx("search state: wave_ends",
+                               [&]() -> decltype(auto) {
+                                 return doc.at("wave_ends").items();
+                               });
   for (std::size_t i = 0; i < waves.size(); ++i) {
     with_ctx("search state: wave_ends[" + std::to_string(i) + "]", [&] {
       long long e = waves[i].as_int();
       std::size_t prev = st.wave_ends.empty() ? 0 : st.wave_ends.back();
-      if (e <= static_cast<long long>(prev) ||
-          e > static_cast<long long>(st.items.size()))
+      if (e <= static_cast<long long>(prev) || e > static_cast<long long>(n))
         throw WireError("wave end " + std::to_string(e) +
                         " is not strictly between " + std::to_string(prev) +
-                        " and the item count " +
-                        std::to_string(st.items.size()));
+                        " and the item count " + std::to_string(n));
       st.wave_ends.push_back(static_cast<std::size_t>(e));
     });
   }
-  if (!st.items.empty() &&
-      (st.wave_ends.empty() || st.wave_ends.back() != st.items.size()))
-    fail("the last wave end must equal the item count " +
-         std::to_string(st.items.size()));
-
-  const auto& ids =
-      with_ctx("search state: completed_ids", [&]() -> decltype(auto) {
-        return doc.at("completed_ids").items();
-      });
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    with_ctx("search state: completed_ids[" + std::to_string(i) + "]", [&] {
-      long long id = ids[i].as_int();
-      if (id < 0 || id >= static_cast<long long>(st.items.size()))
-        throw WireError("work-item id " + std::to_string(id) +
-                        " out of range (state has " +
-                        std::to_string(st.items.size()) + " items)");
-      if (!st.completed_ids.empty() &&
-          static_cast<std::size_t>(id) <= st.completed_ids.back())
-        throw WireError("completed_ids out of order (" + std::to_string(id) +
-                        " after " + std::to_string(st.completed_ids.back()) +
-                        ")");
-      st.completed_ids.push_back(static_cast<std::size_t>(id));
-    });
-  }
-
-  const JsonValue& cols =
-      with_ctx("search state: outcomes",
-               [&]() -> decltype(auto) { return doc.at("outcomes"); });
-  if (!cols.is_object())
-    fail("outcomes must be an object of column arrays");
-  st.outcomes = wire_detail::outcomes_from_columns(
-      cols, st.completed_ids.size(), "search state");
+  if (n != 0 && (st.wave_ends.empty() || st.wave_ends.back() != n))
+    fail("the last wave end must equal the item count " + std::to_string(n));
   return st;
-}
-
-SearchRunResult run_search(const Executor& executor, SearchWorkSource& source,
-                           const ExecutorOptions& opts,
-                           std::size_t stop_after_waves) {
-  SearchRunResult out;
-  std::vector<ShardReport> reports = source.take_replayed_reports();
-  std::vector<std::string> labels(reports.size(), "resumed checkpoint");
-  out.waves = source.waves_generated();
-  for (;;) {
-    if (stop_after_waves != 0 && out.waves >= stop_after_waves) {
-      // Stop *between* barriers, state flushed — the deterministic
-      // preemption hook (--stop-after). Nothing drained is lost.
-      source.checkpoint_now();
-      out.stopped = true;
-      return out;
-    }
-    auto [begin, end] = source.next_wave();
-    if (begin == end) break;
-    ShardReport r = run_lease(executor, source.plan(), {begin, end}, opts);
-    source.absorb(r);
-    reports.push_back(std::move(r));
-    ++out.waves;
-    labels.push_back("wave " + std::to_string(out.waves));
-  }
-  if (reports.empty()) {
-    out.result = result_skeleton(source.plan());
-    return out;
-  }
-  // Wave-N reports carry the plan size as of wave N; the merge checks
-  // plan_items against the final plan, so rebase them all to it.
-  const std::size_t n = source.plan().items.size();
-  for (ShardReport& r : reports) r.plan_items = n;
-  out.result = merge_shard_reports(source.plan(), reports, labels);
-  return out;
 }
 
 }  // namespace ep::core

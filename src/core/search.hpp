@@ -51,6 +51,11 @@ struct SearchOptions {
   /// feedback loop turns once per wave, so smaller batches steer harder
   /// and larger batches parallelize better.
   std::size_t batch = 16;
+  /// Stop after this many waves (0 = never): once that many exist,
+  /// next_wave() still absorbs the last wave's feedback and checkpoints,
+  /// then returns an empty wave, and stopped() is true. The same clean
+  /// stop on every drain (--stop-after).
+  std::size_t stop_after_waves = 0;
   /// Environment-class axis for novelty scoring: (fault kind, fault
   /// name) -> class label, empty label = unclassified. The CLI passes
   /// vulndb::coverage_class; unset mutes the class term.
@@ -93,47 +98,42 @@ class NoveltyScorer {
   std::set<std::string> verdict_sigs_;
 };
 
-/// One parsed search-state work item (docs/SEARCH.md, the `search-state`
-/// wire kind): enough to validate a resumed search's re-generated stream
-/// against what the checkpoint recorded, without resolving faults.
-struct SearchStateItem {
-  std::size_t point = 0;
-  std::string site;
-  FaultKind kind = FaultKind::direct;
-  std::string fault;
-  std::uint64_t param = 0;
-};
+/// Version of the search-state wire kind (docs/SEARCH.md). Version 2
+/// embeds the generated plan and its outcomes as an injection-plan and a
+/// shard-report document; the reader accepts only this version.
+inline constexpr int kSearchStateSchemaVersion = 2;
 
-/// A parsed search-state checkpoint: the search's identity (scenario,
-/// seed, budget, batch), every item generated so far with wave
-/// boundaries, and the columnar outcomes of every completed item.
+/// A search checkpoint: the search's identity (seed, budget, batch; the
+/// scenario is the plan's), the plan generated so far with its wave
+/// boundaries, and the outcomes of every completed item as one shard
+/// report over the plan's ids [0, n) — partial when items are missing.
 struct SearchState {
-  int schema_version = 1;
-  std::string scenario_name;
   std::uint64_t seed = 1;
   std::size_t budget = 0;
   std::size_t batch = 0;
-  std::vector<SearchStateItem> items;
   std::vector<std::size_t> wave_ends;
-  std::vector<std::size_t> completed_ids;  // ascending, parallel outcomes
-  std::vector<InjectionOutcome> outcomes;
+  InjectionPlan plan;
+  ShardReport report;
 };
 
 /// Canonical JSON for a search-state document: parse -> re-serialize
 /// reproduces the bytes verbatim (the SearchDoc test holds docs/SEARCH.md
-/// to the format). schema_version 1, kind "search-state".
+/// to the format). The plan and report are their own canonical documents,
+/// indented one level.
 std::string search_state_to_json(const SearchState& state);
 
-/// Parse and validate a search-state document. Throws WireError on
-/// malformed input, a foreign kind/version, out-of-range points or wave
-/// boundaries, or completed ids that are unordered or out of range.
+/// Parse and validate a search-state document, the embedded plan and
+/// report with their own readers. Throws WireError on malformed input, a
+/// foreign kind/version, a report that does not own exactly the plan's
+/// items, or wave boundaries that are unordered or out of range.
 SearchState search_state_from_json(const std::string& text);
 
 /// The open-ended WorkSource: novelty-ranked waves over the candidate
 /// frontier. Construct from the *exhaustive* plan of the same scenario
 /// and options (the base plan's items are the initial frontier, its
 /// points/snapshot carry over), optionally sharing a scorer across a
-/// family; then drain through run_search() or orchestrate_source().
+/// family; then drain through drain_waves() (in-process, one run_lease
+/// per wave) or orchestrate_source().
 class SearchWorkSource : public WorkSource {
  public:
   /// `base` is the scenario's exhaustive plan (every candidate, param
@@ -155,18 +155,14 @@ class SearchWorkSource : public WorkSource {
     checkpoint_ = std::move(fn);
   }
 
-  /// Process any pending feedback and checkpoint now — the clean-stop
-  /// path (--stop-after), which ends a search between barriers without
-  /// losing the last drained wave.
-  void checkpoint_now();
-
   /// Replay a checkpoint: re-generate each fully-completed recorded wave
   /// (feeding the recorded outcomes back through the scorer), validate
-  /// the re-generated items match the recording byte for byte, and queue
+  /// the re-generated items against the recorded plan's, and queue
   /// synthesized lease reports for take_replayed_reports(). Call once,
   /// directly after construction. Throws WireError when the state
-  /// belongs to a different search (scenario/seed/budget/batch) or the
-  /// regeneration diverges from the recorded items.
+  /// belongs to a different search (scenario, seed/budget/batch, or a
+  /// plan whose points differ from the base plan's) or the regeneration
+  /// diverges from the recorded items.
   void resume(const SearchState& state);
 
   /// The current state (what a checkpoint would record).
@@ -175,6 +171,9 @@ class SearchWorkSource : public WorkSource {
   [[nodiscard]] std::size_t waves_generated() const {
     return wave_ends_.size();
   }
+
+  /// True once the stop_after_waves cap has ended the search early.
+  [[nodiscard]] bool stopped() const { return stopped_; }
 
  private:
   struct Candidate {
@@ -201,23 +200,7 @@ class SearchWorkSource : public WorkSource {
   std::map<std::size_t, InjectionOutcome> outcomes_;
   std::vector<ShardReport> replayed_;
   std::function<void(const SearchState&)> checkpoint_;
+  bool stopped_ = false;
 };
-
-/// The local (in-process) search drive, mirroring what
-/// orchestrate_source() does across a worker fleet: loop next_wave ->
-/// run_lease -> absorb until the source is exhausted or
-/// `stop_after_waves` barriers have passed, then merge every wave's
-/// lease report — replayed checkpoint waves included — into the
-/// CampaignResult. `stopped` is true when the wave cap ended the search
-/// early; the merged result is only assembled on a completed search.
-struct SearchRunResult {
-  CampaignResult result;
-  std::size_t waves = 0;
-  bool stopped = false;
-};
-
-SearchRunResult run_search(const Executor& executor, SearchWorkSource& source,
-                           const ExecutorOptions& opts = {},
-                           std::size_t stop_after_waves = 0);
 
 }  // namespace ep::core

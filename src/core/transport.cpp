@@ -121,8 +121,8 @@ void FramedTransport::feedback(std::size_t worker, const InjectionPlan& plan,
   Conn& c = conn(worker, "feedback");
   if (c.fd < 0 || !c.writable) return;  // its death event will follow
   sync_plan(c);
-  send_frame(c.fd,
-             format_feedback(begin, end, feedback_spec(plan, begin, end)));
+  send_frame(c.fd, format_feedback(begin, end));
+  send_frame(c.fd, work_items_to_binary(plan, begin, end));
 }
 
 void FramedTransport::steal(std::size_t worker) {
@@ -279,8 +279,7 @@ LocalProcessTransport::LocalProcessTransport(LocalProcessConfig config)
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
   std::fclose(f);
   try {
-    load_plan(looks_like_binary_wire(text) ? plan_from_binary(text)
-                                           : plan_from_json(text));
+    load_plan(plan_from_json(text));
   } catch (const WireError& e) {
     throw OrchestratorError(config_.plan_path + ": " + e.what());
   }

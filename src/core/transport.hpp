@@ -2,18 +2,19 @@
 //
 // Every worker — forked on this machine or dialed in from another —
 // speaks the same frame stream (core/protocol.hpp): HELLO up, the binary
-// plan down, then LEASE/FEEDBACK/PLAN/STEAL/EXIT down and PING/YIELD/
-// DONE + report frame/BYE up. FramedTransport owns that conversation
-// for every transport: the HELLO check (version, 64 KiB opening cap),
-// plan shipping and plan switches, lease bookkeeping, the poll loop, and
-// the one frame dispatcher. A transport adds only how it gets a worker
-// (fork or accept) and how it learns why a worker's stream ended.
+// plan down, then LEASE/FEEDBACK + work-items frame/PLAN + plan frame/
+// STEAL/EXIT down and PING/YIELD/DONE + report frame/BYE up.
+// FramedTransport owns that conversation for every transport: the HELLO
+// check (version, 64 KiB opening cap), plan shipping and plan switches,
+// lease bookkeeping, the poll loop, and the one frame dispatcher. A
+// transport adds only how it gets a worker (fork or accept) and how it
+// learns why a worker's stream ended.
 //
 // LocalProcessTransport forks `epa_cli worker` with one end of a
 // socketpair as its stdin and stdout; stderr is inherited (progress and
 // diagnostics pass through). The worker parses its plan and re-freezes
 // the COW prototype once per plan — the frame shipped at spawn, and the
-// frame after each `PLAN -` load_plan() queues for it — then drains
+// frame after each `PLAN` load_plan() queues for it — then drains
 // leases until told to stop. Nothing touches the file system.
 //
 // Exit statuses mirror run-shard: 0 clean, 1 failure, 4 preempted
@@ -47,12 +48,12 @@ class FramedTransport : public Transport {
 
   void submit(std::size_t worker, const Lease& lease) override;
   void steal(std::size_t worker) override;
-  /// FEEDBACK as a control frame — the search plane's item append; the
-  /// item spec rides as one token (wire.hpp's feedback_spec()).
+  /// FEEDBACK and the work-items frame (wire.hpp's
+  /// work_items_to_binary()) — the search plane's item append.
   void feedback(std::size_t worker, const InjectionPlan& plan,
                 std::size_t begin, std::size_t end) override;
   /// Re-encodes the plan frame. Workers adopted later get it first
-  /// thing; live ones get `PLAN -` plus the frame, once, before their
+  /// thing; live ones get `PLAN` plus the frame, once, before their
   /// next FEEDBACK or LEASE.
   void load_plan(const InjectionPlan& plan) override;
   std::optional<WorkerEvent> wait_any(long timeout_ms) override;
@@ -107,7 +108,7 @@ class FramedTransport : public Transport {
   std::optional<WorkerEvent> dispatch(std::size_t worker,
                                       const std::string& frame);
   WorkerEvent reap(std::size_t worker);
-  /// Send `PLAN -` and the current plan frame to a worker still on an
+  /// Send `PLAN` and the current plan frame to a worker still on an
   /// older plan, ahead of the FEEDBACK or LEASE about to follow.
   void sync_plan(Conn& c);
 
@@ -122,7 +123,7 @@ struct LocalProcessConfig {
   /// The worker binary — normally the running epa_cli itself
   /// (self_exe()).
   std::string epa_cli;
-  /// A plan file (JSON or binary) the constructor parses and makes
+  /// A JSON plan file the constructor parses and makes
   /// current; empty when load_plan() names the first plan. Kept with
   /// out_dir and file_prefix for perfbench's in-process fleets until
   /// ROADMAP item 10 retires them with the benchmark's plane rotation.

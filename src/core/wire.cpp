@@ -90,28 +90,6 @@ void validate_complete_flag(const ShardReport& report) {
                "this report owns"));
 }
 
-}  // namespace wire_detail
-
-namespace {
-
-/// Run `f`, prefixing any failure — JSON access or wire validation —
-/// with where in the document it happened, so "missing key 'call'"
-/// becomes "plan: points[3]: missing key 'call'" and "unknown direct
-/// fault 'x'" names the item that referenced it. Use one level deep —
-/// nesting would stack prefixes.
-template <typename F>
-auto with_ctx(const std::string& where, F&& f) -> decltype(f()) {
-  try {
-    return f();
-  } catch (const std::exception& e) {
-    throw WireError(where + ": " + e.what());
-  }
-}
-
-[[noreturn]] void fail(const std::string& where, const std::string& msg) {
-  throw WireError(where + ": " + msg);
-}
-
 JsonValue parse_document(const std::string& text, const char* what) {
   try {
     return json_parse(text);
@@ -120,11 +98,6 @@ JsonValue parse_document(const std::string& text, const char* what) {
   }
 }
 
-/// Shared header validation: wire files self-describe with
-/// schema_version + kind so a plan handed to merge (or vice versa) fails
-/// with "kind 'injection-plan' where 'shard-report' was expected", not a
-/// missing-field puzzle. Each kind has exactly one version this build
-/// reads — the one it writes.
 void check_header(const JsonValue& doc, const char* expected_kind,
                   const char* what, int version) {
   if (!doc.is_object())
@@ -146,6 +119,24 @@ void check_header(const JsonValue& doc, const char* expected_kind,
                    " (this build reads version " + std::to_string(version) +
                    ")");
 }
+
+std::size_t parse_count(const JsonValue& doc, const char* key,
+                        const char* what) {
+  long long v = with_ctx(std::string(what) + ": " + key,
+                         [&] { return doc.at(key).as_int(); });
+  if (v < 0) fail(what, std::string(key) + " must be >= 0");
+  return static_cast<std::size_t>(v);
+}
+
+}  // namespace wire_detail
+
+namespace {
+
+using wire_detail::check_header;
+using wire_detail::fail;
+using wire_detail::parse_count;
+using wire_detail::parse_document;
+using wire_detail::with_ctx;
 
 FaultKind fault_kind_from(const std::string& s) {
   for (FaultKind k : {FaultKind::indirect, FaultKind::direct})
@@ -224,49 +215,14 @@ std::string json_exploit(const Exploitability& e) {
          ", \"note\": " + json_quote(e.note) + "}";
 }
 
-std::size_t parse_count(const JsonValue& doc, const char* key,
-                        const char* what) {
-  long long v = with_ctx(std::string(what) + ": " + key,
-                         [&] { return doc.at(key).as_int(); });
-  if (v < 0) fail(what, std::string(key) + " must be >= 0");
-  return static_cast<std::size_t>(v);
-}
-
-/// `completed_ids` plus one column array per run-dependent field. The
-/// plan-derivable fields (site, call, object, fault, ...) are not on the
-/// wire — merge_shard_reports re-derives them by id.
-void parse_shard_outcomes(const JsonValue& doc, ShardReport& report) {
-  const auto& ids =
-      with_ctx("shard report: completed_ids", [&]() -> decltype(auto) {
-        return doc.at("completed_ids").items();
-      });
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    with_ctx("shard report: completed_ids[" + std::to_string(i) + "]", [&] {
-      long long id = ids[i].as_int();
-      wire_detail::check_completed_id(report, id);
-      report.item_ids.push_back(static_cast<std::size_t>(id));
-    });
-  }
-
-  const JsonValue& cols = with_ctx(
-      "shard report: outcomes",
-      [&]() -> decltype(auto) { return doc.at("outcomes"); });
-  if (!cols.is_object())
-    fail("shard report", "outcomes must be an object of column arrays");
-  report.outcomes = wire_detail::outcomes_from_columns(
-      cols, report.item_ids.size(), "shard report");
-}
-
-}  // namespace
-
-namespace wire_detail {
-
-std::string outcome_columns_json(const std::vector<InjectionOutcome>& outcomes,
-                                 const std::string& indent) {
+/// The columnar run-dependent outcome encoding, the body of a shard
+/// report's `outcomes` object: one `"name": [...]` line per column.
+std::string outcome_columns_json(
+    const std::vector<InjectionOutcome>& outcomes) {
   std::string out;
   const std::size_t n = outcomes.size();
   auto col = [&](const char* name, auto cell, bool last = false) {
-    out += indent + "\"" + std::string(name) + "\": [";
+    out += "    \"" + std::string(name) + "\": [";
     for (std::size_t i = 0; i < n; ++i)
       out += (i ? ", " : "") + cell(outcomes[i]);
     out += last ? "]\n" : "],\n";
@@ -295,9 +251,10 @@ std::string outcome_columns_json(const std::vector<InjectionOutcome>& outcomes,
   return out;
 }
 
+/// The inverse: decode an `outcomes` column object into `n` outcomes.
 std::vector<InjectionOutcome> outcomes_from_columns(const JsonValue& cols,
-                                                    std::size_t n,
-                                                    const std::string& ctx) {
+                                                    std::size_t n) {
+  const std::string ctx = "shard report";
   auto column = [&](const char* name) -> const std::vector<JsonValue>& {
     const auto& items =
         with_ctx(ctx + ": outcomes." + std::string(name),
@@ -349,10 +306,37 @@ std::vector<InjectionOutcome> outcomes_from_columns(const JsonValue& cols,
   return out;
 }
 
-}  // namespace wire_detail
+/// `completed_ids` plus one column array per run-dependent field. The
+/// plan-derivable fields (site, call, object, fault, ...) are not on the
+/// wire — merge_shard_reports re-derives them by id.
+void parse_shard_outcomes(const JsonValue& doc, ShardReport& report) {
+  const auto& ids =
+      with_ctx("shard report: completed_ids", [&]() -> decltype(auto) {
+        return doc.at("completed_ids").items();
+      });
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    with_ctx("shard report: completed_ids[" + std::to_string(i) + "]", [&] {
+      long long id = ids[i].as_int();
+      wire_detail::check_completed_id(report, id);
+      report.item_ids.push_back(static_cast<std::size_t>(id));
+    });
+  }
+
+  const JsonValue& cols = with_ctx(
+      "shard report: outcomes",
+      [&]() -> decltype(auto) { return doc.at("outcomes"); });
+  if (!cols.is_object())
+    fail("shard report", "outcomes must be an object of column arrays");
+  report.outcomes = outcomes_from_columns(cols, report.item_ids.size());
+}
+
+}  // namespace
 
 InjectionPlan plan_from_json(const std::string& text) {
-  JsonValue doc = parse_document(text, "plan");
+  return wire_detail::plan_from_value(parse_document(text, "plan"));
+}
+
+InjectionPlan wire_detail::plan_from_value(const JsonValue& doc) {
   check_header(doc, "injection-plan", "plan", kPlanSchemaVersion);
 
   InjectionPlan plan;
@@ -468,99 +452,6 @@ IdRange static_shard(std::size_t plan_items, std::size_t index,
   return {std::min(index, plan_items), plan_items, count};
 }
 
-std::string feedback_spec(const InjectionPlan& plan, std::size_t begin,
-                          std::size_t end) {
-  if (begin >= end || end > plan.items.size())
-    throw WireError("feedback range [" + std::to_string(begin) + ", " +
-                    std::to_string(end) + ") does not fit the plan (" +
-                    std::to_string(plan.items.size()) + " items)");
-  std::string out;
-  for (std::size_t i = begin; i < end; ++i) {
-    const WorkItem& w = plan.items[i];
-    if (i != begin) out += ',';
-    out += std::to_string(w.point_index);
-    out += w.fault.kind == FaultKind::indirect ? ":i:" : ":d:";
-    out += w.fault.name();
-    out += ':';
-    out += std::to_string(w.param);
-  }
-  return out;
-}
-
-namespace {
-
-/// Strict non-negative decimal for feedback-spec fields: digits only, no
-/// sign, no prefix, capped at long long max so every value survives a
-/// JSON round trip (plan params serialize through as_int()).
-unsigned long long parse_spec_number(const std::string& field,
-                                     const char* what) {
-  if (field.empty())
-    throw WireError(std::string("feedback spec: empty ") + what + " field");
-  unsigned long long v = 0;
-  for (char c : field) {
-    if (c < '0' || c > '9')
-      throw WireError(std::string("feedback spec: ") + what + " '" + field +
-                      "' is not a plain decimal number");
-    unsigned long long digit = static_cast<unsigned long long>(c - '0');
-    if (v > (static_cast<unsigned long long>(LLONG_MAX) - digit) / 10)
-      throw WireError(std::string("feedback spec: ") + what + " '" + field +
-                      "' does not fit a 64-bit signed integer");
-    v = v * 10 + digit;
-  }
-  return v;
-}
-
-}  // namespace
-
-std::vector<WorkItem> parse_feedback_spec(const std::string& spec,
-                                          std::size_t point_count) {
-  if (spec.empty()) throw WireError("feedback spec is empty");
-  std::vector<WorkItem> items;
-  std::size_t pos = 0;
-  for (;;) {
-    std::size_t comma = spec.find(',', pos);
-    std::string entry = comma == std::string::npos
-                            ? spec.substr(pos)
-                            : spec.substr(pos, comma - pos);
-    // point:kind:fault:param — exactly four ':'-separated fields.
-    std::vector<std::string> fields;
-    std::size_t fpos = 0;
-    for (;;) {
-      std::size_t colon = entry.find(':', fpos);
-      if (colon == std::string::npos) {
-        fields.push_back(entry.substr(fpos));
-        break;
-      }
-      fields.push_back(entry.substr(fpos, colon - fpos));
-      fpos = colon + 1;
-    }
-    if (fields.size() != 4)
-      throw WireError("feedback spec entry '" + entry +
-                      "' is not point:kind:fault:param");
-    WorkItem item;
-    unsigned long long point = parse_spec_number(fields[0], "point");
-    if (point >= point_count)
-      throw WireError("feedback spec: point index " + fields[0] +
-                      " out of range (plan has " +
-                      std::to_string(point_count) + " points)");
-    item.point_index = static_cast<std::size_t>(point);
-    FaultKind kind;
-    if (fields[1] == "i")
-      kind = FaultKind::indirect;
-    else if (fields[1] == "d")
-      kind = FaultKind::direct;
-    else
-      throw WireError("feedback spec: fault kind '" + fields[1] +
-                      "' is neither 'i' nor 'd'");
-    item.fault = wire_detail::parse_fault(kind, fields[2]);
-    item.param = parse_spec_number(fields[3], "param");
-    items.push_back(item);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return items;
-}
-
 std::string ShardReport::to_json() const {
   // `completed_ids` names the ids this file actually holds (the resume
   // key), and only the run-dependent outcome fields are serialized — one
@@ -582,13 +473,17 @@ std::string ShardReport::to_json() const {
   out += "],\n";
 
   out += "  \"outcomes\": {\n";
-  out += wire_detail::outcome_columns_json(outcomes, "    ");
+  out += outcome_columns_json(outcomes);
   out += "  }\n}\n";
   return out;
 }
 
 ShardReport shard_report_from_json(const std::string& text) {
-  JsonValue doc = parse_document(text, "shard report");
+  return wire_detail::shard_report_from_value(
+      parse_document(text, "shard report"));
+}
+
+ShardReport wire_detail::shard_report_from_value(const JsonValue& doc) {
   check_header(doc, "shard-report", "shard report", kShardSchemaVersion);
   ShardReport report;
   report.scenario_name = with_ctx(

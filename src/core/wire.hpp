@@ -40,12 +40,11 @@ inline constexpr int kShardSchemaVersion = 4;
 
 /// Version of the binary wire encoding (docs/WIRE_FORMAT.md, "Binary
 /// encoding"): the compact non-JSON framing of the same plan and
-/// shard-report models, the plan and report frames every worker stream
-/// carries (core/protocol.hpp). Versioned
-/// independently of the JSON schema versions — the two encodings carry
-/// identical information and decode to identical in-memory values. Plan
-/// and report frames share this one version, and the decoders accept
-/// only it.
+/// shard-report models, the plan, work-items and report frames every
+/// worker stream carries (core/protocol.hpp). Versioned independently of
+/// the JSON schema versions — the two encodings carry identical
+/// information and decode to identical in-memory values. Every frame
+/// kind shares this one version, and the decoders accept only it.
 inline constexpr int kBinaryWireVersion = 3;
 
 /// A plan or shard-report file that cannot be trusted: syntactically
@@ -73,24 +72,6 @@ InjectionPlan plan_from_json(const std::string& text);
 /// plan semantics). No-op when the scenario is not snapshot-safe, the
 /// plan is empty, or a snapshot is already attached.
 void refreeze_snapshot(InjectionPlan& plan, const Scenario& scenario);
-
-/// The FEEDBACK payload (core/protocol.hpp): plan.items[begin, end)
-/// encoded as one space-free token of comma-separated
-/// `point:kind:fault:param` entries (kind is `i` or `d`, param plain
-/// decimal — 0 for stock hints). The coordinator ships this to workers
-/// whose serialized plan copy predates search-appended items; the worker
-/// appends the parsed items under the same stable ids. Throws WireError
-/// when the range is empty or does not fit the plan.
-std::string feedback_spec(const InjectionPlan& plan, std::size_t begin,
-                          std::size_t end);
-
-/// The inverse: decode a FEEDBACK spec token back into work items,
-/// re-resolving faults against this build's catalog. `point_count` is
-/// the receiving plan's point count — entries referencing points past it
-/// are rejected (a worker can only execute items whose interaction point
-/// it already has). Throws WireError on any malformed entry.
-std::vector<WorkItem> parse_feedback_spec(const std::string& spec,
-                                          std::size_t point_count);
 
 /// The one ownership rule of a shard report: the stable ids begin,
 /// begin + stride, begin + 2 * stride, ... below end. A lease is stride 1;
@@ -158,12 +139,6 @@ struct ShardReport {
 /// the ids actually present.
 ShardReport shard_report_from_json(const std::string& text);
 
-/// True when `data` starts with the binary wire magic — how file loaders
-/// (epa_cli's load_plan) dispatch between the JSON and binary decoders
-/// without trying one and falling back.
-bool looks_like_binary_wire(const void* data, std::size_t size);
-bool looks_like_binary_wire(const std::string& text);
-
 /// The binary encodings (docs/WIRE_FORMAT.md, "Binary encoding"): a
 /// sectioned little-framing with explicit endianness, total size, and a
 /// validated section table. Canonical like the JSON side: decode ->
@@ -177,6 +152,23 @@ InjectionPlan plan_from_binary(const std::string& text);
 std::string shard_report_to_binary(const ShardReport& report);
 ShardReport shard_report_from_binary(const void* data, std::size_t size);
 ShardReport shard_report_from_binary(const std::string& text);
+
+/// The FEEDBACK payload (core/protocol.hpp): plan.items[begin, end) as a
+/// binary frame of kind "work items" — the plan frame's items and params
+/// sections and nothing else. The coordinator ships it to workers whose
+/// plan copy predates search-appended items; the worker appends the
+/// decoded items under the same stable ids. Throws WireError when the
+/// range is empty or does not fit the plan.
+std::string work_items_to_binary(const InjectionPlan& plan, std::size_t begin,
+                                 std::size_t end);
+
+/// The inverse, re-resolving faults against this build's catalog.
+/// `point_count` is the receiving plan's point count: an item at a point
+/// past it is rejected (a worker can only execute items whose
+/// interaction point it already has). Throws WireError on any malformed
+/// frame.
+std::vector<WorkItem> work_items_from_binary(const std::string& frame,
+                                             std::size_t point_count);
 
 /// Progress hooks for a preemptible shard drain. With checkpoint_every ==
 /// 0 the drain is one uninterruptible pass and no intermediate flush

@@ -1,6 +1,7 @@
 // The binary wire encoding (docs/WIRE_FORMAT.md, "Binary encoding"):
 // the non-JSON framing of InjectionPlan and ShardReport behind the
-// plan_from_json / shard_report_from_json seam.
+// plan_from_json / shard_report_from_json seam, plus FEEDBACK's
+// work-items frame (a plan's items alone).
 //
 // Framing: a 24-byte header (magic, byte-order tag, version, kind,
 // declared total size, section count) followed by a section table of
@@ -46,10 +47,12 @@ constexpr char kMagic[4] = {'E', 'P', 'A', 'B'};
 constexpr std::uint32_t kEndianTag = 0x0A0B0C0D;
 constexpr std::uint16_t kKindPlan = 1;
 constexpr std::uint16_t kKindShardReport = 2;
+constexpr std::uint16_t kKindWorkItems = 3;
 constexpr std::size_t kHeaderBytes = 24;
 constexpr std::size_t kSectionEntryBytes = 24;  // tag, reserved, off, len
 
-// Plan section tags.
+// Plan section tags. A work-items frame carries only the items and
+// params sections, under the same tags.
 constexpr std::uint32_t kPlanMeta = 1;
 constexpr std::uint32_t kPlanPoints = 2;
 constexpr std::uint32_t kPlanBenign = 3;
@@ -250,7 +253,9 @@ std::uint32_t bswap32(std::uint32_t v) {
 }
 
 const char* kind_name(std::uint16_t code) {
-  return code == kKindPlan ? "injection-plan" : "shard-report";
+  return code == kKindPlan           ? "injection-plan"
+         : code == kKindShardReport ? "shard-report"
+                                     : "work-items";
 }
 
 /// Validate everything the frame itself can prove: magic, byte order,
@@ -288,7 +293,8 @@ Header decode_header(const std::uint8_t* p, std::size_t size,
                    " (this build reads version " +
                    std::to_string(kBinaryWireVersion) + ")");
   std::uint16_t kind = rd16(10);
-  if (kind != kKindPlan && kind != kKindShardReport)
+  if (kind != kKindPlan && kind != kKindShardReport &&
+      kind != kKindWorkItems)
     fail(what, "unknown kind code " + std::to_string(kind));
   if (kind != expected_kind)
     fail(what, std::string("kind '") + kind_name(kind) + "' where '" +
@@ -374,16 +380,83 @@ Cursor column_cursor(const std::uint8_t* p, const Header& h,
                 "shard report: section '" + std::string(name) + "'");
 }
 
+/// The items section of the `n` items at `first` and, when one of them
+/// carries a nonzero param, the params section — shared by the plan
+/// frame and the work-items frame.
+void add_item_sections(
+    const WorkItem* first, std::size_t n,
+    std::vector<std::pair<std::uint32_t, std::string>>& sections) {
+  Writer items;
+  items.u32(static_cast<std::uint32_t>(n));
+  bool any_param = false;
+  for (const WorkItem* w = first; w != first + n; ++w) {
+    items.u32(static_cast<std::uint32_t>(w->point_index));
+    items.u8(ordinal_of(kFaultKinds, w->fault.kind, "fault kind"));
+    items.str(w->fault.name());
+    if (w->param != 0) any_param = true;
+  }
+  sections.emplace_back(kPlanItems, std::move(items.out));
+
+  if (any_param) {
+    Writer params;
+    for (const WorkItem* w = first; w != first + n; ++w) params.u64(w->param);
+    sections.emplace_back(kPlanParams, std::move(params.out));
+  }
+}
+
+/// The inverse: the items (faults resolved against the catalog, points
+/// held below `point_count`) and their optional params.
+std::vector<WorkItem> read_item_sections(const std::uint8_t* p,
+                                         const Header& h, const char* what,
+                                         std::size_t point_count) {
+  std::vector<WorkItem> out;
+  Cursor items = section_cursor(p, h, kPlanItems, what, "items");
+  std::uint32_t item_count = items.num<std::uint32_t>();
+  for (std::uint32_t i = 0; i < item_count; ++i) {
+    std::string where =
+        std::string(what) + ": items[" + std::to_string(i) + "]";
+    std::uint32_t point = items.num<std::uint32_t>();
+    if (point >= point_count)
+      fail(where, "point index " + std::to_string(point) +
+                      " out of range (plan has " +
+                      std::to_string(point_count) + " points)");
+    FaultKind kind =
+        from_ordinal(kFaultKinds, items.num<std::uint8_t>(), "fault kind");
+    std::string name = items.str();
+    try {
+      out.push_back({point, wire_detail::parse_fault(kind, name)});
+    } catch (const std::exception& e) {
+      fail(where, e.what());
+    }
+  }
+  items.finish();
+
+  // The optional params column: absent means every param is 0 (the
+  // serializer omits an all-zero column), present means exactly one u64
+  // per item — and at least one nonzero, or decode -> re-encode would
+  // drop the section and break canonicality.
+  if (const Section* params_section = find_section(h, kPlanParams)) {
+    if (params_section->length != out.size() * 8)
+      fail(what, "params section has " +
+                     std::to_string(params_section->length / 8) +
+                     " entries for " + std::to_string(out.size()) +
+                     " items");
+    Cursor params(p + params_section->offset,
+                  static_cast<std::size_t>(params_section->length),
+                  std::string(what) + ": section 'params'");
+    bool any_param = false;
+    for (WorkItem& w : out) {
+      w.param = params.num<std::uint64_t>();
+      if (w.param != 0) any_param = true;
+    }
+    params.finish();
+    if (!any_param)
+      fail(what, "params section present but every param is 0");
+  }
+  return out;
+}
+
 }  // namespace
-
-bool looks_like_binary_wire(const void* data, std::size_t size) {
-  return size >= sizeof kMagic &&
-         std::memcmp(data, kMagic, sizeof kMagic) == 0;
-}
-
-bool looks_like_binary_wire(const std::string& text) {
-  return looks_like_binary_wire(text.data(), text.size());
-}
 
 std::string plan_to_binary(const InjectionPlan& plan) {
   std::vector<std::pair<std::uint32_t, std::string>> sections;
@@ -417,23 +490,7 @@ std::string plan_to_binary(const InjectionPlan& plan) {
     perturbed.str(tag);  // std::set: already in sorted, canonical order
   sections.emplace_back(kPlanPerturbed, std::move(perturbed.out));
 
-  Writer items;
-  items.u32(static_cast<std::uint32_t>(plan.items.size()));
-  bool any_param = false;
-  for (const WorkItem& w : plan.items) {
-    items.u32(static_cast<std::uint32_t>(w.point_index));
-    items.u8(ordinal_of(kFaultKinds, w.fault.kind, "fault kind"));
-    items.str(w.fault.name());
-    if (w.param != 0) any_param = true;
-  }
-  sections.emplace_back(kPlanItems, std::move(items.out));
-
-  if (any_param) {
-    Writer params;
-    for (const WorkItem& w : plan.items) params.u64(w.param);
-    sections.emplace_back(kPlanParams, std::move(params.out));
-  }
-
+  add_item_sections(plan.items.data(), plan.items.size(), sections);
   return assemble(kKindPlan, sections);
 }
 
@@ -479,53 +536,30 @@ InjectionPlan plan_from_binary(const void* data, std::size_t size) {
     plan.perturbed_site_tags.insert(perturbed.str());
   perturbed.finish();
 
-  Cursor items = section_cursor(p, h, kPlanItems, "plan", "items");
-  std::uint32_t item_count = items.num<std::uint32_t>();
-  for (std::uint32_t i = 0; i < item_count; ++i) {
-    std::string where = "plan: items[" + std::to_string(i) + "]";
-    std::uint32_t point = items.num<std::uint32_t>();
-    if (point >= plan.points.size())
-      fail(where, "point index " + std::to_string(point) +
-                      " out of range (plan has " +
-                      std::to_string(plan.points.size()) + " points)");
-    FaultKind kind =
-        from_ordinal(kFaultKinds, items.num<std::uint8_t>(), "fault kind");
-    std::string name = items.str();
-    try {
-      plan.items.push_back({point, wire_detail::parse_fault(kind, name)});
-    } catch (const std::exception& e) {
-      fail(where, e.what());
-    }
-  }
-  items.finish();
-
-  // The optional params column: absent means every param is 0 (the
-  // serializer omits an all-zero column), present means exactly one u64
-  // per item — and at least one nonzero, or decode -> re-encode would
-  // drop the section and break canonicality.
-  if (const Section* params_section = find_section(h, kPlanParams)) {
-    if (params_section->length != plan.items.size() * 8)
-      fail("plan", "params section has " +
-                       std::to_string(params_section->length / 8) +
-                       " entries for " + std::to_string(plan.items.size()) +
-                       " items");
-    Cursor params(p + params_section->offset,
-                  static_cast<std::size_t>(params_section->length),
-                  "plan: section 'params'");
-    bool any_param = false;
-    for (WorkItem& w : plan.items) {
-      w.param = params.num<std::uint64_t>();
-      if (w.param != 0) any_param = true;
-    }
-    params.finish();
-    if (!any_param)
-      fail("plan", "params section present but every param is 0");
-  }
+  plan.items = read_item_sections(p, h, "plan", plan.points.size());
   return plan;
 }
 
 InjectionPlan plan_from_binary(const std::string& text) {
   return plan_from_binary(text.data(), text.size());
+}
+
+std::string work_items_to_binary(const InjectionPlan& plan, std::size_t begin,
+                                 std::size_t end) {
+  if (begin >= end || end > plan.items.size())
+    throw WireError("work items [" + std::to_string(begin) + ", " +
+                    std::to_string(end) + ") do not fit the plan (" +
+                    std::to_string(plan.items.size()) + " items)");
+  std::vector<std::pair<std::uint32_t, std::string>> sections;
+  add_item_sections(plan.items.data() + begin, end - begin, sections);
+  return assemble(kKindWorkItems, sections);
+}
+
+std::vector<WorkItem> work_items_from_binary(const std::string& frame,
+                                             std::size_t point_count) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(frame.data());
+  Header h = decode_header(p, frame.size(), kKindWorkItems, "work items");
+  return read_item_sections(p, h, "work items", point_count);
 }
 
 std::string shard_report_to_binary(const ShardReport& report) {

@@ -1,16 +1,16 @@
 // The work-distribution seam: where executors and orchestrators get
 // their work items from.
 //
-// Every layer before this PR assumed a finite, fully-materialized
-// InjectionPlan. A WorkSource generalizes that to a *growing* plan
-// drained in waves: next_wave() appends the next batch of items (none =
-// exhausted), the drain executes them, and absorb() routes the finished
-// outcomes back — which is what lets a feedback-driven generator (the
-// novelty search in core/search.hpp) decide the next wave from the
-// results of the last one. The exhaustive path is one client of the
-// seam: PlanWorkSource emits its whole fixed plan as a single wave and
-// ignores feedback, so orchestrate()/execute() through it stay
-// byte-identical to the pre-seam code paths.
+// A WorkSource generalizes a finite, fully-materialized InjectionPlan to
+// a *growing* plan drained in waves: next_wave() appends the next batch
+// of items (none = exhausted), the drain executes them, and absorb()
+// routes the finished outcomes back — which is what lets a
+// feedback-driven generator (the novelty search in core/search.hpp)
+// decide the next wave from the results of the last one. The exhaustive
+// path is one client of the seam: PlanWorkSource emits its whole fixed
+// plan as a single wave and ignores feedback, so orchestrate() through
+// it drains exactly the fixed plan. drain_waves() is the one loop over
+// the waves; a drain supplies only how one wave is run.
 //
 // Determinism contract: a source must generate waves as a pure function
 // of (its seed/configuration, the absorbed outcomes in stable-id
@@ -20,6 +20,8 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -44,9 +46,10 @@ class WorkSource {
   virtual std::pair<std::size_t, std::size_t> next_wave() = 0;
 
   /// Route one collected lease report's outcomes back into the source.
-  /// Called as reports land (any order within a wave); a source that
-  /// scores feedback buffers them and processes in stable-id order at
-  /// the wave barrier, keeping generation deterministic.
+  /// drain_waves() calls it for each report of a wave once the wave is
+  /// drained, in the order the reports landed; a source that scores
+  /// feedback buffers them and processes in stable-id order at the wave
+  /// barrier, keeping generation deterministic.
   virtual void absorb(const ShardReport& report) { (void)report; }
 
   /// Leased reports replayed from a checkpoint (search --resume):
@@ -74,5 +77,21 @@ class PlanWorkSource : public WorkSource {
   const InjectionPlan& plan_;
   bool emitted_ = false;
 };
+
+/// Drains one wave, items [begin, end) of the source's plan, into
+/// complete reports that together own exactly that range: each is
+/// appended to `reports`, and its source (a worker's lease, a local
+/// wave) to `labels` for merge diagnostics.
+using WaveDrain = std::function<void(std::size_t begin, std::size_t end,
+                                     std::vector<ShardReport>& reports,
+                                     std::vector<std::string>& labels)>;
+
+/// The one wave loop, shared by the in-process search (one run_lease per
+/// wave) and every fleet (core/orchestrator.hpp): start from the
+/// source's checkpoint-replayed reports, then next_wave() -> drain_wave
+/// -> absorb each report until the source returns an empty wave, and
+/// merge every report into the CampaignResult a single process would
+/// have produced — the plan's skeleton when nothing ran at all.
+CampaignResult drain_waves(WorkSource& source, const WaveDrain& drain_wave);
 
 }  // namespace ep::core

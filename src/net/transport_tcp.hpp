@@ -9,8 +9,9 @@
 //
 // Both ends set TCP_NODELAY (tcp_accept and tcp_connect). Three exchanges
 // write more than once before they read: the coordinator sends the plan
-// frame, then LEASE; on a plan switch it sends `PLAN -`, the plan frame,
-// then FEEDBACK or LEASE; the worker sends DONE, then the report frame. Under
+// frame, then LEASE; on a plan switch it sends `PLAN`, the plan frame,
+// then FEEDBACK (and its items frame) or LEASE; the worker sends DONE,
+// then the report frame. Under
 // Nagle's algorithm the second write waits for the ACK of the first,
 // and the peer, which is only reading, delays that ACK by ~40 ms, so
 // every lease round trip would pay the delayed-ACK timer.

@@ -1,6 +1,7 @@
 #include "os/world.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 #include "os/path.hpp"
 
@@ -23,7 +24,11 @@ Ino need_dir(Kernel& k, const std::string& p) {
 Ino mkdirs(Kernel& k, const std::string& p, Uid uid, Gid gid, unsigned mode) {
   Ino cur = k.vfs().root();
   std::string sofar = "/";
-  for (const auto& comp : path::components(path::normalize(p))) {
+  const std::vector<std::string> comps = path::components(path::normalize(p));
+  for (const auto& comp : comps) {
+    // Only the leaf takes the caller's owner and mode: an ancestor this
+    // call has to create is root:root 0755, as if it had been declared.
+    const bool leaf = &comp == &comps.back();
     const Inode& dir = k.vfs().inode(cur);
     auto it = dir.entries.find(comp);
     if (it != dir.entries.end()) {
@@ -33,7 +38,9 @@ Ino mkdirs(Kernel& k, const std::string& p, Uid uid, Gid gid, unsigned mode) {
                                sofar + comp);
       cur = next;
     } else {
-      auto made = k.vfs().create_dir(cur, comp, uid, gid, mode);
+      auto made = leaf ? k.vfs().create_dir(cur, comp, uid, gid, mode)
+                       : k.vfs().create_dir(cur, comp, kRootUid, kRootGid,
+                                            0755);
       if (!made.ok())
         throw std::logic_error("world: cannot create " + sofar + comp);
       cur = made.value();

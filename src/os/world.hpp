@@ -13,9 +13,11 @@
 
 namespace ep::os::world {
 
-/// mkdir -p: create every missing component as root. Returns the final
-/// directory's inode. Throws std::logic_error if a component exists as a
-/// non-directory (a broken scenario is a programming error).
+/// mkdir -p: create every missing component as root. The leaf takes
+/// `uid`, `gid` and `mode`; any ancestor that has to be created is
+/// root:root 0755. Returns the final directory's inode. Throws
+/// std::logic_error if a component exists as a non-directory (a broken
+/// scenario is a programming error).
 Ino mkdirs(Kernel& k, const std::string& path, Uid uid = kRootUid,
            Gid gid = kRootGid, unsigned mode = 0755);
 

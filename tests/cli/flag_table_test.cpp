@@ -93,7 +93,7 @@ TEST(CliFlagTable, EveryCommandTakesExactlyItsFlags) {
       {"plan",
        {{"--scenario-file", "--sites", "--coverage", "--seed", "--jobs",
          "--out", "--out-dir"},
-        {"--all", "--merge", "--binary"}}},
+        {"--all", "--merge"}}},
       {"run-shard",
        {{"--scenario-file", "--jobs", "--out", "--shard", "--resume",
          "--checkpoint", "--preempt-after"},
@@ -116,9 +116,9 @@ TEST(CliFlagTable, EveryCommandTakesExactlyItsFlags) {
       {"compare", {}},
       {"db", {}},
   };
-  // Every flag any subcommand takes, plus --no-world-cache, which none
-  // takes any more.
-  std::set<std::string> names = {"--no-world-cache"};
+  // Every flag any subcommand takes, plus --no-world-cache and --binary,
+  // which none takes any more.
+  std::set<std::string> names = {"--no-world-cache", "--binary"};
   for (const auto& [cmd, a] : accepted) {
     names.insert(a.values.begin(), a.values.end());
     names.insert(a.switches.begin(), a.switches.end());

@@ -42,6 +42,12 @@ std::string epa_cli_output(const std::string& args) {
   return out;
 }
 
+/// The binary plan frame of `plan ARGS`: plan files are JSON, frames
+/// binary.
+std::string plan_frame(const std::string& args) {
+  return plan_to_binary(plan_from_json(epa_cli_output("plan " + args)));
+}
+
 void write_raw(int fd, const std::string& bytes) {
   std::size_t off = 0;
   while (off < bytes.size()) {
@@ -142,8 +148,7 @@ TEST(WorkerStdio, DrainsManyLeasesWithOneParse) {
   // One worker process serves several leases with exactly one plan
   // parse + prototype freeze, answers each with DONE and its report
   // frame, and the reports merge byte-identically to `run`.
-  const std::string wire =
-      epa_cli_output("plan lpr --sites create-tempfile --binary");
+  const std::string wire = plan_frame("lpr --sites create-tempfile");
   InjectionPlan plan = plan_from_binary(wire);
   ASSERT_GE(plan.items.size(), 4u);
 
@@ -164,7 +169,7 @@ TEST(WorkerStdio, DrainsManyLeasesWithOneParse) {
   }
   EXPECT_EQ(w.exit_status(), 0);
   EXPECT_EQ(control, (std::vector<std::string>{
-                         "HELLO 6", "DONE 0 3", "DONE 3 4", "BYE 0"}));
+                         "HELLO 7", "DONE 0 3", "DONE 3 4", "BYE 0"}));
   EXPECT_EQ(count_of(w.stderr_text(), "prototype frozen"), 1u);
 
   ASSERT_EQ(reports.size(), 2u);
@@ -176,7 +181,7 @@ TEST(WorkerStdio, DrainsManyLeasesWithOneParse) {
 
 TEST(WorkerStdio, MalformedControlFrameExitsOne) {
   Worker w;
-  w.send(epa_cli_output("plan lpr --binary"));
+  w.send(plan_frame("lpr"));
   w.send("FROB");
   (void)w.rest();
   EXPECT_EQ(w.exit_status(), 1);
@@ -186,7 +191,7 @@ TEST(WorkerStdio, MalformedControlFrameExitsOne) {
 
 TEST(WorkerStdio, LeaseBeyondThePlanExitsOne) {
   Worker w;
-  w.send(epa_cli_output("plan lpr --binary"));
+  w.send(plan_frame("lpr"));
   w.send(format_lease(0, 99999));
   (void)w.rest();
   EXPECT_EQ(w.exit_status(), 1);
@@ -195,7 +200,7 @@ TEST(WorkerStdio, LeaseBeyondThePlanExitsOne) {
 
 TEST(WorkerStdio, LeaseReportIsTheDocumentedExample) {
   // docs/WIRE_FORMAT.md's lease example is exactly the report frame a
-  // worker returns for `LEASE 1 3 -` against the documented plan.
+  // worker returns for `LEASE 1 3` against the documented plan.
   std::ifstream in(std::string(EP_SOURCE_DIR) + "/docs/WIRE_FORMAT.md");
   std::ostringstream doc;
   doc << in.rdbuf();
@@ -207,10 +212,10 @@ TEST(WorkerStdio, LeaseReportIsTheDocumentedExample) {
   const std::string example = text.substr(open, text.find("```", open) - open);
 
   Worker w;
-  w.send(epa_cli_output("plan lpr --sites create-tempfile --binary"));
+  w.send(plan_frame("lpr --sites create-tempfile"));
   w.send(format_lease(1, 3));
   w.send(format_exit());
-  EXPECT_EQ(w.next(), "HELLO 6");
+  EXPECT_EQ(w.next(), "HELLO 7");
   EXPECT_EQ(w.next(), "DONE 1 3");
   std::optional<std::string> report = w.next();
   ASSERT_TRUE(report.has_value());
@@ -218,6 +223,63 @@ TEST(WorkerStdio, LeaseReportIsTheDocumentedExample) {
       << "regenerate the shard-report-lease example from this report";
   (void)w.rest();
   EXPECT_EQ(w.exit_status(), 0);
+}
+
+TEST(SearchFeedback, WorkerAppendsTheItemsFrameAndChecksItsRange) {
+  // A search worker starts on a plan with no items; FEEDBACK and the
+  // work-items frame after it append them by stable id, and the lease
+  // over them reports exactly what the full plan's lease reports.
+  const InjectionPlan full =
+      plan_from_json(epa_cli_output("plan lpr --sites create-tempfile"));
+  ASSERT_GE(full.items.size(), 2u);
+  InjectionPlan empty = full;
+  empty.items.clear();
+  const std::size_t n = full.items.size();
+  {
+    Worker w;
+    w.send(plan_to_binary(empty));
+    w.send(format_feedback(0, n));
+    w.send(work_items_to_binary(full, 0, n));
+    w.send(format_lease(0, n));
+    w.send(format_exit());
+    EXPECT_EQ(w.next(), "HELLO 7");
+    EXPECT_EQ(w.next(), "DONE 0 " + std::to_string(n));
+    std::optional<std::string> report = w.next();
+    ASSERT_TRUE(report.has_value());
+    Worker control;
+    control.send(plan_to_binary(full));
+    control.send(format_lease(0, n));
+    control.send(format_exit());
+    EXPECT_EQ(control.next(), "HELLO 7");
+    EXPECT_EQ(control.next(), "DONE 0 " + std::to_string(n));
+    EXPECT_EQ(control.next(), report);
+    (void)w.rest();
+    (void)control.rest();
+    EXPECT_EQ(w.exit_status(), 0);
+    EXPECT_EQ(control.exit_status(), 0);
+  }
+  {
+    // A gap: the append must start at the worker's item count.
+    Worker w;
+    w.send(plan_to_binary(empty));
+    w.send(format_feedback(1, n));
+    w.send(work_items_to_binary(full, 1, n));
+    (void)w.rest();
+    EXPECT_EQ(w.exit_status(), 1);
+    EXPECT_TRUE(contains(w.stderr_text(), "(lost feedback?)"))
+        << w.stderr_text();
+  }
+  {
+    // The frame must hold the announced range, no more and no less.
+    Worker w;
+    w.send(plan_to_binary(empty));
+    w.send(format_feedback(0, n));
+    w.send(work_items_to_binary(full, 0, n - 1));
+    (void)w.rest();
+    EXPECT_EQ(w.exit_status(), 1);
+    EXPECT_TRUE(contains(w.stderr_text(), "but the frame carries"))
+        << w.stderr_text();
+  }
 }
 
 // --- the frame stream under mutation ----------------------------------------
@@ -253,7 +315,7 @@ struct Transcript {
 const Transcript& lpr_transcript() {
   static const Transcript t = [] {
     Transcript r;
-    r.plan = plan_from_binary(epa_cli_output("plan lpr --binary"));
+    r.plan = plan_from_json(epa_cli_output("plan lpr"));
     {
       PairTransport coordinator(r.plan);
       int sv[2];
@@ -350,7 +412,7 @@ End replay_up(const Transcript& t, const std::string& up, int* done) {
 }
 
 /// Feed `down` to a worker's channel and read it the way the worker
-/// does: the first frame and the frame after each `PLAN -` are plans,
+/// does: the first frame and the frame after each `PLAN` are plans,
 /// every other frame a control message (one that does not parse is the
 /// worker's exit-1 diagnostic). The channel never buffers more than
 /// arrived, whatever a prefix announces.

@@ -1,15 +1,18 @@
 // Shared fixtures for the campaign-engine test suites (planner, executor,
-// scheduler, integration): one toy setuid scenario exercising all three
-// interaction-point kinds, and the field-by-field CampaignResult identity
-// check behind the "bit-identical for any worker count" criterion.
+// scheduler, search, integration): one toy setuid scenario exercising all
+// three interaction-point kinds, the field-by-field CampaignResult
+// identity check behind the "bit-identical for any worker count"
+// criterion, and the in-process wave drain.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
+#include "core/work_source.hpp"
 #include "os/world.hpp"
 
 namespace ep::core {
@@ -108,6 +111,19 @@ inline void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_DOUBLE_EQ(a.vulnerability_score(), b.vulnerability_score());
   EXPECT_DOUBLE_EQ(a.fault_coverage(), b.fault_coverage());
   EXPECT_DOUBLE_EQ(a.interaction_coverage(), b.interaction_coverage());
+}
+
+/// A WorkSource drained in-process through the one wave loop, one
+/// run_lease per wave — what `epa_cli search` does without --workers.
+inline CampaignResult drain_in_process(const Executor& executor,
+                                       WorkSource& source,
+                                       const ExecutorOptions& opts = {}) {
+  return drain_waves(source, [&](std::size_t begin, std::size_t end,
+                                 std::vector<ShardReport>& reports,
+                                 std::vector<std::string>& labels) {
+    reports.push_back(run_lease(executor, source.plan(), {begin, end}, opts));
+    labels.push_back("wave " + std::to_string(labels.size() + 1));
+  });
 }
 
 }  // namespace ep::core

@@ -1,7 +1,7 @@
 // The parser sweep: every reader of untrusted input — plan and shard
 // report (JSON and binary), search state, scenario spec, a worker
-// protocol transcript and a FEEDBACK spec — fed seeded mutations of a
-// real document. Each call must either return or throw WireError (the
+// protocol transcript and FEEDBACK's work-items frame — fed seeded
+// mutations of a real document. Each call must either return or throw WireError (the
 // protocol parser returns false); any other exception fails the test,
 // and under the sanitizer build any memory error or undefined behavior
 // does. Mutations: every truncation point, bit flips, splices with
@@ -52,7 +52,7 @@ std::string transcript() {
   for (const std::string& line :
        {format_hello(kWorkerProtocolVersion), format_lease(0, 4),
         format_ping(), format_done(0, 4),
-        format_feedback(11, 13, "0:d:file-existence:771,1:i:short-read:42"),
+        format_feedback(11, 13),
         format_lease(4, 11), format_steal(), format_yield(6, 11),
         format_done(4, 6), format_plan(), format_exit(), format_bye(0)})
     out += line + "\n";
@@ -78,8 +78,10 @@ std::vector<Doc> documents() {
   search_opts.budget = 3;
   search_opts.batch = 3;
   SearchWorkSource source(Planner(toy).plan(), search_opts);
-  run_search(toy_ex, source);
+  drain_in_process(toy_ex, source);
   const std::size_t points = plan.points.size();
+  InjectionPlan mutated = plan;
+  mutated.items[0].param = 771;
 
   auto plan_json = [](const std::string& t) { (void)plan_from_json(t); };
   auto plan_bin = [](const std::string& t) { (void)plan_from_binary(t); };
@@ -101,9 +103,10 @@ std::vector<Doc> documents() {
       {"scenario spec", spec_to_json(*apps::resolve_spec("lpr")), false,
        [](const std::string& t) { (void)spec_from_json(t); }},
       {"protocol transcript", transcript(), false, read_transcript},
-      {"feedback spec", feedback_spec(plan, 0, plan.items.size()), false,
+      {"work items", work_items_to_binary(mutated, 0, mutated.items.size()),
+       true,
        [points](const std::string& t) {
-         (void)parse_feedback_spec(t, points);
+         (void)work_items_from_binary(t, points);
        }},
   };
 }

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "core/transport.hpp"
+
 namespace ep::core {
 namespace {
 
@@ -27,7 +29,7 @@ TEST(Protocol, FormattersRoundTripThroughTheParser) {
       format_plan(),
       format_steal(),
       format_exit(),
-      format_feedback(9, 11, "0:i:close-fails:0,1:d:short-read:7"),
+      format_feedback(9, 11),
   };
   for (const std::string& line : lines) {
     SCOPED_TRACE(line);
@@ -39,9 +41,9 @@ TEST(Protocol, FormattersRoundTripThroughTheParser) {
 
 TEST(Protocol, ParsesEveryFieldOfEveryProduction) {
   ProtocolMsg m;
-  ASSERT_TRUE(parse_protocol_line("HELLO 6", &m));
+  ASSERT_TRUE(parse_protocol_line("HELLO 7", &m));
   EXPECT_EQ(m.type, Type::hello);
-  EXPECT_EQ(m.version, 6);
+  EXPECT_EQ(m.version, 7);
 
   ASSERT_TRUE(parse_protocol_line("PING", &m));
   EXPECT_EQ(m.type, Type::ping);
@@ -62,7 +64,7 @@ TEST(Protocol, ParsesEveryFieldOfEveryProduction) {
   EXPECT_EQ(m.type, Type::bye);
   EXPECT_EQ(m.status, 4);
 
-  ASSERT_TRUE(parse_protocol_line("LEASE 0 4 -", &m));
+  ASSERT_TRUE(parse_protocol_line("LEASE 0 4", &m));
   EXPECT_EQ(m.type, Type::lease);
   EXPECT_EQ(m.begin, 0u);
   EXPECT_EQ(m.end, 4u);
@@ -70,26 +72,26 @@ TEST(Protocol, ParsesEveryFieldOfEveryProduction) {
   ASSERT_TRUE(parse_protocol_line("STEAL", &m));
   EXPECT_EQ(m.type, Type::steal);
 
-  ASSERT_TRUE(parse_protocol_line("FEEDBACK 4 6 0:i:close-fails:0,2:d:short-read:7", &m));
+  // v7: the items ride in the binary frame after FEEDBACK.
+  ASSERT_TRUE(parse_protocol_line("FEEDBACK 4 6", &m));
   EXPECT_EQ(m.type, Type::feedback);
   EXPECT_EQ(m.begin, 4u);
   EXPECT_EQ(m.end, 6u);
-  EXPECT_EQ(m.target, "0:i:close-fails:0,2:d:short-read:7");
 
   ASSERT_TRUE(parse_protocol_line("EXIT", &m));
   EXPECT_EQ(m.type, Type::exit_cmd);
 }
 
-TEST(Protocol, LeaseTargetIsOneToken) {
-  // v6: the lease target is the one token `-` — the report comes back
-  // as the frame after DONE. A report path or an arena segment is a
-  // protocol error, not a place to write.
+TEST(Protocol, LeaseCarriesNoTarget) {
+  // v7: a lease is its range alone — the report comes back as the frame
+  // after DONE. Every target a lease ever carried (v6's `-`, a report
+  // path, an arena segment) is a protocol error, not a place to write.
   ProtocolMsg m;
-  ASSERT_TRUE(parse_protocol_line("LEASE 1 2 -", &m));
+  ASSERT_TRUE(parse_protocol_line("LEASE 1 2", &m));
   EXPECT_EQ(m.type, Type::lease);
+  EXPECT_FALSE(parse_protocol_line("LEASE 1 2 -", &m));
   EXPECT_FALSE(parse_protocol_line("LEASE 1 2 /tmp/a-dir/x.json", &m));
   EXPECT_FALSE(parse_protocol_line("LEASE 1 2 @7", &m));
-  EXPECT_FALSE(parse_protocol_line("LEASE 1 2 - -", &m));
 }
 
 TEST(Protocol, RejectsMalformedLines) {
@@ -110,14 +112,15 @@ TEST(Protocol, RejectsMalformedLines) {
       "BYE",
       "BYE 4 0",
       "BYE 999",           // an exit status fits in a byte
-      "LEASE 0 4",         // missing target
-      "LEASE x 4 t",
+      "LEASE 0 4 -",       // a target (v6), not a frame after
+      "LEASE 0",           // missing end
+      "LEASE x 4",
       "STEAL now",
       "EXIT 0",
-      "FEEDBACK 4 6",      // missing item spec
-      "FEEDBACK 4 6 a:i:f:0 b:i:f:0",  // spec is one token
-      "FEEDBACK x 6 0:i:f:0",
-      "lease 0 4 t",       // keywords are case-sensitive
+      "FEEDBACK 4 6 0:i:close-fails:0",  // items ride in the next frame
+      "FEEDBACK 4",        // missing end
+      "FEEDBACK x 6",
+      "lease 0 4",         // keywords are case-sensitive
       "DONE 0 99999999999999999999",  // overflow is a reject, not UB
   };
   for (const std::string& line : bad) {
@@ -128,29 +131,30 @@ TEST(Protocol, RejectsMalformedLines) {
 }
 
 TEST(Protocol, PlanRoundTripsEveryPlaneToken) {
-  // PLAN (v4) is spelled `PLAN -` on every plane since v6: the binary
-  // plan frame follows. The v5 spellings — a plan file, an arena file —
-  // are rejected.
+  // PLAN (v4) is the bare keyword on every plane since v7: the binary
+  // plan frame follows. Every plane token it once carried — v6's `-`,
+  // v5's plan file and arena file — is rejected.
   const std::string line = format_plan();
-  EXPECT_EQ(line, "PLAN -");
+  EXPECT_EQ(line, "PLAN");
   ProtocolMsg m;
   ASSERT_TRUE(parse_protocol_line(line, &m));
   EXPECT_EQ(m.type, Type::plan);
   EXPECT_EQ(format_protocol_msg(m), line);
-  for (const std::string token :
-       {"/tmp/epa-orch.x/turnin.plan.json", "/tmp/epa-orch.x/turnin.arena"}) {
+  for (const std::string token : {"-", "/tmp/epa-orch.x/turnin.plan.json",
+                                  "/tmp/epa-orch.x/turnin.arena"}) {
     SCOPED_TRACE(token);
     EXPECT_FALSE(parse_protocol_line("PLAN " + token, &m));
   }
 }
 
 TEST(Protocol, PlanNeedsExactlyOneToken) {
+  // The whole line is the one token `PLAN`.
   const std::vector<std::string> bad = {
-      "PLAN",                      // no token
-      "PLAN ",                     // an empty token
-      "PLAN /tmp/a dir/x.json",    // a token with a space
+      "PLAN ",                     // a trailing space
+      "PLAN /tmp/a dir/x.json",    // an operand with a space
       "PLAN  -",                   // double space
-      "plan -",                    // keywords are case-sensitive
+      "PLANS",                     // a longer word
+      "plan",                      // keywords are case-sensitive
   };
   for (const std::string& line : bad) {
     SCOPED_TRACE("'" + line + "'");
@@ -159,14 +163,35 @@ TEST(Protocol, PlanNeedsExactlyOneToken) {
   }
 }
 
-TEST(Protocol, VersionConstantIsSix) {
+TEST(Protocol, VersionConstantIsSeven) {
   // Bumping the protocol version must be a conscious act: this pins the
   // constant the HELLO handshake (and docs/WIRE_FORMAT.md) advertise.
   // v3 added FEEDBACK (the search plane's item append); v4 added PLAN
   // (one fleet serving many plans); v5 marked the shard-report v4 /
-  // binary v3 encodings; v6 makes the frame stream the only wire (no
-  // DONE handoff, `-` as every LEASE and PLAN target).
-  EXPECT_EQ(kWorkerProtocolVersion, 6);
+  // binary v3 encodings; v6 made the frame stream the only wire (no
+  // DONE handoff); v7 moves FEEDBACK's items into a binary frame and
+  // drops the `-` target of LEASE and PLAN.
+  EXPECT_EQ(kWorkerProtocolVersion, 7);
+}
+
+/// The coordinator's handshake check, reachable from a test.
+struct Handshake : FramedTransport {
+  using FramedTransport::check_hello;
+};
+
+TEST(ProtocolHandshake, AVersion6WorkerIsRefusedWithTheUpgradeDiagnostic) {
+  // A worker built before v7 would send FEEDBACK items this coordinator
+  // never writes: it is refused at HELLO, before any plan ships.
+  try {
+    Handshake::check_hello("worker 0", "HELLO 6");
+    FAIL() << "HELLO 6 was accepted";
+  } catch (const OrchestratorError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "worker 0 speaks worker protocol version 6; this coordinator "
+              "speaks version 7 — upgrade so both ends match");
+  }
+  EXPECT_NO_THROW(
+      Handshake::check_hello("worker 0", format_hello(kWorkerProtocolVersion)));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Coverage-guided search tests: the novelty scorer's term arithmetic,
 // the determinism contract (same seed + budget => identical generated
 // stream and merged report for any job count), the search-state wire
-// document, and checkpoint/resume equivalence — the property the kill -9
-// integration tests lean on.
+// document, checkpoint/resume equivalence — the property the kill -9
+// integration tests lean on — and FEEDBACK's work-items frame.
 #include "core/search.hpp"
 
 #include <gtest/gtest.h>
@@ -91,11 +91,11 @@ TEST(SearchSource, SpendsExactlyTheBudgetInBatchSizedWaves) {
 
   SearchWorkSource source(Planner(s).plan(), toy_search_options(6, 4));
   Executor executor(s);
-  SearchRunResult run = run_search(executor, source);
-  EXPECT_FALSE(run.stopped);
+  CampaignResult result = drain_in_process(executor, source);
+  EXPECT_FALSE(source.stopped());
   EXPECT_EQ(source.plan().items.size(), 6u);
-  EXPECT_EQ(run.waves, 2u);  // 4 + 2
-  EXPECT_EQ(run.result.injections.size(), 6u);
+  EXPECT_EQ(source.waves_generated(), 2u);  // 4 + 2
+  EXPECT_EQ(result.injections.size(), 6u);
 }
 
 TEST(SearchSource, StopsWhenTheFrontierRunsDry) {
@@ -130,15 +130,15 @@ TEST(SearchSource, SameSeedIsByteIdenticalAcrossJobCounts) {
   Executor executor(s);
 
   SearchWorkSource a(Planner(s).plan(), toy_search_options(10));
-  SearchRunResult ra = run_search(executor, a, {1});
+  CampaignResult ra = drain_in_process(executor, a, {1});
 
   for (int jobs : {2, 4}) {
     SearchWorkSource b(Planner(s).plan(), toy_search_options(10));
     ExecutorOptions opts;
     opts.jobs = jobs;
-    SearchRunResult rb = run_search(executor, b, opts);
+    CampaignResult rb = drain_in_process(executor, b, opts);
     EXPECT_EQ(a.plan().to_json(), b.plan().to_json()) << jobs << " jobs";
-    expect_identical(ra.result, rb.result);
+    expect_identical(ra, rb);
   }
 }
 
@@ -153,8 +153,8 @@ TEST(SearchSource, DifferentSeedsDiverge) {
   o2.seed = 8;
   SearchWorkSource a(Planner(s).plan(), o1);
   SearchWorkSource b(Planner(s).plan(), o2);
-  run_search(executor, a);
-  run_search(executor, b);
+  drain_in_process(executor, a);
+  drain_in_process(executor, b);
   EXPECT_NE(a.plan().to_json(), b.plan().to_json());
 }
 
@@ -167,14 +167,14 @@ TEST(SearchSource, SharedScorerMakesALaterSearchSpendElsewhere) {
 
   NoveltyScorer shared;
   SearchWorkSource first(Planner(s).plan(), toy_search_options(8), &shared);
-  run_search(executor, first);
+  drain_in_process(executor, first);
   ASSERT_FALSE(shared.fired_classes().empty());
 
   SearchWorkSource cumulative(Planner(s).plan(), toy_search_options(8),
                               &shared);
   SearchWorkSource fresh(Planner(s).plan(), toy_search_options(8));
-  run_search(executor, cumulative);
-  run_search(executor, fresh);
+  drain_in_process(executor, cumulative);
+  drain_in_process(executor, fresh);
   EXPECT_NE(cumulative.plan().to_json(), fresh.plan().to_json());
 }
 
@@ -183,58 +183,69 @@ TEST(SearchSource, SharedScorerMakesALaterSearchSpendElsewhere) {
 SearchState sample_state(const Scenario& s) {
   Executor executor(s);
   SearchWorkSource source(Planner(s).plan(), toy_search_options(6, 4));
-  run_search(executor, source);
+  drain_in_process(executor, source);
   return source.state();
 }
 
 TEST(SearchState, JsonRoundTripIsByteIdentical) {
   SearchState st = sample_state(toy_scenario());
-  ASSERT_FALSE(st.items.empty());
-  ASSERT_FALSE(st.completed_ids.empty());
+  ASSERT_FALSE(st.plan.items.empty());
+  ASSERT_FALSE(st.report.item_ids.empty());
   const std::string json = search_state_to_json(st);
   EXPECT_EQ(search_state_to_json(search_state_from_json(json)), json);
 }
 
 TEST(SearchState, ParseRecoversEveryField) {
+  // The plan and the report are their own wire documents, embedded: a
+  // round trip gives back each one's canonical bytes.
   SearchState st = sample_state(toy_scenario());
   SearchState rt = search_state_from_json(search_state_to_json(st));
-  EXPECT_EQ(rt.scenario_name, st.scenario_name);
   EXPECT_EQ(rt.seed, st.seed);
   EXPECT_EQ(rt.budget, st.budget);
   EXPECT_EQ(rt.batch, st.batch);
-  ASSERT_EQ(rt.items.size(), st.items.size());
-  for (std::size_t i = 0; i < st.items.size(); ++i) {
-    EXPECT_EQ(rt.items[i].point, st.items[i].point);
-    EXPECT_EQ(rt.items[i].site, st.items[i].site);
-    EXPECT_EQ(rt.items[i].kind, st.items[i].kind);
-    EXPECT_EQ(rt.items[i].fault, st.items[i].fault);
-    EXPECT_EQ(rt.items[i].param, st.items[i].param);
-  }
   EXPECT_EQ(rt.wave_ends, st.wave_ends);
-  EXPECT_EQ(rt.completed_ids, st.completed_ids);
-  ASSERT_EQ(rt.outcomes.size(), st.outcomes.size());
-  for (std::size_t i = 0; i < st.outcomes.size(); ++i) {
-    EXPECT_EQ(rt.outcomes[i].fired, st.outcomes[i].fired);
-    EXPECT_EQ(rt.outcomes[i].violated, st.outcomes[i].violated);
-    EXPECT_EQ(rt.outcomes[i].exit_code, st.outcomes[i].exit_code);
-  }
+  EXPECT_EQ(rt.plan.to_json(), st.plan.to_json());
+  EXPECT_EQ(rt.report.to_json(), st.report.to_json());
+  EXPECT_EQ(rt.plan.scenario_name, "toy");
+  EXPECT_TRUE(rt.report.complete);
+  EXPECT_EQ(rt.report.owned, (IdRange{0, st.plan.items.size()}));
 }
 
 TEST(SearchState, RejectsForeignAndMalformedDocuments) {
   SearchState st = sample_state(toy_scenario());
   const std::string good = search_state_to_json(st);
 
+  auto error_of = [](const std::string& text) -> std::string {
+    try {
+      (void)search_state_from_json(text);
+    } catch (const WireError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
   auto corrupt = [&](const std::string& from, const std::string& to) {
     std::string bad = good;
     const auto pos = bad.find(from);
-    ASSERT_NE(pos, std::string::npos) << from;
+    EXPECT_NE(pos, std::string::npos) << from;
+    if (pos == std::string::npos) return std::string();
     bad.replace(pos, from.size(), to);
-    EXPECT_THROW(search_state_from_json(bad), WireError) << from;
+    return error_of(bad);
   };
-  corrupt("\"kind\": \"search-state\"", "\"kind\": \"campaign-report\"");
-  corrupt("\"schema_version\": 1", "\"schema_version\": 99");
-  EXPECT_THROW(search_state_from_json("not json"), WireError);
-  EXPECT_THROW(search_state_from_json("{}"), WireError);
+  EXPECT_NE(corrupt("\"kind\": \"search-state\"",
+                    "\"kind\": \"campaign-report\""),
+            "accepted");
+  // One version per kind: a v1 state is refused, naming both versions.
+  EXPECT_EQ(corrupt("\"schema_version\": 2,\n  \"kind\": \"search-state\"",
+                    "\"schema_version\": 1,\n  \"kind\": \"search-state\""),
+            "search state: unsupported schema_version 1 (this build reads "
+            "version 2)");
+  EXPECT_NE(error_of("not json"), "accepted");
+  EXPECT_NE(error_of("{}"), "accepted");
+  // The embedded documents go through their own readers: an unknown
+  // fault is resolved against the catalog, a site against its point.
+  EXPECT_NE(corrupt("\"fault\": \"", "\"fault\": \"no-such-"), "accepted");
+  EXPECT_NE(corrupt("\"site\": \"toy-", "\"site\": \"elsewhere-"),
+            "accepted");
 
   // Wave boundaries must be ascending and end at the item count.
   SearchState bad_waves = st;
@@ -243,12 +254,13 @@ TEST(SearchState, RejectsForeignAndMalformedDocuments) {
   EXPECT_THROW(
       search_state_from_json(search_state_to_json(bad_waves)), WireError);
 
-  // Completed ids must be ascending and in range.
-  SearchState bad_ids = st;
-  ASSERT_GE(bad_ids.completed_ids.size(), 2u);
-  std::swap(bad_ids.completed_ids.front(), bad_ids.completed_ids.back());
+  // The report must own exactly the plan's items.
+  SearchState bad_owner = st;
+  bad_owner.report.owned.begin = 1;
+  bad_owner.report.item_ids.erase(bad_owner.report.item_ids.begin());
+  bad_owner.report.outcomes.erase(bad_owner.report.outcomes.begin());
   EXPECT_THROW(
-      search_state_from_json(search_state_to_json(bad_ids)), WireError);
+      search_state_from_json(search_state_to_json(bad_owner)), WireError);
 }
 
 // --- checkpoint / resume ----------------------------------------------------
@@ -262,7 +274,7 @@ TEST(SearchResume, ResumedSearchMatchesTheUninterruptedOne) {
   SearchWorkSource control(Planner(s).plan(), toy_search_options(10, 4));
   control.set_checkpoint(
       [&](const SearchState& st) { barriers.push_back(st); });
-  SearchRunResult full = run_search(executor, control);
+  CampaignResult full = drain_in_process(executor, control);
   ASSERT_GE(barriers.size(), 2u);
 
   // Resume from every intermediate barrier: each must re-generate the
@@ -271,22 +283,37 @@ TEST(SearchResume, ResumedSearchMatchesTheUninterruptedOne) {
   for (const SearchState& st : barriers) {
     SearchWorkSource resumed(Planner(s).plan(), toy_search_options(10, 4));
     resumed.resume(st);
-    SearchRunResult r = run_search(executor, resumed);
+    CampaignResult r = drain_in_process(executor, resumed);
     EXPECT_EQ(resumed.plan().to_json(), control.plan().to_json());
-    expect_identical(full.result, r.result);
+    expect_identical(full, r);
   }
 }
 
 TEST(SearchResume, StopAfterCheckpointsAndReportsStopped) {
+  // The cap is the source's own: whichever drain runs it stops at the
+  // same barrier, with the last wave absorbed and checkpointed.
   Scenario s = toy_scenario();
   Executor executor(s);
-  std::size_t checkpoints = 0;
-  SearchWorkSource source(Planner(s).plan(), toy_search_options(10, 4));
-  source.set_checkpoint([&](const SearchState&) { ++checkpoints; });
-  SearchRunResult run = run_search(executor, source, {}, 1);
-  EXPECT_TRUE(run.stopped);
-  EXPECT_EQ(run.waves, 1u);
-  EXPECT_GE(checkpoints, 1u);  // the clean-stop checkpoint flushed
+  std::vector<SearchState> checkpoints;
+  SearchOptions opts = toy_search_options(10, 4);
+  opts.stop_after_waves = 1;
+  SearchWorkSource source(Planner(s).plan(), opts);
+  source.set_checkpoint(
+      [&](const SearchState& st) { checkpoints.push_back(st); });
+  drain_in_process(executor, source);
+  EXPECT_TRUE(source.stopped());
+  EXPECT_EQ(source.waves_generated(), 1u);
+  ASSERT_EQ(checkpoints.size(), 2u);  // before wave 1, and the clean stop
+  EXPECT_EQ(checkpoints.back().report.item_ids.size(), 4u);
+  EXPECT_TRUE(checkpoints.back().report.complete);
+
+  // Resumed without the cap, it finishes as the uninterrupted search.
+  SearchWorkSource control(Planner(s).plan(), toy_search_options(10, 4));
+  SearchWorkSource resumed(Planner(s).plan(), toy_search_options(10, 4));
+  resumed.resume(checkpoints.back());
+  expect_identical(drain_in_process(executor, control),
+                   drain_in_process(executor, resumed));
+  EXPECT_FALSE(resumed.stopped());
 }
 
 TEST(SearchResume, RejectsACheckpointFromADifferentSearch) {
@@ -305,13 +332,20 @@ TEST(SearchResume, RejectsACheckpointFromADifferentSearch) {
   }
   {
     SearchState foreign = st;
-    foreign.scenario_name = "somebody-else";
+    foreign.plan.scenario_name = "somebody-else";
+    SearchWorkSource source(Planner(s).plan(), toy_search_options(6, 4));
+    EXPECT_THROW(source.resume(foreign), WireError);
+  }
+  {
+    // Same scenario name, different world: the points differ.
+    SearchState foreign = st;
+    foreign.plan.points.front().object = "/elsewhere";
     SearchWorkSource source(Planner(s).plan(), toy_search_options(6, 4));
     EXPECT_THROW(source.resume(foreign), WireError);
   }
 }
 
-// --- the FEEDBACK spec ------------------------------------------------------
+// --- the FEEDBACK payload: the work-items frame -----------------------------
 
 TEST(SearchFeedback, SpecRoundTripsThroughTheParser) {
   Scenario s = toy_scenario();
@@ -319,8 +353,9 @@ TEST(SearchFeedback, SpecRoundTripsThroughTheParser) {
   ASSERT_GE(plan.items.size(), 3u);
   plan.items[1].param = 771;  // a mutated item must survive the trip
 
-  const std::string spec = feedback_spec(plan, 1, 3);
-  std::vector<WorkItem> items = parse_feedback_spec(spec, plan.points.size());
+  const std::string frame = work_items_to_binary(plan, 1, 3);
+  std::vector<WorkItem> items =
+      work_items_from_binary(frame, plan.points.size());
   ASSERT_EQ(items.size(), 2u);
   for (std::size_t i = 0; i < items.size(); ++i) {
     const WorkItem& want = plan.items[1 + i];
@@ -329,30 +364,46 @@ TEST(SearchFeedback, SpecRoundTripsThroughTheParser) {
     EXPECT_EQ(items[i].fault.name(), want.fault.name());
     EXPECT_EQ(items[i].param, want.param);
   }
+  // The frame is the plan frame's items and params sections, so a plan
+  // holding exactly these items decodes to the same items.
+  InjectionPlan two = plan;
+  two.items = {plan.items[1], plan.items[2]};
+  EXPECT_EQ(plan_from_binary(plan_to_binary(two)).to_json(), two.to_json());
 }
 
 TEST(SearchFeedback, ParserRejectsMalformedSpecs) {
-  const std::vector<std::string> bad = {
-      "",
-      "0:i:close-fails",        // missing param
-      "0:x:close-fails:0",      // unknown kind letter
-      "9:d:file-existence:0",   // point out of range
-      "0:d:no-such-fault:0",    // unresolvable fault
-      "0:d:file-existence:x",   // param not a number
-      "0:d:file-existence:0,",  // trailing comma
+  Scenario s = toy_scenario();
+  InjectionPlan plan = Planner(s).plan();
+  const std::string good = work_items_to_binary(plan, 0, 2);
+  auto error_of = [&](const std::string& frame, std::size_t points) {
+    try {
+      (void)work_items_from_binary(frame, points);
+    } catch (const WireError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
   };
-  for (const std::string& spec : bad) {
-    SCOPED_TRACE("'" + spec + "'");
-    EXPECT_THROW(parse_feedback_spec(spec, 3), WireError);
-  }
+  EXPECT_EQ(error_of(good, plan.points.size()), "accepted");
+  // Every item's point must exist on the receiving side.
+  EXPECT_NE(error_of(good, 0).find("out of range (plan has 0 points)"),
+            std::string::npos);
+  // A plan frame is not a work-items frame, and vice versa.
+  EXPECT_NE(error_of(plan_to_binary(plan), plan.points.size())
+                .find("kind 'injection-plan' where 'work-items' was expected"),
+            std::string::npos);
+  EXPECT_THROW(plan_from_binary(good), WireError);
+  // Truncated at every byte: a diagnostic, never a partial item list.
+  for (std::size_t cut = 0; cut < good.size(); ++cut)
+    EXPECT_NE(error_of(good.substr(0, cut), plan.points.size()), "accepted")
+        << cut;
 }
 
 TEST(SearchFeedback, SpecRejectsRangesOutsideThePlan) {
   Scenario s = toy_scenario();
   InjectionPlan plan = Planner(s).plan();
-  EXPECT_THROW(feedback_spec(plan, 0, 0), WireError);
+  EXPECT_THROW(work_items_to_binary(plan, 0, 0), WireError);
   EXPECT_THROW(
-      feedback_spec(plan, plan.items.size(), plan.items.size() + 1),
+      work_items_to_binary(plan, plan.items.size(), plan.items.size() + 1),
       WireError);
 }
 

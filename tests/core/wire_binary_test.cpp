@@ -82,14 +82,6 @@ TableEntry entry_of(const std::string& b, std::uint32_t tag) {
 
 // --- round trips ------------------------------------------------------------
 
-TEST(WireBinary, MagicSniffTellsBinaryFromJson) {
-  InjectionPlan plan = toy_plan();
-  EXPECT_TRUE(looks_like_binary_wire(plan_to_binary(plan)));
-  EXPECT_FALSE(looks_like_binary_wire(plan.to_json()));
-  EXPECT_FALSE(looks_like_binary_wire(""));
-  EXPECT_FALSE(looks_like_binary_wire("EPA"));  // shorter than the magic
-}
-
 TEST(WireBinary, PlanRoundTripsThroughBinary) {
   InjectionPlan plan = toy_plan();
   std::string bin = plan_to_binary(plan);

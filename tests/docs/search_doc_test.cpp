@@ -44,16 +44,18 @@ TEST(SearchDoc, SearchStateExampleIsVerbatimSerializerOutput) {
   const std::string example = example_block(read_doc(), "search-state");
   ASSERT_FALSE(example.empty());
   SearchState state = search_state_from_json(example);
-  EXPECT_EQ(state.scenario_name, "lpr");
-  EXPECT_EQ(state.items.size(), 3u);
+  EXPECT_EQ(state.plan.scenario_name, "lpr");
+  EXPECT_EQ(state.plan.items.size(), 3u);
+  EXPECT_TRUE(state.report.complete);
   EXPECT_EQ(search_state_to_json(state), example);
 }
 
 TEST(SearchDoc, DocumentsTheCurrentSchemaAndScoring) {
   const std::string doc = read_doc();
-  // The schema pin: bumping kSearchStateSchemaVersion (or the literal in
-  // the serializer) must be a documented act.
-  EXPECT_NE(doc.find("`schema_version` (currently `1`)"), std::string::npos);
+  // The schema pin: bumping kSearchStateSchemaVersion must be a
+  // documented act.
+  EXPECT_EQ(kSearchStateSchemaVersion, 2);
+  EXPECT_NE(doc.find("`schema_version` (currently `2`)"), std::string::npos);
   // The scoring table rides the doc; hold the terms to the scorer.
   NoveltyScorer scorer;
   EXPECT_EQ(scorer.score("c", "s", "f", 0), 12) << "scoring terms changed "

@@ -154,7 +154,7 @@ TEST(WireFormatDoc, BinaryPlanExampleDecodesToTheJsonExample) {
   std::string bytes = bytes_of_hex(example_block(doc, "plan-binary", "text"));
   ASSERT_FALSE(json.empty());
   ASSERT_FALSE(bytes.empty());
-  EXPECT_TRUE(looks_like_binary_wire(bytes));
+  EXPECT_EQ(bytes.substr(0, 4), "EPAB");
   InjectionPlan plan = plan_from_binary(bytes);
   EXPECT_EQ(plan.to_json(), json)
       << "the documented binary plan no longer decodes into the documented "
@@ -208,7 +208,7 @@ TEST(WireFormatDoc, WorkerProtocolTranscriptSwitchesPlans) {
   // The documented conversation must show a fleet outliving a plan: a
   // PLAN line from the coordinator, then a LEASE of the new plan.
   std::string block = example_block(read_doc(), "worker-protocol", "text");
-  const std::size_t plan = block.find("\nC: PLAN ");
+  const std::size_t plan = block.find("\nC: PLAN\n");
   ASSERT_NE(plan, std::string::npos)
       << "the worker-protocol transcript has no plan switch";
   EXPECT_NE(block.find("\nC: LEASE ", plan), std::string::npos)

@@ -16,6 +16,7 @@
 
 #include "apps/families.hpp"
 #include "apps/scenarios.hpp"
+#include "core/campaign_fixtures.hpp"
 #include "core/report.hpp"
 #include "core/search.hpp"
 #include "vulndb/coverage.hpp"
@@ -65,7 +66,7 @@ TEST(SearchAdequacy, FamRelayAtAQuarterBudgetRefiresEveryExhaustiveClass) {
                                  (i == 0 ? kBudget % members.size() : 0);
       SearchWorkSource source(Planner(members[i]).plan(),
                               cli_search_options(seed, budget, 16), &scorer);
-      searched.push_back(run_search(Executor(members[i]), source).result);
+      searched.push_back(drain_in_process(Executor(members[i]), source));
       spent += source.plan().items.size();
     }
     EXPECT_EQ(spent, kBudget);
@@ -103,7 +104,7 @@ TEST(SearchResume, EveryBarrierOfAMutatingSearchResumesByteIdentically) {
     control.set_checkpoint([&](const SearchState& st) {
       barriers.push_back(search_state_to_json(st));
     });
-    const CampaignResult full = run_search(executor, control).result;
+    const CampaignResult full = drain_in_process(executor, control);
     const std::string plan_json = control.plan().to_json();
     const std::string report = render_json(full);
 
@@ -120,7 +121,7 @@ TEST(SearchResume, EveryBarrierOfAMutatingSearchResumesByteIdentically) {
       SCOPED_TRACE("barrier " + std::to_string(b));
       SearchWorkSource resumed(Planner(s).plan(), opts);
       resumed.resume(search_state_from_json(barriers[b]));
-      const CampaignResult r = run_search(executor, resumed).result;
+      const CampaignResult r = drain_in_process(executor, resumed);
       EXPECT_EQ(resumed.plan().to_json(), plan_json);
       EXPECT_EQ(render_json(r), report);
       EXPECT_EQ(render_report(r), render_report(full));

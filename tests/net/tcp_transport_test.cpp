@@ -116,12 +116,12 @@ TEST(Frames, SendRecvRoundTripsOverASocketpair) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   const std::string big(100000, 'x');  // bigger than one read() chunk
-  ASSERT_TRUE(send_frame(sv[0], "LEASE 0 4 -"));
+  ASSERT_TRUE(send_frame(sv[0], "LEASE 0 4"));
   ASSERT_TRUE(send_frame(sv[0], big));
   FrameBuffer fb;
   std::string payload;
   ASSERT_TRUE(recv_frame(sv[1], &fb, &payload, 1000));
-  EXPECT_EQ(payload, "LEASE 0 4 -");
+  EXPECT_EQ(payload, "LEASE 0 4");
   ASSERT_TRUE(recv_frame(sv[1], &fb, &payload, 1000));
   EXPECT_EQ(payload, big);
   // Clean EOF at a frame boundary: false, not an error.
@@ -230,7 +230,7 @@ TEST(TcpTransport, HandshakePlanLeaseAndReportAllCrossTheWire) {
   // LEASE goes out with `-` as the target: the report returns in-band.
   core::Lease lease{0, 0, 2};
   transport.submit(*w, lease);
-  EXPECT_EQ(worker.hear(), "LEASE 0 2 -");
+  EXPECT_EQ(worker.hear(), "LEASE 0 2");
 
   // The scripted worker drains the lease for real and answers with the
   // DONE control frame plus the binary report frame.
@@ -253,7 +253,7 @@ TEST(TcpTransport, HandshakePlanLeaseAndReportAllCrossTheWire) {
 
   core::Lease second{1, 2, 6};
   transport.submit(*w, second);
-  EXPECT_EQ(worker.hear(), "LEASE 2 6 -");
+  EXPECT_EQ(worker.hear(), "LEASE 2 6");
   transport.steal(*w);
   EXPECT_EQ(worker.hear(), "STEAL");
   worker.say(core::format_yield(4, 6));
@@ -352,7 +352,7 @@ TEST(TcpTransport, FramesAfterHelloKeepTheLargeCap) {
   ASSERT_TRUE(w.has_value());
   (void)worker.hear();
   transport.submit(*w, {0, 0, 2});
-  EXPECT_EQ(worker.hear(), "LEASE 0 2 -");
+  EXPECT_EQ(worker.hear(), "LEASE 0 2");
   worker.say(core::format_done(0, 2));
   const char header[4] = {0, 0, 0x10, 0};
   ASSERT_EQ(::write(worker.fd, header, sizeof header),
@@ -398,7 +398,7 @@ TEST(TcpTransport, BothEndsSetNoDelaySoLeasesSkipTheAckTimer) {
   auto t0 = std::chrono::steady_clock::now();
   for (std::size_t seq = 0; seq < 20; ++seq) {
     transport.submit(*w, {seq, 0, 2});
-    ASSERT_EQ(worker.hear(), "LEASE 0 2 -");
+    ASSERT_EQ(worker.hear(), "LEASE 0 2");
     worker.say(core::format_done(0, 2));
     worker.say(report);
     std::optional<core::WorkerEvent> ev = transport.wait_any(2000);
@@ -524,25 +524,25 @@ TEST(TcpTransport, PlanSwitchSendsPlanAndFrameOncePerPlan) {
 
   // On the plan it connected to, a worker never sees PLAN.
   transport.submit(*w, {0, 0, 1});
-  EXPECT_EQ(worker.hear(), "LEASE 0 1 -");
+  EXPECT_EQ(worker.hear(), "LEASE 0 1");
   EXPECT_TRUE(nothing_pending(worker));
   answer_lease(transport, worker, open, open_plan, {0, 0, 1});
 
-  // After a switch, `PLAN -` and the new plan frame arrive once, right
+  // After a switch, `PLAN` and the new plan frame arrive once, right
   // before the worker's next LEASE...
   transport.load_plan(locked_plan);
   transport.submit(*w, {0, 0, 2});
-  EXPECT_EQ(worker.hear(), "PLAN -");
+  EXPECT_EQ(worker.hear(), "PLAN");
   core::InjectionPlan shipped = core::plan_from_binary(worker.hear());
   EXPECT_EQ(shipped.scenario_name, "toy-locked");
   EXPECT_EQ(shipped.items.size(), locked_plan.items.size());
-  EXPECT_EQ(worker.hear(), "LEASE 0 2 -");
+  EXPECT_EQ(worker.hear(), "LEASE 0 2");
   EXPECT_TRUE(nothing_pending(worker));
   answer_lease(transport, worker, locked, locked_plan, {0, 0, 2});
 
   // ...and never again for the same plan.
   transport.submit(*w, {1, 2, 3});
-  EXPECT_EQ(worker.hear(), "LEASE 2 3 -");
+  EXPECT_EQ(worker.hear(), "LEASE 2 3");
   EXPECT_TRUE(nothing_pending(worker));
   answer_lease(transport, worker, locked, locked_plan, {1, 2, 3});
 
@@ -550,11 +550,16 @@ TEST(TcpTransport, PlanSwitchSendsPlanAndFrameOncePerPlan) {
   transport.load_plan(open_plan);
   const std::size_t n = open_plan.items.size();
   transport.feedback(*w, open_plan, n - 1, n);
-  EXPECT_EQ(worker.hear(), "PLAN -");
+  EXPECT_EQ(worker.hear(), "PLAN");
   EXPECT_EQ(core::plan_from_binary(worker.hear()).scenario_name, "toy");
-  EXPECT_TRUE(starts_with(worker.hear(), "FEEDBACK "));
+  EXPECT_EQ(worker.hear(), "FEEDBACK " + std::to_string(n - 1) + " " +
+                              std::to_string(n));
+  EXPECT_EQ(
+      core::work_items_from_binary(worker.hear(), open_plan.points.size())
+          .size(),
+      1u);
   transport.submit(*w, {0, 0, 1});
-  EXPECT_EQ(worker.hear(), "LEASE 0 1 -");
+  EXPECT_EQ(worker.hear(), "LEASE 0 1");
   EXPECT_TRUE(nothing_pending(worker));
 
   // A worker accepted after a switch gets the current plan at the
@@ -565,7 +570,7 @@ TEST(TcpTransport, PlanSwitchSendsPlanAndFrameOncePerPlan) {
   ASSERT_TRUE(l.has_value());
   EXPECT_EQ(core::plan_from_binary(late.hear()).scenario_name, "toy");
   transport.submit(*l, {1, 1, 2});
-  EXPECT_EQ(late.hear(), "LEASE 1 2 -");
+  EXPECT_EQ(late.hear(), "LEASE 1 2");
   EXPECT_TRUE(nothing_pending(late));
 }
 
