@@ -311,13 +311,6 @@ CampaignResult Executor::execute(const InjectionPlan& plan,
   return result;
 }
 
-std::vector<InjectionOutcome> Executor::execute_subset(
-    const InjectionPlan& plan, const std::vector<std::size_t>& item_ids,
-    const ExecutorOptions& opts) const {
-  return execute_subset_checkpointed(plan, item_ids, 0, nullptr, nullptr,
-                                     opts);
-}
-
 std::vector<InjectionOutcome> Executor::execute_subset_checkpointed(
     const InjectionPlan& plan, const std::vector<std::size_t>& item_ids,
     std::size_t checkpoint_every,

@@ -73,23 +73,17 @@ class Executor {
                                        const ExecutorOptions& opts = {}) const;
 
   /// Drain only the given plan items (by stable id = plan index), across
-  /// the same worker pool; outcome i corresponds to item_ids[i]. This is
-  /// the sharded-execution drain (core/wire.hpp): a shard process runs
-  /// exactly its subset and outcomes later merge back by id. Ids must be
-  /// in range; duplicates are allowed but wasteful.
-  [[nodiscard]] std::vector<InjectionOutcome> execute_subset(
-      const InjectionPlan& plan, const std::vector<std::size_t>& item_ids,
-      const ExecutorOptions& opts = {}) const;
-
-  /// The checkpointed form of execute_subset: the subset is drained in
-  /// chunks of `checkpoint_every` items (0 = one chunk), `on_checkpoint`
-  /// is invoked with the completed prefix (parallel to the first
-  /// completed.size() item_ids) after each chunk except the last, and
-  /// `stop` is polled before each chunk — returning true ends the drain
-  /// early. The returned outcomes are the completed prefix, so a
-  /// preempted shard keeps everything it finished. Equal prefixes are
-  /// bit-identical to an uninterrupted drain for any chunk size or job
-  /// count.
+  /// the same worker pool; outcome i corresponds to item_ids[i]. Ids must
+  /// be in range; duplicates are allowed but wasteful. run_lease and
+  /// resume_shard (core/wire.hpp) drain every shard and lease through
+  /// this. The subset is drained in chunks of `checkpoint_every` items
+  /// (0 = one chunk), `on_checkpoint` (may be null) is invoked with the
+  /// completed prefix (parallel to the first completed.size() item_ids)
+  /// after each chunk except the last, and `stop` (may be null) is polled
+  /// before each chunk — returning true ends the drain early. The
+  /// returned outcomes are the completed prefix, so a preempted shard
+  /// keeps everything it finished. Equal prefixes are bit-identical to an
+  /// uninterrupted drain for any chunk size or job count.
   [[nodiscard]] std::vector<InjectionOutcome> execute_subset_checkpointed(
       const InjectionPlan& plan, const std::vector<std::size_t>& item_ids,
       std::size_t checkpoint_every,

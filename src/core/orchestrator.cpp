@@ -132,15 +132,15 @@ CampaignResult Fleet::drain(WorkSource& source, std::size_t known_items,
   };
 
   // Refill the fleet while there is more work than live workers can
-  // hold, within the respawn budget. Budget exhausted (or no worker
-  // available) with none left is fatal; with some left, the fleet just
-  // runs smaller. The auto budget tracks leases dealt so far, which for
-  // the single-wave exhaustive path is the classic partition size.
+  // hold, within the respawn budget: the leases dealt so far (for the
+  // single-wave exhaustive path, the classic partition size) plus twice
+  // the worker count. A fleet where every worker is preempted once per
+  // lease still finishes; one that dies faster than it drains does not
+  // spin forever. Budget exhausted (or no worker available) with none
+  // left is fatal; with some left, the fleet just runs smaller.
   auto refill = [&] {
     const std::size_t remaining = pending.size() + busy_count();
-    const std::size_t respawn_budget =
-        opts_.max_respawns ? opts_.max_respawns
-                           : st.leases_total + 2 * workers;
+    const std::size_t respawn_budget = st.leases_total + 2 * workers;
     while (live_ < std::min(workers, remaining)) {
       if (respawns_used >= respawn_budget) {
         if (live_ == 0)

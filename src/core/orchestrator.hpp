@@ -171,12 +171,6 @@ struct OrchestratorOptions {
   /// enough to rebalance around stragglers and preemptions, large enough
   /// that per-lease costs stay marginal.
   std::size_t lease_items = 0;
-  /// How many replacement workers may be spawned after preemptions
-  /// before the orchestrator gives up. 0 = auto (lease count + twice the
-  /// worker count): a fleet where every worker is preempted once per
-  /// lease still finishes, a fleet that dies faster than it drains does
-  /// not spin forever.
-  std::size_t max_respawns = 0;
   /// Deadman timeout: a *busy* worker heard from (grant, PING, YIELD)
   /// more than this many milliseconds ago is killed and its lease
   /// re-leased. 0 = off. Workers heartbeat at checkpoint flushes, so a

@@ -26,8 +26,9 @@ namespace ep::core {
 /// Bumped whenever a serialized field changes meaning, is removed, or a
 /// new required field appears; readers reject unknown versions rather
 /// than guess. Version 2 admits the `redzone-corruption` violation policy
-/// (a version-1 reader would choke on the new name); the reader accepts 1
-/// and 2 — the body layout is unchanged.
+/// (a version-1 reader would choke on the new name). The reader accepts
+/// only the version this build writes: a version-1 file is refused with
+/// the version it reads (wire_detail::check_header).
 inline constexpr int kPlanSchemaVersion = 2;
 
 /// One (interaction point, fault) pair: exactly one rebuild-and-rerun

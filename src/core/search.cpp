@@ -309,7 +309,8 @@ SearchState search_state_from_json(const std::string& text) {
   wire_detail::check_header(doc, "search-state", what,
                             kSearchStateSchemaVersion);
   SearchState st;
-  st.seed = static_cast<std::uint64_t>(parse_count(doc, "seed", what));
+  st.seed = with_ctx(std::string(what) + ": seed",
+                     [&] { return doc.at("seed").as_uint64(); });
   st.budget = parse_count(doc, "budget", what);
   st.batch = parse_count(doc, "batch", what);
   st.plan = with_ctx(

@@ -6,6 +6,15 @@ namespace ep::net {
 
 using os::SyscallCtx;
 
+namespace {
+
+/// SyscallCtx::channel_kind's spelling of a channel kind.
+const char* kind_name(ChannelKind kind) {
+  return kind == ChannelKind::ipc ? "ipc" : "network";
+}
+
+}  // namespace
+
 void Network::define_service(ServiceDef def) {
   services_[def.name] = std::move(def);
 }
@@ -84,32 +93,24 @@ bool Network::service_available(const std::string& name) const {
 
 SysResult<Sock> Network::accept(os::Kernel& k, const os::Site& site,
                                 os::Pid pid) {
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "accept";
-  ctx.path = script_ ? script_->peer : "";
-  ctx.channel_kind = script_ && script_->kind == ChannelKind::ipc ? "ipc" : "network";
-  k.dispatch_before(ctx);
-  if (ctx.force_fail) {
-    k.dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  if (!script_) {
-    k.dispatch_after(ctx, Err::conn);
-    return Err::conn;
-  }
-  Sock s = next_sock_++;
-  Channel ch;
-  ch.peer_or_service = script_->peer;
-  ch.kind = script_->kind;
-  ch.inbound = true;
-  ch.shared = share_next_inbound_;
-  ch.peer_untrusted = distrust_inbound_;
-  share_next_inbound_ = false;
-  channels_[s] = ch;
-  ctx.net_socket_shared = ch.shared;
-  k.dispatch_after(ctx, Err::ok);
+  SyscallCtx ctx(site, pid, "accept", script_ ? script_->peer : "");
+  ctx.channel_kind = kind_name(script_ ? script_->kind : ChannelKind::network);
+  Sock s = -1;
+  Err e = k.interact(ctx, [&] {
+    if (!script_) return Err::conn;
+    s = next_sock_++;
+    Channel ch;
+    ch.peer_or_service = script_->peer;
+    ch.kind = script_->kind;
+    ch.inbound = true;
+    ch.shared = share_next_inbound_;
+    ch.peer_untrusted = distrust_inbound_;
+    share_next_inbound_ = false;
+    channels_[s] = ch;
+    ctx.net_socket_shared = ch.shared;
+    return Err::ok;
+  });
+  if (e != Err::ok) return e;
   return s;
 }
 
@@ -120,47 +121,39 @@ SysResult<Message> Network::recv(os::Kernel& k, const os::Site& site,
   Channel& ch = chit->second;
   if (!ch.inbound || !script_) return Err::badf;
 
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "recv";
-  ctx.path = ch.peer_or_service;
+  SyscallCtx ctx(site, pid, "recv", ch.peer_or_service);
   ctx.has_input = true;
-  ctx.channel_kind = ch.kind == ChannelKind::ipc ? "ipc" : "network";
-  k.dispatch_before(ctx);
-  if (ctx.force_fail) {
-    k.dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  if (ch.cursor >= script_->inbound.size()) {
-    k.dispatch_after(ctx, Err::conn);
-    return Err::conn;
-  }
-  Message msg = script_->inbound[ch.cursor++];
-  if (spoof_next_) {
-    // The spoof perturbation: the wire says the message came from the
-    // expected peer, but it did not.
-    msg.authentic = false;
-    msg.from = spoof_claimed_.empty() ? ch.peer_or_service : spoof_claimed_;
-    spoof_next_ = false;
-  }
-  // Ground truth for the oracle: does this message land where the protocol
-  // specification says the conversation should be?
-  if (!script_->expected_protocol.empty()) {
-    bool in_order = ch.protocol_pos < script_->expected_protocol.size() &&
-                    script_->expected_protocol[ch.protocol_pos] == msg.type;
-    if (in_order)
-      ++ch.protocol_pos;
-    else
-      ctx.net_protocol_violation = true;
-  }
-  ctx.net_unauthentic = !msg.authentic;
-  ctx.net_socket_shared = ch.shared;
-  ctx.net_peer_untrusted = ch.peer_untrusted;
-  ctx.data = msg.payload;
-  ctx.input = &ctx.data;
-  ctx.aux = msg.type;
-  k.dispatch_after(ctx, Err::ok);
+  ctx.channel_kind = kind_name(ch.kind);
+  Message msg;
+  Err e = k.interact(ctx, [&] {
+    if (ch.cursor >= script_->inbound.size()) return Err::conn;
+    msg = script_->inbound[ch.cursor++];
+    if (spoof_next_) {
+      // The spoof perturbation: the wire says the message came from the
+      // expected peer, but it did not.
+      msg.authentic = false;
+      msg.from = spoof_claimed_.empty() ? ch.peer_or_service : spoof_claimed_;
+      spoof_next_ = false;
+    }
+    // Ground truth for the oracle: does this message land where the
+    // protocol specification says the conversation should be?
+    if (!script_->expected_protocol.empty()) {
+      bool in_order = ch.protocol_pos < script_->expected_protocol.size() &&
+                      script_->expected_protocol[ch.protocol_pos] == msg.type;
+      if (in_order)
+        ++ch.protocol_pos;
+      else
+        ctx.net_protocol_violation = true;
+    }
+    ctx.net_unauthentic = !msg.authentic;
+    ctx.net_socket_shared = ch.shared;
+    ctx.net_peer_untrusted = ch.peer_untrusted;
+    ctx.data = msg.payload;
+    ctx.input = &ctx.data;
+    ctx.aux = msg.type;
+    return Err::ok;
+  });
+  if (e != Err::ok) return e;
   msg.payload = ctx.data;  // indirect faults rewrite the payload
   return msg;
 }
@@ -169,50 +162,32 @@ SysStatus Network::send(os::Kernel& k, const os::Site& site, os::Pid pid,
                         Sock s, const Message& msg) {
   auto chit = channels_.find(s);
   if (chit == channels_.end()) return Err::badf;
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "send";
-  ctx.path = chit->second.peer_or_service;
-  ctx.aux = msg.type;
+  SyscallCtx ctx(site, pid, "send", chit->second.peer_or_service, msg.type);
   ctx.data = msg.payload;
   ctx.net_socket_shared = chit->second.shared;
-  k.dispatch_before(ctx);
-  if (ctx.force_fail) {
-    k.dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  k.dispatch_after(ctx, Err::ok);
+  k.interact(ctx, [] { return Err::ok; });
   return ok_status();
 }
 
 SysResult<Sock> Network::connect(os::Kernel& k, const os::Site& site,
                                  os::Pid pid, const std::string& service) {
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "connect";
-  ctx.path = service;
+  SyscallCtx ctx(site, pid, "connect", service);
   if (auto kit = services_.find(service); kit != services_.end())
-    ctx.channel_kind = kit->second.kind == ChannelKind::ipc ? "ipc" : "network";
-  k.dispatch_before(ctx);
-  if (ctx.force_fail) {
-    k.dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto it = services_.find(service);
-  if (it == services_.end() || !it->second.available) {
-    k.dispatch_after(ctx, Err::conn);
-    return Err::conn;
-  }
-  Sock s = next_sock_++;
-  Channel ch;
-  ch.peer_or_service = service;
-  ch.kind = it->second.kind;
-  ch.peer_untrusted = !it->second.trusted;
-  channels_[s] = ch;
-  ctx.net_peer_untrusted = ch.peer_untrusted;
-  k.dispatch_after(ctx, Err::ok);
+    ctx.channel_kind = kind_name(kit->second.kind);
+  Sock s = -1;
+  Err e = k.interact(ctx, [&] {
+    auto it = services_.find(service);
+    if (it == services_.end() || !it->second.available) return Err::conn;
+    s = next_sock_++;
+    Channel ch;
+    ch.peer_or_service = service;
+    ch.kind = it->second.kind;
+    ch.peer_untrusted = !it->second.trusted;
+    channels_[s] = ch;
+    ctx.net_peer_untrusted = ch.peer_untrusted;
+    return Err::ok;
+  });
+  if (e != Err::ok) return e;
   return s;
 }
 
@@ -224,34 +199,25 @@ SysResult<Message> Network::query(os::Kernel& k, const os::Site& site,
   auto sit = services_.find(ch.peer_or_service);
   if (sit == services_.end()) return Err::badf;
 
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "query";
-  ctx.path = ch.peer_or_service;
-  ctx.aux = msg.type;
+  SyscallCtx ctx(site, pid, "query", ch.peer_or_service, msg.type);
   ctx.has_input = true;
-  ctx.channel_kind = ch.kind == ChannelKind::ipc ? "ipc" : "network";
-  k.dispatch_before(ctx);
-  if (ctx.force_fail) {
-    k.dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  const ServiceDef& svc = sit->second;
-  if (!svc.available) {
-    k.dispatch_after(ctx, Err::conn);
-    return Err::conn;
-  }
-  Message reply = svc.handler ? svc.handler(msg) : Message{};
-  reply.from = svc.name;
-  reply.authentic = true;
-  ctx.net_peer_untrusted = !svc.trusted;
-  // Only a genuine AUTH_OK from a live, trusted authority counts as
-  // confirmation the oracle will accept.
-  ctx.net_auth_confirmation = svc.trusted && reply.type == "AUTH_OK";
-  ctx.data = reply.payload;
-  ctx.input = &ctx.data;
-  k.dispatch_after(ctx, Err::ok);
+  ctx.channel_kind = kind_name(ch.kind);
+  Message reply;
+  Err e = k.interact(ctx, [&] {
+    const ServiceDef& svc = sit->second;
+    if (!svc.available) return Err::conn;
+    reply = svc.handler ? svc.handler(msg) : Message{};
+    reply.from = svc.name;
+    reply.authentic = true;
+    ctx.net_peer_untrusted = !svc.trusted;
+    // Only a genuine AUTH_OK from a live, trusted authority counts as
+    // confirmation the oracle will accept.
+    ctx.net_auth_confirmation = svc.trusted && reply.type == "AUTH_OK";
+    ctx.data = reply.payload;
+    ctx.input = &ctx.data;
+    return Err::ok;
+  });
+  if (e != Err::ok) return e;
   reply.payload = ctx.data;
   return reply;
 }
@@ -259,29 +225,22 @@ SysResult<Message> Network::query(os::Kernel& k, const os::Site& site,
 SysResult<std::string> Network::resolve_host(os::Kernel& k,
                                              const os::Site& site, os::Pid pid,
                                              const std::string& host) {
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "dns";
-  ctx.path = host;
+  SyscallCtx ctx(site, pid, "dns", host);
   ctx.has_input = true;
-  k.dispatch_before(ctx);
-  if (ctx.force_fail) {
-    k.dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  std::string reply;
-  Err e = Err::ok;
-  if (auto it = dns_override_.find(host); it != dns_override_.end()) {
-    reply = it->second;
-  } else if (auto hit = hosts_.find(host); hit != hosts_.end()) {
-    reply = hit->second;
-  } else {
-    e = Err::noent;
-  }
-  ctx.data = reply;
-  ctx.input = &ctx.data;
-  k.dispatch_after(ctx, e);
+  Err e = k.interact(ctx, [&] {
+    std::string reply;
+    Err found = Err::ok;
+    if (auto it = dns_override_.find(host); it != dns_override_.end()) {
+      reply = it->second;
+    } else if (auto hit = hosts_.find(host); hit != hosts_.end()) {
+      reply = hit->second;
+    } else {
+      found = Err::noent;
+    }
+    ctx.data = std::move(reply);
+    ctx.input = &ctx.data;
+    return found;
+  });
   if (e != Err::ok && ctx.data.empty()) return e;
   return ctx.data;
 }

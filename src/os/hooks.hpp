@@ -2,10 +2,10 @@
 //
 // Every environment-application interaction (file syscalls, getenv, argv
 // access, network receive, registry reads, program output, app-level fault
-// reports) flows through a hook chain as a SyscallCtx. This is the
-// simulated equivalent of the ptrace/LD_PRELOAD interception a real
-// implementation of the paper's tool would use, and it is where all three
-// roles of the methodology plug in:
+// reports) crosses the hook chain once, as a SyscallCtx, through
+// Kernel::interact (kernel.hpp). This is the simulated equivalent of the
+// ptrace/LD_PRELOAD interception a real implementation of the paper's tool
+// would use, and it is where all three roles of the methodology plug in:
 //
 //   * the trace recorder discovers interaction points (procedure step 3),
 //   * the injector perturbs the environment in `before` (direct faults)
@@ -15,6 +15,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 
 #include "os/types.hpp"
 #include "util/errno.hpp"
@@ -34,6 +35,16 @@ enum class AppFault {
 };
 
 struct SyscallCtx {
+  SyscallCtx() = default;
+  /// The call as the program made it; the fields are described below.
+  SyscallCtx(const Site& site, Pid pid, std::string call,
+             std::string path = {}, std::string aux = {})
+      : site(site),
+        pid(pid),
+        call(std::move(call)),
+        path(std::move(path)),
+        aux(std::move(aux)) {}
+
   Site site;
   Pid pid = -1;
   std::string call;  // "open", "read", "getenv", "arg", "exec", "recv", ...
@@ -62,11 +73,6 @@ struct SyscallCtx {
   bool net_auth_confirmation = false;  // genuine AUTH_OK from a live,
                                        // trusted authority
   std::string channel_kind;            // "network" or "ipc" for channel ops
-
-  // Before-hooks may force the syscall to fail without touching state —
-  // used by the service-availability and existence perturbations.
-  bool force_fail = false;
-  Err forced_error = Err::inval;
 };
 
 class Interposer {

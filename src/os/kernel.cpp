@@ -140,11 +140,7 @@ SysResult<std::string> Kernel::peek(const std::string& p) const {
 SysResult<Fd> Kernel::open(const Site& site, Pid pid, const std::string& pth,
                            OpenFlags flags, unsigned create_mode) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "open";
-  ctx.path = pth;
+  SyscallCtx ctx(site, pid, "open", pth);
   // Summarize intent for hooks: perturbers and the oracle distinguish
   // read-only opens (disclosure risk) from writing/creating opens
   // (clobbering risk).
@@ -153,80 +149,75 @@ SysResult<Fd> Kernel::open(const Site& site, Pid pid, const std::string& pth,
   if (flags.has(OpenFlag::creat)) ctx.aux += "c";
   if (flags.has(OpenFlag::excl)) ctx.aux += "x";
   if (flags.has(OpenFlag::trunc)) ctx.aux += "t";
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
+  Fd fd = -1;
+  Err e = interact(ctx, [&] {
+    auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
+    if (!rp.ok()) return rp.error();
+    ResolvedParent cur = rp.value();
 
-  auto finish = [&](Err e) -> SysResult<Fd> {
-    dispatch_after(ctx, e);
-    return e;
-  };
-
-  auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
-  if (!rp.ok()) return finish(rp.error());
-  ResolvedParent cur = rp.value();
-
-  // Follow a final-component symlink chain by hand so that O_CREAT can
-  // create *through* a dangling link (the classic spool-file attack) while
-  // O_EXCL and O_NOFOLLOW refuse links outright.
-  int depth = 0;
-  while (cur.leaf_ino != kNoIno && vfs_.inode(cur.leaf_ino).is_symlink()) {
-    if (flags.has(OpenFlag::nofollow)) return finish(Err::loop);
-    if (flags.has(OpenFlag::creat) && flags.has(OpenFlag::excl))
-      return finish(Err::exist);
-    if (++depth > kMaxSymlinkDepth) return finish(Err::loop);
-    const std::string& target = vfs_.inode(cur.leaf_ino).content;
-    std::string base = path::dirname(cur.canonical);
-    std::string next =
-        path::is_absolute(target) ? target : path::join(base, target);
-    auto nrp = vfs_.resolve_parent(next, p.cwd, p.euid, p.egid);
-    if (!nrp.ok()) return finish(nrp.error());
-    cur = nrp.value();
-  }
-
-  Ino file_ino = kNoIno;
-  if (cur.leaf_ino != kNoIno) {
-    if (flags.has(OpenFlag::creat) && flags.has(OpenFlag::excl)) {
-      describe_object(ctx, cur.leaf_ino);
-      ctx.object_preexisting = true;
-      return finish(Err::exist);
+    // Follow a final-component symlink chain by hand so that O_CREAT can
+    // create *through* a dangling link (the classic spool-file attack)
+    // while O_EXCL and O_NOFOLLOW refuse links outright.
+    int depth = 0;
+    while (cur.leaf_ino != kNoIno && vfs_.inode(cur.leaf_ino).is_symlink()) {
+      if (flags.has(OpenFlag::nofollow)) return Err::loop;
+      if (flags.has(OpenFlag::creat) && flags.has(OpenFlag::excl))
+        return Err::exist;
+      if (++depth > kMaxSymlinkDepth) return Err::loop;
+      const std::string& target = vfs_.inode(cur.leaf_ino).content;
+      std::string base = path::dirname(cur.canonical);
+      std::string next =
+          path::is_absolute(target) ? target : path::join(base, target);
+      auto nrp = vfs_.resolve_parent(next, p.cwd, p.euid, p.egid);
+      if (!nrp.ok()) return nrp.error();
+      cur = nrp.value();
     }
-    const Inode& node = vfs_.inode(cur.leaf_ino);
-    if (node.is_dir() && flags.has(OpenFlag::wr)) return finish(Err::isdir);
-    if (flags.has(OpenFlag::rd) &&
-        !Vfs::permits_with_root(node, p.euid, p.egid, Perm::read))
-      return finish(Err::acces);
-    if (flags.has(OpenFlag::wr) &&
-        !Vfs::permits_with_root(node, p.euid, p.egid, Perm::write))
-      return finish(Err::acces);
-    if (flags.has(OpenFlag::trunc) && flags.has(OpenFlag::wr))
-      vfs_.mutate(cur.leaf_ino).content.clear();
-    file_ino = cur.leaf_ino;
-    ctx.object_preexisting = true;
-  } else {
-    if (!flags.has(OpenFlag::creat)) return finish(Err::noent);
-    const Inode& dir = vfs_.inode(cur.dir_ino);
-    if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
-      return finish(Err::acces);
-    unsigned mode = create_mode & ~p.umask & kPermMask;
-    auto created = vfs_.create_file(cur.dir_ino, cur.leaf, p.euid, p.egid, mode);
-    if (!created.ok()) return finish(created.error());
-    file_ino = created.value();
-    ctx.object_preexisting = false;
-  }
 
-  describe_object(ctx, file_ino);
-  OpenFile of;
-  of.ino = file_ino;
-  of.flags = flags;
-  of.opened_path = pth;
-  of.offset = flags.has(OpenFlag::append) ? vfs_.inode(file_ino).content.size()
-                                          : 0;
-  Fd fd = p.next_fd++;
-  p.fds[fd] = of;
-  dispatch_after(ctx, Err::ok);
+    Ino file_ino = kNoIno;
+    if (cur.leaf_ino != kNoIno) {
+      if (flags.has(OpenFlag::creat) && flags.has(OpenFlag::excl)) {
+        describe_object(ctx, cur.leaf_ino);
+        ctx.object_preexisting = true;
+        return Err::exist;
+      }
+      const Inode& node = vfs_.inode(cur.leaf_ino);
+      if (node.is_dir() && flags.has(OpenFlag::wr)) return Err::isdir;
+      if (flags.has(OpenFlag::rd) &&
+          !Vfs::permits_with_root(node, p.euid, p.egid, Perm::read))
+        return Err::acces;
+      if (flags.has(OpenFlag::wr) &&
+          !Vfs::permits_with_root(node, p.euid, p.egid, Perm::write))
+        return Err::acces;
+      if (flags.has(OpenFlag::trunc) && flags.has(OpenFlag::wr))
+        vfs_.mutate(cur.leaf_ino).content.clear();
+      file_ino = cur.leaf_ino;
+      ctx.object_preexisting = true;
+    } else {
+      if (!flags.has(OpenFlag::creat)) return Err::noent;
+      const Inode& dir = vfs_.inode(cur.dir_ino);
+      if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
+        return Err::acces;
+      unsigned mode = create_mode & ~p.umask & kPermMask;
+      auto created =
+          vfs_.create_file(cur.dir_ino, cur.leaf, p.euid, p.egid, mode);
+      if (!created.ok()) return created.error();
+      file_ino = created.value();
+      ctx.object_preexisting = false;
+    }
+
+    describe_object(ctx, file_ino);
+    OpenFile of;
+    of.ino = file_ino;
+    of.flags = flags;
+    of.opened_path = pth;
+    of.offset = flags.has(OpenFlag::append)
+                    ? vfs_.inode(file_ino).content.size()
+                    : 0;
+    fd = p.next_fd++;
+    p.fds[fd] = of;
+    return Err::ok;
+  });
+  if (e != Err::ok) return e;
   return fd;
 }
 
@@ -238,92 +229,55 @@ SysStatus Kernel::close(Pid pid, Fd fd) {
 
 SysResult<std::string> Kernel::read(const Site& site, Pid pid, Fd fd,
                                     std::size_t n) {
-  Process& p = proc(pid);
-  auto it = p.fds.find(fd);
-  if (it == p.fds.end()) return Err::badf;
-  OpenFile& of = it->second;
-  if (!of.flags.has(OpenFlag::rd)) return Err::badf;
-  if (!vfs_.exists(of.ino)) return Err::io;
-
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "read";
-  ctx.path = of.opened_path;
-  ctx.has_input = true;
-  describe_object(ctx, of.ino);
-  ctx.object_preexisting = true;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  check_inode_redzone(site, pid, of.ino);
-
-  // Fetched only after the hooks ran: a perturber may have rewritten the
-  // node, and under copy-on-write a reference taken earlier could still
-  // point at the shared pre-perturbation copy.
-  const Inode& node = vfs_.inode(of.ino);
-  std::string chunk;
-  if (of.offset < node.content.size()) {
-    std::size_t take = n == std::string::npos
-                           ? node.content.size() - of.offset
-                           : std::min(n, node.content.size() - of.offset);
-    chunk = node.content.substr(of.offset, take);
-    of.offset += take;
-  }
-  ctx.data = chunk;
-  ctx.input = &ctx.data;
-  dispatch_after(ctx, Err::ok);
-  return ctx.data;  // possibly rewritten by an indirect fault
+  return read_input(site, pid, fd, n, /*line=*/false);
 }
 
 SysResult<std::string> Kernel::read_line(const Site& site, Pid pid, Fd fd) {
+  return read_input(site, pid, fd, std::string::npos, /*line=*/true);
+}
+
+SysResult<std::string> Kernel::read_input(const Site& site, Pid pid, Fd fd,
+                                          std::size_t n, bool line) {
   Process& p = proc(pid);
   auto it = p.fds.find(fd);
   if (it == p.fds.end()) return Err::badf;
   OpenFile& of = it->second;
   if (!of.flags.has(OpenFlag::rd)) return Err::badf;
   if (!vfs_.exists(of.ino)) return Err::io;
-  if (of.offset >= vfs_.inode(of.ino).content.size()) return Err::io;  // EOF
+  // A line read at EOF fails here, unhooked.
+  if (line && of.offset >= vfs_.inode(of.ino).content.size()) return Err::io;
 
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "read";
-  ctx.path = of.opened_path;
+  SyscallCtx ctx(site, pid, "read", of.opened_path);
   ctx.has_input = true;
   describe_object(ctx, of.ino);
   ctx.object_preexisting = true;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  check_inode_redzone(site, pid, of.ino);
-
-  // Re-fetched after the hooks: see read() — a stale reference would miss
-  // a content perturbation under copy-on-write.
-  const Inode& node = vfs_.inode(of.ino);
-  if (of.offset >= node.content.size()) {
-    // A hook shrank the file below our offset: EOF, like read()'s guard.
-    of.offset = node.content.size();
-    dispatch_after(ctx, Err::io);
-    return Err::io;
-  }
-  std::size_t nl = node.content.find('\n', of.offset);
-  std::string line;
-  if (nl == std::string::npos) {
-    line = node.content.substr(of.offset);
-    of.offset = node.content.size();
-  } else {
-    line = node.content.substr(of.offset, nl - of.offset);
-    of.offset = nl + 1;
-  }
-  ctx.data = line;
-  ctx.input = &ctx.data;
-  dispatch_after(ctx, Err::ok);
-  return ctx.data;
+  Err e = interact(ctx, [&] {
+    check_inode_redzone(site, pid, of.ino);
+    // Fetched only after the hooks ran: a perturber may have rewritten the
+    // node, and under copy-on-write a reference taken earlier could still
+    // point at the shared pre-perturbation copy.
+    const std::string& content = vfs_.inode(of.ino).content;
+    std::string chunk;
+    if (line) {
+      if (of.offset >= content.size()) {
+        // A hook shrank the file below our offset: EOF, like read()'s guard.
+        of.offset = content.size();
+        return Err::io;
+      }
+      std::size_t nl = content.find('\n', of.offset);
+      std::size_t end = nl == std::string::npos ? content.size() : nl;
+      chunk = content.substr(of.offset, end - of.offset);
+      of.offset = nl == std::string::npos ? end : nl + 1;  // newline consumed
+    } else if (of.offset < content.size()) {
+      chunk = content.substr(of.offset, n);
+      of.offset += chunk.size();
+    }
+    ctx.data = std::move(chunk);
+    ctx.input = &ctx.data;
+    return Err::ok;
+  });
+  if (e != Err::ok) return e;
+  return ctx.data;  // possibly rewritten by an indirect fault
 }
 
 SysResult<std::size_t> Kernel::write(const Site& site, Pid pid, Fd fd,
@@ -335,28 +289,20 @@ SysResult<std::size_t> Kernel::write(const Site& site, Pid pid, Fd fd,
   if (!of.flags.has(OpenFlag::wr)) return Err::badf;
   if (!vfs_.exists(of.ino)) return Err::io;
 
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "write";
-  ctx.path = of.opened_path;
+  SyscallCtx ctx(site, pid, "write", of.opened_path);
   describe_object(ctx, of.ino);
   ctx.object_preexisting = true;  // refined by the oracle's created-set
   ctx.data = std::string(data);
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  check_inode_redzone(site, pid, of.ino);
-
-  Inode& node = vfs_.mutate(of.ino);
-  if (of.flags.has(OpenFlag::append)) of.offset = node.content.size();
-  if (node.content.size() < of.offset + data.size())
-    node.content.resize(of.offset + data.size());
-  node.content.replace(of.offset, data.size(), std::string(data));
-  of.offset += data.size();
-  dispatch_after(ctx, Err::ok);
+  interact(ctx, [&] {
+    check_inode_redzone(site, pid, of.ino);
+    Inode& node = vfs_.mutate(of.ino);
+    if (of.flags.has(OpenFlag::append)) of.offset = node.content.size();
+    if (node.content.size() < of.offset + data.size())
+      node.content.resize(of.offset + data.size());
+    node.content.replace(of.offset, data.size(), std::string(data));
+    of.offset += data.size();
+    return Err::ok;
+  });
   return data.size();
 }
 
@@ -364,51 +310,28 @@ SysResult<std::size_t> Kernel::write(const Site& site, Pid pid, Fd fd,
 
 SysResult<StatInfo> Kernel::stat(const Site& site, Pid pid,
                                  const std::string& pth) {
-  Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "stat";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
-  if (!r.ok()) {
-    dispatch_after(ctx, r.error());
-    return r.error();
-  }
-  describe_object(ctx, r.value());
-  ctx.object_preexisting = true;
-  auto s = vfs_.stat_inode(r.value());
-  dispatch_after(ctx, Err::ok);
-  return s;
+  return stat_path(site, pid, pth, /*follow=*/true);
 }
 
 SysResult<StatInfo> Kernel::lstat(const Site& site, Pid pid,
                                   const std::string& pth) {
+  return stat_path(site, pid, pth, /*follow=*/false);
+}
+
+SysResult<StatInfo> Kernel::stat_path(const Site& site, Pid pid,
+                                      const std::string& pth, bool follow) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "lstat";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/false);
-  if (!r.ok()) {
-    dispatch_after(ctx, r.error());
-    return r.error();
-  }
-  describe_object(ctx, r.value());
-  ctx.object_preexisting = true;
-  auto s = vfs_.stat_inode(r.value());
-  dispatch_after(ctx, Err::ok);
+  SyscallCtx ctx(site, pid, follow ? "stat" : "lstat", pth);
+  SysResult<StatInfo> s = Err::noent;
+  Err e = interact(ctx, [&] {
+    auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, follow);
+    if (!r.ok()) return r.error();
+    describe_object(ctx, r.value());
+    ctx.object_preexisting = true;
+    s = vfs_.stat_inode(r.value());
+    return Err::ok;
+  });
+  if (e != Err::ok) return e;
   return s;
 }
 
@@ -422,31 +345,19 @@ SysResult<StatInfo> Kernel::fstat(Pid pid, Fd fd) {
 SysStatus Kernel::access(const Site& site, Pid pid, const std::string& pth,
                          Perm perm) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "access";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  // access(2) answers for the *real* uid — the check set-uid programs use
-  // to ask "could my invoker do this?", and the check half of TOCTTOU.
-  auto r = vfs_.resolve(pth, p.cwd, p.ruid, p.rgid, /*follow_final=*/true);
-  Err e = Err::ok;
-  if (!r.ok()) {
-    e = r.error();
-  } else {
+  SyscallCtx ctx(site, pid, "access", pth);
+  return status_of(interact(ctx, [&] {
+    // access(2) answers for the *real* uid — the check set-uid programs
+    // use to ask "could my invoker do this?", and the check half of
+    // TOCTTOU.
+    auto r = vfs_.resolve(pth, p.cwd, p.ruid, p.rgid, /*follow_final=*/true);
+    if (!r.ok()) return r.error();
     describe_object(ctx, r.value());
     ctx.object_preexisting = true;
     if (!Vfs::permits_with_root(vfs_.inode(r.value()), p.ruid, p.rgid, perm))
-      e = Err::acces;
-  }
-  dispatch_after(ctx, e);
-  if (e != Err::ok) return e;
-  return ok_status();
+      return Err::acces;
+    return Err::ok;
+  }));
 }
 
 // --- namespace operations ---------------------------------------------------
@@ -454,329 +365,194 @@ SysStatus Kernel::access(const Site& site, Pid pid, const std::string& pth,
 SysStatus Kernel::mkdir(const Site& site, Pid pid, const std::string& pth,
                         unsigned mode) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "mkdir";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  if (!rp.ok()) return finish(rp.error());
-  if (rp.value().leaf_ino != kNoIno) return finish(Err::exist);
-  const Inode& dir = vfs_.inode(rp.value().dir_ino);
-  if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
-    return finish(Err::acces);
-  auto made = vfs_.create_dir(rp.value().dir_ino, rp.value().leaf, p.euid,
-                              p.egid, mode & ~p.umask & kPermMask);
-  if (!made.ok()) return finish(made.error());
-  describe_object(ctx, made.value());
-  ctx.object_preexisting = false;
-  return finish(Err::ok);
+  SyscallCtx ctx(site, pid, "mkdir", pth);
+  return status_of(interact(ctx, [&] {
+    auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
+    if (!rp.ok()) return rp.error();
+    if (rp.value().leaf_ino != kNoIno) return Err::exist;
+    const Inode& dir = vfs_.inode(rp.value().dir_ino);
+    if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
+      return Err::acces;
+    auto made = vfs_.create_dir(rp.value().dir_ino, rp.value().leaf, p.euid,
+                                p.egid, mode & ~p.umask & kPermMask);
+    if (!made.ok()) return made.error();
+    describe_object(ctx, made.value());
+    ctx.object_preexisting = false;
+    return Err::ok;
+  }));
 }
 
 SysStatus Kernel::rmdir(const Site& site, Pid pid, const std::string& pth) {
-  Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "rmdir";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  if (!rp.ok()) return finish(rp.error());
-  if (rp.value().leaf_ino == kNoIno) return finish(Err::noent);
-  describe_object(ctx, rp.value().leaf_ino);
-  ctx.object_preexisting = true;
-  ctx.canonical = rp.value().canonical;
-  const Inode& dir = vfs_.inode(rp.value().dir_ino);
-  if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
-    return finish(Err::acces);
-  if (sticky_denies(p, dir, vfs_.inode(rp.value().leaf_ino)))
-    return finish(Err::perm);
-  auto r = vfs_.remove_dir(rp.value().dir_ino, rp.value().leaf);
-  return finish(r.ok() ? Err::ok : r.error());
+  return remove_entry(site, pid, pth, /*dir=*/true);
 }
 
-
 SysStatus Kernel::unlink(const Site& site, Pid pid, const std::string& pth) {
+  return remove_entry(site, pid, pth, /*dir=*/false);
+}
+
+SysStatus Kernel::remove_entry(const Site& site, Pid pid,
+                               const std::string& pth, bool dir) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "unlink";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  if (!rp.ok()) return finish(rp.error());
-  if (rp.value().leaf_ino == kNoIno) return finish(Err::noent);
-  describe_object(ctx, rp.value().leaf_ino);
-  ctx.object_preexisting = true;
-  ctx.canonical = rp.value().canonical;
-  const Inode& dir = vfs_.inode(rp.value().dir_ino);
-  if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
-    return finish(Err::acces);
-  if (sticky_denies(p, dir, vfs_.inode(rp.value().leaf_ino)))
-    return finish(Err::perm);
-  auto r = vfs_.remove(rp.value().dir_ino, rp.value().leaf);
-  return finish(r.ok() ? Err::ok : r.error());
+  SyscallCtx ctx(site, pid, dir ? "rmdir" : "unlink", pth);
+  return status_of(interact(ctx, [&] {
+    auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
+    if (!rp.ok()) return rp.error();
+    const ResolvedParent& entry = rp.value();
+    if (entry.leaf_ino == kNoIno) return Err::noent;
+    describe_object(ctx, entry.leaf_ino);
+    ctx.object_preexisting = true;
+    ctx.canonical = entry.canonical;
+    const Inode& parent = vfs_.inode(entry.dir_ino);
+    if (!Vfs::permits_with_root(parent, p.euid, p.egid, Perm::write))
+      return Err::acces;
+    if (sticky_denies(p, parent, vfs_.inode(entry.leaf_ino))) return Err::perm;
+    SysStatus removed = dir ? vfs_.remove_dir(entry.dir_ino, entry.leaf)
+                            : vfs_.remove(entry.dir_ino, entry.leaf);
+    return removed.error();
+  }));
 }
 
 SysStatus Kernel::rename(const Site& site, Pid pid, const std::string& from,
                          const std::string& to) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "rename";
-  ctx.path = from;
-  ctx.aux = to;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  auto rf = vfs_.resolve_parent(from, p.cwd, p.euid, p.egid);
-  if (!rf.ok()) return finish(rf.error());
-  if (rf.value().leaf_ino == kNoIno) return finish(Err::noent);
-  auto rt = vfs_.resolve_parent(to, p.cwd, p.euid, p.egid);
-  if (!rt.ok()) return finish(rt.error());
-  const Inode& fdir = vfs_.inode(rf.value().dir_ino);
-  const Inode& tdir = vfs_.inode(rt.value().dir_ino);
-  if (!Vfs::permits_with_root(fdir, p.euid, p.egid, Perm::write) ||
-      !Vfs::permits_with_root(tdir, p.euid, p.egid, Perm::write))
-    return finish(Err::acces);
-  if (sticky_denies(p, fdir, vfs_.inode(rf.value().leaf_ino)))
-    return finish(Err::perm);
-  if (rt.value().leaf_ino != kNoIno &&
-      sticky_denies(p, tdir, vfs_.inode(rt.value().leaf_ino)))
-    return finish(Err::perm);
-  describe_object(ctx, rf.value().leaf_ino);
-  ctx.object_preexisting = rt.value().leaf_ino != kNoIno;
-  ctx.canonical = rt.value().canonical;
-  auto r = vfs_.rename_entry(rf.value().dir_ino, rf.value().leaf,
-                             rt.value().dir_ino, rt.value().leaf);
-  return finish(r.ok() ? Err::ok : r.error());
+  SyscallCtx ctx(site, pid, "rename", from, to);
+  return status_of(interact(ctx, [&] {
+    auto rf = vfs_.resolve_parent(from, p.cwd, p.euid, p.egid);
+    if (!rf.ok()) return rf.error();
+    if (rf.value().leaf_ino == kNoIno) return Err::noent;
+    auto rt = vfs_.resolve_parent(to, p.cwd, p.euid, p.egid);
+    if (!rt.ok()) return rt.error();
+    const Inode& fdir = vfs_.inode(rf.value().dir_ino);
+    const Inode& tdir = vfs_.inode(rt.value().dir_ino);
+    if (!Vfs::permits_with_root(fdir, p.euid, p.egid, Perm::write) ||
+        !Vfs::permits_with_root(tdir, p.euid, p.egid, Perm::write))
+      return Err::acces;
+    if (sticky_denies(p, fdir, vfs_.inode(rf.value().leaf_ino)))
+      return Err::perm;
+    if (rt.value().leaf_ino != kNoIno &&
+        sticky_denies(p, tdir, vfs_.inode(rt.value().leaf_ino)))
+      return Err::perm;
+    describe_object(ctx, rf.value().leaf_ino);
+    ctx.object_preexisting = rt.value().leaf_ino != kNoIno;
+    ctx.canonical = rt.value().canonical;
+    SysStatus moved = vfs_.rename_entry(rf.value().dir_ino, rf.value().leaf,
+                                        rt.value().dir_ino, rt.value().leaf);
+    return moved.error();
+  }));
 }
 
 SysStatus Kernel::symlink(const Site& site, Pid pid, const std::string& target,
                           const std::string& linkpath) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "symlink";
-  ctx.path = linkpath;
-  ctx.aux = target;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  auto rp = vfs_.resolve_parent(linkpath, p.cwd, p.euid, p.egid);
-  if (!rp.ok()) return finish(rp.error());
-  if (rp.value().leaf_ino != kNoIno) return finish(Err::exist);
-  const Inode& dir = vfs_.inode(rp.value().dir_ino);
-  if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
-    return finish(Err::acces);
-  auto made = vfs_.create_symlink(rp.value().dir_ino, rp.value().leaf, p.euid,
-                                  p.egid, target);
-  if (!made.ok()) return finish(made.error());
-  describe_object(ctx, made.value());
-  return finish(Err::ok);
+  SyscallCtx ctx(site, pid, "symlink", linkpath, target);
+  return status_of(interact(ctx, [&] {
+    auto rp = vfs_.resolve_parent(linkpath, p.cwd, p.euid, p.egid);
+    if (!rp.ok()) return rp.error();
+    if (rp.value().leaf_ino != kNoIno) return Err::exist;
+    const Inode& dir = vfs_.inode(rp.value().dir_ino);
+    if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
+      return Err::acces;
+    auto made = vfs_.create_symlink(rp.value().dir_ino, rp.value().leaf,
+                                    p.euid, p.egid, target);
+    if (!made.ok()) return made.error();
+    describe_object(ctx, made.value());
+    return Err::ok;
+  }));
 }
 
 SysResult<std::string> Kernel::readlink(const Site& site, Pid pid,
                                         const std::string& pth) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "readlink";
-  ctx.path = pth;
+  SyscallCtx ctx(site, pid, "readlink", pth);
   ctx.has_input = true;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/false);
-  if (!r.ok()) {
-    dispatch_after(ctx, r.error());
-    return r.error();
-  }
-  const Inode& n = vfs_.inode(r.value());
-  if (!n.is_symlink()) {
-    dispatch_after(ctx, Err::inval);
-    return Err::inval;
-  }
-  describe_object(ctx, r.value());
-  ctx.data = n.content;
-  ctx.input = &ctx.data;
-  dispatch_after(ctx, Err::ok);
+  Err e = interact(ctx, [&] {
+    auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/false);
+    if (!r.ok()) return r.error();
+    const Inode& n = vfs_.inode(r.value());
+    if (!n.is_symlink()) return Err::inval;
+    describe_object(ctx, r.value());
+    ctx.data = n.content;
+    ctx.input = &ctx.data;
+    return Err::ok;
+  });
+  if (e != Err::ok) return e;
   return ctx.data;
 }
 
 SysResult<std::vector<std::string>> Kernel::readdir(const Site& site, Pid pid,
                                                     const std::string& pth) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "readdir";
-  ctx.path = pth;
+  SyscallCtx ctx(site, pid, "readdir", pth);
   ctx.has_input = true;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
-  if (!r.ok()) {
-    dispatch_after(ctx, r.error());
-    return r.error();
-  }
-  const Inode& n = vfs_.inode(r.value());
-  if (!n.is_dir()) {
-    dispatch_after(ctx, Err::notdir);
-    return Err::notdir;
-  }
-  if (!Vfs::permits_with_root(n, p.euid, p.egid, Perm::read)) {
-    dispatch_after(ctx, Err::acces);
-    return Err::acces;
-  }
-  describe_object(ctx, r.value());
-  std::vector<std::string> names;
-  names.reserve(n.entries.size());
-  for (const auto& [name, child] : n.entries) names.push_back(name);
-  // Deliver the listing through ctx.data (newline-joined) so indirect
-  // faults can rewrite it like any other input.
-  ctx.data = ep::join(names, "\n");
-  ctx.input = &ctx.data;
-  dispatch_after(ctx, Err::ok);
+  Err e = interact(ctx, [&] {
+    auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
+    if (!r.ok()) return r.error();
+    const Inode& n = vfs_.inode(r.value());
+    if (!n.is_dir()) return Err::notdir;
+    if (!Vfs::permits_with_root(n, p.euid, p.egid, Perm::read))
+      return Err::acces;
+    describe_object(ctx, r.value());
+    std::vector<std::string> names;
+    names.reserve(n.entries.size());
+    for (const auto& [name, child] : n.entries) names.push_back(name);
+    // Deliver the listing through ctx.data (newline-joined) so indirect
+    // faults can rewrite it like any other input.
+    ctx.data = ep::join(names, "\n");
+    ctx.input = &ctx.data;
+    return Err::ok;
+  });
+  if (e != Err::ok) return e;
   return ep::split_nonempty(ctx.data, '\n');
 }
 
 SysStatus Kernel::chmod(const Site& site, Pid pid, const std::string& pth,
                         unsigned mode) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "chmod";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
-  if (!r.ok()) return finish(r.error());
-  const Inode& n = vfs_.inode(r.value());
-  describe_object(ctx, r.value());
-  ctx.object_preexisting = true;
-  if (p.euid != kRootUid && p.euid != n.uid) return finish(Err::perm);
-  vfs_.mutate(r.value()).mode = mode & (kPermMask | kSetUidBit | kStickyBit);
-  return finish(Err::ok);
+  SyscallCtx ctx(site, pid, "chmod", pth);
+  return status_of(interact(ctx, [&] {
+    auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
+    if (!r.ok()) return r.error();
+    const Inode& n = vfs_.inode(r.value());
+    describe_object(ctx, r.value());
+    ctx.object_preexisting = true;
+    if (p.euid != kRootUid && p.euid != n.uid) return Err::perm;
+    vfs_.mutate(r.value()).mode = mode & (kPermMask | kSetUidBit | kStickyBit);
+    return Err::ok;
+  }));
 }
 
 SysStatus Kernel::chown(const Site& site, Pid pid, const std::string& pth,
                         Uid uid, Gid gid) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "chown";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
-  if (!r.ok()) return finish(r.error());
-  // Classic UNIX: only root may give files away.
-  if (p.euid != kRootUid) return finish(Err::perm);
-  describe_object(ctx, r.value());
-  ctx.object_preexisting = true;
-  Inode& n = vfs_.mutate(r.value());
-  n.uid = uid;
-  n.gid = gid;
-  return finish(Err::ok);
+  SyscallCtx ctx(site, pid, "chown", pth);
+  return status_of(interact(ctx, [&] {
+    auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
+    if (!r.ok()) return r.error();
+    // Classic UNIX: only root may give files away.
+    if (p.euid != kRootUid) return Err::perm;
+    describe_object(ctx, r.value());
+    ctx.object_preexisting = true;
+    Inode& n = vfs_.mutate(r.value());
+    n.uid = uid;
+    n.gid = gid;
+    return Err::ok;
+  }));
 }
 
 SysStatus Kernel::chdir(const Site& site, Pid pid, const std::string& pth) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "chdir";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
-  if (!r.ok()) return finish(r.error());
-  const Inode& n = vfs_.inode(r.value());
-  if (!n.is_dir()) return finish(Err::notdir);
-  if (!Vfs::permits_with_root(n, p.euid, p.egid, Perm::exec))
-    return finish(Err::acces);
-  describe_object(ctx, r.value());
-  p.cwd = vfs_.canonical_path(r.value());
-  return finish(Err::ok);
+  SyscallCtx ctx(site, pid, "chdir", pth);
+  return status_of(interact(ctx, [&] {
+    auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
+    if (!r.ok()) return r.error();
+    const Inode& n = vfs_.inode(r.value());
+    if (!n.is_dir()) return Err::notdir;
+    if (!Vfs::permits_with_root(n, p.euid, p.egid, Perm::exec))
+      return Err::acces;
+    describe_object(ctx, r.value());
+    p.cwd = vfs_.canonical_path(r.value());
+    return Err::ok;
+  }));
 }
 
 std::string Kernel::getcwd(Pid pid) const { return proc(pid).cwd; }
@@ -786,40 +562,30 @@ std::string Kernel::getcwd(Pid pid) const { return proc(pid).cwd; }
 SysResult<std::string> Kernel::getenv(const Site& site, Pid pid,
                                       const std::string& name) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "getenv";
-  ctx.aux = name;
+  SyscallCtx ctx(site, pid, "getenv", {}, name);
   ctx.has_input = true;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto it = p.env.find(name);
-  bool found = it != p.env.end();
-  ctx.data = found ? it->second : std::string{};
-  ctx.input = &ctx.data;
-  dispatch_after(ctx, found ? Err::ok : Err::noent);
+  Err e = interact(ctx, [&] {
+    auto it = p.env.find(name);
+    bool found = it != p.env.end();
+    ctx.data = found ? it->second : std::string{};
+    ctx.input = &ctx.data;
+    return found ? Err::ok : Err::noent;
+  });
   // An injected value can materialize a variable the OS never set — the
   // "initialization the programmer never sees" case from Section 2.3.1.
-  if (!found && ctx.data.empty()) return Err::noent;
+  if (e != Err::ok && ctx.data.empty()) return e;
   return ctx.data;
 }
 
 std::string Kernel::arg(const Site& site, Pid pid, std::size_t idx) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "arg";
-  ctx.aux = std::to_string(idx);
+  SyscallCtx ctx(site, pid, "arg", {}, std::to_string(idx));
   ctx.has_input = true;
-  dispatch_before(ctx);
-  ctx.data = idx < p.args.size() ? p.args[idx] : std::string{};
-  ctx.input = &ctx.data;
-  dispatch_after(ctx, Err::ok);
+  interact(ctx, [&] {
+    ctx.data = idx < p.args.size() ? p.args[idx] : std::string{};
+    ctx.input = &ctx.data;
+    return Err::ok;
+  });
   return ctx.data;
 }
 
@@ -827,27 +593,18 @@ std::size_t Kernel::argc(Pid pid) const { return proc(pid).args.size(); }
 
 void Kernel::output(const Site& site, Pid pid, std::string_view text) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "output";
+  SyscallCtx ctx(site, pid, "output");
   ctx.data = std::string(text);
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return;
-  }
-  p.stdout_text += text;
-  p.stdout_text += '\n';
-  dispatch_after(ctx, Err::ok);
+  interact(ctx, [&] {
+    p.stdout_text += text;
+    p.stdout_text += '\n';
+    return Err::ok;
+  });
 }
 
 void Kernel::app_fault(const Site& site, Pid pid, AppFault kind,
                        const std::string& detail) {
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "app_fault";
+  SyscallCtx ctx(site, pid, "app_fault");
   switch (kind) {
     case AppFault::buffer_overflow: ctx.aux = "buffer_overflow"; break;
     case AppFault::crash: ctx.aux = "crash"; break;
@@ -855,8 +612,7 @@ void Kernel::app_fault(const Site& site, Pid pid, AppFault kind,
     case AppFault::redzone_corruption: ctx.aux = "redzone_corruption"; break;
   }
   ctx.data = detail;
-  dispatch_before(ctx);
-  dispatch_after(ctx, Err::ok);
+  interact(ctx, [] { return Err::ok; });
 }
 
 // --- redzone memory oracle --------------------------------------------------
@@ -891,15 +647,10 @@ void Kernel::report_redzone_corruption(const Site& site, Pid pid,
       n > 0 ? std::to_string(n) + " byte(s) of poison overwritten past " +
                   object
             : "guard region damaged past " + object;
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "app_fault";
-  ctx.aux = "redzone_corruption";
-  ctx.path = object;  // the oracle's per-object dedup key
+  // ctx.path holds the object: the oracle's per-object dedup key.
+  SyscallCtx ctx(site, pid, "app_fault", object, "redzone_corruption");
   ctx.data = detail;
-  dispatch_before(ctx);
-  dispatch_after(ctx, Err::ok);
+  interact(ctx, [] { return Err::ok; });
 }
 
 void Kernel::check_inode_redzone(const Site& site, Pid pid, Ino ino) {
@@ -932,28 +683,18 @@ void Kernel::validate_redzones() {
 void Kernel::privileged_action(const Site& site, Pid pid,
                                const std::string& what,
                                bool believes_authorized) {
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "privileged_action";
-  ctx.aux = what;
+  SyscallCtx ctx(site, pid, "privileged_action", {}, what);
   ctx.data = believes_authorized ? "authorized" : "unauthorized";
-  dispatch_before(ctx);
-  dispatch_after(ctx, Err::ok);
+  interact(ctx, [] { return Err::ok; });
 }
 
 // --- exec -------------------------------------------------------------------
 
-SysResult<Kernel::ExecTarget> Kernel::resolve_exec_target(
-    const Process& p, const std::string& command) {
-  auto try_path = [&](const std::string& candidate) -> SysResult<ExecTarget> {
-    auto r = vfs_.resolve(candidate, p.cwd, p.euid, p.egid,
-                          /*follow_final=*/true);
-    if (!r.ok()) return r.error();
-    ExecTarget t;
-    t.ino = r.value();
-    t.canonical = vfs_.canonical_path(r.value());
-    return t;
+SysResult<Ino> Kernel::resolve_exec_target(const Process& p,
+                                           const std::string& command) {
+  auto try_path = [&](const std::string& candidate) {
+    return vfs_.resolve(candidate, p.cwd, p.euid, p.egid,
+                        /*follow_final=*/true);
   };
   if (ep::contains(command, "/")) return try_path(command);
   // $PATH search: the invisible use of an internal entity Section 2.3.1
@@ -967,31 +708,19 @@ SysResult<Kernel::ExecTarget> Kernel::resolve_exec_target(
   return Err::noent;
 }
 
-SysResult<int> Kernel::run_image(const Site& site, Pid parent,
-                                 ExecTarget target,
-                                 std::vector<std::string> args,
-                                 const std::string& invoked_as) {
-  Process& p = proc(parent);
-  const Inode& node = vfs_.inode(target.ino);
+SysResult<int> Kernel::run_process(Process c, Ino ino, const Site& crash_site,
+                                   const std::string& invoked_as) {
+  const Inode& node = vfs_.inode(ino);
   if (!node.is_regular()) return Err::acces;
-  if (!Vfs::permits_with_root(node, p.euid, p.egid, Perm::exec))
+  if (!Vfs::permits_with_root(node, c.euid, c.egid, Perm::exec))
     return Err::acces;
   if (node.image.empty() || !images_.count(node.image)) return Err::noexec;
-  if (exec_depth_ > 16) return Err::again;
+  if (exec_depth_ > 16) return Err::again;  // exec recursion; spawn is at 0
 
-  Pid cpid = next_pid_++;
-  Process c;
+  const Pid cpid = next_pid_++;
   c.pid = cpid;
-  c.ppid = parent;
-  c.ruid = p.ruid;
-  c.rgid = p.rgid;
-  c.euid = node.setuid() ? node.uid : p.euid;
-  c.egid = p.egid;
-  c.cwd = p.cwd;
-  c.umask = p.umask;
-  c.env = p.env;
-  c.args = std::move(args);
-  c.exe = target.canonical;
+  if (node.setuid()) c.euid = node.uid;
+  c.exe = vfs_.canonical_path(ino);
   procs_[cpid] = std::move(c);
 
   AppImage image = images_.at(node.image);
@@ -1002,40 +731,54 @@ SysResult<int> Kernel::run_image(const Site& site, Pid parent,
   } catch (const AppCrash& crash) {
     code = crash.code;
     procs_.at(cpid).crashed = true;
-    app_fault(site, cpid, AppFault::crash,
+    app_fault(crash_site, cpid, AppFault::crash,
               invoked_as + ": " + crash.reason);
   }
   --exec_depth_;
-  procs_.at(cpid).exit_code = code;
-  console_ += procs_.at(cpid).stdout_text;
+  Process& done = procs_.at(cpid);
+  done.exit_code = code;
+  console_ += done.stdout_text;
+  return code;
+}
+
+template <typename Resolve>
+SysResult<int> Kernel::exec_interaction(const Site& site, Pid pid,
+                                        const std::string& invoked_as,
+                                        std::vector<std::string> args,
+                                        Resolve&& resolve) {
+  const Process& p = proc(pid);
+  SyscallCtx ctx(site, pid, "exec", invoked_as, summarize_args(args));
+  int code = 0;
+  Err e = interact(ctx, [&] {
+    SysResult<Ino> target = resolve();
+    if (!target.ok()) return target.error();
+    describe_object(ctx, target.value());
+    ctx.object_preexisting = true;
+    Process c;
+    c.ppid = pid;
+    c.ruid = p.ruid;
+    c.rgid = p.rgid;
+    c.euid = p.euid;
+    c.egid = p.egid;
+    c.cwd = p.cwd;
+    c.umask = p.umask;
+    c.env = p.env;
+    c.args = std::move(args);
+    SysResult<int> r =
+        run_process(std::move(c), target.value(), site, invoked_as);
+    if (r.ok()) code = r.value();
+    return r.error();
+  });
+  if (e != Err::ok) return e;
   return code;
 }
 
 SysResult<int> Kernel::exec(const Site& site, Pid pid,
                             const std::string& command,
                             std::vector<std::string> args) {
-  Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "exec";
-  ctx.path = command;
-  ctx.aux = summarize_args(args);
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto target = resolve_exec_target(p, command);
-  if (!target.ok()) {
-    dispatch_after(ctx, target.error());
-    return target.error();
-  }
-  describe_object(ctx, target.value().ino);
-  ctx.object_preexisting = true;
-  auto r = run_image(site, pid, target.value(), std::move(args), command);
-  dispatch_after(ctx, r.ok() ? Err::ok : r.error());
-  return r;
+  return exec_interaction(site, pid, command, std::move(args), [&] {
+    return resolve_exec_target(proc(pid), command);
+  });
 }
 
 SysResult<int> Kernel::fexec(const Site& site, Pid pid, Fd fd,
@@ -1043,31 +786,14 @@ SysResult<int> Kernel::fexec(const Site& site, Pid pid, Fd fd,
   Process& p = proc(pid);
   auto it = p.fds.find(fd);
   if (it == p.fds.end()) return Err::badf;
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "exec";
-  ctx.path = it->second.opened_path;
-  ctx.aux = summarize_args(args);
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  // Note: perturbations that rewired the *path* between the program's
-  // check and this exec do not bite — the descriptor pins the inode.
-  if (!vfs_.exists(it->second.ino)) {
-    dispatch_after(ctx, Err::io);
-    return Err::io;
-  }
-  ExecTarget t;
-  t.ino = it->second.ino;
-  t.canonical = vfs_.canonical_path(t.ino);
-  describe_object(ctx, t.ino);
-  ctx.object_preexisting = true;
-  auto r = run_image(site, pid, t, std::move(args), it->second.opened_path);
-  dispatch_after(ctx, r.ok() ? Err::ok : r.error());
-  return r;
+  const OpenFile& of = it->second;
+  return exec_interaction(
+      site, pid, of.opened_path, std::move(args), [&]() -> SysResult<Ino> {
+        // Perturbations that rewired the *path* between the program's
+        // check and this exec do not bite: the descriptor pins the inode.
+        if (!vfs_.exists(of.ino)) return Err::io;
+        return of.ino;
+      });
 }
 
 SysResult<int> Kernel::spawn(const std::string& exe_path,
@@ -1078,42 +804,18 @@ SysResult<int> Kernel::spawn(const std::string& exe_path,
   // program with its environment, so no hooks fire here.
   auto r = vfs_.resolve(exe_path, cwd, ruid, rgid, /*follow_final=*/true);
   if (!r.ok()) return r.error();
-  const Inode& node = vfs_.inode(r.value());
-  if (!node.is_regular()) return Err::acces;
-  if (!Vfs::permits_with_root(node, ruid, rgid, Perm::exec)) return Err::acces;
-  if (node.image.empty() || !images_.count(node.image)) return Err::noexec;
-
   if (env.find("PATH") == env.end()) env["PATH"] = "/bin:/usr/bin";
-
-  Pid cpid = next_pid_++;
   Process c;
-  c.pid = cpid;
   c.ppid = 0;
   c.ruid = ruid;
   c.rgid = rgid;
-  c.euid = node.setuid() ? node.uid : ruid;
+  c.euid = ruid;
   c.egid = rgid;
   c.cwd = std::move(cwd);
   c.env = std::move(env);
   c.args = std::move(args);
-  c.exe = vfs_.canonical_path(r.value());
-  procs_[cpid] = std::move(c);
-
-  AppImage image = images_.at(node.image);
-  int code = 0;
-  ++exec_depth_;
-  try {
-    code = image(*this, cpid);
-  } catch (const AppCrash& crash) {
-    code = crash.code;
-    procs_.at(cpid).crashed = true;
-    app_fault(Site{"kernel", 0, "spawn-crash"}, cpid, AppFault::crash,
-              exe_path + ": " + crash.reason);
-  }
-  --exec_depth_;
-  procs_.at(cpid).exit_code = code;
-  console_ += procs_.at(cpid).stdout_text;
-  return code;
+  return run_process(std::move(c), r.value(), Site{"kernel", 0, "spawn-crash"},
+                     exe_path);
 }
 
 }  // namespace ep::os

@@ -1,10 +1,10 @@
 // The simulated kernel: processes + VFS + syscall layer + hook chain.
 //
 // Every syscall takes a Site (the call-site id in the target program) and
-// flows through the interposer chain (see hooks.hpp). Permission checks
-// use the calling process's *effective* uid, set-uid exec raises
-// privilege, and access(2) checks the *real* uid — the exact semantics the
-// paper's vulnerabilities (lpr, turnin) depend on.
+// crosses the interposer chain (see hooks.hpp) once, through interact().
+// Permission checks use the calling process's *effective* uid, set-uid
+// exec raises privilege, and access(2) checks the *real* uid — the exact
+// semantics the paper's vulnerabilities (lpr, turnin) depend on.
 #pragma once
 
 #include <functional>
@@ -212,10 +212,21 @@ class Kernel {
   [[nodiscard]] std::size_t interposer_count() const {
     return run_.hooks.size();
   }
-  /// Exposed so sibling substrates (network, registry) can route their
-  /// interactions through the same chain.
-  void dispatch_before(SyscallCtx& ctx);
-  void dispatch_after(SyscallCtx& ctx, Err result);
+
+  /// The interaction seam: every hooked call crosses the chain here, once.
+  /// The before-hooks see `ctx` as the call described it; `act` performs
+  /// the call and returns its Err, filling in what the after-hooks read
+  /// (the resolved object, ctx.data, ctx.input); the after-hooks then see
+  /// `ctx` and that Err, which is returned. Public so the sibling
+  /// substrates (network, registry) cross the same seam. A template, not
+  /// a std::function: this is the per-syscall path.
+  template <typename Act>
+  Err interact(SyscallCtx& ctx, Act&& act) {
+    dispatch_before(ctx);
+    const Err e = act();
+    dispatch_after(ctx, e);
+    return e;
+  }
 
   // --- queries used by perturbers and the oracle ----------------------
   /// Would (uid,gid) pass `perm` on the object at canonical path `p`?
@@ -229,15 +240,33 @@ class Kernel {
   [[nodiscard]] std::string console() const { return console_; }
 
  private:
-  struct ExecTarget {
-    Ino ino = kNoIno;
-    std::string canonical;
-  };
-  SysResult<int> run_image(const Site& site, Pid parent, ExecTarget target,
-                           std::vector<std::string> args,
-                           const std::string& invoked_as);
-  SysResult<ExecTarget> resolve_exec_target(const Process& p,
-                                            const std::string& command);
+  void dispatch_before(SyscallCtx& ctx);
+  void dispatch_after(SyscallCtx& ctx, Err result);
+
+  /// read() and read_line(): one "read" interaction on descriptor `fd`,
+  /// delivering up to `n` bytes, or one line when `line` is set.
+  SysResult<std::string> read_input(const Site& site, Pid pid, Fd fd,
+                                    std::size_t n, bool line);
+  /// stat() and lstat(): `follow` says whether a final symlink is followed.
+  SysResult<StatInfo> stat_path(const Site& site, Pid pid,
+                                const std::string& path, bool follow);
+  /// unlink() and rmdir(): remove the entry `path`, a directory when `dir`.
+  SysStatus remove_entry(const Site& site, Pid pid, const std::string& path,
+                         bool dir);
+  /// exec() and fexec(): one "exec" interaction naming `invoked_as`;
+  /// `resolve` finds the binary's inode once the before-hooks have run.
+  template <typename Resolve>
+  SysResult<int> exec_interaction(const Site& site, Pid pid,
+                                  const std::string& invoked_as,
+                                  std::vector<std::string> args,
+                                  Resolve&& resolve);
+  SysResult<Ino> resolve_exec_target(const Process& p,
+                                     const std::string& command);
+  /// spawn() and exec(): run the image of binary `ino` to completion as
+  /// the new process `c`. Set-uid raises c's effective uid; an AppCrash
+  /// marks it crashed and reports an app_fault at `crash_site`.
+  SysResult<int> run_process(Process c, Ino ino, const Site& crash_site,
+                             const std::string& invoked_as);
   /// Fill ctx.canonical/object/object_untrusted from a resolved inode.
   void describe_object(SyscallCtx& ctx, Ino ino) const;
   [[nodiscard]] bool ancestor_untrusted(Ino ino) const;

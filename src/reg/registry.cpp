@@ -16,29 +16,19 @@ const Key* Registry::find(const std::string& path) const {
 SysResult<std::string> Registry::read_value(os::Kernel& k,
                                             const os::Site& site, os::Pid pid,
                                             const std::string& path) {
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "regread";
-  ctx.path = path;
+  SyscallCtx ctx(site, pid, "regread", path);
   ctx.has_input = true;
-  k.dispatch_before(ctx);
-  if (ctx.force_fail) {
-    k.dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto it = keys_.find(path);
-  Err e = Err::ok;
-  if (it == keys_.end()) {
-    e = Err::noent;
-  } else {
+  Err e = k.interact(ctx, [&] {
+    // Input even for a missing key: an after-hook may supply a value.
+    ctx.input = &ctx.data;
+    auto it = keys_.find(path);
+    if (it == keys_.end()) return Err::noent;
     if (!os::redzone::intact(it->second.redzone))
       k.report_redzone_corruption(site, pid, path, it->second.redzone);
     ctx.data = it->second.value;
     ctx.object_untrusted = !it->second.trusted;
-  }
-  ctx.input = &ctx.data;
-  k.dispatch_after(ctx, e);
+    return Err::ok;
+  });
   if (e != Err::ok && ctx.data.empty()) return e;
   return ctx.data;
 }
@@ -46,35 +36,20 @@ SysResult<std::string> Registry::read_value(os::Kernel& k,
 SysStatus Registry::write_value(os::Kernel& k, const os::Site& site,
                                 os::Pid pid, const std::string& path,
                                 const std::string& value) {
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "regwrite";
-  ctx.path = path;
+  SyscallCtx ctx(site, pid, "regwrite", path);
   ctx.data = value;
-  k.dispatch_before(ctx);
-  if (ctx.force_fail) {
-    k.dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto it = keys_.find(path);
-  Err e = Err::ok;
-  if (it == keys_.end()) {
-    e = Err::noent;
-  } else {
+  return status_of(k.interact(ctx, [&] {
+    auto it = keys_.find(path);
+    if (it == keys_.end()) return Err::noent;
     if (!os::redzone::intact(it->second.redzone))
       k.report_redzone_corruption(site, pid, path, it->second.redzone);
     const os::Process& p = k.proc(pid);
     if (!it->second.acl.everyone_write && p.euid != os::kRootUid &&
-        p.euid != it->second.acl.owner) {
-      e = Err::acces;
-    } else {
-      it->second.value = value;
-    }
-  }
-  k.dispatch_after(ctx, e);
-  if (e != Err::ok) return e;
-  return ok_status();
+        p.euid != it->second.acl.owner)
+      return Err::acces;
+    it->second.value = value;
+    return Err::ok;
+  }));
 }
 
 bool Registry::attacker_set_value(os::Uid attacker, const std::string& path,

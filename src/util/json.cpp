@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 
 namespace ep {
@@ -39,7 +40,13 @@ double JsonValue::as_number() const {
 
 long long JsonValue::as_int() const {
   double n = as_number();
-  if (exact_int_) return int_;
+  if (exact_int_) {
+    // -(m - 1) - 1 negates 2^63 without overflowing long long.
+    if (negative_) return -static_cast<long long>(magnitude_ - 1) - 1;
+    if (magnitude_ > static_cast<std::uint64_t>(LLONG_MAX))
+      throw JsonError("integer out of range");
+    return static_cast<long long>(magnitude_);
+  }
   // Range-check before the cast: double -> long long outside the
   // representable range is UB, and the number came from untrusted input.
   if (n < -9223372036854775808.0 || n >= 9223372036854775808.0)
@@ -48,6 +55,20 @@ long long JsonValue::as_int() const {
   if (static_cast<double>(i) != n)
     throw JsonError("expected integer, got non-integral number");
   return i;
+}
+
+std::uint64_t JsonValue::as_uint64() const {
+  double n = as_number();
+  if (exact_int_) {
+    if (negative_) throw JsonError("integer out of range");
+    return magnitude_;
+  }
+  if (n < 0.0 || n >= 18446744073709551616.0)
+    throw JsonError("integer out of range");
+  auto u = static_cast<std::uint64_t>(n);
+  if (static_cast<double>(u) != n)
+    throw JsonError("expected integer, got non-integral number");
+  return u;
 }
 
 const std::string& JsonValue::as_string() const {
@@ -100,7 +121,17 @@ JsonValue JsonValue::make_number(double n) {
 JsonValue JsonValue::make_int(long long n) {
   JsonValue v = make_number(static_cast<double>(n));
   v.exact_int_ = true;
-  v.int_ = n;
+  v.negative_ = n < 0;
+  // |n| in unsigned arithmetic, which holds 2^63 too.
+  v.magnitude_ = n < 0 ? 0 - static_cast<std::uint64_t>(n)
+                       : static_cast<std::uint64_t>(n);
+  return v;
+}
+
+JsonValue JsonValue::make_uint64(std::uint64_t n) {
+  JsonValue v = make_number(static_cast<double>(n));
+  v.exact_int_ = true;
+  v.magnitude_ = n;
   return v;
 }
 
@@ -375,28 +406,27 @@ class Parser {
         fail("digit expected in exponent");
       while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
     }
-    // Integral literals are read exactly over the whole long long range,
-    // not through a double: search-generated params reach 2^63 - 1, and
-    // a double holds integers exactly only up to 2^53. It is also the
-    // fast path (ids, counts, lines) — no strtod, no heap slice. Past
-    // the range the literal falls through to strtod, and as_int()
-    // rejects it.
+    // Integral literals are read exactly over [-2^63, 2^64 - 1], not
+    // through a double: search-generated params reach 2^63 - 1, seeds
+    // 2^64 - 1, and a double holds integers exactly only up to 2^53. It
+    // is also the fast path (ids, counts, lines) — no strtod, no heap
+    // slice. Past the range the literal falls through to strtod, and
+    // as_int() and as_uint64() reject it.
     if (integral) {
       const bool neg = text_[start] == '-';
-      const unsigned long long cap =
-          neg ? 9223372036854775808ULL : 9223372036854775807ULL;
-      unsigned long long mag = 0;
+      const std::uint64_t cap =
+          neg ? 9223372036854775808ULL : 18446744073709551615ULL;
+      std::uint64_t mag = 0;
       std::size_t i = start + (neg ? 1 : 0);
       for (; i < pos_; ++i) {
-        auto digit = static_cast<unsigned long long>(text_[i] - '0');
+        auto digit = static_cast<std::uint64_t>(text_[i] - '0');
         if (mag > (cap - digit) / 10) break;
         mag = mag * 10 + digit;
       }
       if (i == pos_) {
+        if (!neg || mag == 0) return JsonValue::make_uint64(mag);
         // -(mag - 1) - 1 negates 2^63 without overflowing long long.
-        return JsonValue::make_int(
-            !neg || mag == 0 ? static_cast<long long>(mag)
-                             : -static_cast<long long>(mag - 1) - 1);
+        return JsonValue::make_int(-static_cast<long long>(mag - 1) - 1);
       }
     }
     std::string slice(text_.substr(start, pos_ - start));

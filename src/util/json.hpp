@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -68,6 +69,10 @@ class JsonValue {
   /// not fit (ids, counts, and indices are integral on the wire). An
   /// integral literal in the long long range comes back exactly.
   [[nodiscard]] long long as_int() const;
+  /// The number as an unsigned 64-bit integer (seeds span the whole
+  /// range); throws if it is negative, fractional or above 2^64 - 1. An
+  /// integral literal in that range comes back exactly.
+  [[nodiscard]] std::uint64_t as_uint64() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<JsonValue>& items() const;  // array
   [[nodiscard]] const Members& members() const;               // object
@@ -82,6 +87,7 @@ class JsonValue {
   static JsonValue make_bool(bool b);
   static JsonValue make_number(double n);
   static JsonValue make_int(long long n);
+  static JsonValue make_uint64(std::uint64_t n);
   static JsonValue make_string(std::string s);
   static JsonValue make_array(std::vector<JsonValue> items);
   static JsonValue make_object(Members members);
@@ -90,8 +96,11 @@ class JsonValue {
   Type type_ = Type::null;
   bool bool_ = false;
   double number_ = 0.0;
-  bool exact_int_ = false;  // int_ holds the number exactly
-  long long int_ = 0;
+  // An integral literal in [-2^63, 2^64 - 1] is held exactly, as its
+  // sign and magnitude: a double holds integers exactly only up to 2^53.
+  bool exact_int_ = false;
+  bool negative_ = false;
+  std::uint64_t magnitude_ = 0;
   std::string string_;
   std::vector<JsonValue> items_;
   Members members_;

@@ -67,4 +67,10 @@ using SysStatus = SysResult<Unit>;
 
 inline SysStatus ok_status() { return SysStatus{Unit{}}; }
 
+/// The status a call's Err stands for: success for Err::ok.
+inline SysStatus status_of(Err e) {
+  if (e != Err::ok) return e;
+  return ok_status();
+}
+
 }  // namespace ep

@@ -243,19 +243,26 @@ TEST(OrchestratorErrors, HardWorkerFailureAbortsInsteadOfReLeasing) {
 
 TEST(OrchestratorErrors, RespawnBudgetBoundsAPreemptionStorm) {
   // Workers that die before serving anything make no progress; the
-  // budget must stop the spawn loop with a diagnostic, not spin.
+  // budget (the leases dealt plus twice the worker count) must stop the
+  // spawn loop with a diagnostic, not spin.
   Scenario s = toy_scenario();
   InjectionPlan plan = planned_toy();
   FakeTransport transport(s, plan);
   transport.script.assign(64, {0, 0});  // everyone dies on the first lease
   OrchestratorOptions opts;
   opts.workers = 2;
-  opts.max_respawns = 3;
+  const std::size_t leases = lease_partition(plan.items.size(), opts).size();
+  ASSERT_EQ(leases, 8u);
   try {
     (void)orchestrate(plan, transport, opts);
     FAIL() << "expected OrchestratorError";
   } catch (const OrchestratorError& e) {
-    EXPECT_TRUE(contains(e.what(), "respawn budget"));
+    EXPECT_EQ(std::string(e.what()),
+              "orchestrate: worker respawn budget (" +
+                  std::to_string(leases + 2 * 2) + ") exhausted with " +
+                  std::to_string(leases) +
+                  " lease(s) outstanding — workers are being preempted "
+                  "faster than they drain");
   }
 }
 

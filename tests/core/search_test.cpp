@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/campaign_fixtures.hpp"
 #include "core/executor.hpp"
 #include "core/wire.hpp"
+#include "util/strings.hpp"
 
 namespace ep::core {
 namespace {
@@ -261,6 +263,32 @@ TEST(SearchState, RejectsForeignAndMalformedDocuments) {
   bad_owner.report.outcomes.erase(bad_owner.report.outcomes.begin());
   EXPECT_THROW(
       search_state_from_json(search_state_to_json(bad_owner)), WireError);
+}
+
+TEST(SearchState, SeedSpansTheUnsigned64BitRange) {
+  // --seed takes any unsigned 64-bit value, so the state must give each
+  // one back; a negative seed, one past 2^64 - 1 or a fraction is
+  // refused with a diagnostic naming the field.
+  SearchState st = sample_state(toy_scenario());
+  for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1} << 63,
+                             std::uint64_t{UINT64_MAX}}) {
+    st.seed = seed;
+    EXPECT_EQ(search_state_from_json(search_state_to_json(st)).seed, seed);
+  }
+  st.seed = 7;
+  const std::string good = search_state_to_json(st);
+  for (const std::string bad : {"-1", "18446744073709551616", "1.5"}) {
+    std::string text = good;
+    const std::string field = "\"seed\": 7,";
+    ASSERT_NE(text.find(field), std::string::npos);
+    text.replace(text.find(field), field.size(), "\"seed\": " + bad + ",");
+    try {
+      (void)search_state_from_json(text);
+      ADD_FAILURE() << "seed " << bad << " accepted";
+    } catch (const WireError& e) {
+      EXPECT_TRUE(contains(e.what(), "search state: seed: ")) << e.what();
+    }
+  }
 }
 
 // --- checkpoint / resume ----------------------------------------------------

@@ -1003,7 +1003,7 @@ TEST(WireResume, CheckpointedSubsetDrainMatchesPlainDrain) {
   InjectionPlan plan = toy_plan(/*with_snapshot=*/true);
   Executor ex(s);
   std::vector<std::size_t> ids = ids_of({0, plan.items.size()});
-  auto plain = ex.execute_subset(plan, ids);
+  auto plain = ex.execute_subset_checkpointed(plan, ids, 0, nullptr, nullptr);
   for (int jobs : {1, 2}) {
     ExecutorOptions opts;
     opts.jobs = jobs;

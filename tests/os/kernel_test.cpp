@@ -297,20 +297,6 @@ TEST_F(KernelTest, NonStickyWritableDirAllowsForeignDeletion) {
   EXPECT_TRUE(k.unlink(kS, mallory, "/tmp/alice-file").ok());
 }
 
-TEST_F(KernelTest, HookSeesForcedFailure) {
-  struct Deny : Interposer {
-    void before(Kernel&, SyscallCtx& ctx) override {
-      if (ctx.call == "open") {
-        ctx.force_fail = true;
-        ctx.forced_error = Err::conn;
-      }
-    }
-  };
-  k.add_interposer(std::make_shared<Deny>());
-  auto fd = k.open(kS, alice, "/etc/passwd", OpenFlag::rd);
-  EXPECT_EQ(fd.error(), Err::conn);
-}
-
 TEST_F(KernelTest, AfterHookCanRewriteInput) {
   struct Rewrite : Interposer {
     void after(Kernel&, SyscallCtx& ctx, Err) override {
@@ -328,7 +314,7 @@ TEST_F(KernelTest, AfterHookCanRewriteInput) {
 
 TEST_F(KernelTest, HookShrinkingContentMidReadIsEofNotCrash) {
   // A content perturbation can replace the file with a shorter payload
-  // between dispatch_before and the actual read; an advanced descriptor
+  // between the before-hooks and the actual read; an advanced descriptor
   // offset must degrade to EOF, never out-of-range.
   struct Shrink : Interposer {
     void before(Kernel& kk, SyscallCtx& ctx) override {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cstdint>
 
 #include "util/strings.hpp"
 
@@ -182,6 +183,27 @@ TEST(Json, IntegersPastTwoToThe53RoundTripExactly) {
   // as_number() stays the nearest double.
   EXPECT_DOUBLE_EQ(json_parse("9223372036854775807").as_number(),
                    9223372036854775807.0);
+}
+
+TEST(Json, AsUint64CoversTheWholeUnsignedRangeExactly) {
+  // Seeds span every unsigned 64-bit value; the ones past 2^63 - 1 must
+  // come back exactly, not through a double.
+  EXPECT_EQ(json_parse("0").as_uint64(), 0u);
+  EXPECT_EQ(json_parse("-0").as_uint64(), 0u);
+  EXPECT_EQ(json_parse("9223372036854775808").as_uint64(),
+            9223372036854775808ULL);
+  EXPECT_EQ(json_parse("18446744073709551614").as_uint64(),
+            18446744073709551614ULL);
+  EXPECT_EQ(json_parse("18446744073709551615").as_uint64(), UINT64_MAX);
+  EXPECT_EQ(json_parse("1e3").as_uint64(), 1000u);
+  // Negative, past 2^64 - 1, or fractional: clean errors.
+  EXPECT_THROW((void)json_parse("-1").as_uint64(), JsonError);
+  EXPECT_THROW((void)json_parse("18446744073709551616").as_uint64(),
+               JsonError);
+  EXPECT_THROW((void)json_parse("2e19").as_uint64(), JsonError);
+  EXPECT_THROW((void)json_parse("0.5").as_uint64(), JsonError);
+  // Above the long long range as_int() still refuses it.
+  EXPECT_THROW((void)json_parse("18446744073709551615").as_int(), JsonError);
 }
 
 }  // namespace
