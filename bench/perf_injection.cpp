@@ -151,11 +151,11 @@ void BM_SingleInjectionRun(benchmark::State& state) {
   core::FaultRef fault;
   fault.kind = core::FaultKind::direct;
   fault.direct = core::FaultCatalog::standard().find_direct("symbolic-link");
+  const os::Site site{"lpr.c", 42, apps::kLprCreateTag};  // borrowed
   for (auto _ : state) {
     auto w = scenario.build();
-    auto injector = std::make_shared<core::Injector>(
-        *w, os::Site{"lpr.c", 42, apps::kLprCreateTag}, fault,
-        scenario.hints);
+    auto injector =
+        std::make_shared<core::Injector>(*w, site, fault, scenario.hints);
     auto oracle = std::make_shared<core::SecurityOracle>(scenario.policy);
     w->kernel.add_interposer(injector);
     w->kernel.add_interposer(oracle);

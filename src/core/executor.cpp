@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -245,15 +246,24 @@ InjectionOutcome Executor::run_item(const InjectionPlan& plan,
   world->kernel.set_redzone_audit(opts.use_redzone);
   // The perturbation parameter (search-generated items): a nonzero param
   // deterministically mutates the hints this run injects with — the
-  // outcome stays a pure function of (point, fault, param).
-  ScenarioHints hints = scenario_.hints;
+  // outcome stays a pure function of (point, fault, param). Only then are
+  // the hints copied; otherwise the injector reads the scenario's own.
+  std::optional<ScenarioHints> mutated;
   if (item.param != 0) {
+    mutated = scenario_.hints;
     Rng prng(item.param);
-    hints.long_length = std::size_t(16) << prng.below(10);
+    mutated->long_length = std::size_t(16) << prng.below(10);
   }
-  auto injector = std::make_shared<Injector>(*world, point.site, item.fault,
-                                             hints);
+  auto injector = std::make_shared<Injector>(
+      *world, point.site, item.fault, mutated ? *mutated : scenario_.hints);
   auto oracle = std::make_shared<SecurityOracle>(scenario_.policy);
+  // The injector borrows the hints above, so no hook outlives this call,
+  // even one that throws: an arena world keeps its chain until the next
+  // instantiate() otherwise.
+  struct Disarm {
+    os::Kernel& kernel;
+    ~Disarm() { kernel.clear_interposers(); }
+  } disarm{world->kernel};
   world->kernel.add_interposer(injector);
   world->kernel.add_interposer(oracle);
 

@@ -2,12 +2,9 @@
 
 namespace ep::core {
 
-Injector::Injector(TargetWorld& world, os::Site site, FaultRef fault,
-                   ScenarioHints hints)
-    : world_(world),
-      site_(std::move(site)),
-      fault_(fault),
-      hints_(std::move(hints)) {}
+Injector::Injector(TargetWorld& world, const os::Site& site, FaultRef fault,
+                   const ScenarioHints& hints)
+    : world_(world), site_(site), fault_(fault), hints_(hints) {}
 
 void Injector::before(os::Kernel& /*k*/, os::SyscallCtx& ctx) {
   if (fired_ || !(ctx.site == site_)) return;

@@ -16,9 +16,15 @@ namespace ep::core {
 
 class Injector : public os::Interposer {
  public:
-  /// `world` must outlive the injector (the campaign owns both).
-  Injector(TargetWorld& world, os::Site site, FaultRef fault,
-           ScenarioHints hints);
+  /// Borrows `world`, `site` and `hints`: all three must outlive the
+  /// injector's use (the executor owns the world and reads the site and
+  /// hints from the plan and scenario, and removes the injector from the
+  /// hook chain before the run returns).
+  Injector(TargetWorld& world, const os::Site& site, FaultRef fault,
+           const ScenarioHints& hints);
+  /// A temporary would dangle before the first hooked call.
+  Injector(TargetWorld&, os::Site&&, FaultRef, const ScenarioHints&) = delete;
+  Injector(TargetWorld&, const os::Site&, FaultRef, ScenarioHints&&) = delete;
 
   void before(os::Kernel& k, os::SyscallCtx& ctx) override;
   void after(os::Kernel& k, os::SyscallCtx& ctx, Err result) override;
@@ -33,9 +39,9 @@ class Injector : public os::Interposer {
 
  private:
   TargetWorld& world_;
-  os::Site site_;
+  const os::Site& site_;
   FaultRef fault_;
-  ScenarioHints hints_;
+  const ScenarioHints& hints_;
   bool fired_ = false;
   std::string original_;
   std::string injected_;

@@ -11,13 +11,23 @@ namespace ep::core {
 
 namespace {
 
-std::string jstr(const std::string& s) { return ep::json_quote(s); }
+/// The JSON report's value forms, appended to one buffer.
+struct JsonOut {
+  std::string& out;
 
-std::string jnum(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
-}
+  void str(std::string_view s) { ep::append_json_quoted(out, s); }
+  void flag(bool b) { out += b ? "true" : "false"; }
+  void num(long long v) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%lld", v);
+    out += buf;
+  }
+  void fixed(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.6f", v);
+    out += buf;
+  }
+};
 
 }  // namespace
 
@@ -132,63 +142,91 @@ std::string render_report(const CampaignResult& r) {
 }
 
 std::string render_json(const CampaignResult& r) {
-  std::string out = "{\n";
-  out += "  \"schema_version\": " + std::to_string(kPlanSchemaVersion) +
-         ",\n";
-  out += "  \"scenario\": " + jstr(r.scenario_name) + ",\n";
+  std::string out;
+  out.reserve(512 + 160 * r.points.size() + 224 * r.injections.size());
+  JsonOut j{out};
+  out += "{\n  \"schema_version\": ";
+  j.num(kPlanSchemaVersion);
+  out += ",\n  \"scenario\": ";
+  j.str(r.scenario_name);
+  out += ",\n";
 
   out += "  \"interaction_points\": [\n";
   for (std::size_t i = 0; i < r.points.size(); ++i) {
     const auto& p = r.points[i];
-    out += "    {\"site\": " + jstr(p.site.tag) +
-           ", \"call\": " + jstr(p.call) +
-           ", \"object\": " + jstr(p.object) +
-           ", \"kind\": " + jstr(std::string(to_string(p.kind))) +
-           ", \"has_input\": " + (p.has_input ? "true" : "false") +
-           ", \"hits\": " + std::to_string(p.hits) + "}";
-    out += i + 1 < r.points.size() ? ",\n" : "\n";
+    out += "    {\"site\": ";
+    j.str(p.site.tag);
+    out += ", \"call\": ";
+    j.str(p.call);
+    out += ", \"object\": ";
+    j.str(p.object);
+    out += ", \"kind\": ";
+    j.str(to_string(p.kind));
+    out += ", \"has_input\": ";
+    j.flag(p.has_input);
+    out += ", \"hits\": ";
+    j.num(p.hits);
+    out += i + 1 < r.points.size() ? "},\n" : "}\n";
   }
   out += "  ],\n";
 
   out += "  \"injections\": [\n";
   for (std::size_t i = 0; i < r.injections.size(); ++i) {
     const auto& inj = r.injections[i];
-    out += "    {\"site\": " + jstr(inj.site.tag) +
-           ", \"fault\": " + jstr(inj.fault_name) +
-           ", \"kind\": " + jstr(std::string(to_string(inj.kind))) +
-           ", \"fired\": " + (inj.fired ? "true" : "false") +
-           ", \"violated\": " + (inj.violated ? "true" : "false") +
-           ", \"crashed\": " + (inj.crashed ? "true" : "false") +
-           ", \"exit_code\": " + std::to_string(inj.exit_code);
+    out += "    {\"site\": ";
+    j.str(inj.site.tag);
+    out += ", \"fault\": ";
+    j.str(inj.fault_name);
+    out += ", \"kind\": ";
+    j.str(to_string(inj.kind));
+    out += ", \"fired\": ";
+    j.flag(inj.fired);
+    out += ", \"violated\": ";
+    j.flag(inj.violated);
+    out += ", \"crashed\": ";
+    j.flag(inj.crashed);
+    out += ", \"exit_code\": ";
+    j.num(inj.exit_code);
     if (inj.violated) {
       out += ", \"violations\": [";
       // Canonical violation objects (core/wire.hpp): the same shape the
       // shard-report wire format uses, so dashboards parse one schema.
-      for (std::size_t v = 0; v < inj.violations.size(); ++v)
-        out += std::string(v ? ", " : "") + json_violation(inj.violations[v]);
-      out += "], \"exploit\": {\"nonroot_feasible\": " +
-             std::string(inj.exploit.nonroot_feasible ? "true" : "false") +
-             ", \"actor\": " + jstr(inj.exploit.actor) +
-             ", \"note\": " + jstr(inj.exploit.note) + "}";
+      for (std::size_t v = 0; v < inj.violations.size(); ++v) {
+        if (v) out += ", ";
+        append_json_violation(out, inj.violations[v]);
+      }
+      out += "], \"exploit\": {\"nonroot_feasible\": ";
+      j.flag(inj.exploit.nonroot_feasible);
+      out += ", \"actor\": ";
+      j.str(inj.exploit.actor);
+      out += ", \"note\": ";
+      j.str(inj.exploit.note);
+      out += '}';
     }
-    out += "}";
-    out += i + 1 < r.injections.size() ? ",\n" : "\n";
+    out += i + 1 < r.injections.size() ? "},\n" : "}\n";
   }
   out += "  ],\n";
 
-  out += "  \"metrics\": {";
-  out += "\"points\": " + std::to_string(r.points.size());
-  out += ", \"perturbed\": " + std::to_string(r.perturbed_site_tags.size());
-  out += ", \"injections\": " + std::to_string(r.n());
-  out += ", \"violations\": " + std::to_string(r.violation_count());
-  out += ", \"tolerated\": " + std::to_string(r.tolerated_count());
-  out += ", \"interaction_coverage\": " + jnum(r.interaction_coverage());
-  out += ", \"fault_coverage\": " + jnum(r.fault_coverage());
-  out += ", \"vulnerability_score\": " + jnum(r.vulnerability_score());
-  out += ", \"adequacy_region\": " +
-         jstr(std::string(to_string(r.region())));
-  out += ", \"benign_violations\": " +
-         std::to_string(r.benign_violations.size());
+  out += "  \"metrics\": {\"points\": ";
+  j.num(static_cast<long long>(r.points.size()));
+  out += ", \"perturbed\": ";
+  j.num(static_cast<long long>(r.perturbed_site_tags.size()));
+  out += ", \"injections\": ";
+  j.num(r.n());
+  out += ", \"violations\": ";
+  j.num(r.violation_count());
+  out += ", \"tolerated\": ";
+  j.num(r.tolerated_count());
+  out += ", \"interaction_coverage\": ";
+  j.fixed(r.interaction_coverage());
+  out += ", \"fault_coverage\": ";
+  j.fixed(r.fault_coverage());
+  out += ", \"vulnerability_score\": ";
+  j.fixed(r.vulnerability_score());
+  out += ", \"adequacy_region\": ";
+  j.str(to_string(r.region()));
+  out += ", \"benign_violations\": ";
+  j.num(static_cast<long long>(r.benign_violations.size()));
   out += "}\n}\n";
   return out;
 }

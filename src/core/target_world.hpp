@@ -4,11 +4,12 @@
 // (no perturbation outlives its run).
 //
 // clone() produces that fresh world from an already-built one at a
-// fraction of the build cost: the kernel copy shares VFS inodes
-// copy-on-write (see os/vfs.hpp), and the network/registry substrates are
-// small value-copied state. A run's perturbations unshare only the nodes
-// they touch, so a clone is observably identical to a fresh build of the
-// same world while never leaking writes back into its source. The
+// fraction of the build cost: the kernel copy shares VFS inodes and its
+// user/image tables copy-on-write (see os/vfs.hpp, util/cow.hpp), the
+// registry shares its key table the same way, and the network is small
+// value-copied state. A run's perturbations unshare only the nodes and
+// tables they touch, so a clone is observably identical to a fresh build
+// of the same world while never leaking writes back into its source. The
 // interposer chain is never cloned (hooks are per-run); clone the world
 // first, then arm injector and oracle.
 #pragma once

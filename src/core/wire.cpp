@@ -12,18 +12,40 @@
 
 namespace ep::core {
 
+void append_json_site(std::string& out, const os::Site& s) {
+  out += "{\"unit\": ";
+  append_json_quoted(out, s.unit);
+  out += ", \"line\": ";
+  out += std::to_string(s.line);
+  out += ", \"tag\": ";
+  append_json_quoted(out, s.tag);
+  out += '}';
+}
+
+void append_json_violation(std::string& out, const Violation& v) {
+  out += "{\"policy\": ";
+  append_json_quoted(out, to_string(v.policy));
+  out += ", \"site\": ";
+  append_json_site(out, v.site);
+  out += ", \"call\": ";
+  append_json_quoted(out, v.call);
+  out += ", \"object\": ";
+  append_json_quoted(out, v.object);
+  out += ", \"detail\": ";
+  append_json_quoted(out, v.detail);
+  out += '}';
+}
+
 std::string json_site(const os::Site& s) {
-  return "{\"unit\": " + json_quote(s.unit) +
-         ", \"line\": " + std::to_string(s.line) +
-         ", \"tag\": " + json_quote(s.tag) + "}";
+  std::string out;
+  append_json_site(out, s);
+  return out;
 }
 
 std::string json_violation(const Violation& v) {
-  return "{\"policy\": " + json_quote(std::string(to_string(v.policy))) +
-         ", \"site\": " + json_site(v.site) +
-         ", \"call\": " + json_quote(v.call) +
-         ", \"object\": " + json_quote(v.object) +
-         ", \"detail\": " + json_quote(v.detail) + "}";
+  std::string out;
+  append_json_violation(out, v);
+  return out;
 }
 
 namespace wire_detail {

@@ -59,6 +59,10 @@ class WireError : public std::runtime_error {
 /// violation objects look the same in plans, shard reports, and docs.
 std::string json_site(const os::Site& s);
 std::string json_violation(const Violation& v);
+/// The same fragments appended to `out` (renderers that stream into one
+/// buffer).
+void append_json_site(std::string& out, const os::Site& s);
+void append_json_violation(std::string& out, const Violation& v);
 
 /// Parse and validate a serialized plan (the inverse of
 /// InjectionPlan::to_json). Faults are re-resolved by name against this

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "util/cow.hpp"
 #include "util/strings.hpp"
 
 namespace ep::os {
@@ -22,25 +23,28 @@ bool sticky_denies(const Process& p, const Inode& dir, const Inode& victim) {
 
 }  // namespace
 
-Kernel::Kernel() {
-  users_[kRootUid] = {"root", kRootGid};
+Kernel::Kernel()
+    : users_(std::make_shared<UserTable>()),
+      images_(std::make_shared<ImageTable>()) {
+  (*users_)[kRootUid] = {"root", kRootGid};
 }
 
 void Kernel::add_user(Uid uid, std::string name, Gid gid) {
-  users_[uid] = {std::move(name), gid};
+  unshare(users_)[uid] = {std::move(name), gid};
 }
 
 std::string Kernel::user_name(Uid uid) const {
-  auto it = users_.find(uid);
-  return it == users_.end() ? "uid" + std::to_string(uid) : it->second.first;
+  auto it = users_->find(uid);
+  return it == users_->end() ? "uid" + std::to_string(uid)
+                             : it->second.first;
 }
 
 void Kernel::register_image(const std::string& name, AppImage image) {
-  images_[name] = std::move(image);
+  unshare(images_)[name] = std::move(image);
 }
 
 bool Kernel::has_image(const std::string& name) const {
-  return images_.count(name) != 0;
+  return images_->count(name) != 0;
 }
 
 Pid Kernel::make_process(Uid ruid, Gid rgid, std::string cwd,
@@ -89,19 +93,11 @@ void Kernel::dispatch_after(SyscallCtx& ctx, Err result) {
 }
 
 bool Kernel::ancestor_untrusted(Ino ino) const {
-  // Walks from the object to the root via canonical parents; an untrusted
-  // directory taints everything below it (the paper's profile-directory
-  // trustability case).
-  int guard = 0;
-  Ino cur = ino;
-  while (vfs_.exists(cur) && guard++ < 512) {
+  // An untrusted directory taints everything below it (the paper's
+  // profile-directory trustability case): walk the parent links up to
+  // the root, or to the top of a detached subtree.
+  for (Ino cur = ino; cur != kNoIno; cur = vfs_.parent(cur))
     if (!vfs_.inode(cur).trusted) return true;
-    std::string p = vfs_.canonical_path(cur);
-    if (p == "/" || ep::starts_with(p, "<detached")) break;
-    auto up = vfs_.resolve(path::dirname(p), "/", kRootUid, kRootGid);
-    if (!up.ok() || up.value() == cur) break;
-    cur = up.value();
-  }
   return false;
 }
 
@@ -399,6 +395,11 @@ SysStatus Kernel::remove_entry(const Site& site, Pid pid,
     if (!rp.ok()) return rp.error();
     const ResolvedParent& entry = rp.value();
     if (entry.leaf_ino == kNoIno) return Err::noent;
+    // A final `.` or `..` names a directory, not an entry: unlink says
+    // EISDIR, rmdir EINVAL for `.` and ENOTEMPTY for `..`, as Linux does.
+    if (entry.dot_leaf())
+      return !dir ? Err::isdir : entry.leaf == "." ? Err::inval
+                                                   : Err::notempty;
     describe_object(ctx, entry.leaf_ino);
     ctx.object_preexisting = true;
     ctx.canonical = entry.canonical;
@@ -422,6 +423,7 @@ SysStatus Kernel::rename(const Site& site, Pid pid, const std::string& from,
     if (rf.value().leaf_ino == kNoIno) return Err::noent;
     auto rt = vfs_.resolve_parent(to, p.cwd, p.euid, p.egid);
     if (!rt.ok()) return rt.error();
+    if (rf.value().dot_leaf() || rt.value().dot_leaf()) return Err::busy;
     const Inode& fdir = vfs_.inode(rf.value().dir_ino);
     const Inode& tdir = vfs_.inode(rt.value().dir_ino);
     if (!Vfs::permits_with_root(fdir, p.euid, p.egid, Perm::write) ||
@@ -670,9 +672,9 @@ void Kernel::validate_redzones() {
   for (const auto& g : run_.redzone_guards)
     if (g.zone && !redzone::intact(*g.zone))
       report_redzone_corruption(g.site, g.pid, g.label, *g.zone);
-  // Then every inode, sorted by ino — a deterministic order regardless of
-  // hash-map iteration, clone history, jobs count, or data plane.
-  for (Ino ino : vfs_.all_inos_sorted()) {
+  // Then every inode in ino order — a deterministic order regardless of
+  // clone history, jobs count, or data plane.
+  for (Ino ino = 1; ino < vfs_.ino_end(); ++ino) {
     const Inode& node = vfs_.inode(ino);
     if (!redzone::intact(node.redzone))
       report_redzone_corruption(sweep, -1, vfs_.canonical_path(ino),
@@ -714,7 +716,7 @@ SysResult<int> Kernel::run_process(Process c, Ino ino, const Site& crash_site,
   if (!node.is_regular()) return Err::acces;
   if (!Vfs::permits_with_root(node, c.euid, c.egid, Perm::exec))
     return Err::acces;
-  if (node.image.empty() || !images_.count(node.image)) return Err::noexec;
+  if (node.image.empty() || !images_->count(node.image)) return Err::noexec;
   if (exec_depth_ > 16) return Err::again;  // exec recursion; spawn is at 0
 
   const Pid cpid = next_pid_++;
@@ -723,7 +725,10 @@ SysResult<int> Kernel::run_process(Process c, Ino ino, const Site& crash_site,
   c.exe = vfs_.canonical_path(ino);
   procs_[cpid] = std::move(c);
 
-  AppImage image = images_.at(node.image);
+  // Held through the table, not copied: an image that registers another
+  // unshares the table, and this reference keeps the one it runs from.
+  const std::shared_ptr<const ImageTable> images = images_;
+  const AppImage& image = images->at(node.image);
   int code = 0;
   ++exec_depth_;
   try {

@@ -48,12 +48,14 @@ class Kernel {
   Kernel();
 
   /// Copying a kernel is the world-snapshot operation: the VFS copy
-  /// shares inodes copy-on-write (see vfs.hpp), users/images/processes
-  /// are value-copied, and the RunOnlyState sub-struct (interposer
-  /// chain, substrate back-pointers) deliberately copies to fresh —
-  /// hooks (injector, oracle, recorder) are per-run state, and sharing
-  /// live hook objects across runs would couple them. Default-generated
-  /// so a member added to Kernel later is copied by construction.
+  /// shares inodes copy-on-write (see vfs.hpp), the user and image tables
+  /// are shared until add_user/register_image writes one (a world's build
+  /// does; its runs do not), processes are value-copied, and the
+  /// RunOnlyState sub-struct (interposer chain, substrate back-pointers)
+  /// deliberately copies to fresh — hooks (injector, oracle, recorder)
+  /// are per-run state, and sharing live hook objects across runs would
+  /// couple them. Default-generated so a member added to Kernel later is
+  /// copied by construction.
   Kernel(const Kernel& other) = default;
   Kernel& operator=(const Kernel&) = delete;
 
@@ -75,12 +77,10 @@ class Kernel {
   [[nodiscard]] reg::Registry* registry() const { return run_.reg; }
 
   // --- users ---------------------------------------------------------------
+  using UserTable = std::map<Uid, std::pair<std::string, Gid>>;
   void add_user(Uid uid, std::string name, Gid gid);
   [[nodiscard]] std::string user_name(Uid uid) const;
-  [[nodiscard]] const std::map<Uid, std::pair<std::string, Gid>>& users()
-      const {
-    return users_;
-  }
+  [[nodiscard]] const UserTable& users() const { return *users_; }
 
   // --- images --------------------------------------------------------------
   void register_image(const std::string& name, AppImage image);
@@ -302,10 +302,13 @@ class Kernel {
     RunOnlyState& operator=(const RunOnlyState&) = delete;
   };
 
+  using ImageTable = std::map<std::string, AppImage>;
+
   Vfs vfs_;
   std::map<Pid, Process> procs_;
-  std::map<Uid, std::pair<std::string, Gid>> users_;
-  std::map<std::string, AppImage> images_;
+  /// Shared copy-on-write between snapshots (util/cow.hpp).
+  std::shared_ptr<UserTable> users_;
+  std::shared_ptr<ImageTable> images_;
   RunOnlyState run_;
   Pid next_pid_ = 1;
   std::string console_;

@@ -4,10 +4,23 @@
 
 namespace ep::os::path {
 
+namespace {
+
+/// p without its trailing slashes ("/a/b//" -> "/a/b", "///" -> "").
+std::string_view trim_trailing_slashes(std::string_view p) {
+  std::size_t last = p.find_last_not_of('/');
+  return last == std::string_view::npos ? std::string_view{}
+                                        : p.substr(0, last + 1);
+}
+
+}  // namespace
+
 bool is_absolute(std::string_view p) { return !p.empty() && p[0] == '/'; }
 
 std::vector<std::string> components(std::string_view p) {
-  return ep::split_nonempty(p, '/');
+  std::vector<std::string> out;
+  for_each_component(p, [&](std::string_view c) { out.emplace_back(c); });
+  return out;
 }
 
 std::string join(std::string_view base, std::string_view rel) {
@@ -21,23 +34,35 @@ std::string join(std::string_view base, std::string_view rel) {
 
 std::string normalize(std::string_view p) {
   const bool abs = is_absolute(p);
-  std::vector<std::string> out;
-  for (auto& c : components(p)) {
-    if (c == ".") continue;
+  std::string out;
+  out.reserve(p.size() + 1);
+  if (abs) out += '/';
+  const std::size_t base = out.size();
+  // Named components in `out`, after any leading ".." a relative path
+  // keeps: only these can be taken back by a "..".
+  std::size_t named = 0;
+  auto append = [&](std::string_view c) {
+    if (out.size() > base) out += '/';
+    out += c;
+  };
+  for_each_component(p, [&](std::string_view c) {
+    if (c == ".") return;
     if (c == "..") {
-      if (!out.empty() && out.back() != "..") {
-        out.pop_back();
+      if (named > 0) {
+        std::size_t cut = out.rfind('/');
+        out.resize(cut == std::string::npos || cut < base ? base : cut);
+        --named;
       } else if (!abs) {
-        out.push_back("..");  // relative paths keep leading ".."
+        append("..");  // relative paths keep leading ".."
       }
       // ".." at the root of an absolute path is dropped, as the kernel does
-      continue;
+      return;
     }
-    out.push_back(std::move(c));
-  }
-  std::string joined = ep::join(out, "/");
-  if (abs) return "/" + joined;
-  return joined.empty() ? "." : joined;
+    append(c);
+    ++named;
+  });
+  if (out.empty()) return ".";
+  return out;
 }
 
 std::string absolutize(std::string_view p, std::string_view cwd) {
@@ -46,17 +71,25 @@ std::string absolutize(std::string_view p, std::string_view cwd) {
 }
 
 std::string basename(std::string_view p) {
-  auto parts = components(p);
-  if (parts.empty()) return is_absolute(p) ? "/" : ".";
-  return parts.back();
+  std::string_view head = trim_trailing_slashes(p);
+  if (head.empty()) return is_absolute(p) ? "/" : ".";
+  return std::string(head.substr(head.rfind('/') + 1));  // npos + 1 == 0
 }
 
 std::string dirname(std::string_view p) {
-  auto parts = components(p);
-  if (parts.size() <= 1) return is_absolute(p) ? "/" : ".";
-  parts.pop_back();
-  std::string joined = ep::join(parts, "/");
-  return is_absolute(p) ? "/" + joined : joined;
+  const bool abs = is_absolute(p);
+  std::string_view head = trim_trailing_slashes(p);
+  std::size_t cut = head.rfind('/');
+  std::string out;
+  if (cut != std::string_view::npos) {
+    out.reserve(cut + 1);
+    for_each_component(head.substr(0, cut), [&](std::string_view c) {
+      if (abs || !out.empty()) out += '/';
+      out += c;
+    });
+  }
+  if (out.empty()) return abs ? "/" : ".";
+  return out;
 }
 
 bool is_under(std::string_view p, std::string_view root) {

@@ -13,6 +13,23 @@ namespace ep::os::path {
 /// True if p starts with '/'.
 bool is_absolute(std::string_view p);
 
+/// Call fn(component) for each non-empty component of p, in order, as a
+/// view into p ("/a//b" -> "a", "b"): components() without a string per
+/// component.
+template <typename Fn>
+void for_each_component(std::string_view p, Fn&& fn) {
+  for (std::size_t i = 0; i < p.size();) {
+    if (p[i] == '/') {
+      ++i;
+      continue;
+    }
+    std::size_t end = p.find('/', i);
+    if (end == std::string_view::npos) end = p.size();
+    fn(p.substr(i, end - i));
+    i = end;
+  }
+}
+
 /// Split into components, dropping empty ones ("/a//b" -> {"a","b"}).
 std::vector<std::string> components(std::string_view p);
 

@@ -1,50 +1,124 @@
 #include "os/vfs.hpp"
 
 #include <algorithm>
+#include <array>
+#include <stdexcept>
 
-#include "util/strings.hpp"
+#include "util/cow.hpp"
 
 namespace ep::os {
 
+namespace {
+
+bool is_dot_name(std::string_view name) { return name == "." || name == ".."; }
+
+/// `s` without its leading slashes.
+std::string_view skip_slashes(std::string_view s) {
+  std::size_t i = s.find_first_not_of('/');
+  return i == std::string_view::npos ? std::string_view{} : s.substr(i);
+}
+
+/// Length of `s` with its slashes collapsed and one leading '/' per
+/// component: "/a//b/" and "a/b" both count 4 ("/a/b").
+std::size_t collapsed_length(std::string_view s) {
+  std::size_t n = 0;
+  for (s = skip_slashes(s); !s.empty();) {
+    std::size_t end = std::min(s.find('/'), s.size());
+    n += 1 + end;
+    s = skip_slashes(s.substr(end));
+  }
+  return n;
+}
+
+}  // namespace
+
+/// The path text a walk has still to consume, as a stack of segments that
+/// borrow from the argument, the cwd and the targets of followed links.
+/// Components come off the top segment front to back; a link target is
+/// pushed on top, so it is walked before the rest of the path. No segment
+/// is ever empty, so `empty()` says the last component has been taken.
+/// At most the path, its cwd and one target per followed link are
+/// pending, which walk()'s kMaxSymlinkDepth check bounds.
+class Vfs::Pending {
+ public:
+  void push(std::string_view segment) {
+    segment = skip_slashes(segment);
+    if (segment.empty()) return;
+    if (n_ == stack_.size())
+      throw std::logic_error("vfs: path walk holds too many segments");
+    stack_[n_++] = segment;
+  }
+  [[nodiscard]] bool empty() const { return n_ == 0; }
+  std::string_view next() {
+    std::string_view& top = stack_[n_ - 1];
+    std::size_t end = std::min(top.find('/'), top.size());
+    std::string_view comp = top.substr(0, end);
+    top = skip_slashes(top.substr(end));
+    if (top.empty()) --n_;
+    return comp;
+  }
+
+ private:
+  std::array<std::string_view, kMaxSymlinkDepth + 2> stack_;
+  std::size_t n_ = 0;
+};
+
 Vfs::Vfs() {
+  slots_.emplace_back();  // ino 0 is never allocated
   root_ = alloc(FileType::directory, kRootUid, kRootGid, 0755);
 }
 
+const Vfs::Slot& Vfs::slot(Ino ino) const {
+  if (!exists(ino))
+    throw std::out_of_range("vfs: no inode " + std::to_string(ino));
+  return slots_[ino];
+}
+
 Ino Vfs::alloc(FileType type, Uid uid, Gid gid, unsigned mode) {
-  Ino ino = next_ino_++;
+  Ino ino = static_cast<Ino>(slots_.size());
   auto node = std::make_shared<Inode>();
   node->ino = ino;
   node->type = type;
   node->uid = uid;
   node->gid = gid;
   node->mode = mode;
-  inodes_.emplace(ino, std::move(node));
+  slots_.push_back(Slot{std::move(node), kNoIno, {}});
   return ino;
 }
 
 Inode& Vfs::mutate(Ino ino) {
-  std::shared_ptr<Inode>& slot = inodes_.at(ino);
-  // use_count()==1 means this Vfs holds the only reference: nothing to
-  // unshare, and no other thread can race us (references into this Vfs's
-  // maps are confined to the thread that owns the world). A shared node
-  // is still alive in the prototype after the swap, so previously taken
-  // const references stay valid — they just see the pre-write state.
-  if (slot.use_count() > 1) slot = std::make_shared<Inode>(*slot);
-  return *slot;
+  (void)slot(ino);  // bounds check
+  // A shared node is still alive in the prototype after the unshare, so
+  // previously taken const references stay valid — they just see the
+  // pre-write state.
+  return unshare(slots_[ino].node);
+}
+
+void Vfs::link(Ino dir, std::string_view name, Ino child) {
+  mutate(dir).entries.emplace(name, child);
+  Slot& s = slots_[child];
+  s.parent = dir;
+  s.name.assign(name);
+}
+
+void Vfs::unlink_entry(Ino dir, std::string_view name) {
+  auto& entries = mutate(dir).entries;  // after the unshare: find anew
+  auto it = entries.find(name);
+  Slot& s = slots_[it->second];
+  s.parent = kNoIno;
+  s.name.clear();
+  entries.erase(it);
+}
+
+Ino Vfs::up(Ino dir) const {
+  Ino parent = slots_[dir].parent;
+  return parent == kNoIno ? root_ : parent;
 }
 
 void Vfs::wild_write(Ino ino, std::size_t overflow, char fill) {
   Inode& node = mutate(ino);
   std::size_t n = std::min(overflow, node.redzone.size());
   for (std::size_t i = 0; i < n; ++i) node.redzone[i] = fill;
-}
-
-std::vector<Ino> Vfs::all_inos_sorted() const {
-  std::vector<Ino> inos;
-  inos.reserve(inodes_.size());
-  for (const auto& [ino, node] : inodes_) inos.push_back(ino);
-  std::sort(inos.begin(), inos.end());
-  return inos;
 }
 
 bool Vfs::permits(const Inode& node, Uid uid, Gid gid, Perm perm) {
@@ -73,21 +147,12 @@ bool Vfs::permits_with_root(const Inode& node, Uid uid, Gid gid, Perm perm) {
   return permits(node, uid, gid, perm);
 }
 
-SysResult<Ino> Vfs::resolve(std::string_view p, std::string_view cwd, Uid uid,
-                            Gid gid, bool follow_final) const {
-  if (p.empty()) return Err::noent;
-  if (p.size() > kMaxPathLen) return Err::nametoolong;
-
-  std::string abs = path::is_absolute(p) ? std::string(p)
-                                         : path::join(cwd, p);
-  std::vector<std::string> todo = path::components(abs);
-  std::reverse(todo.begin(), todo.end());  // pop from the back
-
+SysResult<Ino> Vfs::walk(Pending& todo, Uid uid, Gid gid,
+                         bool follow_final) const {
   Ino cur = root_;
   int link_depth = 0;
   while (!todo.empty()) {
-    std::string comp = std::move(todo.back());
-    todo.pop_back();
+    std::string_view comp = todo.next();
     if (comp.size() > kMaxNameLen) return Err::nametoolong;
     if (comp == ".") continue;
 
@@ -96,8 +161,7 @@ SysResult<Ino> Vfs::resolve(std::string_view p, std::string_view cwd, Uid uid,
     if (!permits_with_root(dir, uid, gid, Perm::exec)) return Err::acces;
 
     if (comp == "..") {
-      auto it = parent_.find(cur);
-      cur = it == parent_.end() ? root_ : it->second;
+      cur = up(cur);
       continue;
     }
 
@@ -107,23 +171,31 @@ SysResult<Ino> Vfs::resolve(std::string_view p, std::string_view cwd, Uid uid,
     const Inode& child = inode(next);
 
     if (child.is_symlink()) {
-      const bool is_final = todo.empty();
-      if (is_final && !follow_final) {
+      if (todo.empty() && !follow_final) {
         cur = next;
         continue;
       }
       if (++link_depth > kMaxSymlinkDepth) return Err::loop;
-      // Push the link target's components; absolute targets restart at /.
-      std::vector<std::string> tgt = path::components(child.content);
+      // The target is walked next; absolute targets restart at /, and a
+      // relative one continues from the directory holding the link. The
+      // node outlives the walk: nothing mutates this Vfs during it.
       if (path::is_absolute(child.content)) cur = root_;
-      // else: resolution continues from the directory holding the link.
-      for (auto rit = tgt.rbegin(); rit != tgt.rend(); ++rit)
-        todo.push_back(*rit);
+      todo.push(child.content);
       continue;
     }
     cur = next;
   }
   return cur;
+}
+
+SysResult<Ino> Vfs::resolve(std::string_view p, std::string_view cwd, Uid uid,
+                            Gid gid, bool follow_final) const {
+  if (p.empty()) return Err::noent;
+  if (p.size() > kMaxPathLen) return Err::nametoolong;
+  Pending todo;
+  todo.push(p);
+  if (!path::is_absolute(p)) todo.push(cwd);  // walked first
+  return walk(todo, uid, gid, follow_final);
 }
 
 SysResult<ResolvedParent> Vfs::resolve_parent(std::string_view p,
@@ -132,50 +204,74 @@ SysResult<ResolvedParent> Vfs::resolve_parent(std::string_view p,
   if (p.empty()) return Err::noent;
   if (p.size() > kMaxPathLen) return Err::nametoolong;
 
-  std::string abs = path::is_absolute(p) ? std::string(p)
-                                         : path::join(cwd, p);
-  auto comps = path::components(abs);
-  if (comps.empty()) return Err::isdir;  // "/" has no parent entry
-  std::string leaf = comps.back();
+  // "/" has no parent entry. A relative p is never all slashes, so only
+  // "/", "//", ... lack a leaf.
+  std::size_t last = p.find_last_not_of('/');
+  if (last == std::string_view::npos) return Err::isdir;
+  std::string_view head = p.substr(0, last + 1);
+  std::size_t cut = head.rfind('/');
+  std::string_view leaf =
+      cut == std::string_view::npos ? head : head.substr(cut + 1);
+  std::string_view dir_part =
+      cut == std::string_view::npos ? std::string_view{} : head.substr(0, cut);
   if (leaf.size() > kMaxNameLen) return Err::nametoolong;
-  comps.pop_back();
 
-  Ino dir = root_;
-  if (!comps.empty()) {
-    std::string dir_path = "/" + ep::join(comps, "/");
-    auto r = resolve(dir_path, cwd, uid, gid, /*follow_final=*/true);
-    if (!r.ok()) return r.error();
-    dir = r.value();
+  Pending todo;
+  todo.push(dir_part);
+  if (!path::is_absolute(p)) {
+    // The cwd joined with the directory part is a path of its own, held
+    // to the same limit.
+    if (collapsed_length(cwd) + collapsed_length(dir_part) > kMaxPathLen)
+      return Err::nametoolong;
+    todo.push(cwd);
   }
+  auto r = walk(todo, uid, gid, /*follow_final=*/true);
+  if (!r.ok()) return r.error();
+  Ino dir = r.value();
   const Inode& d = inode(dir);
   if (!d.is_dir()) return Err::notdir;
   if (!permits_with_root(d, uid, gid, Perm::exec)) return Err::acces;
 
   ResolvedParent out;
   out.dir_ino = dir;
-  out.leaf = leaf;
+  out.leaf.assign(leaf);
+  if (is_dot_name(leaf)) {
+    out.leaf_ino = leaf == "." ? dir : up(dir);
+    out.canonical = canonical_path(out.leaf_ino);
+    return out;
+  }
   auto it = d.entries.find(leaf);
   out.leaf_ino = it == d.entries.end() ? kNoIno : it->second;
-  std::string dir_canon = canonical_path(dir);
-  out.canonical = dir_canon == "/" ? "/" + leaf : dir_canon + "/" + leaf;
+  out.canonical = path_of(dir, leaf);
   return out;
 }
 
-std::string Vfs::canonical_path(Ino ino) const {
-  if (ino == root_) return "/";
-  std::vector<std::string> parts;
-  Ino cur = ino;
-  while (cur != root_) {
-    auto nit = name_in_parent_.find(cur);
-    auto pit = parent_.find(cur);
-    if (nit == name_in_parent_.end() || pit == parent_.end())
-      return "<detached:" + std::to_string(ino) + ">";
-    parts.push_back(nit->second);
-    cur = pit->second;
+std::string Vfs::path_of(Ino dir, std::string_view leaf) const {
+  std::size_t len = leaf.empty() ? 0 : 1 + leaf.size();
+  for (Ino cur = dir; cur != root_; cur = slots_[cur].parent) {
+    if (slots_[cur].parent == kNoIno) {
+      std::string detached = "<detached:" + std::to_string(dir) + ">";
+      if (!leaf.empty()) (detached += '/') += leaf;
+      return detached;
+    }
+    len += 1 + slots_[cur].name.size();
   }
-  std::reverse(parts.begin(), parts.end());
-  return "/" + ep::join(parts, "/");
+  if (len == 0) return "/";
+  // Filled back to front: every name lands after its own '/'.
+  std::string out(len, '/');
+  std::size_t pos = len;
+  auto place = [&](std::string_view name) {
+    pos -= name.size();
+    std::copy(name.begin(), name.end(), out.begin() + pos);
+    --pos;
+  };
+  if (!leaf.empty()) place(leaf);
+  for (Ino cur = dir; cur != root_; cur = slots_[cur].parent)
+    place(slots_[cur].name);
+  return out;
 }
+
+std::string Vfs::canonical_path(Ino ino) const { return path_of(ino, {}); }
 
 SysResult<std::string> Vfs::canonicalize(std::string_view p,
                                          std::string_view cwd, Uid uid,
@@ -185,7 +281,7 @@ SysResult<std::string> Vfs::canonicalize(std::string_view p,
   return canonical_path(r.value());
 }
 
-SysResult<Ino> Vfs::create_file(Ino dir, const std::string& name, Uid uid,
+SysResult<Ino> Vfs::create_file(Ino dir, std::string_view name, Uid uid,
                                 Gid gid, unsigned mode, std::string content) {
   const Inode& d = inode(dir);
   if (!d.is_dir()) return Err::notdir;
@@ -193,26 +289,22 @@ SysResult<Ino> Vfs::create_file(Ino dir, const std::string& name, Uid uid,
   if (d.entries.count(name)) return Err::exist;
   Ino ino = alloc(FileType::regular, uid, gid, mode);
   mutate(ino).content = std::move(content);
-  mutate(dir).entries.emplace(name, ino);
-  parent_[ino] = dir;
-  name_in_parent_[ino] = name;
+  link(dir, name, ino);
   return ino;
 }
 
-SysResult<Ino> Vfs::create_dir(Ino dir, const std::string& name, Uid uid,
+SysResult<Ino> Vfs::create_dir(Ino dir, std::string_view name, Uid uid,
                                Gid gid, unsigned mode) {
   const Inode& d = inode(dir);
   if (!d.is_dir()) return Err::notdir;
   if (name.empty() || name.size() > kMaxNameLen) return Err::nametoolong;
   if (d.entries.count(name)) return Err::exist;
   Ino ino = alloc(FileType::directory, uid, gid, mode);
-  mutate(dir).entries.emplace(name, ino);
-  parent_[ino] = dir;
-  name_in_parent_[ino] = name;
+  link(dir, name, ino);
   return ino;
 }
 
-SysResult<Ino> Vfs::create_symlink(Ino dir, const std::string& name, Uid uid,
+SysResult<Ino> Vfs::create_symlink(Ino dir, std::string_view name, Uid uid,
                                    Gid gid, std::string target) {
   const Inode& d = inode(dir);
   if (!d.is_dir()) return Err::notdir;
@@ -220,13 +312,11 @@ SysResult<Ino> Vfs::create_symlink(Ino dir, const std::string& name, Uid uid,
   if (d.entries.count(name)) return Err::exist;
   Ino ino = alloc(FileType::symlink, uid, gid, 0777);
   mutate(ino).content = std::move(target);
-  mutate(dir).entries.emplace(name, ino);
-  parent_[ino] = dir;
-  name_in_parent_[ino] = name;
+  link(dir, name, ino);
   return ino;
 }
 
-SysStatus Vfs::remove(Ino dir, const std::string& name) {
+SysStatus Vfs::remove(Ino dir, std::string_view name) {
   const Inode& d = inode(dir);
   auto it = d.entries.find(name);
   if (it == d.entries.end()) return Err::noent;
@@ -234,29 +324,23 @@ SysStatus Vfs::remove(Ino dir, const std::string& name) {
   // The inode is detached, not destroyed: open descriptors keep it alive,
   // which is what makes fd-based (fexecve-style) checks immune to the
   // unlink/recreate perturbation.
-  Ino victim = it->second;
-  mutate(dir).entries.erase(name);  // by key: `it` dies with the unshare
-  parent_.erase(victim);
-  name_in_parent_.erase(victim);
+  unlink_entry(dir, name);
   return ok_status();
 }
 
-SysStatus Vfs::remove_dir(Ino dir, const std::string& name) {
+SysStatus Vfs::remove_dir(Ino dir, std::string_view name) {
   const Inode& d = inode(dir);
   auto it = d.entries.find(name);
   if (it == d.entries.end()) return Err::noent;
   const Inode& victim = inode(it->second);
   if (!victim.is_dir()) return Err::notdir;
   if (!victim.entries.empty()) return Err::notempty;
-  Ino vino = it->second;
-  mutate(dir).entries.erase(name);
-  parent_.erase(vino);
-  name_in_parent_.erase(vino);
+  unlink_entry(dir, name);
   return ok_status();
 }
 
-SysStatus Vfs::rename_entry(Ino src_dir, const std::string& src_name,
-                            Ino dst_dir, const std::string& dst_name) {
+SysStatus Vfs::rename_entry(Ino src_dir, std::string_view src_name,
+                            Ino dst_dir, std::string_view dst_name) {
   const Inode& sd = inode(src_dir);
   auto it = sd.entries.find(src_name);
   if (it == sd.entries.end()) return Err::noent;
@@ -270,26 +354,17 @@ SysStatus Vfs::rename_entry(Ino src_dir, const std::string& src_name,
   if (dit != dd.entries.end()) {
     if (dit->second == moving) return ok_status();
     if (inode(dit->second).is_dir()) return Err::isdir;
-    Ino victim = dit->second;
-    mutate(dst_dir).entries.erase(dst_name);
-    parent_.erase(victim);
-    name_in_parent_.erase(victim);
+    unlink_entry(dst_dir, dst_name);
   }
-  mutate(src_dir).entries.erase(src_name);
-  mutate(dst_dir).entries.emplace(dst_name, moving);
-  parent_[moving] = dst_dir;
-  name_in_parent_[moving] = dst_name;
+  unlink_entry(src_dir, src_name);
+  link(dst_dir, dst_name, moving);
   return ok_status();
 }
 
-void Vfs::detach(Ino dir, const std::string& name) {
+void Vfs::detach(Ino dir, std::string_view name) {
   const Inode& d = inode(dir);
-  auto it = d.entries.find(name);
-  if (it == d.entries.end()) return;
-  Ino victim = it->second;
-  mutate(dir).entries.erase(name);
-  parent_.erase(victim);
-  name_in_parent_.erase(victim);
+  if (d.entries.find(name) == d.entries.end()) return;
+  unlink_entry(dir, name);
 }
 
 SysResult<StatInfo> Vfs::stat_inode(Ino ino) const {
@@ -325,30 +400,27 @@ std::vector<std::string> Vfs::list_all_paths() const {
 std::string Vfs::check_invariants() const {
   // Detached (unlinked but still allocated) inodes are legal; the checks
   // below verify that the *linked* namespace is internally consistent.
-  for (const auto& [ino, node] : inodes_) {
-    if (node->is_dir()) {
-      for (const auto& [name, child] : node->entries) {
+  for (Ino ino = 1; ino < ino_end(); ++ino) {
+    const Slot& s = slots_[ino];
+    if (s.node->is_dir()) {
+      for (const auto& [name, child] : s.node->entries) {
+        if (is_dot_name(name))
+          return "entry named " + name + " in ino " + std::to_string(ino);
         if (!exists(child))
           return "dangling entry " + name + " in ino " + std::to_string(ino);
-        auto pit = parent_.find(child);
-        if (pit == parent_.end() || pit->second != ino)
-          return "parent map mismatch for " + name;
-        auto nit = name_in_parent_.find(child);
-        if (nit == name_in_parent_.end() || nit->second != name)
-          return "name map mismatch for " + name;
+        if (slots_[child].parent != ino)
+          return "parent link mismatch for " + name;
+        if (slots_[child].name != name) return "name mismatch for " + name;
       }
     }
-  }
-  for (const auto& [child, dir] : parent_) {
-    if (!exists(child)) return "parent map entry for dead inode";
-    if (!exists(dir)) return "parent map points at dead dir";
-    auto nit = name_in_parent_.find(child);
-    if (nit == name_in_parent_.end())
-      return "linked inode " + std::to_string(child) + " has no name";
-    const Inode& d = inode(dir);
-    auto eit = d.entries.find(nit->second);
-    if (eit == d.entries.end() || eit->second != child)
-      return "entry/name disagreement for " + std::to_string(child);
+    if (s.parent == kNoIno) continue;
+    if (!exists(s.parent)) return "parent link points at dead dir";
+    if (s.name.empty())
+      return "linked inode " + std::to_string(ino) + " has no name";
+    const Inode& d = inode(s.parent);
+    auto eit = d.entries.find(s.name);
+    if (eit == d.entries.end() || eit->second != ino)
+      return "entry/name disagreement for " + std::to_string(ino);
   }
   return {};
 }

@@ -11,24 +11,26 @@
 // which knows the calling process's credentials. This lets perturbers and
 // the oracle query "could uid U write inode I?" without a process.
 //
-// Copy-on-write: inodes are held through shared_ptr, so copying a Vfs
-// copies only the maps — every node is *shared* with the original. All
-// mutation goes through mutate(), which unshares a node the first time a
-// given Vfs writes it. That makes Vfs copies cheap world snapshots (see
-// core/snapshot.hpp): a frozen prototype built once can be cloned per
-// injection run, and a run's perturbations only ever touch that run's
+// Copy-on-write: inodes are held through shared_ptr in one flat table
+// indexed by ino, beside each node's parent ino and its name in that
+// parent. Copying a Vfs copies that one vector (a pointer, a parent ino
+// and a short name per slot); every node is *shared* with the original.
+// All mutation goes through mutate(), which unshares a node the first
+// time a given Vfs writes it. That makes Vfs copies cheap world snapshots
+// (see core/snapshot.hpp): a frozen prototype built once can be cloned
+// per injection run, and a run's perturbations only ever touch that run's
 // private copies. Sharing is thread-safe as long as the prototype is
 // never mutated while clones exist: clones on different threads only read
 // shared nodes (unsharing copies from them) and only write nodes they
 // alone own — use_count()==1 proves sole ownership because no other
-// thread can hold a reference into this Vfs's maps.
+// thread can hold a reference into this Vfs's table.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "os/path.hpp"
@@ -48,8 +50,9 @@ struct Inode {
   unsigned mode = 0644;  // permission bits + kSetUidBit
   /// Regular files: data. Symlinks: link target path.
   std::string content;
-  /// Directories: name -> child inode.
-  std::map<std::string, Ino> entries;
+  /// Directories: name -> child inode. The transparent comparator lets a
+  /// path walk look a component up by string_view.
+  std::map<std::string, Ino, std::less<>> entries;
   /// Name of the registered application image this file executes as, empty
   /// for plain data files. The simulated equivalent of an ELF header.
   std::string image;
@@ -77,8 +80,13 @@ struct ResolvedParent {
   std::string leaf;
   Ino leaf_ino = kNoIno;  // kNoIno if the leaf does not exist
   /// Canonical absolute path of dir + leaf (symlinks in the *directory*
-  /// part resolved; the leaf itself is not followed).
+  /// part resolved; the leaf itself is not followed). For a `.` or `..`
+  /// leaf, the canonical path of the directory it names.
   std::string canonical;
+
+  /// A final `.` or `..` names a directory (leaf_ino), never an entry of
+  /// dir_ino: no call may create, remove or rename it.
+  [[nodiscard]] bool dot_leaf() const { return leaf == "." || leaf == ".."; }
 };
 
 struct StatInfo {
@@ -99,12 +107,20 @@ class Vfs {
 
   // --- inode access -------------------------------------------------------
   [[nodiscard]] Ino root() const { return root_; }
-  [[nodiscard]] bool exists(Ino ino) const { return inodes_.count(ino) != 0; }
+  [[nodiscard]] bool exists(Ino ino) const {
+    return ino > 0 && static_cast<std::size_t>(ino) < slots_.size();
+  }
+  /// Inos are dense and never reused: every ino in [1, ino_end()) is
+  /// allocated, linked or detached, for the life of this Vfs.
+  [[nodiscard]] Ino ino_end() const { return static_cast<Ino>(slots_.size()); }
   /// Precondition: exists(ino). Throws std::out_of_range otherwise.
   /// The returned reference may go stale for *this* Vfs if the node is
   /// later mutate()d while still shared with a copy; re-fetch after any
   /// call that can mutate (in the kernel: after dispatching hooks).
-  [[nodiscard]] const Inode& inode(Ino ino) const { return *inodes_.at(ino); }
+  [[nodiscard]] const Inode& inode(Ino ino) const { return *slot(ino).node; }
+  /// The directory holding `ino`, or kNoIno for the root and for a
+  /// detached node. Precondition: exists(ino).
+  [[nodiscard]] Ino parent(Ino ino) const { return slot(ino).parent; }
   /// Writable access with copy-on-write: unshares the node if any Vfs
   /// copy still shares it, so the write never leaks into the prototype or
   /// sibling clones. Precondition: exists(ino).
@@ -112,8 +128,7 @@ class Vfs {
   /// True when the node is still shared with another Vfs copy (test/debug
   /// introspection for the snapshot layer).
   [[nodiscard]] bool shares_node(Ino ino) const {
-    auto it = inodes_.find(ino);
-    return it != inodes_.end() && it->second.use_count() > 1;
+    return exists(ino) && slots_[ino].node.use_count() > 1;
   }
 
   // --- permission predicates (mechanism only; root bypass is Kernel policy)
@@ -137,13 +152,15 @@ class Vfs {
 
   /// Resolve the parent directory of p; the final component is looked up
   /// but never followed. Used by open(O_CREAT), unlink, symlink, rename.
+  /// A final `.` or `..` resolves to the directory it names (see
+  /// ResolvedParent::dot_leaf).
   [[nodiscard]] SysResult<ResolvedParent> resolve_parent(std::string_view p,
                                                          std::string_view cwd,
                                                          Uid uid,
                                                          Gid gid) const;
 
-  /// Canonical absolute path of an existing inode (walks parent links).
-  /// Directories only know their children, so Vfs maintains a parent map.
+  /// Canonical absolute path of an existing inode, built once from parent
+  /// links ("<detached:N>" for a node no longer reachable from the root).
   [[nodiscard]] std::string canonical_path(Ino ino) const;
 
   /// Resolve fully and return the canonical path, following symlinks.
@@ -153,23 +170,24 @@ class Vfs {
 
   // --- namespace mutation (no permission checks; Kernel enforces) ---------
   /// Create a regular file in directory `dir` under `name`.
-  SysResult<Ino> create_file(Ino dir, const std::string& name, Uid uid,
+  SysResult<Ino> create_file(Ino dir, std::string_view name, Uid uid,
                              Gid gid, unsigned mode, std::string content = {});
-  SysResult<Ino> create_dir(Ino dir, const std::string& name, Uid uid, Gid gid,
+  SysResult<Ino> create_dir(Ino dir, std::string_view name, Uid uid, Gid gid,
                             unsigned mode);
-  SysResult<Ino> create_symlink(Ino dir, const std::string& name, Uid uid,
+  SysResult<Ino> create_symlink(Ino dir, std::string_view name, Uid uid,
                                 Gid gid, std::string target);
-  /// Remove `name` from `dir`; the inode is freed when unreferenced.
-  /// Errors: noent, isdir (use remove_dir), notempty.
-  SysStatus remove(Ino dir, const std::string& name);
-  SysStatus remove_dir(Ino dir, const std::string& name);
+  /// Unlink `name` from `dir`; the inode stays allocated (detached), so
+  /// open descriptors keep working. Errors: noent, isdir (use remove_dir),
+  /// notempty.
+  SysStatus remove(Ino dir, std::string_view name);
+  SysStatus remove_dir(Ino dir, std::string_view name);
   /// Rename within or across directories.
-  SysStatus rename_entry(Ino src_dir, const std::string& src_name, Ino dst_dir,
-                         const std::string& dst_name);
+  SysStatus rename_entry(Ino src_dir, std::string_view src_name, Ino dst_dir,
+                         std::string_view dst_name);
   /// Unconditionally detach an entry (file, symlink, or whole directory
   /// subtree). The experimenter's hand: perturbers use this to replace
   /// objects regardless of type; the detached subtree stays allocated.
-  void detach(Ino dir, const std::string& name);
+  void detach(Ino dir, std::string_view name);
 
   /// Simulate a write that runs `overflow` bytes past the end of the
   /// node's content: silently clobbers the leading min(overflow,
@@ -179,32 +197,47 @@ class Vfs {
   /// reports here; detection happens in the Kernel's checks.
   void wild_write(Ino ino, std::size_t overflow, char fill = '!');
 
-  /// Inos of all live inodes, sorted — the deterministic iteration order
-  /// for the Kernel's teardown redzone sweep.
-  [[nodiscard]] std::vector<Ino> all_inos_sorted() const;
-
   [[nodiscard]] SysResult<StatInfo> stat_inode(Ino ino) const;
 
   /// All canonical paths currently reachable from the root, sorted; handy
   /// for invariant checks and test assertions.
   [[nodiscard]] std::vector<std::string> list_all_paths() const;
 
-  /// Structural invariants: every entry points at a live inode, every live
-  /// non-root inode has exactly one parent, parent map matches entries.
-  /// Returns a description of the first violation, or empty if consistent.
+  /// Structural invariants: every entry points at a live inode, every
+  /// linked inode's parent link and name match its directory entry, and
+  /// no entry is named `.` or `..`. Returns a description of the first
+  /// violation, or empty if consistent.
   [[nodiscard]] std::string check_invariants() const;
 
  private:
-  Ino alloc(FileType type, Uid uid, Gid gid, unsigned mode);
+  /// One inode: the node (shared across Vfs copies until first write, see
+  /// mutate()), the directory holding it and its name there. A parent of
+  /// kNoIno marks the root or a detached node.
+  struct Slot {
+    std::shared_ptr<Inode> node;
+    Ino parent = kNoIno;
+    std::string name;
+  };
 
-  /// Nodes are shared across Vfs copies until first write (see mutate()).
-  /// A side effect worth knowing: map rehashing moves only the pointers,
-  /// so inode references stay valid across alloc().
-  std::unordered_map<Ino, std::shared_ptr<Inode>> inodes_;
-  std::unordered_map<Ino, Ino> parent_;          // child -> containing dir
-  std::unordered_map<Ino, std::string> name_in_parent_;
+  [[nodiscard]] const Slot& slot(Ino ino) const;
+  Ino alloc(FileType type, Uid uid, Gid gid, unsigned mode);
+  /// Enter `child` into `dir` under `name`, and unlink it from its parent.
+  void link(Ino dir, std::string_view name, Ino child);
+  void unlink_entry(Ino dir, std::string_view name);
+  /// `..` from `dir`: its parent, or the root for the root itself.
+  [[nodiscard]] Ino up(Ino dir) const;
+  /// canonical_path(dir) + "/" + leaf, built in one allocation.
+  [[nodiscard]] std::string path_of(Ino dir, std::string_view leaf) const;
+  /// The path text a walk has still to consume (defined in vfs.cpp).
+  class Pending;
+  /// Walk `todo` from the root, component by component.
+  SysResult<Ino> walk(Pending& todo, Uid uid, Gid gid,
+                      bool follow_final) const;
+
+  /// Indexed by ino. Slot 0 is never allocated. Growing the vector moves
+  /// only the pointers, so inode references stay valid across alloc().
+  std::vector<Slot> slots_;
   Ino root_ = kNoIno;
-  Ino next_ino_ = 1;
 };
 
 }  // namespace ep::os

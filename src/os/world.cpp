@@ -1,7 +1,6 @@
 #include "os/world.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 #include "os/path.hpp"
 
@@ -19,53 +18,84 @@ Ino need_dir(Kernel& k, const std::string& p) {
   return r.value();
 }
 
-}  // namespace
+/// A normalized path split at its final component: the directory part
+/// ("/" for a top-level or bare leaf) and the leaf, as views into `norm`.
+struct DirLeaf {
+  std::string_view dir;
+  std::string_view leaf;
+};
 
-Ino mkdirs(Kernel& k, const std::string& p, Uid uid, Gid gid, unsigned mode) {
+DirLeaf split_leaf(std::string_view norm) {
+  std::size_t cut = norm.rfind('/');
+  if (cut == std::string_view::npos) return {"/", norm};
+  return {cut == 0 ? std::string_view("/") : norm.substr(0, cut),
+          norm.substr(cut + 1)};
+}
+
+/// mkdirs() on an already normalized path.
+Ino make_dirs(Kernel& k, std::string_view norm, Uid uid, Gid gid,
+              unsigned mode) {
   Ino cur = k.vfs().root();
-  std::string sofar = "/";
-  const std::vector<std::string> comps = path::components(path::normalize(p));
-  for (const auto& comp : comps) {
+  path::for_each_component(norm, [&](std::string_view comp) {
     // Only the leaf takes the caller's owner and mode: an ancestor this
     // call has to create is root:root 0755, as if it had been declared.
-    const bool leaf = &comp == &comps.back();
+    const std::size_t end = comp.data() + comp.size() - norm.data();
+    const bool leaf = end == norm.size();
     const Inode& dir = k.vfs().inode(cur);
     auto it = dir.entries.find(comp);
     if (it != dir.entries.end()) {
       Ino next = it->second;
       if (!k.vfs().inode(next).is_dir())
         throw std::logic_error("world: component is not a directory: " +
-                               sofar + comp);
+                               std::string(norm.substr(0, end)));
       cur = next;
-    } else {
-      auto made = leaf ? k.vfs().create_dir(cur, comp, uid, gid, mode)
-                       : k.vfs().create_dir(cur, comp, kRootUid, kRootGid,
-                                            0755);
-      if (!made.ok())
-        throw std::logic_error("world: cannot create " + sofar + comp);
-      cur = made.value();
+      return;
     }
-    sofar += comp + "/";
-  }
+    auto made = leaf ? k.vfs().create_dir(cur, comp, uid, gid, mode)
+                     : k.vfs().create_dir(cur, comp, kRootUid, kRootGid,
+                                          0755);
+    if (!made.ok())
+      throw std::logic_error("world: cannot create " +
+                             std::string(norm.substr(0, end)));
+    cur = made.value();
+  });
   return cur;
+}
+
+/// Unlink `leaf` from directory `dino` if present, whatever its type.
+void remove_leaf(Kernel& k, Ino dino, std::string_view leaf) {
+  const Inode& d = k.vfs().inode(dino);
+  auto it = d.entries.find(leaf);
+  if (it == d.entries.end()) return;
+  if (k.vfs().inode(it->second).is_dir())
+    (void)k.vfs().remove_dir(dino, leaf);
+  else
+    (void)k.vfs().remove(dino, leaf);
+}
+
+}  // namespace
+
+Ino mkdirs(Kernel& k, std::string_view p, Uid uid, Gid gid, unsigned mode) {
+  return make_dirs(k, path::normalize(p), uid, gid, mode);
 }
 
 Ino put_file(Kernel& k, const std::string& p, std::string content, Uid uid,
              Gid gid, unsigned mode) {
-  std::string dir = path::dirname(path::normalize(p));
-  std::string leaf = path::basename(path::normalize(p));
-  Ino dino = dir == "/" ? k.vfs().root() : mkdirs(k, dir);
+  const std::string norm = path::normalize(p);
+  const DirLeaf at = split_leaf(norm);
+  Ino dino = make_dirs(k, at.dir, kRootUid, kRootGid, 0755);
   const Inode& d = k.vfs().inode(dino);
-  auto it = d.entries.find(leaf);
+  auto it = d.entries.find(at.leaf);
   if (it != d.entries.end()) {
-    Inode& existing = k.vfs().mutate(it->second);
+    Ino ino = it->second;
+    Inode& existing = k.vfs().mutate(ino);
     existing.content = std::move(content);
     existing.uid = uid;
     existing.gid = gid;
     existing.mode = mode;
-    return it->second;
+    return ino;
   }
-  auto made = k.vfs().create_file(dino, leaf, uid, gid, mode,
+  auto made = k.vfs().create_file(dino, at.leaf, uid, gid, mode,
                                   std::move(content));
   if (!made.ok()) throw std::logic_error("world: cannot create file " + p);
   return made.value();
@@ -73,11 +103,12 @@ Ino put_file(Kernel& k, const std::string& p, std::string content, Uid uid,
 
 Ino put_symlink(Kernel& k, const std::string& linkpath, std::string target,
                 Uid uid, Gid gid) {
-  std::string dir = path::dirname(path::normalize(linkpath));
-  std::string leaf = path::basename(path::normalize(linkpath));
-  Ino dino = dir == "/" ? k.vfs().root() : mkdirs(k, dir);
-  force_remove(k, linkpath);
-  auto made = k.vfs().create_symlink(dino, leaf, uid, gid, std::move(target));
+  const std::string norm = path::normalize(linkpath);
+  const DirLeaf at = split_leaf(norm);
+  Ino dino = make_dirs(k, at.dir, kRootUid, kRootGid, 0755);
+  remove_leaf(k, dino, at.leaf);
+  auto made =
+      k.vfs().create_symlink(dino, at.leaf, uid, gid, std::move(target));
   if (!made.ok())
     throw std::logic_error("world: cannot create symlink " + linkpath);
   return made.value();
@@ -91,18 +122,10 @@ Ino put_program(Kernel& k, const std::string& p, const std::string& image,
 }
 
 void force_remove(Kernel& k, const std::string& p) {
-  std::string dir = path::dirname(path::normalize(p));
-  std::string leaf = path::basename(path::normalize(p));
-  auto r = k.vfs().resolve(dir, "/", kRootUid, kRootGid);
-  if (!r.ok()) return;
-  Ino dino = r.value();
-  const Inode& d = k.vfs().inode(dino);
-  auto it = d.entries.find(leaf);
-  if (it == d.entries.end()) return;
-  if (k.vfs().inode(it->second).is_dir())
-    (void)k.vfs().remove_dir(dino, leaf);
-  else
-    (void)k.vfs().remove(dino, leaf);
+  const std::string norm = path::normalize(p);
+  const DirLeaf at = split_leaf(norm);
+  auto r = k.vfs().resolve(at.dir, "/", kRootUid, kRootGid);
+  if (r.ok()) remove_leaf(k, r.value(), at.leaf);
 }
 
 void standard_unix(Kernel& k) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "os/kernel.hpp"
 
@@ -18,7 +19,7 @@ namespace ep::os::world {
 /// root:root 0755. Returns the final directory's inode. Throws
 /// std::logic_error if a component exists as a non-directory (a broken
 /// scenario is a programming error).
-Ino mkdirs(Kernel& k, const std::string& path, Uid uid = kRootUid,
+Ino mkdirs(Kernel& k, std::string_view path, Uid uid = kRootUid,
            Gid gid = kRootGid, unsigned mode = 0755);
 
 /// Install (or overwrite) a regular file, creating parent directories.

@@ -2,15 +2,24 @@
 
 #include <algorithm>
 
+#include "util/cow.hpp"
+
 namespace ep::reg {
 
 using os::SyscallCtx;
 
-void Registry::define_key(Key key) { keys_[key.path] = std::move(key); }
+void Registry::define_key(Key key) {
+  unshare(keys_)[key.path] = std::move(key);
+}
 
 const Key* Registry::find(const std::string& path) const {
-  auto it = keys_.find(path);
-  return it == keys_.end() ? nullptr : &it->second;
+  auto it = keys_->find(path);
+  return it == keys_->end() ? nullptr : &it->second;
+}
+
+Key* Registry::writable(const std::string& path) {
+  if (!find(path)) return nullptr;
+  return &unshare(keys_).find(path)->second;
 }
 
 SysResult<std::string> Registry::read_value(os::Kernel& k,
@@ -21,12 +30,12 @@ SysResult<std::string> Registry::read_value(os::Kernel& k,
   Err e = k.interact(ctx, [&] {
     // Input even for a missing key: an after-hook may supply a value.
     ctx.input = &ctx.data;
-    auto it = keys_.find(path);
-    if (it == keys_.end()) return Err::noent;
-    if (!os::redzone::intact(it->second.redzone))
-      k.report_redzone_corruption(site, pid, path, it->second.redzone);
-    ctx.data = it->second.value;
-    ctx.object_untrusted = !it->second.trusted;
+    const Key* key = find(path);
+    if (!key) return Err::noent;
+    if (!os::redzone::intact(key->redzone))
+      k.report_redzone_corruption(site, pid, path, key->redzone);
+    ctx.data = key->value;
+    ctx.object_untrusted = !key->trusted;
     return Err::ok;
   });
   if (e != Err::ok && ctx.data.empty()) return e;
@@ -39,53 +48,52 @@ SysStatus Registry::write_value(os::Kernel& k, const os::Site& site,
   SyscallCtx ctx(site, pid, "regwrite", path);
   ctx.data = value;
   return status_of(k.interact(ctx, [&] {
-    auto it = keys_.find(path);
-    if (it == keys_.end()) return Err::noent;
-    if (!os::redzone::intact(it->second.redzone))
-      k.report_redzone_corruption(site, pid, path, it->second.redzone);
+    const Key* key = find(path);
+    if (!key) return Err::noent;
+    if (!os::redzone::intact(key->redzone))
+      k.report_redzone_corruption(site, pid, path, key->redzone);
     const os::Process& p = k.proc(pid);
-    if (!it->second.acl.everyone_write && p.euid != os::kRootUid &&
-        p.euid != it->second.acl.owner)
+    if (!key->acl.everyone_write && p.euid != os::kRootUid &&
+        p.euid != key->acl.owner)
       return Err::acces;
-    it->second.value = value;
+    writable(path)->value = value;
     return Err::ok;
   }));
 }
 
 bool Registry::attacker_set_value(os::Uid attacker, const std::string& path,
                                   const std::string& value) {
-  auto it = keys_.find(path);
-  if (it == keys_.end()) return false;
-  if (!it->second.acl.everyone_write && attacker != os::kRootUid &&
-      attacker != it->second.acl.owner)
+  const Key* key = find(path);
+  if (!key) return false;
+  if (!key->acl.everyone_write && attacker != os::kRootUid &&
+      attacker != key->acl.owner)
     return false;
-  it->second.value = value;
+  writable(path)->value = value;
   return true;
 }
 
 void Registry::set_value(const std::string& path, const std::string& value) {
-  auto it = keys_.find(path);
-  if (it != keys_.end()) it->second.value = value;
+  if (Key* key = writable(path)) key->value = value;
 }
 
 void Registry::set_everyone_write(const std::string& path,
                                   bool everyone_write) {
-  auto it = keys_.find(path);
-  if (it != keys_.end()) it->second.acl.everyone_write = everyone_write;
+  if (Key* key = writable(path)) key->acl.everyone_write = everyone_write;
 }
 
 void Registry::set_trusted(const std::string& path, bool trusted) {
-  auto it = keys_.find(path);
-  if (it != keys_.end()) it->second.trusted = trusted;
+  if (Key* key = writable(path)) key->trusted = trusted;
 }
 
-void Registry::remove_key(const std::string& path) { keys_.erase(path); }
+void Registry::remove_key(const std::string& path) {
+  if (find(path)) unshare(keys_).erase(path);
+}
 
 void Registry::wild_write(const std::string& path, std::size_t overflow,
                           char fill) {
-  auto it = keys_.find(path);
-  if (it == keys_.end()) return;
-  std::string& zone = it->second.redzone;
+  Key* key = writable(path);
+  if (!key) return;
+  std::string& zone = key->redzone;
   std::size_t n = std::min(overflow, zone.size());
   for (std::size_t i = 0; i < n; ++i) zone[i] = fill;
 }
@@ -93,21 +101,21 @@ void Registry::wild_write(const std::string& path, std::size_t overflow,
 void Registry::validate_redzones(os::Kernel& k) const {
   if (!k.redzone_audit()) return;
   const os::Site sweep{"registry", 0, "redzone-teardown"};
-  for (const auto& [path, key] : keys_)
+  for (const auto& [path, key] : *keys_)
     if (!os::redzone::intact(key.redzone))
       k.report_redzone_corruption(sweep, -1, path, key.redzone);
 }
 
 std::vector<Key> Registry::unprotected_keys() const {
   std::vector<Key> out;
-  for (const auto& [p, key] : keys_)
+  for (const auto& [p, key] : *keys_)
     if (key.acl.everyone_write) out.push_back(key);
   return out;
 }
 
 std::vector<Key> Registry::unprotected_with_module() const {
   std::vector<Key> out;
-  for (const auto& [p, key] : keys_)
+  for (const auto& [p, key] : *keys_)
     if (key.acl.everyone_write && !key.used_by_module.empty())
       out.push_back(key);
   return out;
@@ -115,7 +123,7 @@ std::vector<Key> Registry::unprotected_with_module() const {
 
 std::vector<Key> Registry::unprotected_without_module() const {
   std::vector<Key> out;
-  for (const auto& [p, key] : keys_)
+  for (const auto& [p, key] : *keys_)
     if (key.acl.everyone_write && key.used_by_module.empty())
       out.push_back(key);
   return out;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,15 +38,20 @@ struct Key {
   bool trusted = true;
   /// Poisoned guard region conceptually adjacent to `value`; legitimate
   /// value writes replace the value wholesale and never touch it (see
-  /// os/redzone.hpp). Value-copied with the Registry on world clone.
+  /// os/redzone.hpp). Copied with its key when a clone first writes the
+  /// table.
   std::string redzone = os::redzone::poison();
 };
 
+/// The key table is shared copy-on-write between world snapshots
+/// (util/cow.hpp): a clone copies one pointer, and only a write that
+/// changes a key (a regkey perturber, a permitted write_value) copies the
+/// table, privately to that world.
 class Registry {
  public:
   void define_key(Key key);
   [[nodiscard]] const Key* find(const std::string& path) const;
-  [[nodiscard]] std::size_t size() const { return keys_.size(); }
+  [[nodiscard]] std::size_t size() const { return keys_->size(); }
 
   // --- module-side operations (hooked) -------------------------------------
   /// Read a value as the module under test; an interaction point with
@@ -73,7 +79,7 @@ class Registry {
                   char fill = '!');
 
   /// Teardown sweep over every key's guard region, in key-path order
-  /// (deterministic: keys_ is a sorted map). Reports through the kernel's
+  /// (deterministic: the table is a sorted map). Reports through the kernel's
   /// hook chain; driven from core::TargetWorld::validate_redzones()
   /// alongside os::Kernel::validate_redzones().
   void validate_redzones(os::Kernel& k) const;
@@ -86,7 +92,12 @@ class Registry {
   [[nodiscard]] std::vector<Key> unprotected_without_module() const;
 
  private:
-  std::map<std::string, Key> keys_;
+  using Table = std::map<std::string, Key>;
+  /// The key at `path`, made writable (the table unshared first), or null
+  /// without a copy when there is no such key.
+  Key* writable(const std::string& path);
+
+  std::shared_ptr<Table> keys_ = std::make_shared<Table>();
 };
 
 }  // namespace ep::reg

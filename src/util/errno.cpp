@@ -24,6 +24,7 @@ std::string_view err_name(Err e) {
     case Err::io: return "EIO";
     case Err::xdev: return "EXDEV";
     case Err::notempty: return "ENOTEMPTY";
+    case Err::busy: return "EBUSY";
   }
   return "E?";
 }
@@ -50,6 +51,7 @@ std::string_view err_message(Err e) {
     case Err::io: return "input/output error";
     case Err::xdev: return "cross-device link";
     case Err::notempty: return "directory not empty";
+    case Err::busy: return "device or resource busy";
   }
   return "unknown error";
 }

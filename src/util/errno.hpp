@@ -30,6 +30,7 @@ enum class Err {
   io,           // input/output error
   xdev,         // cross-device link
   notempty,     // directory not empty
+  busy,         // resource busy (rename of `.` or `..`)
 };
 
 /// errno-style short name, e.g. Err::acces -> "EACCES".

@@ -89,9 +89,9 @@ std::string repeat(std::string_view s, std::size_t n) {
   return out;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
+namespace {
+
+void append_json_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -110,11 +110,28 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
+}
+
+}  // namespace
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  append_json_escaped(out, s);
   return out;
 }
 
 std::string json_quote(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
+  std::string out;
+  out.reserve(s.size() + 10);
+  append_json_quoted(out, s);
+  return out;
+}
+
+void append_json_quoted(std::string& out, std::string_view s) {
+  out += '"';
+  append_json_escaped(out, s);
+  out += '"';
 }
 
 }  // namespace ep

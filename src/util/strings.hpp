@@ -40,4 +40,8 @@ std::string json_escape(const std::string& s);
 /// `s` as a quoted JSON string: json_quote("a\"b") -> "\"a\\\"b\"".
 std::string json_quote(const std::string& s);
 
+/// json_quote(s) appended to `out`, for renderers that stream into one
+/// buffer.
+void append_json_quoted(std::string& out, std::string_view s);
+
 }  // namespace ep

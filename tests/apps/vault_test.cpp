@@ -101,8 +101,10 @@ TEST(Vault, ManualRaceReplay) {
   core::FaultRef fault;
   fault.kind = core::FaultKind::direct;
   fault.direct = core::FaultCatalog::standard().find_direct("symbolic-link");
-  auto injector = std::make_shared<core::Injector>(
-      *w, os::Site{"vault.c", 30, kVaultUse}, fault, s.hints);
+  // The injector borrows its site: a named object, not a temporary.
+  const os::Site use_site{"vault.c", 30, kVaultUse};
+  auto injector =
+      std::make_shared<core::Injector>(*w, use_site, fault, s.hints);
   w->kernel.add_interposer(injector);
   std::string before = w->kernel.peek("/etc/passwd").value();
   (void)s.run(*w);

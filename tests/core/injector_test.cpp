@@ -40,13 +40,15 @@ class InjectorTest : public ::testing::Test {
   }
 
   TargetWorld w;
+  /// The injector borrows its hints, so they live as long as the fixture.
+  const ScenarioHints hints;
   os::Pid pid = -1;
 };
 
 TEST_F(InjectorTest, DirectFaultFiresBeforeCall) {
   auto inj = std::make_shared<Injector>(w, kTarget,
                                         direct_ref("file-existence"),
-                                        ScenarioHints{});
+                                        hints);
   w.kernel.add_interposer(inj);
   // The open at the target site meets the already-perturbed environment:
   // the file was deleted before resolution.
@@ -58,7 +60,7 @@ TEST_F(InjectorTest, DirectFaultFiresBeforeCall) {
 TEST_F(InjectorTest, DirectFaultIgnoresOtherSites) {
   auto inj = std::make_shared<Injector>(w, kTarget,
                                         direct_ref("file-existence"),
-                                        ScenarioHints{});
+                                        hints);
   w.kernel.add_interposer(inj);
   auto fd = w.kernel.open(kOther, pid, "/data/in.txt", os::OpenFlag::rd);
   EXPECT_TRUE(fd.ok());
@@ -68,7 +70,7 @@ TEST_F(InjectorTest, DirectFaultIgnoresOtherSites) {
 TEST_F(InjectorTest, DirectFaultFiresOnlyOnce) {
   auto inj = std::make_shared<Injector>(w, kTarget,
                                         direct_ref("file-existence"),
-                                        ScenarioHints{});
+                                        hints);
   w.kernel.add_interposer(inj);
   EXPECT_EQ(w.kernel.open(kTarget, pid, "/data/in.txt", os::OpenFlag::rd)
                 .error(),
@@ -83,7 +85,7 @@ TEST_F(InjectorTest, DirectFaultFiresOnlyOnce) {
 TEST_F(InjectorTest, IndirectFaultRewritesInputAfterCall) {
   auto inj = std::make_shared<Injector>(w, kTarget,
                                         indirect_ref("change-length"),
-                                        ScenarioHints{});
+                                        hints);
   w.kernel.add_interposer(inj);
   w.kernel.proc(pid).args = {"prog", "file.txt"};
   std::string got = w.kernel.arg(kTarget, pid, 1);
@@ -96,7 +98,7 @@ TEST_F(InjectorTest, IndirectFaultRewritesInputAfterCall) {
 TEST_F(InjectorTest, IndirectFaultFiresOnlyOnFirstVisit) {
   auto inj = std::make_shared<Injector>(w, kTarget,
                                         indirect_ref("insert-dotdot"),
-                                        ScenarioHints{});
+                                        hints);
   w.kernel.add_interposer(inj);
   w.kernel.proc(pid).args = {"prog", "a", "b"};
   EXPECT_EQ(w.kernel.arg(kTarget, pid, 1), "../a");
@@ -106,7 +108,7 @@ TEST_F(InjectorTest, IndirectFaultFiresOnlyOnFirstVisit) {
 TEST_F(InjectorTest, IndirectFaultNoopOnInputlessCall) {
   auto inj = std::make_shared<Injector>(w, kTarget,
                                         indirect_ref("change-length"),
-                                        ScenarioHints{});
+                                        hints);
   w.kernel.add_interposer(inj);
   auto fd = w.kernel.open(kTarget, pid, "/data/in.txt", os::OpenFlag::rd);
   EXPECT_TRUE(fd.ok());
@@ -116,7 +118,7 @@ TEST_F(InjectorTest, IndirectFaultNoopOnInputlessCall) {
 TEST_F(InjectorTest, IndirectFaultOnFileRead) {
   auto inj = std::make_shared<Injector>(w, kTarget,
                                         indirect_ref("fsin-use-absolute-path"),
-                                        ScenarioHints{});
+                                        hints);
   w.kernel.add_interposer(inj);
   auto fd = w.kernel.open(kOther, pid, "/data/in.txt", os::OpenFlag::rd);
   ASSERT_TRUE(fd.ok());
@@ -132,7 +134,7 @@ TEST_F(InjectorTest, GetenvMaterializationFault) {
   // programmer never sees" case: the variable suddenly exists.
   auto inj = std::make_shared<Injector>(w, kTarget,
                                         indirect_ref("path-insert-untrusted"),
-                                        ScenarioHints{});
+                                        hints);
   w.kernel.add_interposer(inj);
   auto v = w.kernel.getenv(kTarget, pid, "PATH");
   ASSERT_TRUE(v.ok());
@@ -140,7 +142,6 @@ TEST_F(InjectorTest, GetenvMaterializationFault) {
 }
 
 TEST_F(InjectorTest, DirectSymlinkThenOpenFollowsToVictim) {
-  ScenarioHints hints;
   auto inj = std::make_shared<Injector>(w, kTarget,
                                         direct_ref("symbolic-link"), hints);
   w.kernel.add_interposer(inj);

@@ -252,5 +252,47 @@ TEST(WorldSnapshotTest, ConcurrentClonesMutateIndependently) {
   EXPECT_TRUE(snap->prototype().kernel.vfs().check_invariants().empty());
 }
 
+TEST(WorldSnapshotTest, ConcurrentClonesWriteTheRegistryIndependently) {
+  // The TSan target for the shared key table: every clone starts on the
+  // prototype's table, and its first write copies the table privately.
+  constexpr int kWorkers = 8;
+  auto worker_key = [](int t) {
+    return "HKLM/Software/Worker" + std::to_string(t);
+  };
+  auto proto = small_world();
+  for (int t = 0; t < kWorkers; ++t) {
+    reg::Key key;
+    key.path = worker_key(t);
+    key.value = "benign";
+    proto->registry.define_key(key);
+  }
+  auto snap = WorldSnapshot::freeze(std::move(proto));
+  std::atomic<int> failures{0};
+  std::vector<std::thread> pool;
+  pool.reserve(kWorkers);
+  for (int t = 0; t < kWorkers; ++t) {
+    pool.emplace_back([&snap, &failures, &worker_key, t] {
+      auto w = snap->instantiate();
+      os::Pid pid = w->kernel.make_process(os::kRootUid, 0, "/");
+      const std::string mine = "written-" + std::to_string(t);
+      if (!w->registry.write_value(w->kernel, kS, pid, worker_key(t), mine)
+               .ok())
+        ++failures;
+      for (int u = 0; u < kWorkers; ++u) {
+        const reg::Key* key = w->registry.find(worker_key(u));
+        if (!key || key->value != (u == t ? mine : "benign")) ++failures;
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  const reg::Registry& registry = snap->prototype().registry;
+  for (int t = 0; t < kWorkers; ++t) {
+    ASSERT_NE(registry.find(worker_key(t)), nullptr);
+    EXPECT_EQ(registry.find(worker_key(t))->value, "benign");
+  }
+  EXPECT_EQ(registry.find("HKLM/Software/Probe")->value, "benign");
+}
+
 }  // namespace
 }  // namespace ep::core

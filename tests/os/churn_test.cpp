@@ -1,6 +1,6 @@
 // Randomized churn property test: thousands of seeded random namespace
 // operations must keep the VFS structurally consistent, keep canonical
-// paths resolvable, and never break the parent maps — the invariants the
+// paths resolvable, and never break the parent links — the invariants the
 // perturbers rely on when they rewire worlds mid-campaign.
 #include <gtest/gtest.h>
 

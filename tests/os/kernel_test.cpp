@@ -355,5 +355,55 @@ TEST_F(KernelTest, DescribeObjectRecordsRuidAccess) {
   EXPECT_FALSE(cap->writable);
 }
 
+TEST_F(KernelTest, FinalDotOrDotDotNamesADirectoryNotAnEntry) {
+  // Linux's answers for a final `.` or `..`: the name is the directory
+  // itself, so nothing is created, linked or unlinked under it.
+  const OpenFlags creat_wr = OpenFlag::wr | OpenFlag::creat;
+  EXPECT_EQ(k.open(kS, alice, "/tmp/..", creat_wr).error(), Err::isdir);
+  EXPECT_EQ(k.open(kS, alice, "/tmp/.", creat_wr).error(), Err::isdir);
+  EXPECT_EQ(k.mkdir(kS, alice, "/tmp/.").error(), Err::exist);
+  EXPECT_EQ(k.mkdir(kS, alice, "/tmp/..").error(), Err::exist);
+  EXPECT_EQ(k.symlink(kS, alice, "/etc/passwd", "/tmp/..").error(),
+            Err::exist);
+  EXPECT_EQ(k.unlink(kS, alice, "/tmp/..").error(), Err::isdir);
+  EXPECT_EQ(k.rmdir(kS, alice, "/tmp/.").error(), Err::inval);
+  const Ino tmp = k.vfs().resolve("/tmp", "/", kRootUid, kRootGid).value();
+  EXPECT_EQ(k.vfs().inode(tmp).entries.count("."), 0u);
+  EXPECT_EQ(k.vfs().inode(tmp).entries.count(".."), 0u);
+  EXPECT_TRUE(k.vfs().check_invariants().empty())
+      << k.vfs().check_invariants();
+}
+
+TEST_F(KernelTest, RenameOfDotOrDotDotIsBusy) {
+  world::put_file(k, "/tmp/f", "x", 1000, 1000, 0644);
+  EXPECT_EQ(k.rename(kS, alice, "/tmp/.", "/tmp/g").error(), Err::busy);
+  EXPECT_EQ(k.rename(kS, alice, "/tmp/f", "/tmp/..").error(), Err::busy);
+  EXPECT_EQ(k.peek("/tmp/f").value(), "x");
+  EXPECT_TRUE(k.vfs().check_invariants().empty())
+      << k.vfs().check_invariants();
+}
+
+TEST_F(KernelTest, UntrustedDirectoryTaintsEverythingBelowIt) {
+  // The taint follows parent links: a directory between the object and
+  // the untrusted ancestor that root cannot search (no x bit) does not
+  // hide it.
+  world::put_file(k, "/data/sub/deep/file", "x", kRootUid, kRootGid, 0644);
+  const Ino data = k.vfs().resolve("/data", "/", kRootUid, kRootGid).value();
+  k.vfs().mutate(data).trusted = false;
+  auto fd = k.open(kS, root, "/data/sub/deep/file", OpenFlag::rd);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(k.chmod(kS, root, "/data/sub", 0600).ok());
+  struct Capture : Interposer {
+    bool untrusted = false;
+    void after(Kernel&, SyscallCtx& ctx, Err) override {
+      if (ctx.call == "read") untrusted = ctx.object_untrusted;
+    }
+  };
+  auto cap = std::make_shared<Capture>();
+  k.add_interposer(cap);
+  ASSERT_TRUE(k.read(kS, root, fd.value()).ok());
+  EXPECT_TRUE(cap->untrusted);
+}
+
 }  // namespace
 }  // namespace ep::os

@@ -130,6 +130,57 @@ TEST_F(VfsTest, SymlinkChainWithinLimitResolves) {
   EXPECT_EQ(r.value(), f);
 }
 
+TEST_F(VfsTest, SymlinkChainAtTheDepthLimitResolvesAndOneMoreLoops) {
+  // The walk holds one pending segment per followed link; a chain of
+  // exactly kMaxSymlinkDepth links still resolves.
+  Ino f = mkfile_at(vfs.root(), "end");
+  std::string prev = "/end";
+  for (int i = 0; i < kMaxSymlinkDepth; ++i) {
+    std::string name = "c" + std::to_string(i);
+    ASSERT_TRUE(
+        vfs.create_symlink(vfs.root(), name, kRootUid, kRootGid, prev).ok());
+    prev = "/" + name;
+  }
+  auto r = vfs.resolve(prev, "/", kRootUid, kRootGid);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value(), f);
+  ASSERT_TRUE(
+      vfs.create_symlink(vfs.root(), "over", kRootUid, kRootGid, prev).ok());
+  EXPECT_EQ(vfs.resolve("/over", "/", kRootUid, kRootGid).error(), Err::loop);
+}
+
+TEST_F(VfsTest, ResolveParentIgnoresTrailingSlashesAndRootHasNoLeaf) {
+  Ino a = mkdir_at(vfs.root(), "a");
+  Ino b = mkdir_at(a, "b");
+  auto rp = vfs.resolve_parent("/a/b//", "/", kRootUid, kRootGid);
+  ASSERT_TRUE(rp.ok());
+  EXPECT_EQ(rp.value().dir_ino, a);
+  EXPECT_EQ(rp.value().leaf, "b");
+  EXPECT_EQ(rp.value().leaf_ino, b);
+  EXPECT_EQ(rp.value().canonical, "/a/b");
+  EXPECT_EQ(vfs.resolve_parent("/", "/", kRootUid, kRootGid).error(),
+            Err::isdir);
+  EXPECT_EQ(vfs.resolve_parent("///", "/", kRootUid, kRootGid).error(),
+            Err::isdir);
+}
+
+TEST_F(VfsTest, RelativeResolveParentHoldsTheJoinedDirectoryToThePathLimit) {
+  // The argument alone is short; its directory part joined to the cwd
+  // (slashes collapsed) is one byte over kMaxPathLen.
+  Ino d = mkdir_at(vfs.root(), "d");
+  mkdir_at(d, "x");
+  std::string cwd;
+  while (cwd.size() + 2 + 200 <= kMaxPathLen)
+    cwd += "/" + std::string(200, 'c');
+  cwd += "/" + std::string(kMaxPathLen - cwd.size() - 3, 'c');
+  ASSERT_EQ(cwd.size() + 2, kMaxPathLen);  // + "/x"
+  EXPECT_EQ(vfs.resolve_parent("x/leaf", cwd + "//", kRootUid, kRootGid)
+                .error(),
+            Err::noent);  // "<cwd>/x" fits: the walk runs and misses
+  EXPECT_EQ(vfs.resolve_parent("xy/leaf", cwd, kRootUid, kRootGid).error(),
+            Err::nametoolong);
+}
+
 TEST_F(VfsTest, NameTooLongRejected) {
   std::string long_name(kMaxNameLen + 1, 'x');
   auto r = vfs.create_file(vfs.root(), long_name, kRootUid, kRootGid, 0644);
