@@ -62,12 +62,13 @@ Discovery measure(const core::Scenario& scenario, int random_rounds) {
   core::Campaign campaign(scenario);
   auto r = campaign.execute();
   std::vector<os::Site> indirect_sites;
-  for (const auto& i : r.injections) {
-    if (i.kind != core::FaultKind::indirect) continue;
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    if (r.fault_of(id).kind != core::FaultKind::indirect) continue;
     ++d.catalog_runs;
-    indirect_sites.push_back(i.site);
-    for (const auto& v : i.violations)
-      d.catalog.insert(i.site.tag + "|" + std::string(to_string(v.policy)));
+    const os::Site& site = r.point_of(id).site;
+    indirect_sites.push_back(site);
+    for (const auto& v : r.injections[id].violations)
+      d.catalog.insert(site.tag + "|" + std::string(to_string(v.policy)));
   }
   Rng rng(99);
   for (int round = 0; round < random_rounds; ++round) {

@@ -31,9 +31,9 @@ int main() {
     core::Campaign campaign(std::move(scenario));
     auto r = campaign.execute();
     int ind = 0, dir = 0;
-    for (const auto& i : r.injections) {
-      if (!i.violated) continue;
-      (i.kind == core::FaultKind::indirect ? ind : dir)++;
+    for (std::size_t id = 0; id < r.injections.size(); ++id) {
+      if (!r.injections[id].violated) continue;
+      (r.fault_of(id).kind == core::FaultKind::indirect ? ind : dir)++;
     }
     total_indirect += ind;
     total_direct += dir;

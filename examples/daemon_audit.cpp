@@ -21,8 +21,8 @@ void audit(core::Scenario scenario) {
   auto r = campaign.execute();
   std::printf("%s\n", core::render_summary_line(r).c_str());
   std::map<std::string, int> by_fault;
-  for (const auto& i : r.injections)
-    if (i.violated) ++by_fault[i.fault_name];
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    if (r.injections[id].violated) ++by_fault[r.fault_of(id).name()];
   if (by_fault.empty()) {
     std::printf("  tolerated every perturbation (%s)\n\n",
                 std::string(to_string(r.region())).c_str());

@@ -1049,8 +1049,9 @@ int cmd_merge(const std::string& plan_path,
   for (const auto& path : shard_paths)
     shards.push_back(load_shard_report(path));
   // The same report and exit contract as `run`.
-  return print_report(core::merge_shard_reports(plan, shards, shard_paths),
-                      as_json);
+  return print_report(
+      core::merge_shard_reports(plan, std::move(shards), shard_paths),
+      as_json);
 }
 
 // --- orchestrated execution (core/orchestrator.hpp) -------------------------

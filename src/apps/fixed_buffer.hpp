@@ -72,7 +72,8 @@ class FixedBuffer {
     data_ = s.substr(0, std::min(s.size(), capacity_));
     if (s.size() > capacity_) {
       std::size_t spill = std::min(s.size() - capacity_, redzone_.size());
-      redzone_.replace(0, spill, s, capacity_, spill);
+      std::copy_n(s.begin() + static_cast<std::ptrdiff_t>(capacity_), spill,
+                  redzone_.begin());
     }
   }
 
@@ -85,7 +86,7 @@ class FixedBuffer {
   os::Site site_;
   std::size_t capacity_;
   std::string data_;
-  std::string redzone_ = os::redzone::poison();
+  os::redzone::Guard redzone_;
 };
 
 }  // namespace ep::apps

@@ -38,10 +38,11 @@ AdequacyRegion CampaignResult::region(const AdequacyThresholds& t) const {
   return classify(adequacy(), t);
 }
 
-std::vector<const InjectionOutcome*> CampaignResult::exploitable() const {
-  std::vector<const InjectionOutcome*> out;
-  for (const auto& i : injections)
-    if (i.violated && i.exploit.nonroot_feasible) out.push_back(&i);
+std::vector<std::size_t> CampaignResult::exploitable() const {
+  std::vector<std::size_t> out;
+  for (std::size_t id = 0; id < injections.size(); ++id)
+    if (injections[id].violated && injections[id].exploit.nonroot_feasible)
+      out.push_back(id);
   return out;
 }
 

@@ -24,6 +24,7 @@
 // adequacy region (steps 9-10) — is bit-identical for any worker count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -90,13 +91,24 @@ struct Exploitability {
   std::string note;
 };
 
+/// One (interaction point, fault) pair: exactly one rebuild-and-rerun
+/// cycle of procedure steps 4-8. `param` is the perturbation parameter:
+/// 0 means the scenario's stock hints (every exhaustive-plan item), any
+/// other value seeds a deterministic hint mutation before the run (the
+/// search layer's third mutation axis — see core/search.hpp). The
+/// outcome of an item is a pure function of (point, fault, param).
+struct WorkItem {
+  std::size_t point_index = 0;  // into the plan's points
+  FaultRef fault;
+  std::uint64_t param = 0;
+};
+
+/// What one run decided about its plan item: the verdict and its
+/// evidence, nothing the plan already names. The item's interaction point
+/// and fault live only in the plan (CampaignResult::point_of/fault_of by
+/// the outcome's slot), so an outcome has the same shape in memory as on
+/// the wire.
 struct InjectionOutcome {
-  os::Site site;
-  std::string call;
-  std::string object;
-  FaultKind kind = FaultKind::direct;
-  std::string fault_name;
-  std::string fault_description;
   bool fired = false;     // the planned site executed and the fault applied
   bool violated = false;  // >= 1 policy violation observed
   std::vector<Violation> violations;
@@ -110,10 +122,19 @@ struct CampaignResult {
   std::string scenario_name;
   std::vector<InteractionPoint> points;       // step 3: discovered
   std::set<std::string> perturbed_site_tags;  // sites actually perturbed
-  std::vector<InjectionOutcome> injections;
-  std::vector<Violation> benign_violations;  // should be empty
+  std::vector<WorkItem> items;                // the plan's items, by id
+  std::vector<InjectionOutcome> injections;   // slot i decides items[i]
+  std::vector<Violation> benign_violations;   // should be empty
 
   [[nodiscard]] int n() const { return static_cast<int>(injections.size()); }
+  /// The interaction point and fault plan item `id` perturbed: the names
+  /// behind outcome `injections[id]`.
+  [[nodiscard]] const InteractionPoint& point_of(std::size_t id) const {
+    return points[items[id].point_index];
+  }
+  [[nodiscard]] const FaultRef& fault_of(std::size_t id) const {
+    return items[id].fault;
+  }
   [[nodiscard]] int violation_count() const;
   [[nodiscard]] int tolerated_count() const;
   /// Step 10: rho = count / n, the vulnerability assessment score.
@@ -122,9 +143,9 @@ struct CampaignResult {
   [[nodiscard]] double interaction_coverage() const;
   [[nodiscard]] AdequacyPoint adequacy() const;
   [[nodiscard]] AdequacyRegion region(const AdequacyThresholds& t = {}) const;
-  /// Violating outcomes whose perturbation an unprivileged actor could
-  /// actually effect: candidate real vulnerabilities.
-  [[nodiscard]] std::vector<const InjectionOutcome*> exploitable() const;
+  /// Ids of the violating outcomes whose perturbation an unprivileged
+  /// actor could actually effect: candidate real vulnerabilities.
+  [[nodiscard]] std::vector<std::size_t> exploitable() const;
 };
 
 struct CampaignOptions {

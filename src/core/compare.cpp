@@ -29,12 +29,16 @@ Comparison compare(const CampaignResult& before, const CampaignResult& after) {
   c.before = before.adequacy();
   c.after = after.adequacy();
 
-  auto key = [](const InjectionOutcome& i) {
-    return i.site.tag + "|" + i.fault_name;
+  // Each outcome keyed "site|fault" by its plan item; the last outcome of
+  // a key wins.
+  auto by_key = [](const CampaignResult& r) {
+    std::map<std::string, std::size_t> ids;
+    for (std::size_t id = 0; id < r.injections.size(); ++id)
+      ids[r.point_of(id).site.tag + "|" + r.fault_of(id).name()] = id;
+    return ids;
   };
-  std::map<std::string, const InjectionOutcome*> b, a;
-  for (const auto& i : before.injections) b[key(i)] = &i;
-  for (const auto& i : after.injections) a[key(i)] = &i;
+  const std::map<std::string, std::size_t> b = by_key(before);
+  const std::map<std::string, std::size_t> a = by_key(after);
 
   for (const auto& [k, bi] : b) {
     auto it = a.find(k);
@@ -43,10 +47,10 @@ Comparison compare(const CampaignResult& before, const CampaignResult& after) {
       continue;
     }
     OutcomeDelta d;
-    d.site_tag = bi->site.tag;
-    d.fault_name = bi->fault_name;
-    d.before_violated = bi->violated;
-    d.after_violated = it->second->violated;
+    d.site_tag = before.point_of(bi).site.tag;
+    d.fault_name = before.fault_of(bi).name();
+    d.before_violated = before.injections[bi].violated;
+    d.after_violated = after.injections[it->second].violated;
     c.deltas.push_back(std::move(d));
   }
   for (const auto& [k, ai] : a)

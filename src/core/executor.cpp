@@ -268,14 +268,6 @@ InjectionOutcome Executor::run_item(const InjectionPlan& plan,
   world->kernel.add_interposer(oracle);
 
   InjectionOutcome out;
-  out.site = point.site;
-  out.call = point.call;
-  out.object = point.object;
-  out.kind = item.fault.kind;
-  out.fault_name = item.fault.name();
-  out.fault_description = item.fault.kind == FaultKind::indirect
-                              ? item.fault.indirect->description
-                              : item.fault.direct->description;
   out.exit_code = scenario_.run(*world);
   // Teardown redzone sweep, while this run's oracle is still installed —
   // corruption that never crossed another syscall surfaces here, into the
@@ -290,7 +282,7 @@ InjectionOutcome Executor::run_item(const InjectionPlan& plan,
   std::string broken = world->kernel.vfs().check_invariants();
   if (!broken.empty())
     throw std::logic_error("VFS invariant broken after injection '" +
-                           out.fault_name + "': " + broken);
+                           item.fault.name() + "': " + broken);
 
   if (out.violated)
     // The frozen prototype *is* the benign world, so the cached path
@@ -308,6 +300,7 @@ CampaignResult result_skeleton(const InjectionPlan& plan) {
   result.points = plan.points;
   result.benign_violations = plan.benign_violations;
   result.perturbed_site_tags = plan.perturbed_site_tags;
+  result.items = plan.items;
   result.injections.resize(plan.items.size());
   return result;
 }

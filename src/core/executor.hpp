@@ -57,8 +57,9 @@ void parallel_for(std::size_t count, int jobs,
                   const std::function<void(std::size_t)>& fn);
 
 /// The CampaignResult a drained plan fills in: every plan-derived field
-/// copied over and `injections` sized one slot per work item. Both
-/// Executor::execute and the MultiCampaign scheduler assemble results
+/// copied over (the work items included, so slot i's names are item i's)
+/// and `injections` sized one slot per work item. Executor::execute, the
+/// MultiCampaign scheduler and merge_shard_reports assemble results
 /// through this, so the plan-to-result mapping lives in one place.
 [[nodiscard]] CampaignResult result_skeleton(const InjectionPlan& plan);
 

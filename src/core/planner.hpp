@@ -10,8 +10,6 @@
 // to make. That split is what allows the drain to be parallel.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -30,18 +28,6 @@ namespace ep::core {
 /// only the version this build writes: a version-1 file is refused with
 /// the version it reads (wire_detail::check_header).
 inline constexpr int kPlanSchemaVersion = 2;
-
-/// One (interaction point, fault) pair: exactly one rebuild-and-rerun
-/// cycle of procedure steps 4-8. `param` is the perturbation parameter:
-/// 0 means the scenario's stock hints (every exhaustive-plan item), any
-/// other value seeds a deterministic hint mutation before the run (the
-/// search layer's third mutation axis — see core/search.hpp). The
-/// outcome of an item is a pure function of (point, fault, param).
-struct WorkItem {
-  std::size_t point_index = 0;  // into InjectionPlan::points
-  FaultRef fault;
-  std::uint64_t param = 0;
-};
 
 /// The planner's output: everything an executor needs to run the campaign,
 /// with no further decisions to make. Work items are in plan order —

@@ -69,12 +69,12 @@ std::string render_report(const CampaignResult& r) {
     row.call = p.call;
     row.object = p.object;
   }
-  for (const auto& i : r.injections) {
-    Row& row = rows[i.site.tag];
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    Row& row = rows[r.point_of(id).site.tag];
     ++row.injected;
-    if (i.violated) {
+    if (r.injections[id].violated) {
       ++row.violated;
-      row.violating_faults.push_back(i.fault_name);
+      row.violating_faults.push_back(r.fault_of(id).name());
     }
   }
 
@@ -95,10 +95,12 @@ std::string render_report(const CampaignResult& r) {
   }
 
   out += "\nViolations:\n";
-  for (const auto& i : r.injections) {
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    const InjectionOutcome& i = r.injections[id];
     if (!i.violated) continue;
-    out += "  * " + i.site.tag + " / " + i.fault_name + " (" +
-           std::string(to_string(i.kind)) + ")\n";
+    const FaultRef& fault = r.fault_of(id);
+    out += "  * " + r.point_of(id).site.tag + " / " + fault.name() + " (" +
+           std::string(to_string(fault.kind)) + ")\n";
     for (const auto& v : i.violations)
       out += "      [" + std::string(to_string(v.policy)) + "] " + v.detail +
              "\n";
@@ -135,9 +137,11 @@ std::string render_report(const CampaignResult& r) {
   auto exploitable = r.exploitable();
   out += "\nCandidate vulnerabilities (unreasonable assumptions): " +
          std::to_string(exploitable.size()) + "\n";
-  for (const auto* i : exploitable)
-    out += "  - " + i->site.tag + " / " + i->fault_name + " (by " +
-           i->exploit.actor + "): " + i->exploit.note + "\n";
+  for (std::size_t id : exploitable) {
+    const Exploitability& e = r.injections[id].exploit;
+    out += "  - " + r.point_of(id).site.tag + " / " + r.fault_of(id).name() +
+           " (by " + e.actor + "): " + e.note + "\n";
+  }
   return out;
 }
 
@@ -173,12 +177,13 @@ std::string render_json(const CampaignResult& r) {
   out += "  \"injections\": [\n";
   for (std::size_t i = 0; i < r.injections.size(); ++i) {
     const auto& inj = r.injections[i];
+    const FaultRef& fault = r.fault_of(i);
     out += "    {\"site\": ";
-    j.str(inj.site.tag);
+    j.str(r.point_of(i).site.tag);
     out += ", \"fault\": ";
-    j.str(inj.fault_name);
+    j.str(fault.name());
     out += ", \"kind\": ";
-    j.str(to_string(inj.kind));
+    j.str(to_string(fault.kind));
     out += ", \"fired\": ";
     j.flag(inj.fired);
     out += ", \"violated\": ";

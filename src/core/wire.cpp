@@ -476,8 +476,7 @@ IdRange static_shard(std::size_t plan_items, std::size_t index,
 
 std::string ShardReport::to_json() const {
   // `completed_ids` names the ids this file actually holds (the resume
-  // key), and only the run-dependent outcome fields are serialized — one
-  // array per field.
+  // key), and each outcome field is one array.
   std::string out = "{\n";
   out += "  \"schema_version\": " + std::to_string(kShardSchemaVersion) +
          ",\n";
@@ -648,7 +647,7 @@ ShardReport resume_shard(const Executor& executor, const InjectionPlan& plan,
 }
 
 CampaignResult merge_shard_reports(const InjectionPlan& plan,
-                                   const std::vector<ShardReport>& shards,
+                                   std::vector<ShardReport> shards,
                                    const std::vector<std::string>& labels) {
   if (shards.empty()) throw WireError("merge: no shard reports given");
   if (!labels.empty() && labels.size() != shards.size())
@@ -668,23 +667,6 @@ CampaignResult merge_shard_reports(const InjectionPlan& plan,
 
   CampaignResult result = result_skeleton(plan);
 
-  // The plan-redundant outcome fields (site/call/object/fault), resolved
-  // once per merge into an id-indexed table every report indexes.
-  struct Derived {
-    const InteractionPoint* point;
-    const WorkItem* item;
-    const std::string* description;
-  };
-  std::vector<Derived> derived;
-  derived.reserve(n);
-  for (std::size_t id = 0; id < n; ++id) {
-    const WorkItem& item = plan.items[id];
-    derived.push_back({&plan.point_of(item), &item,
-                       item.fault.kind == FaultKind::indirect
-                           ? &item.fault.indirect->description
-                           : &item.fault.direct->description});
-  }
-
   // The one rule: every plan id belongs to exactly one complete report.
   // owner_of is sized by the plan we were handed, never by a report's
   // header, and each report's range is checked against it first.
@@ -692,7 +674,7 @@ CampaignResult merge_shard_reports(const InjectionPlan& plan,
   std::vector<std::size_t> owner_of(n, kUnowned);
 
   for (std::size_t si = 0; si < shards.size(); ++si) {
-    const ShardReport& s = shards[si];
+    ShardReport& s = shards[si];
     std::string who = who_of(si);
     if (s.scenario_name != plan.scenario_name)
       throw WireError(who + ": scenario '" + s.scenario_name +
@@ -734,31 +716,10 @@ CampaignResult merge_shard_reports(const InjectionPlan& plan,
       }
     }
 
-    for (std::size_t i = 0; i < s.item_ids.size(); ++i) {
-      std::size_t id = s.item_ids[i];
-      const WorkItem& item = *derived[id].item;
-      const InteractionPoint& point = *derived[id].point;
-      InjectionOutcome o = s.outcomes[i];
-      // In-process reports carry the plan-keyed fields; hold them to the
-      // plan. Wire reports do not put them on the wire at all
-      // (fault_name is empty after parse).
-      if (!o.fault_name.empty() &&
-          (o.fault_name != item.fault.name() || !(o.site == point.site)))
-        throw WireError(who + ": outcome for work item " + std::to_string(id) +
-                        " is fault '" + o.fault_name + "' at " + o.site.str() +
-                        " but the plan's item " + std::to_string(id) +
-                        " is '" + item.fault.name() + "' at " +
-                        point.site.str() + " (report from a different plan?)");
-      // Re-derive them from the plan by stable id, the single source of
-      // truth — the merged result is field-identical to a local drain.
-      o.site = point.site;
-      o.call = point.call;
-      o.object = point.object;
-      o.kind = item.fault.kind;
-      o.fault_name = item.fault.name();
-      o.fault_description = *derived[id].description;
-      result.injections[id] = std::move(o);
-    }
+    // An outcome is plan-relative: its names are the plan's item at its
+    // id, so it moves into that slot as it is.
+    for (std::size_t i = 0; i < s.item_ids.size(); ++i)
+      result.injections[s.item_ids[i]] = std::move(s.outcomes[i]);
   }
 
   // Every report is complete and the owned ranges are disjoint; only

@@ -129,10 +129,10 @@ struct ShardReport {
   std::vector<InjectionOutcome> outcomes;
 
   /// Canonical JSON (docs/WIRE_FORMAT.md), always kShardSchemaVersion:
-  /// parse -> re-serialize reproduces the bytes verbatim. Only the
-  /// run-dependent outcome fields go on the wire (fired, crashed,
-  /// overflows, exit_code, violations, exploit) — site/call/object/fault
-  /// are already in the plan, keyed by id, and merge re-derives them.
+  /// parse -> re-serialize reproduces the bytes verbatim. An outcome
+  /// holds only what its run decided (fired, crashed, overflows,
+  /// exit_code, violations, exploit); its site and fault are the plan's
+  /// item at its id, so a decoded report equals the in-memory one.
   [[nodiscard]] std::string to_json() const;
 };
 
@@ -213,9 +213,9 @@ ShardReport resume_shard(const Executor& executor, const InjectionPlan& plan,
                          const ShardDrainHooks& hooks = {});
 
 /// Recombine shard reports into the CampaignResult a single process would
-/// have produced from this plan: outcome with id i lands in slot i, so
-/// the result is bit-identical to a local `--jobs N` drain for any cut of
-/// the plan and any report order. One validation rule: every plan id
+/// have produced from this plan: the outcome with id i moves into slot i,
+/// so the result is bit-identical to a local `--jobs N` drain for any cut
+/// of the plan and any report order. One validation rule: every plan id
 /// belongs to exactly one complete report — `run-shard` files, lease
 /// files and search waves merge alike, in any mix. Throws WireError
 /// unless every report matches this plan's scenario and item count, the
@@ -225,7 +225,7 @@ ShardReport resume_shard(const Executor& executor, const InjectionPlan& plan,
 /// report's source (its file path on the CLI) in every diagnostic, so a
 /// failing 7-shard merge is attributable to the offending file.
 CampaignResult merge_shard_reports(const InjectionPlan& plan,
-                                   const std::vector<ShardReport>& shards,
+                                   std::vector<ShardReport> shards,
                                    const std::vector<std::string>& labels = {});
 
 }  // namespace ep::core

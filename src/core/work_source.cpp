@@ -1,5 +1,7 @@
 #include "core/work_source.hpp"
 
+#include <utility>
+
 namespace ep::core {
 
 CampaignResult drain_waves(WorkSource& source, const WaveDrain& drain_wave) {
@@ -22,7 +24,7 @@ CampaignResult drain_waves(WorkSource& source, const WaveDrain& drain_wave) {
   // exhaustive path (every report already carries the full size).
   const std::size_t n = source.plan().items.size();
   for (ShardReport& r : reports) r.plan_items = n;
-  return merge_shard_reports(source.plan(), reports, labels);
+  return merge_shard_reports(source.plan(), std::move(reports), labels);
 }
 
 }  // namespace ep::core

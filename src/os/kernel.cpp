@@ -177,7 +177,9 @@ SysResult<Fd> Kernel::open(const Site& site, Pid pid, const std::string& pth,
         return Err::exist;
       }
       const Inode& node = vfs_.inode(cur.leaf_ino);
-      if (node.is_dir() && flags.has(OpenFlag::wr)) return Err::isdir;
+      if (node.is_dir() &&
+          (flags.has(OpenFlag::wr) || flags.has(OpenFlag::creat)))
+        return Err::isdir;
       if (flags.has(OpenFlag::rd) &&
           !Vfs::permits_with_root(node, p.euid, p.egid, Perm::read))
         return Err::acces;
@@ -621,11 +623,11 @@ void Kernel::app_fault(const Site& site, Pid pid, AppFault kind,
 
 void Kernel::register_redzone_guard(const Site& site, Pid pid,
                                     std::string label,
-                                    const std::string* zone) {
+                                    const redzone::Guard* zone) {
   run_.redzone_guards.push_back({site, pid, std::move(label), zone});
 }
 
-void Kernel::unregister_redzone_guard(const std::string* zone) {
+void Kernel::unregister_redzone_guard(const redzone::Guard* zone) {
   auto& guards = run_.redzone_guards;
   for (auto it = guards.begin(); it != guards.end(); ++it) {
     if (it->zone != zone) continue;

@@ -17,6 +17,7 @@
 
 #include "os/hooks.hpp"
 #include "os/process.hpp"
+#include "os/redzone.hpp"
 #include "os/types.hpp"
 #include "os/vfs.hpp"
 #include "util/result.hpp"
@@ -183,11 +184,11 @@ class Kernel {
   /// unregister. Guards are per-run state: they live in RunOnlyState and
   /// never survive a world snapshot.
   void register_redzone_guard(const Site& site, Pid pid, std::string label,
-                              const std::string* zone);
+                              const redzone::Guard* zone);
   /// Validate and drop a guard (buffer destruction — the app-buffer
   /// equivalent of the teardown sweep). Reports redzone_corruption at the
   /// buffer's registration site if the poison was overwritten.
-  void unregister_redzone_guard(const std::string* zone);
+  void unregister_redzone_guard(const redzone::Guard* zone);
 
   /// Deterministic end-of-run sweep: every still-registered guard in
   /// registration order, then every VFS inode redzone in ino order.
@@ -290,7 +291,7 @@ class Kernel {
       Site site;
       Pid pid = -1;
       std::string label;
-      const std::string* zone = nullptr;
+      const redzone::Guard* zone = nullptr;
     };
     std::vector<RedzoneGuard> redzone_guards;
     /// Objects already reported corrupted this run — one violation per

@@ -17,8 +17,8 @@
 // accidentally re-create it.
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <string>
 #include <string_view>
 
 namespace ep::os::redzone {
@@ -30,13 +30,17 @@ inline constexpr std::size_t kSize = 16;
 /// The repeating poison token.
 inline constexpr char kToken[4] = {'\xDE', '\xAD', '\xC0', '\xDE'};
 
-/// A freshly poisoned guard region of kSize bytes.
-[[nodiscard]] inline std::string poison() {
-  std::string z;
-  z.reserve(kSize);
-  for (std::size_t i = 0; i < kSize; ++i) z.push_back(kToken[i % 4]);
-  return z;
-}
+/// One guard region: kSize bytes, poisoned when constructed. The bytes
+/// live inline (a kSize-byte std::string is one past libstdc++'s
+/// small-string buffer and would own a heap block), so copying an inode
+/// or a registry key copies its guard without allocating. Reads as the
+/// string_view the checks below take.
+struct Guard : std::array<char, kSize> {
+  Guard() {
+    for (std::size_t i = 0; i < kSize; ++i) (*this)[i] = kToken[i % 4];
+  }
+  operator std::string_view() const { return {data(), size()}; }
+};
 
 /// True when `zone` is exactly an intact poison region. A resized zone is
 /// corruption too: the only legitimate state is kSize poison bytes.

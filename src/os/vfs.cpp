@@ -349,6 +349,10 @@ SysStatus Vfs::rename_entry(Ino src_dir, std::string_view src_name,
   Ino moving = it->second;
   const Inode& dd = inode(dst_dir);
   if (!dd.is_dir()) return Err::notdir;
+  // A directory cannot become its own descendant: linking it under its
+  // subtree would cut that subtree off the root in a parent-link cycle.
+  for (Ino up = dst_dir; up != kNoIno; up = slots_[up].parent)
+    if (up == moving) return Err::inval;
   // Replace an existing non-directory target, as rename(2) does.
   auto dit = dd.entries.find(dst_name);
   if (dit != dd.entries.end()) {

@@ -64,7 +64,7 @@ struct Inode {
   /// checks it on read/write and at run teardown (see os/redzone.hpp).
   /// Copied verbatim by mutate()'s unsharing copy, so poison — and any
   /// corruption — survives COW cloning.
-  std::string redzone = redzone::poison();
+  redzone::Guard redzone;
 
   [[nodiscard]] bool is_dir() const { return type == FileType::directory; }
   [[nodiscard]] bool is_symlink() const { return type == FileType::symlink; }
@@ -181,7 +181,9 @@ class Vfs {
   /// notempty.
   SysStatus remove(Ino dir, std::string_view name);
   SysStatus remove_dir(Ino dir, std::string_view name);
-  /// Rename within or across directories.
+  /// Rename within or across directories. Errors: noent, nametoolong,
+  /// notdir, isdir (an existing directory target), inval (a directory
+  /// moved into itself or its own subtree; the tree is left unchanged).
   SysStatus rename_entry(Ino src_dir, std::string_view src_name, Ino dst_dir,
                          std::string_view dst_name);
   /// Unconditionally detach an entry (file, symlink, or whole directory

@@ -93,7 +93,7 @@ void Registry::wild_write(const std::string& path, std::size_t overflow,
                           char fill) {
   Key* key = writable(path);
   if (!key) return;
-  std::string& zone = key->redzone;
+  os::redzone::Guard& zone = key->redzone;
   std::size_t n = std::min(overflow, zone.size());
   for (std::size_t i = 0; i < n; ++i) zone[i] = fill;
 }

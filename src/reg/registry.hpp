@@ -40,7 +40,7 @@ struct Key {
   /// value writes replace the value wholesale and never touch it (see
   /// os/redzone.hpp). Copied with its key when a clone first writes the
   /// table.
-  std::string redzone = os::redzone::poison();
+  os::redzone::Guard redzone;
 };
 
 /// The key table is shared copy-on-write between world snapshots

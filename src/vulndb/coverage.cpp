@@ -70,9 +70,11 @@ VulnCoverage vulnerability_coverage(
     const std::vector<core::CampaignResult>& results) {
   std::set<std::string> fired;
   for (const core::CampaignResult& r : results)
-    for (const core::InjectionOutcome& o : r.injections) {
-      if (!o.violated) continue;
-      std::string label = coverage_class(o.kind, o.fault_name);
+    for (std::size_t id = 0; id < r.injections.size(); ++id) {
+      if (!r.injections[id].violated) continue;
+      // Classified by the fault the plan assigned to the outcome's item.
+      const core::FaultRef& fault = r.fault_of(id);
+      std::string label = coverage_class(fault.kind, fault.name());
       if (!label.empty()) fired.insert(label);
     }
   VulnCoverage cov;

@@ -16,8 +16,9 @@ using core::CampaignOptions;
 
 std::set<std::string> violated_faults(const core::CampaignResult& r) {
   std::set<std::string> out;
-  for (const auto& i : r.injections)
-    if (i.violated) out.insert(i.site.tag + "/" + i.fault_name);
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    if (r.injections[id].violated)
+      out.insert(r.point_of(id).site.tag + "/" + r.fault_of(id).name());
   return out;
 }
 
@@ -117,9 +118,9 @@ TEST(Netcpd, MalformedDnsReplyFailsClosed) {
   opts.only_sites = {kNetcpdDns};
   auto r = c.execute(opts);
   ASSERT_EQ(r.n(), 2);
-  for (const auto& i : r.injections) {
-    if (i.fault_name == "dns-bad-format") {
-      EXPECT_FALSE(i.violated);
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    if (r.fault_of(id).name() == "dns-bad-format") {
+      EXPECT_FALSE(r.injections[id].violated);
     }
   }
 }
@@ -152,8 +153,8 @@ TEST(Cronhelpd, IpcChannelKindDrivesProcessFaults) {
   }
   // Process-entity faults (not network ones) were planned.
   bool saw_proc_fault = false;
-  for (const auto& i : r.injections)
-    if (ep::starts_with(i.fault_name, "proc-")) saw_proc_fault = true;
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    if (ep::starts_with(r.fault_of(id).name(), "proc-")) saw_proc_fault = true;
   EXPECT_TRUE(saw_proc_fault);
 }
 

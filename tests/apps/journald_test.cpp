@@ -45,7 +45,7 @@ TEST(Journald, MaskZeroFaultYieldsWorldWritableJournal) {
   opts.only_sites = {kJournaldGetMask};
   auto r = c.execute(opts);
   ASSERT_EQ(r.n(), 1);  // the mask row has exactly one injection
-  EXPECT_EQ(r.injections[0].fault_name, "mask-zero");
+  EXPECT_EQ(r.fault_of(0).name(), "mask-zero");
   ASSERT_TRUE(r.injections[0].violated) << core::render_report(r);
   EXPECT_EQ(r.injections[0].violations[0].policy, core::Policy::integrity);
   EXPECT_TRUE(ep::contains(r.injections[0].violations[0].detail,

@@ -64,8 +64,8 @@ TEST(Mailer, CampaignFindsAllThreeIndirectFlaws) {
   Campaign c(mailer_scenario());
   auto r = c.execute();
   std::set<std::string> violated;
-  for (const auto& i : r.injections)
-    if (i.violated) violated.insert(i.fault_name);
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    if (r.injections[id].violated) violated.insert(r.fault_of(id).name());
   EXPECT_TRUE(violated.count("change-length"));         // overflow
   EXPECT_TRUE(violated.count("insert-dotdot"));         // traversal
   EXPECT_TRUE(violated.count("path-insert-untrusted")); // PATH hijack
@@ -86,8 +86,8 @@ TEST(Mailer, ExecSitePartiallyDefended) {
   opts.only_sites = {kMailerExec};
   auto r = c.execute(opts);
   std::set<std::string> violated;
-  for (const auto& i : r.injections)
-    if (i.violated) violated.insert(i.fault_name);
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    if (r.injections[id].violated) violated.insert(r.fault_of(id).name());
   // Ownership and symlink swaps go unnoticed (mailer never checks)...
   EXPECT_TRUE(violated.count("file-ownership"));
   EXPECT_TRUE(violated.count("symbolic-link"));

@@ -66,10 +66,10 @@ TEST_P(NtModuleCase, ValueTamperExploitsTheModule) {
   Campaign c(std::move(s));
   auto r = c.execute();
   bool tamper_or_indirect_violation = false;
-  for (const auto& i : r.injections) {
-    if (!i.violated) continue;
-    if (i.fault_name == "regkey-value-tamper" ||
-        i.kind == core::FaultKind::indirect)
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    if (!r.injections[id].violated) continue;
+    if (r.fault_of(id).name() == "regkey-value-tamper" ||
+        r.fault_of(id).kind == core::FaultKind::indirect)
       tamper_or_indirect_violation = true;
   }
   EXPECT_TRUE(tamper_or_indirect_violation) << core::render_report(r);

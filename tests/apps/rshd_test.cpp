@@ -15,8 +15,9 @@ using core::CampaignOptions;
 
 std::set<std::string> violated_faults(const core::CampaignResult& r) {
   std::set<std::string> out;
-  for (const auto& i : r.injections)
-    if (i.violated) out.insert(i.site.tag + "/" + i.fault_name);
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    if (r.injections[id].violated)
+      out.insert(r.point_of(id).site.tag + "/" + r.fault_of(id).name());
   return out;
 }
 
@@ -37,7 +38,8 @@ TEST(Rshd, DeclaredSemanticsDrivePlanning) {
   Campaign c(rshd_scenario());
   auto r = c.execute();
   std::set<std::string> fault_names;
-  for (const auto& i : r.injections) fault_names.insert(i.fault_name);
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    fault_names.insert(r.fault_of(id).name());
   // The three Table 5 rows nothing else exercises:
   EXPECT_TRUE(fault_names.count("host-change-length"));
   EXPECT_TRUE(fault_names.count("cmd-insert-shell-meta"));
@@ -75,11 +77,11 @@ TEST(Rshd, AbsoluteAndRelativeCommandsRejected) {
   CampaignOptions opts;
   opts.only_sites = {kRshdRecvCmd};
   auto r = c.execute(opts);
-  for (const auto& i : r.injections) {
-    if (i.fault_name == "cmd-use-absolute-path" ||
-        i.fault_name == "cmd-use-relative-path" ||
-        i.fault_name == "cmd-change-length") {
-      EXPECT_FALSE(i.violated) << i.fault_name;
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    const std::string& fault = r.fault_of(id).name();
+    if (fault == "cmd-use-absolute-path" || fault == "cmd-use-relative-path" ||
+        fault == "cmd-change-length") {
+      EXPECT_FALSE(r.injections[id].violated) << fault;
     }
   }
 }

@@ -176,9 +176,10 @@ TEST(TurninCampaign, ProjlistViolationsAreTaFeasible) {
   CampaignOptions opts;
   opts.only_sites = {kTurninOpenProjlist};
   auto r = c.execute(opts);
-  for (const auto& i : r.injections) {
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    const core::InjectionOutcome& i = r.injections[id];
     if (!i.violated) continue;
-    EXPECT_TRUE(i.exploit.nonroot_feasible) << i.fault_name;
+    EXPECT_TRUE(i.exploit.nonroot_feasible) << r.fault_of(id).name();
     EXPECT_TRUE(ep::contains(i.exploit.actor, "ta")) << i.exploit.actor;
   }
 }
@@ -190,10 +191,11 @@ TEST(TurninCampaign, ConfigViolationsAreRootOnly) {
   opts.only_sites = {kTurninOpenConfig};
   auto r = c.execute(opts);
   int violated = 0;
-  for (const auto& i : r.injections) {
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    const core::InjectionOutcome& i = r.injections[id];
     if (!i.violated) continue;
     ++violated;
-    EXPECT_FALSE(i.exploit.nonroot_feasible) << i.fault_name;
+    EXPECT_FALSE(i.exploit.nonroot_feasible) << r.fault_of(id).name();
   }
   EXPECT_EQ(violated, 2);
 }
@@ -203,9 +205,10 @@ TEST(TurninCampaign, ExecTarToleratedViaDescriptorPinning) {
   CampaignOptions opts;
   opts.only_sites = {kTurninExecTar};
   auto r = c.execute(opts);
-  for (const auto& i : r.injections)
-    EXPECT_FALSE(i.violated) << i.fault_name << "\n"
-                             << core::render_report(r);
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    EXPECT_FALSE(r.injections[id].violated)
+        << r.fault_of(id).name() << "\n"
+        << core::render_report(r);
 }
 
 TEST(TurninCampaign, HardenedStopsProjlistAndDestFaults) {

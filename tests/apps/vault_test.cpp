@@ -40,10 +40,10 @@ TEST(Vault, ChecksStopAttacksAtCheckTime) {
   CampaignOptions opts;
   opts.only_sites = {kVaultCheck};
   auto r = c.execute(opts);
-  for (const auto& i : r.injections) {
-    if (i.fault_name == "symbolic-link" ||
-        i.fault_name == "file-permission") {
-      EXPECT_FALSE(i.violated) << i.fault_name;
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    const std::string& fault = r.fault_of(id).name();
+    if (fault == "symbolic-link" || fault == "file-permission") {
+      EXPECT_FALSE(r.injections[id].violated) << fault;
     }
   }
 }

@@ -85,15 +85,18 @@ inline void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.perturbed_site_tags, b.perturbed_site_tags);
   EXPECT_EQ(a.benign_violations.size(), b.benign_violations.size());
 
+  ASSERT_EQ(a.items.size(), a.injections.size());
+  ASSERT_EQ(b.items.size(), b.injections.size());
   ASSERT_EQ(a.injections.size(), b.injections.size());
   for (std::size_t i = 0; i < a.injections.size(); ++i) {
+    EXPECT_EQ(a.point_of(i).site, b.point_of(i).site) << "slot " << i;
+    EXPECT_EQ(a.point_of(i).call, b.point_of(i).call) << "slot " << i;
+    EXPECT_EQ(a.point_of(i).object, b.point_of(i).object) << "slot " << i;
+    EXPECT_EQ(a.fault_of(i).kind, b.fault_of(i).kind) << "slot " << i;
+    EXPECT_EQ(a.fault_of(i).name(), b.fault_of(i).name()) << "slot " << i;
+    EXPECT_EQ(a.items[i].param, b.items[i].param) << "slot " << i;
     const InjectionOutcome& x = a.injections[i];
     const InjectionOutcome& y = b.injections[i];
-    EXPECT_EQ(x.site.tag, y.site.tag) << "slot " << i;
-    EXPECT_EQ(x.call, y.call) << "slot " << i;
-    EXPECT_EQ(x.object, y.object) << "slot " << i;
-    EXPECT_EQ(x.kind, y.kind) << "slot " << i;
-    EXPECT_EQ(x.fault_name, y.fault_name) << "slot " << i;
     EXPECT_EQ(x.fired, y.fired) << "slot " << i;
     EXPECT_EQ(x.violated, y.violated) << "slot " << i;
     EXPECT_EQ(x.crashed, y.crashed) << "slot " << i;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/report.hpp"
 #include "os/world.hpp"
@@ -80,13 +82,14 @@ TEST(Campaign, DefaultPlansFollowStep3) {
   Campaign c(toy_scenario());
   auto r = c.execute();
   int cfg_direct = 0, cfg_indirect = 0, write_indirect = 0, arg_direct = 0;
-  for (const auto& i : r.injections) {
-    if (i.site.tag == "toy-read-config") {
-      (i.kind == FaultKind::direct ? cfg_direct : cfg_indirect)++;
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    const std::string& tag = r.point_of(id).site.tag;
+    const FaultKind kind = r.fault_of(id).kind;
+    if (tag == "toy-read-config") {
+      (kind == FaultKind::direct ? cfg_direct : cfg_indirect)++;
     }
-    if (i.site.tag == "toy-write-out" && i.kind == FaultKind::indirect)
-      ++write_indirect;
-    if (i.site.tag == "toy-arg" && i.kind == FaultKind::direct) ++arg_direct;
+    if (tag == "toy-write-out" && kind == FaultKind::indirect) ++write_indirect;
+    if (tag == "toy-arg" && kind == FaultKind::direct) ++arg_direct;
   }
   EXPECT_EQ(cfg_direct, 7);    // full file-system attribute list
   EXPECT_GT(cfg_indirect, 0);  // reads deliver input
@@ -110,8 +113,9 @@ TEST(Campaign, FindsTheToyProgramsFlaws) {
   // dir, but never validates ../ in the name and blindly creats: the
   // symlink and dotdot faults must be among the violations.
   std::set<std::string> violated;
-  for (const auto& i : r.injections)
-    if (i.violated) violated.insert(i.site.tag + "/" + i.fault_name);
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    if (r.injections[id].violated)
+      violated.insert(r.point_of(id).site.tag + "/" + r.fault_of(id).name());
   EXPECT_TRUE(violated.count("toy-write-out/symbolic-link"));
   EXPECT_TRUE(violated.count("toy-arg/insert-dotdot"));
 }
@@ -124,7 +128,8 @@ TEST(Campaign, OnlySitesRestrictsPerturbation) {
   EXPECT_EQ(r.points.size(), 3u);  // discovery unaffected
   EXPECT_EQ(r.perturbed_site_tags.size(), 1u);
   EXPECT_NEAR(r.interaction_coverage(), 1.0 / 3.0, 1e-9);
-  for (const auto& i : r.injections) EXPECT_EQ(i.site.tag, "toy-arg");
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    EXPECT_EQ(r.point_of(id).site.tag, "toy-arg");
 }
 
 TEST(Campaign, TargetCoverageSamplesSites) {
@@ -152,7 +157,7 @@ TEST(Campaign, FullRunIsDeterministic) {
   auto r2 = Campaign(toy_scenario()).execute();
   ASSERT_EQ(r1.n(), r2.n());
   for (int i = 0; i < r1.n(); ++i) {
-    EXPECT_EQ(r1.injections[i].fault_name, r2.injections[i].fault_name);
+    EXPECT_EQ(r1.fault_of(i).name(), r2.fault_of(i).name());
     EXPECT_EQ(r1.injections[i].violated, r2.injections[i].violated);
   }
 }
@@ -199,10 +204,10 @@ TEST(Campaign, MissingBuildOrRunRejected) {
 TEST(Campaign, ExploitabilityFilledOnlyForViolations) {
   Campaign c(toy_scenario());
   auto r = c.execute();
-  for (const auto& i : r.injections) {
-    if (i.violated) {
-      EXPECT_FALSE(i.exploit.actor.empty())
-          << i.site.tag << "/" << i.fault_name;
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    if (r.injections[id].violated) {
+      EXPECT_FALSE(r.injections[id].exploit.actor.empty())
+          << r.point_of(id).site.tag << "/" << r.fault_of(id).name();
     }
   }
 }
@@ -210,18 +215,36 @@ TEST(Campaign, ExploitabilityFilledOnlyForViolations) {
 TEST(Campaign, ExploitabilityJudgesActors) {
   Campaign c(toy_scenario());
   auto r = c.execute();
-  for (const auto& i : r.injections) {
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    const InjectionOutcome& i = r.injections[id];
+    const std::string& fault = r.fault_of(id).name();
     if (!i.violated) continue;
-    if (i.fault_name == "insert-dotdot") {
+    if (fault == "insert-dotdot") {
       // argv is the invoker's to control.
       EXPECT_TRUE(i.exploit.nonroot_feasible);
       EXPECT_EQ(i.exploit.actor, "invoking user");
     }
-    if (i.fault_name == "symbolic-link" && i.site.tag == "toy-read-config") {
+    if (fault == "symbolic-link" &&
+        r.point_of(id).site.tag == "toy-read-config") {
       // /toy is root 0755: nobody unprivileged can plant a link there.
       EXPECT_FALSE(i.exploit.nonroot_feasible);
     }
   }
+}
+
+TEST(Campaign, ExploitableNamesTheIdsOfFeasibleViolations) {
+  // exploitable() returns plan ids, ascending; point_of/fault_of name them.
+  auto r = Campaign(toy_scenario()).execute();
+  std::vector<std::size_t> expected;
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    if (r.injections[id].violated && r.injections[id].exploit.nonroot_feasible)
+      expected.push_back(id);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(r.exploitable(), expected);
+  std::set<std::string> named;
+  for (std::size_t id : r.exploitable())
+    named.insert(r.point_of(id).site.tag + "/" + r.fault_of(id).name());
+  EXPECT_TRUE(named.count("toy-arg/insert-dotdot"));
 }
 
 }  // namespace

@@ -37,9 +37,8 @@ TEST(Executor, OutcomeSlotsFollowPlanOrder) {
   CampaignResult r = Executor(s).execute(plan, opts);
   ASSERT_EQ(r.injections.size(), plan.items.size());
   for (std::size_t i = 0; i < plan.items.size(); ++i) {
-    EXPECT_EQ(r.injections[i].site.tag,
-              plan.point_of(plan.items[i]).site.tag);
-    EXPECT_EQ(r.injections[i].fault_name, plan.items[i].fault.name());
+    EXPECT_EQ(r.point_of(i).site.tag, plan.point_of(plan.items[i]).site.tag);
+    EXPECT_EQ(r.fault_of(i).name(), plan.items[i].fault.name());
   }
 }
 

@@ -328,7 +328,7 @@ TEST_F(OracleTest, RedzoneReportFiresForUnprivilegedProcess) {
   // Memory corruption is a violation regardless of privilege — the
   // redzone branch runs before the watched()/pid gates.
   auto oracle = attach();
-  std::string zone = os::redzone::poison();
+  os::redzone::Guard zone;
   zone[0] = '!';
   k.report_redzone_corruption(kS, plain, "buffer at " + kS.str(), zone);
   ASSERT_TRUE(oracle->violated());
@@ -340,7 +340,7 @@ TEST_F(OracleTest, RedzoneTeardownReportAcceptsNoProcess) {
   // The end-of-run sweep reports with pid -1 (no live process); the
   // oracle must not drop it on the has_proc guard.
   auto oracle = attach();
-  std::string zone = os::redzone::poison();
+  os::redzone::Guard zone;
   zone[0] = '!';
   k.report_redzone_corruption({"kernel", 0, "redzone-teardown"}, -1,
                               "/etc/passwd", zone);
@@ -351,7 +351,7 @@ TEST_F(OracleTest, RedzoneTeardownReportAcceptsNoProcess) {
 
 TEST_F(OracleTest, RedzoneReportsDeduplicatePerObject) {
   auto oracle = attach();
-  std::string zone = os::redzone::poison();
+  os::redzone::Guard zone;
   zone[0] = '!';
   k.report_redzone_corruption(kS, plain, "same-object", zone);
   k.report_redzone_corruption(kS, plain, "same-object", zone);

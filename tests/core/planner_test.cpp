@@ -103,10 +103,9 @@ TEST(Planner, PlanThenExecuteMatchesCampaignFacade) {
 
   ASSERT_EQ(via_layers.injections.size(), via_facade.injections.size());
   for (std::size_t i = 0; i < via_layers.injections.size(); ++i) {
-    EXPECT_EQ(via_layers.injections[i].site.tag,
-              via_facade.injections[i].site.tag);
-    EXPECT_EQ(via_layers.injections[i].fault_name,
-              via_facade.injections[i].fault_name);
+    EXPECT_EQ(via_layers.point_of(i).site.tag,
+              via_facade.point_of(i).site.tag);
+    EXPECT_EQ(via_layers.fault_of(i).name(), via_facade.fault_of(i).name());
     EXPECT_EQ(via_layers.injections[i].violated,
               via_facade.injections[i].violated);
   }

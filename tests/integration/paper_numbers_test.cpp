@@ -46,8 +46,9 @@ TEST(PaperNumbers, TurninSection41) {
   // The two distinct flaws the paper confirmed by exploit:
   // Projlist disclosure (fopen-projlist) and ../ traversal (arg-filename).
   std::set<std::string> violating_sites;
-  for (const auto& i : r.injections)
-    if (i.violated) violating_sites.insert(i.site.tag);
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    if (r.injections[id].violated)
+      violating_sites.insert(r.point_of(id).site.tag);
   EXPECT_TRUE(violating_sites.count(apps::kTurninOpenProjlist));
   EXPECT_TRUE(violating_sites.count(apps::kTurninArgFile));
 }
@@ -56,8 +57,8 @@ TEST(PaperNumbers, TurninViolationBreakdown) {
   Campaign campaign(apps::turnin_scenario());
   CampaignResult r = campaign.execute();
   std::map<std::string, int> by_site;
-  for (const auto& i : r.injections)
-    if (i.violated) ++by_site[i.site.tag];
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    if (r.injections[id].violated) ++by_site[r.point_of(id).site.tag];
   EXPECT_EQ(by_site[apps::kTurninOpenConfig], 2) << core::render_report(r);
   EXPECT_EQ(by_site[apps::kTurninOpenProjlist], 2) << core::render_report(r);
   EXPECT_EQ(by_site[apps::kTurninArgFile], 1) << core::render_report(r);

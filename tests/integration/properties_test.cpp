@@ -49,9 +49,14 @@ TEST_P(EveryScenario, AccountingIdentitiesHold) {
 TEST_P(EveryScenario, EveryInjectionOutcomeWellFormed) {
   Campaign c(scenario_by_name(GetParam()));
   auto r = c.execute();
-  for (const auto& i : r.injections) {
-    EXPECT_FALSE(i.fault_name.empty());
-    EXPECT_FALSE(i.fault_description.empty());
+  ASSERT_EQ(r.items.size(), r.injections.size());
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    const core::FaultRef& f = r.fault_of(id);
+    EXPECT_FALSE(f.name().empty());
+    EXPECT_FALSE((f.kind == core::FaultKind::indirect ? f.indirect->description
+                                                      : f.direct->description)
+                     .empty());
+    const core::InjectionOutcome& i = r.injections[id];
     EXPECT_EQ(i.violated, !i.violations.empty());
     if (i.violated) {
       EXPECT_FALSE(i.exploit.actor.empty());
@@ -65,7 +70,7 @@ TEST_P(EveryScenario, DeterministicAcrossRuns) {
   ASSERT_EQ(r1.n(), r2.n());
   EXPECT_EQ(r1.violation_count(), r2.violation_count());
   for (int i = 0; i < r1.n(); ++i) {
-    EXPECT_EQ(r1.injections[i].fault_name, r2.injections[i].fault_name);
+    EXPECT_EQ(r1.fault_of(i).name(), r2.fault_of(i).name());
     EXPECT_EQ(r1.injections[i].violated, r2.injections[i].violated);
     EXPECT_EQ(r1.injections[i].exit_code, r2.injections[i].exit_code);
   }
@@ -75,9 +80,10 @@ TEST_P(EveryScenario, ViolatingFaultsActuallyFired) {
   // A violation can only be caused by a fault that was injected.
   Campaign c(scenario_by_name(GetParam()));
   auto r = c.execute();
-  for (const auto& i : r.injections) {
-    if (i.violated) {
-      EXPECT_TRUE(i.fired) << i.site.tag << "/" << i.fault_name;
+  for (std::size_t id = 0; id < r.injections.size(); ++id) {
+    if (r.injections[id].violated) {
+      EXPECT_TRUE(r.injections[id].fired)
+          << r.point_of(id).site.tag << "/" << r.fault_of(id).name();
     }
   }
 }
@@ -142,10 +148,11 @@ TEST_P(EveryScenario, RedzoneOracleRaisesNoFalsePositives) {
   auto r = c.execute();  // use_redzone defaults to true
   for (const auto& v : r.benign_violations)
     EXPECT_NE(v.policy, core::Policy::redzone_corruption) << v.detail;
-  for (const auto& i : r.injections)
-    for (const auto& v : i.violations)
+  for (std::size_t id = 0; id < r.injections.size(); ++id)
+    for (const auto& v : r.injections[id].violations)
       EXPECT_NE(v.policy, core::Policy::redzone_corruption)
-          << i.site.tag << "/" << i.fault_name << ": " << v.detail;
+          << r.point_of(id).site.tag << "/" << r.fault_of(id).name() << ": "
+          << v.detail;
 }
 
 TEST_P(EveryScenario, RedzoneAuditIsByteInvisibleWhenNothingFires) {

@@ -383,6 +383,39 @@ TEST_F(KernelTest, RenameOfDotOrDotDotIsBusy) {
       << k.vfs().check_invariants();
 }
 
+TEST_F(KernelTest, RenameOfADirectoryIntoItsOwnSubtreeIsInval) {
+  // Linux refuses to make a directory its own descendant and leaves the
+  // tree as it was. After the call only resolve() reads the tree: it
+  // walks down from the root, so it ends even if parent links had formed
+  // a cycle (canonical_path of a moved node would not).
+  world::mkdirs(k, "/a/b", kRootUid, kRootGid, 0755);
+  ASSERT_EQ(k.rename(kS, root, "/a", "/a/b/c").error(), Err::inval);
+  ASSERT_EQ(k.rename(kS, root, "/a", "/a/c").error(), Err::inval);
+  EXPECT_TRUE(k.rename(kS, root, "/a", "/a").ok());
+  const Vfs& v = k.vfs();
+  EXPECT_TRUE(v.resolve("/a/b", "/", kRootUid, kRootGid).ok());
+  EXPECT_EQ(v.resolve("/a/b/c", "/", kRootUid, kRootGid).error(), Err::noent);
+  EXPECT_EQ(v.resolve("/a/c", "/", kRootUid, kRootGid).error(), Err::noent);
+  EXPECT_TRUE(v.check_invariants().empty()) << v.check_invariants();
+}
+
+TEST_F(KernelTest, CreatOpenOfADirectoryIsEisdirUnlessExcl) {
+  // Linux refuses every O_CREAT open of an existing directory, whatever
+  // the access mode; O_EXCL answers EEXIST before that.
+  EXPECT_EQ(k.open(kS, alice, "/tmp", OpenFlag::rd | OpenFlag::creat).error(),
+            Err::isdir);
+  EXPECT_EQ(
+      k.open(kS, root, "/home/alice", OpenFlag::rd | OpenFlag::creat).error(),
+      Err::isdir);
+  EXPECT_EQ(k.open(kS, alice, "/tmp", OpenFlag::wr | OpenFlag::creat).error(),
+            Err::isdir);
+  EXPECT_EQ(k.open(kS, alice, "/tmp",
+                   OpenFlag::rd | OpenFlag::creat | OpenFlag::excl)
+                .error(),
+            Err::exist);
+  EXPECT_TRUE(k.open(kS, alice, "/tmp", OpenFlag::rd).ok());
+}
+
 TEST_F(KernelTest, UntrustedDirectoryTaintsEverythingBelowIt) {
   // The taint follows parent links: a directory between the object and
   // the untrusted ancestor that root cannot search (no x bit) does not

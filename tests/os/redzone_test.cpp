@@ -24,10 +24,17 @@ const os::Site kBuf{"redzone_test.c", 10, "buffer-site"};
 const os::Site kRead{"redzone_test.c", 20, "read-site"};
 const os::Site kRegSite{"redzone_test.c", 30, "reg-site"};
 
+/// A fresh guard's bytes as a string, for the checks that clobber or
+/// resize a zone.
+std::string poison() {
+  const os::redzone::Guard guard;
+  return std::string(guard.begin(), guard.end());
+}
+
 // --- poison-token unit checks (no kernel involved) ----------------------
 
 TEST(RedzoneUnit, FreshPoisonIsIntact) {
-  std::string z = os::redzone::poison();
+  const os::redzone::Guard z;
   EXPECT_EQ(z.size(), os::redzone::kSize);
   EXPECT_TRUE(os::redzone::intact(z));
   EXPECT_EQ(os::redzone::first_clobbered(z), os::redzone::kSize);
@@ -42,7 +49,7 @@ TEST(RedzoneUnit, FreshPoisonIsIntact) {
 
 TEST(RedzoneUnit, LeadingClobberIsCountedExactly) {
   for (std::size_t n : {1u, 2u, 8u, 16u}) {
-    std::string z = os::redzone::poison();
+    std::string z = poison();
     z.replace(0, n, std::string(n, '!'));
     EXPECT_FALSE(os::redzone::intact(z));
     EXPECT_EQ(os::redzone::first_clobbered(z), 0u);
@@ -51,7 +58,7 @@ TEST(RedzoneUnit, LeadingClobberIsCountedExactly) {
 }
 
 TEST(RedzoneUnit, InteriorClobberIsStillCorruption) {
-  std::string z = os::redzone::poison();
+  std::string z = poison();
   z[7] = 'x';
   EXPECT_FALSE(os::redzone::intact(z));
   EXPECT_EQ(os::redzone::first_clobbered(z), 7u);
@@ -61,10 +68,10 @@ TEST(RedzoneUnit, InteriorClobberIsStillCorruption) {
 }
 
 TEST(RedzoneUnit, ResizedZoneIsCorruption) {
-  std::string z = os::redzone::poison();
+  std::string z = poison();
   z.pop_back();
   EXPECT_FALSE(os::redzone::intact(z));
-  z = os::redzone::poison() + '\xDE';
+  z = poison() + '\xDE';
   EXPECT_FALSE(os::redzone::intact(z));
 }
 

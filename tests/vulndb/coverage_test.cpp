@@ -44,16 +44,22 @@ TEST(VulnCoverage, ClassLookupGoesThroughTheStandardCatalog) {
 }
 
 TEST(VulnCoverage, OnlyViolatedOutcomesFireClasses) {
+  // The class comes from the fault the plan assigned to each outcome's
+  // item.
+  const core::FaultCatalog& catalog = core::FaultCatalog::standard();
   core::CampaignResult r;
+  core::WorkItem item;
+  item.fault.kind = core::FaultKind::direct;
+  item.fault.direct = catalog.find_direct("file-existence");
+  r.items.push_back(item);
   core::InjectionOutcome fired_but_tolerated;
-  fired_but_tolerated.kind = core::FaultKind::direct;
-  fired_but_tolerated.fault_name = "file-existence";
   fired_but_tolerated.fired = true;
   fired_but_tolerated.violated = false;
   r.injections.push_back(fired_but_tolerated);
 
+  item.fault.direct = catalog.find_direct("file-ownership");
+  r.items.push_back(item);
   core::InjectionOutcome violated = fired_but_tolerated;
-  violated.fault_name = "file-ownership";
   violated.violated = true;
   r.injections.push_back(violated);
 
