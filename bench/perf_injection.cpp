@@ -13,11 +13,14 @@
 #include <memory>
 #include <string>
 
+#include "apps/families.hpp"
 #include "apps/lpr.hpp"
+#include "apps/scenarios.hpp"
 #include "apps/turnin.hpp"
 #include "core/executor.hpp"
 #include "core/injector.hpp"
 #include "core/planner.hpp"
+#include "core/scheduler.hpp"
 #include "core/snapshot.hpp"
 #include "os/world.hpp"
 
@@ -190,6 +193,31 @@ void BM_ExecutorDrainTurnin(benchmark::State& state) {
                           static_cast<std::int64_t>(plan.items.size()));
 }
 BENCHMARK(BM_ExecutorDrainTurnin)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_SuiteSweep(benchmark::State& state) {
+  // One MultiCampaign::run over the 125 scenarios (the packaged suite and
+  // every family member), planning included: the scheduler's scenario
+  // leases at jobs 1 and 4.
+  core::MultiCampaign suite;
+  for (auto& s : apps::all_scenarios()) suite.add(std::move(s));
+  for (const core::ScenarioFamily& family : apps::scenario_families())
+    for (core::Scenario& s : apps::family_scenarios(family))
+      suite.add(std::move(s));
+  core::SweepOptions opts;
+  opts.jobs = static_cast<int>(state.range(0));
+  std::int64_t runs = 0;
+  for (auto _ : state) {
+    core::SweepResult r = suite.run(opts);
+    runs += r.total_injections();
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(runs);
+}
+BENCHMARK(BM_SuiteSweep)
     ->Arg(1)
     ->Arg(4)
     ->UseRealTime()

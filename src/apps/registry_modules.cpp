@@ -391,10 +391,4 @@ std::unique_ptr<core::TargetWorld> nt_registry_world() {
   return nt_module_scenario("fontcleanup").build();
 }
 
-std::vector<core::Scenario> nt_module_scenarios() {
-  std::vector<core::Scenario> out;
-  for (const auto& m : nt_modules()) out.push_back(nt_module_scenario(m.module));
-  return out;
-}
-
 }  // namespace ep::apps

@@ -55,9 +55,6 @@ core::ScenarioSpec nt_module_spec(const std::string& module);
 /// A perturbation campaign scenario for one module (by module name).
 core::Scenario nt_module_scenario(const std::string& module);
 
-/// All 9 module scenarios.
-std::vector<core::Scenario> nt_module_scenarios();
-
 inline constexpr const char* kNtSam = "/winnt/system32/config/sam";
 inline constexpr const char* kNtCritical = "/winnt/system32/critical.ini";
 

@@ -1,58 +1,59 @@
 #include "apps/scenarios.hpp"
 
+#include <string_view>
+
 #include "apps/families.hpp"
 #include "apps/redzone_demo.hpp"
 #include "apps/spec_env.hpp"
 
 namespace ep::apps {
 
-std::vector<core::Scenario> all_scenarios() {
-  std::vector<core::Scenario> out;
-  out.push_back(lpr_scenario());
-  out.push_back(turnin_scenario());
-  out.push_back(turnin_hardened_scenario());
-  out.push_back(mailer_scenario());
-  out.push_back(logind_scenario());
-  out.push_back(logind_hardened_scenario());
-  out.push_back(netcpd_scenario());
-  out.push_back(cronhelpd_scenario());
-  out.push_back(rshd_scenario());
-  out.push_back(journald_scenario());
-  out.push_back(vault_scenario());
-  out.push_back(vault_fixed_scenario());
-  for (auto& s : nt_module_scenarios()) out.push_back(std::move(s));
-  return out;
-}
-
 namespace {
 
-/// The packaged specs behind every name resolve_spec() finds without a
-/// family: the suite plus redzone-demo, built once per process.
-const std::vector<core::ScenarioSpec>& packaged_specs() {
-  static const std::vector<core::ScenarioSpec> specs = [] {
-    std::vector<core::ScenarioSpec> out;
-    out.push_back(lpr_spec());
-    out.push_back(turnin_spec(/*hardened=*/false));
-    out.push_back(turnin_spec(/*hardened=*/true));
-    out.push_back(mailer_spec());
-    out.push_back(logind_spec(/*hardened=*/false));
-    out.push_back(logind_spec(/*hardened=*/true));
-    out.push_back(netcpd_spec());
-    out.push_back(cronhelpd_spec());
-    out.push_back(rshd_spec());
-    out.push_back(journald_spec());
-    out.push_back(vault_spec(/*fixed=*/false));
-    out.push_back(vault_spec(/*fixed=*/true));
-    for (const auto& m : nt_modules()) out.push_back(nt_module_spec(m.module));
-    // Reachable by name though absent from the packaged sweep: the
-    // redzone oracle demo.
-    out.push_back(redzone_demo_spec());
-    return out;
-  }();
-  return specs;
-}
+/// One name resolve_spec() finds without a family, and its spec builder.
+struct PackagedRow {
+  std::string_view name;
+  core::ScenarioSpec (*spec)();
+  bool in_suite;  // listed by all_scenarios()
+};
+
+/// Every packaged name, in listing order: the suite, then redzone-demo,
+/// reachable by name though absent from the packaged sweep. A lookup
+/// builds only the row it names.
+constexpr PackagedRow kPackaged[] = {
+    {"lpr", lpr_spec, true},
+    {"turnin", [] { return turnin_spec(/*hardened=*/false); }, true},
+    {"turnin-hardened", [] { return turnin_spec(/*hardened=*/true); }, true},
+    {"mailer", mailer_spec, true},
+    {"logind", [] { return logind_spec(/*hardened=*/false); }, true},
+    {"logind-hardened", [] { return logind_spec(/*hardened=*/true); }, true},
+    {"netcpd", netcpd_spec, true},
+    {"cronhelpd", cronhelpd_spec, true},
+    {"rshd", rshd_spec, true},
+    {"journald", journald_spec, true},
+    {"vault", [] { return vault_spec(/*fixed=*/false); }, true},
+    {"vault-fixed", [] { return vault_spec(/*fixed=*/true); }, true},
+    {"nt-fontcleanup", [] { return nt_module_spec("fontcleanup"); }, true},
+    {"nt-logonprofile", [] { return nt_module_spec("logonprofile"); }, true},
+    {"nt-screensaver", [] { return nt_module_spec("screensaver"); }, true},
+    {"nt-helpviewer", [] { return nt_module_spec("helpviewer"); }, true},
+    {"nt-wallpaper", [] { return nt_module_spec("wallpaper"); }, true},
+    {"nt-updater", [] { return nt_module_spec("updater"); }, true},
+    {"nt-spooler", [] { return nt_module_spec("spooler"); }, true},
+    {"nt-aedebug", [] { return nt_module_spec("aedebug"); }, true},
+    {"nt-tempclean", [] { return nt_module_spec("tempclean"); }, true},
+    {"redzone-demo", redzone_demo_spec, false},
+};
 
 }  // namespace
+
+std::vector<core::Scenario> all_scenarios() {
+  std::vector<core::Scenario> out;
+  for (const PackagedRow& row : kPackaged)
+    if (row.in_suite)
+      out.push_back(core::compile_spec(row.spec(), spec_environment()));
+  return out;
+}
 
 std::optional<core::Scenario> resolve_scenario(const std::string& name) {
   std::optional<core::ScenarioSpec> spec = resolve_spec(name);
@@ -61,8 +62,8 @@ std::optional<core::Scenario> resolve_scenario(const std::string& name) {
 }
 
 std::optional<core::ScenarioSpec> resolve_spec(const std::string& name) {
-  for (const core::ScenarioSpec& s : packaged_specs())
-    if (s.name == name) return s;
+  for (const PackagedRow& row : kPackaged)
+    if (row.name == name) return row.spec();
   // A generated member: materialize only the grid point whose stamped
   // name matches, exactly as expand_family() would have named it.
   for (const core::ScenarioFamily& f : scenario_families()) {
@@ -79,8 +80,11 @@ std::optional<core::ScenarioSpec> resolve_spec(const std::string& name) {
 
 std::string scenario_names_hint() {
   std::string out = "scenarios:";
-  for (const auto& s : all_scenarios()) out += " " + s.name;
-  out += " redzone-demo; families:";
+  for (const PackagedRow& row : kPackaged) {
+    out += ' ';
+    out += row.name;
+  }
+  out += "; families:";
   for (const auto& f : scenario_families()) {
     out += " " + f.name + "-* (" + std::to_string(core::family_size(f)) +
            " members)";

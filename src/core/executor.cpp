@@ -219,6 +219,11 @@ void parallel_for(std::size_t count, int jobs,
     if (e) std::rethrow_exception(e);
 }
 
+std::size_t lease_grain(std::size_t items, int workers) {
+  return std::max<std::size_t>(
+      1, items / (static_cast<std::size_t>(std::max(workers, 1)) * 4));
+}
+
 Executor::Executor(const Scenario& scenario) : scenario_(scenario) {
   if (!scenario_.build || !scenario_.run)
     throw std::logic_error("Executor: scenario must define build and run");

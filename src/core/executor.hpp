@@ -56,6 +56,13 @@ struct ExecutorOptions {
 void parallel_for(std::size_t count, int jobs,
                   const std::function<void(std::size_t)>& fn);
 
+/// The lease grain when none is given: items / (workers * 4), at least 1
+/// (workers < 1 counts as one, as in parallel_for). Four leases per
+/// worker keep rebalancing around stragglers and preemptions
+/// fine-grained without paying a lease per item. A fleet's leases and the
+/// MultiCampaign scheduler's scenario leases are both sized by it.
+std::size_t lease_grain(std::size_t items, int workers);
+
 /// The CampaignResult a drained plan fills in: every plan-derived field
 /// copied over (the work items included, so slot i's names are item i's)
 /// and `injections` sized one slot per work item. Executor::execute, the

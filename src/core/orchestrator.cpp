@@ -26,11 +26,6 @@ long long steady_now_ms() {
 
 }  // namespace
 
-std::size_t lease_grain(std::size_t items, int workers) {
-  return std::max<std::size_t>(
-      1, items / (static_cast<std::size_t>(workers) * 4));
-}
-
 std::size_t auto_lease_items(std::size_t plan_items, int workers,
                              double plan_ms) {
   const std::size_t grain = lease_grain(plan_items, workers);

@@ -183,19 +183,15 @@ struct OrchestratorOptions {
   std::function<long long()> now_ms;
 };
 
-/// The lease grain when none is given: items / (workers * 4), at least 1.
-/// Four leases per worker keep rebalancing around stragglers and
-/// preemptions fine-grained without paying a lease per item.
-std::size_t lease_grain(std::size_t items, int workers);
-
 /// `--lease auto`: size leases from the measured per-item cost. Planning
 /// runs the scenario once (the trace run), so the planning wall time
 /// `plan_ms` is a live sample of roughly one build plus one run on this
 /// machine. Targeting ~250 ms of drain per lease gives build-heavy
 /// scenarios smaller initial leases — rebalancing happens at lease
 /// grain, so an expensive lease is a long time to be stuck — while
-/// lease_grain() stays the ceiling, so cheap scenarios keep marginal
-/// per-lease costs. `plan_ms` <= 0 (no sample) gives lease_grain().
+/// lease_grain() (core/executor.hpp) stays the ceiling, so cheap scenarios
+/// keep marginal per-lease costs. `plan_ms` <= 0 (no sample) gives
+/// lease_grain().
 /// Lease sizing never changes merged output (outcomes land by stable
 /// id); only scheduling granularity moves.
 std::size_t auto_lease_items(std::size_t plan_items, int workers,

@@ -1,5 +1,6 @@
 #include "core/report.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <map>
 
@@ -19,8 +20,7 @@ struct JsonOut {
   void flag(bool b) { out += b ? "true" : "false"; }
   void num(long long v) {
     char buf[24];
-    std::snprintf(buf, sizeof buf, "%lld", v);
-    out += buf;
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
   }
   void fixed(double v) {
     char buf[32];

@@ -1,5 +1,7 @@
 #include "core/scheduler.hpp"
 
+#include <algorithm>
+
 namespace ep::core {
 
 int SweepResult::total_points() const {
@@ -56,30 +58,44 @@ SweepResult MultiCampaign::run(const SweepOptions& opts) const {
   // ---- Phase 1: plan every scenario (one trace run each) -----------------
   std::vector<InjectionPlan> plans = plan_all(opts);
 
-  // ---- Phase 2: drain one global queue of (scenario, item) ---------------
+  // ---- Phase 2: drain one queue of scenario leases -----------------------
+  // A lease is one scenario's id range [begin, end), drained serially by
+  // the thread that takes it, so a plan that fits one lease has its
+  // prototype cloned on one core only (scheduler.hpp says why).
   std::vector<Executor> executors;
   executors.reserve(n);
   sweep.results.resize(n);
-  struct Slot {
-    std::size_t scenario;
-    std::size_t item;
-  };
-  std::vector<Slot> queue;
+  std::size_t total = 0;
   for (std::size_t si = 0; si < n; ++si) {
     executors.emplace_back(scenarios_[si]);
     sweep.results[si] = result_skeleton(plans[si]);
-    for (std::size_t ii = 0; ii < plans[si].items.size(); ++ii)
-      queue.push_back({si, ii});
+    total += plans[si].items.size();
+  }
+  struct ScenarioLease {
+    std::size_t scenario;
+    std::size_t begin;
+    std::size_t end;
+  };
+  const std::size_t grain = lease_grain(total, opts.jobs);
+  std::vector<ScenarioLease> leases;
+  for (std::size_t si = 0; si < n; ++si) {
+    const std::size_t items = plans[si].items.size();
+    for (std::size_t b = 0; b < items; b += grain)
+      leases.push_back({si, b, std::min(b + grain, items)});
   }
   ExecutorOptions eopts;
   eopts.use_world_cache = opts.campaign.use_world_cache;
   eopts.use_redzone = opts.campaign.use_redzone;
-  parallel_for(queue.size(), opts.jobs, [&](std::size_t q) {
-    const Slot& s = queue[q];
-    sweep.results[s.scenario].injections[s.item] =
-        executors[s.scenario].run_item(plans[s.scenario],
-                                       plans[s.scenario].items[s.item],
-                                       eopts);
+  // Leases are queued in (scenario, id) order and a failing run ends its
+  // lease, so parallel_for still rethrows the lowest-indexed failure.
+  parallel_for(leases.size(), opts.jobs, [&](std::size_t l) {
+    const ScenarioLease& lease = leases[l];
+    const InjectionPlan& plan = plans[lease.scenario];
+    std::vector<InjectionOutcome>& slots =
+        sweep.results[lease.scenario].injections;
+    for (std::size_t id = lease.begin; id < lease.end; ++id)
+      slots[id] = executors[lease.scenario].run_item(plan, plan.items[id],
+                                                     eopts);
   });
   return sweep;
 }

@@ -2,9 +2,13 @@
 //
 // Fanning a whole scenario suite through one pool beats running campaigns
 // back to back: the work items of every campaign land in a single global
-// queue, so the stragglers of one scenario never leave workers idle while
-// another scenario still has runs queued. Planning (one trace run per
-// scenario) is itself fanned across the pool first.
+// queue of scenario leases, so the stragglers of one scenario never leave
+// workers idle while another scenario still has runs queued. A lease is
+// one scenario's id range of at most lease_grain(total items, jobs)
+// items, drained serially by the thread that takes it: a scenario whose
+// plan fits one lease has its frozen prototype cloned by one thread only,
+// so no two cores trade the prototype's shared reference counts. Planning
+// (one trace run per scenario) is itself fanned across the pool first.
 //
 // Determinism: each outcome is written to its (scenario, item) slot, and
 // results are assembled in add() order — the aggregate is identical for

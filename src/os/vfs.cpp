@@ -353,11 +353,16 @@ SysStatus Vfs::rename_entry(Ino src_dir, std::string_view src_name,
   // subtree would cut that subtree off the root in a parent-link cycle.
   for (Ino up = dst_dir; up != kNoIno; up = slots_[up].parent)
     if (up == moving) return Err::inval;
-  // Replace an existing non-directory target, as rename(2) does.
+  // Replace an existing target as rename(2) does: a directory only by a
+  // directory and only while empty, a non-directory only by a
+  // non-directory.
   auto dit = dd.entries.find(dst_name);
   if (dit != dd.entries.end()) {
     if (dit->second == moving) return ok_status();
-    if (inode(dit->second).is_dir()) return Err::isdir;
+    const Inode& target = inode(dit->second);
+    if (inode(moving).is_dir() != target.is_dir())
+      return target.is_dir() ? Err::isdir : Err::notdir;
+    if (target.is_dir() && !target.entries.empty()) return Err::notempty;
     unlink_entry(dst_dir, dst_name);
   }
   unlink_entry(src_dir, src_name);

@@ -181,9 +181,13 @@ class Vfs {
   /// notempty.
   SysStatus remove(Ino dir, std::string_view name);
   SysStatus remove_dir(Ino dir, std::string_view name);
-  /// Rename within or across directories. Errors: noent, nametoolong,
-  /// notdir, isdir (an existing directory target), inval (a directory
-  /// moved into itself or its own subtree; the tree is left unchanged).
+  /// Rename within or across directories. An existing target is replaced
+  /// as on Linux: a non-directory by a non-directory, an empty directory
+  /// by a directory. Errors: noent, nametoolong, notdir (`dst_dir`, or a
+  /// directory moved onto a non-directory), isdir (a non-directory moved
+  /// onto a directory), notempty (a directory moved onto a non-empty
+  /// one), inval (a directory moved into itself or its own subtree). On
+  /// every error the tree is left unchanged.
   SysStatus rename_entry(Ino src_dir, std::string_view src_name, Ino dst_dir,
                          std::string_view dst_name);
   /// Unconditionally detach an entry (file, symlink, or whole directory

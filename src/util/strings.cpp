@@ -92,24 +92,27 @@ std::string repeat(std::string_view s, std::size_t n) {
 namespace {
 
 void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
+  // Bytes that need no escape are appended a run at a time.
+  std::size_t plain = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s.data() + plain, s.size() - plain);
 }
 
 }  // namespace

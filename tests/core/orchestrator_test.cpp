@@ -303,6 +303,7 @@ TEST(Orchestrator, LeaseGrainAtTheEdges) {
   EXPECT_EQ(lease_grain(0, 3), 1u);  // an empty plan
   EXPECT_EQ(lease_grain(26, 3), 2u);
   EXPECT_EQ(lease_grain(3, 8), 1u);  // more workers than items
+  EXPECT_EQ(lease_grain(26, 0), 6u);  // no workers counts as one
   // --lease auto: the cost-sized lease, capped by the default grain.
   EXPECT_EQ(auto_lease_items(0, 3, 10.0), 1u);
   EXPECT_EQ(auto_lease_items(100, 1, 0.0), 25u);  // no cost sample

@@ -5,6 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/campaign_fixtures.hpp"
 
 namespace ep::core {
@@ -91,6 +99,45 @@ TEST(MultiCampaign, HardeningShowsUpInTheAggregate) {
   SweepResult sweep = suite.run({});
   EXPECT_LE(sweep.results[1].vulnerability_score(),
             sweep.results[0].vulnerability_score());
+}
+
+TEST(MultiCampaign, EachScenarioDrainsOnOneThread) {
+  // Sixteen equal plans at jobs 4: the lease grain (total items / 16)
+  // covers a whole plan, so each scenario is one lease and one thread
+  // clones its prototype. Every run records the thread it ran on, then
+  // sleeps long enough that all four threads are draining at once; a
+  // queue that handed out single items would spread each scenario.
+  struct Threads {
+    std::mutex mu;
+    std::vector<std::thread::id> ids;
+  };
+  std::vector<std::shared_ptr<Threads>> seen;
+  MultiCampaign suite;
+  for (int i = 0; i < 16; ++i) {
+    auto threads = std::make_shared<Threads>();
+    seen.push_back(threads);
+    Scenario s = toy_scenario("toy-" + std::to_string(i), false);
+    s.run = [run = std::move(s.run), threads](TargetWorld& w) {
+      {
+        std::lock_guard<std::mutex> lock(threads->mu);
+        threads->ids.push_back(std::this_thread::get_id());
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      return run(w);
+    };
+    suite.add(std::move(s));
+  }
+  SweepOptions opts;
+  opts.jobs = 4;
+  SweepResult sweep = suite.run(opts);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    // The first run is the scenario's trace run, made while planning.
+    const std::vector<std::thread::id>& ids = seen[i]->ids;
+    ASSERT_EQ(ids.size(), sweep.results[i].injections.size() + 1);
+    ASSERT_GT(ids.size(), 2u);
+    const std::set<std::thread::id> drained(ids.begin() + 1, ids.end());
+    EXPECT_EQ(drained.size(), 1u) << "scenario " << i;
+  }
 }
 
 TEST(MultiCampaign, EmptySuiteRunsToEmptyResult) {

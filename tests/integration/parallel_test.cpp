@@ -4,8 +4,10 @@
 // sweep must agree with standalone campaigns.
 #include <gtest/gtest.h>
 
+#include "apps/families.hpp"
 #include "apps/scenarios.hpp"
 #include "core/campaign_fixtures.hpp"
+#include "core/report.hpp"
 #include "core/scheduler.hpp"
 
 namespace ep {
@@ -62,6 +64,46 @@ TEST(Sweep, MultiCampaignAgreesWithStandaloneCampaigns) {
   for (std::size_t i = 0; i < standalone.size(); ++i) {
     CampaignResult r = Campaign(std::move(standalone[i])).execute();
     expect_identical(sweep.results[i], r);
+  }
+}
+
+/// The JSON report of every scenario in `suite`, swept at `jobs`.
+std::vector<std::string> sweep_json(const core::MultiCampaign& suite,
+                                    int jobs) {
+  core::SweepOptions opts;
+  opts.jobs = jobs;
+  std::vector<std::string> out;
+  for (const CampaignResult& r : suite.run(opts).results)
+    out.push_back(core::render_json(r));
+  return out;
+}
+
+TEST(Sweep, EveryJobCountRendersTheJobs1Json) {
+  // The scheduler's scenario leases cover whole plans on the 125-scenario
+  // suite, while at jobs 3, 4 and 7 they split the larger packaged plans
+  // (the grain is total items / (jobs * 4)): both layouts must render
+  // the jobs-1 bytes.
+  core::MultiCampaign packaged;
+  core::MultiCampaign all;
+  for (auto& s : apps::all_scenarios()) {
+    all.add(s);
+    packaged.add(std::move(s));
+  }
+  for (const core::ScenarioFamily& family : apps::scenario_families())
+    for (core::Scenario& s : apps::family_scenarios(family))
+      all.add(std::move(s));
+  ASSERT_EQ(packaged.size(), 21u);
+  ASSERT_EQ(all.size(), 125u);
+  for (const core::MultiCampaign* suite : {&packaged, &all}) {
+    const std::vector<std::string> serial = sweep_json(*suite, 1);
+    for (int jobs : {2, 3, 4, 7}) {
+      const std::vector<std::string> parallel = sweep_json(*suite, jobs);
+      ASSERT_EQ(parallel.size(), serial.size());
+      for (std::size_t i = 0; i < serial.size(); ++i)
+        EXPECT_EQ(parallel[i], serial[i])
+            << "scenario " << i << " of " << suite->size() << ", jobs "
+            << jobs;
+    }
   }
 }
 

@@ -399,6 +399,28 @@ TEST_F(KernelTest, RenameOfADirectoryIntoItsOwnSubtreeIsInval) {
   EXPECT_TRUE(v.check_invariants().empty()) << v.check_invariants();
 }
 
+TEST_F(KernelTest, RenameReplacesTargetsAsLinuxDoes) {
+  // Linux 6.18's answers for each pairing of source and existing target:
+  // a directory onto a file is ENOTDIR, a file onto a directory EISDIR,
+  // a directory onto a non-empty one ENOTEMPTY, and a directory onto an
+  // empty one replaces it.
+  world::mkdirs(k, "/t/src/inner", kRootUid, kRootGid, 0755);
+  world::mkdirs(k, "/t/empty", kRootUid, kRootGid, 0755);
+  world::mkdirs(k, "/t/full/x", kRootUid, kRootGid, 0755);
+  world::put_file(k, "/t/f", "file", kRootUid, kRootGid, 0644);
+  EXPECT_EQ(k.rename(kS, root, "/t/src", "/t/f").error(), Err::notdir);
+  EXPECT_EQ(k.peek("/t/f").value(), "file");
+  EXPECT_EQ(k.rename(kS, root, "/t/f", "/t/empty").error(), Err::isdir);
+  EXPECT_EQ(k.rename(kS, root, "/t/src", "/t/full").error(), Err::notempty);
+  EXPECT_EQ(k.stat(kS, root, "/t/full/x").value().type, FileType::directory);
+  ASSERT_TRUE(k.rename(kS, root, "/t/src", "/t/empty").ok());
+  EXPECT_EQ(k.stat(kS, root, "/t/empty/inner").value().type,
+            FileType::directory);
+  EXPECT_EQ(k.stat(kS, root, "/t/src").error(), Err::noent);
+  EXPECT_TRUE(k.vfs().check_invariants().empty())
+      << k.vfs().check_invariants();
+}
+
 TEST_F(KernelTest, CreatOpenOfADirectoryIsEisdirUnlessExcl) {
   // Linux refuses every O_CREAT open of an existing directory, whatever
   // the access mode; O_EXCL answers EEXIST before that.
